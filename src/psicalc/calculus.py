@@ -6,26 +6,26 @@ exactly and, if not, where they first differ.  Nothing is ever compared
 approximately; the scalars are exact, so the only honest verdicts are
 "identical" and "differs at index d".
 
-The single-pair rules (one for each flavor):
+Every product rule is one rule on asterisk operator sums A,
+
+    D(A(f, g)) = rho(A)(Df, g) + sigma(A)(f, Dg),
+
+and its mirror on the star flavor: there sigma(A) acts on (Df, g) and
+rho(A) on (f, Dg).  A single pair gives
 
     D(f *_{i,j} g) = Df *_{i+1,j+1} g  +  f *_{i+1,j}*_{1,0} Dg
     D(f #_{i,j} g) = Df #_{i+1,j}#_{1,0} g  +  f #_{i+1,j+1} Dg
 
-specialize at the ordinary product (both flavors collapse onto it) to
+and the empty chain (both flavors collapse onto it) the ordinary rule
 
-    D(f g) = f *_{1,0} Dg + Df g  =  Df #_{1,0} g + f Dg,
-
-and extend to whole chains by shifting every pair: (i, j) -> (i+1, j+1)
-on the side differentiating the distinguished factor, (i, j) -> (i+1, j)
-plus an appended (1, 0) on the other side.  Formal sums differentiate
-term by term.
+    D(f g) = f *_{1,0} Dg + Df g  =  Df #_{1,0} g + f Dg.
 
 Iterating the ordinary rule gives the higher product rule
 
-    D^n(f g) = sum_k  <n k>(D^(n-k) f, D^k g)
+    D^n(f g) = sum_k  <n k>(D^(n-k) f, D^k g),
 
-with the binomial operators of the operator algebra.  Division closes the
-family: with h = f / g,
+with the binomial operators acting through their weight tables.  Division
+closes the family: with h = f / g,
 
     D(f / g) = (Df - h *_{1,0} Dg) / g,
     D(1 / g) = -(1/g) * ((1/g) *_{1,0} Dg),
@@ -40,8 +40,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadIndices, PsiCalcError
-from .operator_algebra import binomial_operator
-from .series import Pair, WardSeries, check_pair, constant, first_difference
+from .operator_algebra import (
+    ORDINARY,
+    Flavor,
+    OperatorSum,
+    ProductChain,
+    binomial_weights,
+    rho,
+    sigma,
+)
+from .series import Pair, WardSeries, _convolve, check_pair, constant, first_difference
 
 
 @dataclass(frozen=True)
@@ -90,94 +98,77 @@ def compare(rule: str, lhs: WardSeries, rhs: WardSeries,
     )
 
 
-# -- single-pair product rules ------------------------------------------------
+# -- product rules ---------------------------------------------------------------
+
+
+def _flavored(a: OperatorSum, star: bool) -> OperatorSum:
+    if not star:
+        return a
+    return OperatorSum(tuple(ProductChain(t.coefficient, Flavor.STAR, t.pairs) for t in a.terms))
+
+
+def _product_rule(rule: str, a: OperatorSum, f: WardSeries, g: WardSeries,
+                  star: bool) -> RuleReport:
+    """Check D(A(f, g)) against the one rule, for A or its star mirror."""
+    lhs = _flavored(a, star).apply(f, g).derivative()
+    r, s = _flavored(rho(a), star), _flavored(sigma(a), star)
+    if star:
+        r, s = s, r
+    return compare(rule, lhs, r.apply(f.derivative(), g) + s.apply(f, g.derivative()))
 
 
 def product_rule_asterisk(f: WardSeries, g: WardSeries, i: int, j: int) -> RuleReport:
-    check_pair((i, j))
-    lhs = f.fontane(g, i, j).derivative()
-    rhs = f.derivative().fontane(g, i + 1, j + 1) + f.chain(
-        g.derivative(), ((i + 1, j), (1, 0))
-    )
-    return compare(f"product.asterisk({i},{j})", lhs, rhs)
+    return _product_rule(f"product.asterisk({i},{j})", OperatorSum.single(((i, j),)), f, g,
+                         star=False)
 
 
 def product_rule_star(f: WardSeries, g: WardSeries, i: int, j: int) -> RuleReport:
-    check_pair((i, j))
-    lhs = f.star(g, i, j).derivative()
-    rhs = f.derivative().chain(g, ((i + 1, j), (1, 0)), star=True) + f.star(
-        g.derivative(), i + 1, j + 1
-    )
-    return compare(f"product.star({i},{j})", lhs, rhs)
+    return _product_rule(f"product.star({i},{j})", OperatorSum.single(((i, j),)), f, g,
+                         star=True)
 
 
 def product_rule_ordinary(f: WardSeries, g: WardSeries) -> tuple[RuleReport, RuleReport]:
     """Both one-sided forms of the ordinary product rule."""
-    lhs = (f * g).derivative()
-    rhs_a = f.chain(g.derivative(), ((1, 0),)) + f.derivative() * g
-    rhs_s = f.derivative().chain(g, ((1, 0),), star=True) + f * g.derivative()
     return (
-        compare("product.ordinary.asterisk_form", lhs, rhs_a),
-        compare("product.ordinary.star_form", lhs, rhs_s),
+        _product_rule("product.ordinary.asterisk_form", ORDINARY, f, g, star=False),
+        _product_rule("product.ordinary.star_form", ORDINARY, f, g, star=True),
     )
-
-
-# -- chain and sum versions ------------------------------------------------------
-
-
-def _shift_pairs(pairs: Sequence[Pair], dj: int) -> tuple[Pair, ...]:
-    return tuple((i + 1, j + dj) for i, j in pairs)
 
 
 def product_rule_chain(f: WardSeries, g: WardSeries, pairs: Sequence[Pair],
                        star: bool = False) -> RuleReport:
     pairs = tuple(check_pair(p) for p in pairs)
-    lhs = f.chain(g, pairs, star=star).derivative()
-    if star:
-        rhs = f.chain(g.derivative(), _shift_pairs(pairs, 1), star=True) + (
-            f.derivative().chain(g, _shift_pairs(pairs, 0) + ((1, 0),), star=True)
-        )
-    else:
-        rhs = f.derivative().chain(g, _shift_pairs(pairs, 1)) + f.chain(
-            g.derivative(), _shift_pairs(pairs, 0) + ((1, 0),)
-        )
     flavor = "star" if star else "asterisk"
     label = "".join(f"({i},{j})" for i, j in pairs) or "empty"
-    return compare(f"product.chain.{flavor}.{label}", lhs, rhs)
+    return _product_rule(f"product.chain.{flavor}.{label}", OperatorSum.single(pairs), f, g,
+                         star)
 
 
 def product_rule_boxplus(f: WardSeries, g: WardSeries, first: Pair, second: Pair,
                          star: bool = False) -> RuleReport:
-    """Term-by-term rule for a two-term formal sum of weighted products."""
+    """The rule for a two-term formal sum of weighted products."""
     p1, p2 = check_pair(first), check_pair(second)
-    lhs = (f.chain(g, (p1,), star=star) + f.chain(g, (p2,), star=star)).derivative()
-    rhs = None
-    for p in (p1, p2):
-        if star:
-            part = f.chain(g.derivative(), _shift_pairs((p,), 1), star=True) + (
-                f.derivative().chain(g, _shift_pairs((p,), 0) + ((1, 0),), star=True)
-            )
-        else:
-            part = f.derivative().chain(g, _shift_pairs((p,), 1)) + f.chain(
-                g.derivative(), _shift_pairs((p,), 0) + ((1, 0),)
-            )
-        rhs = part if rhs is None else rhs + part
     flavor = "star" if star else "asterisk"
-    return compare(f"product.boxplus.{flavor}.{p1}+{p2}", lhs, rhs)
+    return _product_rule(f"product.boxplus.{flavor}.{p1}+{p2}",
+                         OperatorSum.single((p1,)) + OperatorSum.single((p2,)), f, g, star)
 
 
 # -- higher product rule ------------------------------------------------------------
 
 
 def general_leibniz(f: WardSeries, g: WardSeries, n: int) -> WardSeries:
-    """sum_k <n k>(D^(n-k) f, D^k g), truncated to min(order) - n."""
+    """sum_k <n k>(D^(n-k) f, D^k g) via the weight tables, truncated to min(order) - n."""
     if n < 0:
         raise BadIndices("derivative count must be nonnegative")
     if min(f.order, g.order) < n:
         raise PsiCalcError(f"series orders too small for {n} derivatives")
+    g = f._peer(g)
+    m = min(f.order, g.order) - n
+    weights = binomial_weights(f.ctx, n, m)
     acc = None
     for k in range(n + 1):
-        term = binomial_operator(n, k).apply(f.derivative(n - k), g.derivative(k))
+        term = _convolve(f.derivative(n - k).truncate(m), g.derivative(k).truncate(m),
+                         weights[k] if k else None)
         acc = term if acc is None else acc + term
     return acc
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .operator_algebra import binomial_operator
 from .psi_context import get_context
-from .series import WardSeries, make_series
+from .series import WardSeries, make_series, series_header
 from . import verify
 
 _USAGE_ERRORS = (BadSpec, ParseError, BadIndices, KOutOfRange,
@@ -115,8 +115,10 @@ def _load_operands(args_list, psi_flag: str | None, headroom: int) -> list[WardS
         else:
             with open(arg, encoding="utf-8") as fh:
                 data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ParseError(f"{arg}: series JSON must be an object")
+            try:
+                series_header(data)
+            except ParseError as exc:
+                raise ParseError(f"{arg}: {exc}") from exc
             dicts.append(data)
 
     specs = {d["psi"] for d in dicts if d.get("psi") is not None}
@@ -128,8 +130,8 @@ def _load_operands(args_list, psi_flag: str | None, headroom: int) -> list[WardS
         raise ParseError(f"operands disagree on the sequence: {sorted(specs)}")
     spec = specs.pop()
 
-    orders = [int(d["order"]) for d in dicts]
-    bound = 0 if spec.startswith("custom:") else max(orders) + headroom
+    orders = [d["order"] for d in dicts]
+    bound = 0 if spec.startswith("custom:") else max(max(orders) + headroom, 1)
     ctx = get_context(spec, bound)
 
     out = []

@@ -223,7 +223,8 @@ class PolyQ:
 
 
 def _check_rat(x):
-    if isinstance(x, numbers.Rational):
+    # JSON true/false arrive as bool, which is a numbers.Rational
+    if isinstance(x, numbers.Rational) and not isinstance(x, bool):
         return x
     raise ParseError(f"not a rational value: {x!r}")
 
@@ -426,17 +427,6 @@ def embed_rational(value) -> RatFuncQ:
     return RatFuncQ.from_rational(_norm_rat(value))
 
 
-def is_ratfunc(s) -> bool:
-    return isinstance(s, RatFuncQ)
-
-
-def as_fraction(s) -> Fraction:
-    """Collapse a scalar known to be a plain rational down to a Fraction."""
-    if isinstance(s, RatFuncQ):
-        return Fraction(s.as_rational())
-    return Fraction(s)
-
-
 def scalar_eval(s: Scalar, point):
     """Evaluate a scalar at q=point; plain rationals pass through."""
     if isinstance(s, RatFuncQ):
@@ -457,10 +447,8 @@ def scalar_from_json(data, symbolic: bool) -> Scalar:
         return RatFuncQ.from_json(data)
     if isinstance(data, str):
         value = parse_rational(data)
-    elif isinstance(data, numbers.Rational):
-        value = _norm_rat(data)
     else:
-        raise ParseError(f"bad coefficient: {data!r}")
+        value = _norm_rat(_check_rat(data))
     return embed_rational(value) if symbolic else value
 
 

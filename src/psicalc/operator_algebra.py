@@ -20,10 +20,17 @@ The binomial operators follow the Pascal-style recurrence
     <n 0> = empty chain,   <n n> = (1,0)(2,0)...(n,0),
     <n k> = rho(<n-1 k>) boxplus sigma(<n-1 k-1>)   for 0 < k < n,
 
-and are memoized per (n, k).  Applied to a series pair they produce the
-sum of the corresponding weighted products; syntactic equality is equality
-of canonical forms, while ``extensional_eq`` compares actions on all
-monomial pairs up to an order (a basis, by bilinearity).
+and are memoized per (n, k).
+
+A sum A acts on a series pair through one weight table,
+W_A(n, k) = sum of coefficient * prod F(n+i, k+j) over its chains (star
+chains mirrored to W(n, n-k)), fed to the one convolution loop of the
+series module.  The shift maps act on weights as well,
+W_rho(A)(n, k) = W_A(n+1, k+1) and W_sigma(A)(n, k) = F(n+1, k) W_A(n+1, k),
+which builds the tables of a whole triangle row without expanding <n k>
+into its C(n, k) chains.  Syntactic equality is equality of canonical
+forms; ``extensional_eq`` compares weight tables, which is equality of
+actions because A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .coefficients import RatFuncQ, Scalar, embed_rational
-from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
-from .series import Pair, WardSeries, check_pair, monomial, zeros
+from .errors import BoundExceeded, FlavorMismatch, KOutOfRange, VariantMismatch
+from .series import Pair, WardSeries, _chain_weights, _convolve, check_pair
 from .psi_context import PsiContext
 
 
@@ -84,11 +91,7 @@ class ProductChain:
         return ProductChain(alpha * c, self.flavor, self.pairs)
 
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
-        out = f.chain(g, self.pairs, star=self.flavor is Flavor.STAR)
-        c = _lift_coefficient(f.ctx, self.coefficient)
-        if c == 1:
-            return out
-        return out.scale(c)
+        return OperatorSum((self,)).apply(f, g)
 
     def render(self) -> str:
         if not self.pairs:
@@ -173,11 +176,23 @@ class OperatorSum:
                 )
         return OperatorSum(tuple(out))
 
-    def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
-        acc = zeros(f.ctx, min(f.order, g.order))
+    def weights(self, ctx: PsiContext, m: int) -> list:
+        """The weight table W(n, k) of this sum for n <= m."""
+        table = None
         for t in self.terms:
-            acc = acc + t.apply(f, g)
-        return acc
+            w = _chain_weights(ctx, t.pairs, t.flavor is Flavor.STAR, m)
+            c = _lift_coefficient(ctx, t.coefficient)
+            if c != 1:
+                w = [[c * x for x in row] for row in w]
+            table = w if table is None else [
+                [x + y for x, y in zip(r, s)] for r, s in zip(table, w)]
+        return table or [[ctx.zero] * (n + 1) for n in range(m + 1)]
+
+    def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
+        o = f._peer(g)
+        if self == ORDINARY:
+            return _convolve(f, o, None)
+        return _convolve(f, o, self.weights(f.ctx, min(f.order, o.order)))
 
     def render(self) -> str:
         if not self.terms:
@@ -190,22 +205,6 @@ class OperatorSum:
 
 ZERO_OPERATOR = OperatorSum(())
 ORDINARY = OperatorSum.single()
-
-
-def boxplus(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    return a + b
-
-
-def boxminus(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    return a - b
-
-
-def op_scale(alpha: Scalar, a: OperatorSum) -> OperatorSum:
-    return a.scale(alpha)
-
-
-def op_concat(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    return a * b
 
 
 def _shift_chain(t: ProductChain, di: int, dj: int, append: bool) -> ProductChain:
@@ -239,22 +238,29 @@ def binomial_operator(n: int, k: int) -> OperatorSum:
     return rho(binomial_operator(n - 1, k)) + sigma(binomial_operator(n - 1, k - 1))
 
 
-def apply_operator(a: OperatorSum, f: WardSeries, g: WardSeries) -> WardSeries:
-    return a.apply(f, g)
+def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
+    """Weight tables of <n 0>, ..., <n n> for rows up to m, by the shift maps."""
+    if n and m + n > ctx.bound:
+        raise BoundExceeded(f"order {m} with shift {n} exceeds bound {ctx.bound}")
+    kern = ctx._kernel
+    ones = [[ctx.one] * (r + 1) for r in range(m + n + 1)]
+    level = [ones]  # tables of <j 0>, ..., <j j>; row j needs rows up to m + n - j
+    for j in range(1, n + 1):
+        top = m + n - j
+        nxt = [ones]
+        for k in range(1, j + 1):
+            sig = level[k - 1]  # sigma(<j-1 k-1>)
+            table = [[kern[r + 1][c] * sig[r + 1][c] for c in range(r + 1)]
+                     for r in range(top + 1)]
+            if k < j:
+                rho_src = level[k]  # rho(<j-1 k>)
+                table = [[w + rho_src[r + 1][c + 1] for c, w in enumerate(ws)]
+                         for r, ws in enumerate(table)]
+            nxt.append(table)
+        level = nxt
+    return level
 
 
 def extensional_eq(a: OperatorSum, b: OperatorSum, ctx: PsiContext, order: int) -> bool:
-    """Compare actions on all monomial pairs x^u, x^v with u + v <= order.
-
-    Bilinearity of every chain action makes those pairs a spanning set for
-    series of that order, so agreement here is agreement on everything.
-    """
-    if a == b:
-        return True
-    for u in range(order + 1):
-        f = monomial(ctx, u, order)
-        for v in range(order + 1 - u):
-            g = monomial(ctx, v, order)
-            if a.apply(f, g) != b.apply(f, g):
-                return False
-    return True
+    """Equality of the actions on series up to ``order``, by weight tables."""
+    return a == b or a.weights(ctx, order) == b.weights(ctx, order)

@@ -15,7 +15,8 @@ Three product families live side by side:
   as the one-sided unit actions of the weighted products.
 
 Index pairs (i, j) always satisfy 0 <= j < i, which keeps every kernel
-lookup inside its domain.  The empty chain is the ordinary product.
+lookup inside its domain.  The empty chain is the ordinary product; every
+product runs through one convolution loop fed a table of those weights.
 
 Binary operations demand the *same context object* on both sides and
 truncate to the smaller order.  The derivative maps a_n to a_{n+1} (one
@@ -76,6 +77,59 @@ def check_pair(pair) -> Pair:
     if not 0 <= j < i:
         raise BadIndices(f"index pair needs 0 <= j < i, got ({i}, {j})")
     return (i, j)
+
+
+def _chain_weights(ctx: PsiContext, pairs: Sequence[Pair], star: bool, m: int) -> list:
+    """Table W(n, k) = prod F(n+i, base+j) over the pairs, for n <= m.
+
+    ``base`` is k for the asterisk flavor and n-k for the star flavor; the
+    empty chain weighs every term by one.
+    """
+    need = m + max((i for i, _ in pairs), default=0)
+    if need > ctx.bound:
+        raise BoundExceeded(f"order {m} with shift {need - m} exceeds bound {ctx.bound}")
+    table = []
+    for n in range(m + 1):
+        row = None
+        for i, j in pairs:
+            # F(n+i, k+j) for k = 0..n is one slice of a kernel row
+            s = ctx._kernel[n + i][j : j + n + 1]
+            if star:
+                s.reverse()
+            row = s if row is None else [x * y for x, y in zip(row, s)]
+        table.append(row or [ctx.one] * (n + 1))
+    return table
+
+
+def _convolve(f: "WardSeries", g: "WardSeries", weight: list | None) -> "WardSeries":
+    """c_n = sum_k C(n,k) a_k b_{n-k} W(n,k), up to the smaller order.
+
+    Every product of the package runs through this loop.  ``weight`` is
+    None for the ordinary product, else a table with a row per n.  The
+    weight multiplies last, which keeps big factors out of early products.
+    """
+    ctx = f.ctx
+    a, b = f._c, g._c
+    binom = ctx._binom
+    zero = ctx.zero
+    out = []
+    for n in range(min(len(a), len(b))):
+        row = binom[n]
+        wrow = None if weight is None else weight[n]
+        acc = zero
+        for k in range(n + 1):
+            x = a[k]
+            if not x:
+                continue
+            y = b[n - k]
+            if not y:
+                continue
+            if wrow is None:
+                acc = acc + row[k] * x * y
+            elif wrow[k]:
+                acc = acc + row[k] * x * y * wrow[k]
+        out.append(acc)
+    return WardSeries(ctx, out)
 
 
 class WardSeries:
@@ -182,36 +236,8 @@ class WardSeries:
         """
         o = self._peer(other)
         chain = tuple(check_pair(p) for p in pairs)
-        ctx = self.ctx
         m = min(len(self._c), len(o._c)) - 1
-        if chain:
-            need = m + max(i for i, _ in chain)
-            if need > ctx.bound:
-                raise BoundExceeded(
-                    f"order {m} with shift {need - m} exceeds bound {ctx.bound}"
-                )
-        a, b = self._c, o._c
-        binom = ctx._binom
-        kern = ctx._kernel
-        zero = ctx.zero
-        out = []
-        for n in range(m + 1):
-            row = binom[n]
-            acc = zero
-            for k in range(n + 1):
-                x = a[k]
-                if not x:
-                    continue
-                y = b[n - k]
-                if not y:
-                    continue
-                t = row[k] * x * y
-                base = (n - k) if star else k
-                for i, j in chain:
-                    t = t * kern[n + i][base + j]
-                acc = acc + t
-            out.append(acc)
-        return WardSeries(ctx, out)
+        return _convolve(self, o, _chain_weights(self.ctx, chain, star, m) if chain else None)
 
     def fontane(self, other, i: int, j: int) -> "WardSeries":
         return self.chain(other, ((i, j),))
@@ -314,20 +340,7 @@ class WardSeries:
 
     @classmethod
     def from_json_dict(cls, data, ctx: PsiContext | None = None, headroom: int = 0) -> "WardSeries":
-        if not isinstance(data, dict):
-            raise ParseError(f"series must be a JSON object, got {data!r}")
-        missing = {"psi", "order", "coeffs"} - set(data)
-        if missing:
-            raise ParseError(f"series object lacks keys {sorted(missing)}")
-        spec = data["psi"]
-        order = data["order"]
-        coeffs = data["coeffs"]
-        if not isinstance(spec, str):
-            raise ParseError(f"'psi' must be a spec string, got {spec!r}")
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise ParseError(f"'order' must be a nonnegative integer, got {order!r}")
-        if not isinstance(coeffs, list) or len(coeffs) != order + 1:
-            raise ParseError("'coeffs' must be a list of length order + 1")
+        spec, order, coeffs = series_header(data)
         if ctx is None:
             if spec.startswith("custom:"):
                 ctx = get_context(spec, 0)
@@ -342,6 +355,23 @@ class WardSeries:
                 f"series carries spec {spec!r} but context is {ctx.spec_string()!r}"
             )
         return cls(ctx, [scalar_from_json(x, ctx.symbolic) for x in coeffs])
+
+
+def series_header(data) -> tuple[str, int, list]:
+    """Validated (spec, order, coeffs) of a series JSON object."""
+    if not isinstance(data, dict):
+        raise ParseError(f"series must be a JSON object, got {data!r}")
+    missing = {"psi", "order", "coeffs"} - set(data)
+    if missing:
+        raise ParseError(f"series object lacks keys {sorted(missing)}")
+    spec, order, coeffs = data["psi"], data["order"], data["coeffs"]
+    if not isinstance(spec, str):
+        raise ParseError(f"'psi' must be a spec string, got {spec!r}")
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+        raise ParseError(f"'order' must be a nonnegative integer, got {order!r}")
+    if not isinstance(coeffs, list) or len(coeffs) != order + 1:
+        raise ParseError("'coeffs' must be a list of length order + 1")
+    return spec, order, coeffs
 
 
 # -- constructors ------------------------------------------------------------
@@ -412,14 +442,6 @@ def cos_psi(ctx: PsiContext, order: int) -> WardSeries:
 # names give the same operations as plain functions.
 
 
-def add(f: WardSeries, g: WardSeries) -> WardSeries:
-    return f + g
-
-
-def scalar_mul(alpha, f: WardSeries) -> WardSeries:
-    return f.scale(alpha)
-
-
 def mul_ordinary(f: WardSeries, g: WardSeries) -> WardSeries:
     return f.chain(g, ())
 
@@ -435,35 +457,12 @@ def star_mul(f: WardSeries, g: WardSeries, i: int, j: int) -> WardSeries:
 def chain_mul(f: WardSeries, g: WardSeries, chain, star: bool = False) -> WardSeries:
     """Apply a chain given as a pair list or as an operator-algebra chain.
 
-    A chain object brings its own flavor and scalar coefficient; for a bare
-    pair list the ``star`` flag picks the flavor and the coefficient is 1.
+    A chain object acts through its own ``apply`` (flavor and coefficient
+    included); for a bare pair list the ``star`` flag picks the flavor.
     """
-    pairs = getattr(chain, "pairs", None)
-    if pairs is None:
-        return f.chain(g, tuple(chain), star=star)
-    flavor = getattr(chain, "flavor", None)
-    is_star = getattr(flavor, "value", None) == "star"
-    out = f.chain(g, pairs, star=is_star)
-    coeff = getattr(chain, "coefficient", 1)
-    if coeff == 1:
-        return out
-    if f.ctx.symbolic and isinstance(coeff, numbers.Rational):
-        from .coefficients import embed_rational
-
-        coeff = embed_rational(coeff)
-    return out.scale(coeff)
-
-
-def psi_derivative(f: WardSeries, times: int = 1) -> WardSeries:
-    return f.derivative(times)
-
-
-def diag_m(f: WardSeries, i: int, j: int) -> WardSeries:
-    return f.diag_m(i, j)
-
-
-def diag_l(f: WardSeries, i: int, j: int) -> WardSeries:
-    return f.diag_l(i, j)
+    if hasattr(chain, "apply"):
+        return chain.apply(f, g)
+    return f.chain(g, tuple(chain), star=star)
 
 
 def divide(f: WardSeries, g: WardSeries) -> WardSeries:

@@ -134,6 +134,44 @@ def test_op_wrong_operand_count(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ("natural", "fib", "q=3/2", "q"))
+def test_op_order_zero_inline_operands(capsys, spec):
+    code, out, err = run_cli(capsys, "op", "mul", "[5]", "[3]", "--psi", spec)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["order"] == 0
+    ctx = get_context(spec, 1)
+    assert WardSeries.from_json_dict(data, ctx=ctx) == make_series(ctx, [15])
+
+
+@pytest.mark.parametrize("drop", ("order", "coeffs", "psi"))
+def test_op_series_file_missing_key_is_usage_error(capsys, tmp_path, drop):
+    data = make_series(get_context("fib", 4), [1, 2, 3]).to_json_dict()
+    del data[drop]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "op", "derive", str(path))
+    assert code == 2
+    assert err.startswith("error:") and drop in err
+
+
+@pytest.mark.parametrize("field, value", (("order", "2"), ("order", True), ("psi", ["fib"])))
+def test_op_series_file_bad_header_is_usage_error(capsys, tmp_path, field, value):
+    data = make_series(get_context("fib", 4), [1, 2, 3]).to_json_dict()
+    data[field] = value
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "op", "derive", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_op_boolean_coefficient_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "op", "mul", "[true,2]", "[1,2]", "--psi", "natural")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_op_output_roundtrips(capsys):
     code, out, _ = run_cli(capsys, "op", "mul", "[1,2,3]", "[1,1,1]", "--psi", "q=3/2")
     assert code == 0

@@ -212,6 +212,18 @@ def test_scalar_json_rejects_symbolic_payload_in_rational_mode():
         scalar_from_json(payload, symbolic=False)
 
 
+def test_json_booleans_are_not_coefficients():
+    for flag in (True, False):
+        with pytest.raises(ParseError):
+            scalar_from_json(flag, symbolic=False)
+        with pytest.raises(ParseError):
+            scalar_from_json(flag, symbolic=True)
+        with pytest.raises(ParseError):
+            PolyQ.from_json([1, flag])
+        with pytest.raises(ParseError):
+            RatFuncQ.from_json({"num": [flag], "den": ["1"]})
+
+
 def test_parse_format_scalar():
     assert parse_scalar("5/3", symbolic=False) == Fraction(5, 3)
     assert format_scalar(Fraction(5, 3)) == "5/3"

@@ -2,8 +2,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psicalc.coefficients import Q
+from psicalc.calculus import general_leibniz
+from psicalc.coefficients import Q, embed_rational
 from psicalc.errors import BadIndices, FlavorMismatch, KOutOfRange, VariantMismatch
 from psicalc.operator_algebra import (
     ORDINARY,
@@ -11,18 +14,14 @@ from psicalc.operator_algebra import (
     Flavor,
     OperatorSum,
     ProductChain,
-    apply_operator,
     binomial_operator,
-    boxminus,
-    boxplus,
     extensional_eq,
-    op_concat,
-    op_scale,
     rho,
     sigma,
 )
 from psicalc.psi_context import get_context
-from psicalc.series import e_psi, make_series, monomial
+from psicalc.series import e_psi, make_series, monomial, zeros
+from psicalc.verify import custom_spec
 
 A10 = OperatorSum.single(((1, 0),))
 A20 = OperatorSum.single(((2, 0),))
@@ -34,7 +33,7 @@ def op(*pair_lists):
     acc = None
     for pairs in pair_lists:
         t = OperatorSum.single(pairs)
-        acc = t if acc is None else boxplus(acc, t)
+        acc = t if acc is None else acc + t
     return acc
 
 
@@ -69,18 +68,18 @@ def test_sum_rendering():
 
 
 def test_boxplus_merges_syntactically_equal_chains():
-    two = boxplus(A10, A10)
+    two = A10 + A10
     assert len(two.terms) == 1
     assert two.terms[0].coefficient == 2
-    assert boxminus(two, two) == ZERO_OPERATOR
-    assert boxplus(two, ZERO_OPERATOR) == two
+    assert two - two == ZERO_OPERATOR
+    assert two + ZERO_OPERATOR == two
 
 
 def test_merge_ignores_pair_order_inside_chain():
     a = OperatorSum.single(((1, 0), (2, 0)))
     b = OperatorSum.single(((2, 0), (1, 0)))
     assert a == b
-    assert len(boxplus(a, b).terms) == 1
+    assert len((a + b).terms) == 1
 
 
 def test_empty_chain_flavors_collapse():
@@ -90,12 +89,12 @@ def test_empty_chain_flavors_collapse():
 
 
 def test_scale_by_zero_gives_zero_operator():
-    assert op_scale(0, binomial_operator(3, 1)) == ZERO_OPERATOR
-    assert op_scale(Fraction(1, 2), boxplus(A10, A10)).terms[0].coefficient == 1
+    assert binomial_operator(3, 1).scale(0) == ZERO_OPERATOR
+    assert (A10 + A10).scale(Fraction(1, 2)).terms[0].coefficient == 1
 
 
 def test_canonicalization_is_idempotent():
-    s = boxplus(boxplus(A21, A10), OperatorSum.single(((1, 0),), coefficient=-1))
+    s = A21 + A10 + OperatorSum.single(((1, 0),), coefficient=-1)
     assert s == A21
     assert OperatorSum(s.terms) == s
 
@@ -104,40 +103,40 @@ def test_canonicalization_is_idempotent():
 
 
 def test_boxplus_is_commutative_and_associative():
-    a, b, c = A10, op_scale(2, A21), boxplus(A20, S21)
-    assert boxplus(a, b) == boxplus(b, a)
-    assert boxplus(boxplus(a, b), c) == boxplus(a, boxplus(b, c))
+    a, b, c = A10, A21.scale(2), A20 + S21
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
 
 
 def test_concat_unit_and_distribution():
-    assert op_concat(ORDINARY, A10) == A10
-    assert op_concat(A10, ORDINARY) == A10
-    lhs = op_concat(A10, boxplus(A20, A21))
-    rhs = boxplus(op_concat(A10, A20), op_concat(A10, A21))
+    assert ORDINARY * A10 == A10
+    assert A10 * ORDINARY == A10
+    lhs = A10 * (A20 + A21)
+    rhs = A10 * A20 + A10 * A21
     assert lhs == rhs
-    lhs = op_concat(boxplus(A20, A21), A10)
-    rhs = boxplus(op_concat(A20, A10), op_concat(A21, A10))
+    lhs = (A20 + A21) * A10
+    rhs = A20 * A10 + A21 * A10
     assert lhs == rhs
 
 
 def test_concat_multiplies_coefficients_and_joins_pairs():
     a = OperatorSum.single(((1, 0),), coefficient=2)
     b = OperatorSum.single(((2, 1),), coefficient=3)
-    got = op_concat(a, b)
+    got = a * b
     assert got.terms[0].coefficient == 6
     assert got.terms[0].pairs == ((1, 0), (2, 1))
 
 
 def test_concat_rejects_mixed_flavors():
     with pytest.raises(FlavorMismatch):
-        op_concat(A10, S21)
+        A10 * S21
     # empty chains are flavor-neutral on either side
-    assert op_concat(ORDINARY, S21) == S21
+    assert ORDINARY * S21 == S21
 
 
 def test_concat_is_associative():
     a, b, c = A10, A21, A20
-    assert op_concat(op_concat(a, b), c) == op_concat(a, op_concat(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 # -- shift maps ------------------------------------------------------------------------
@@ -156,9 +155,9 @@ def test_sigma_shifts_i_and_appends():
 
 
 def test_shift_maps_are_linear():
-    s = boxplus(A10, op_scale(3, A21))
-    assert rho(s) == boxplus(rho(A10), op_scale(3, rho(A21)))
-    assert sigma(s) == boxplus(sigma(A10), op_scale(3, sigma(A21)))
+    s = A10 + A21.scale(3)
+    assert rho(s) == rho(A10) + rho(A21).scale(3)
+    assert sigma(s) == sigma(A10) + sigma(A21).scale(3)
 
 
 def test_shift_maps_reject_star_chains():
@@ -217,7 +216,7 @@ def test_triangle_recurrence():
     for n in range(1, 8):
         for k in range(1, n):
             got = binomial_operator(n, k)
-            want = boxplus(rho(binomial_operator(n - 1, k)), sigma(binomial_operator(n - 1, k - 1)))
+            want = rho(binomial_operator(n - 1, k)) + sigma(binomial_operator(n - 1, k - 1))
             assert got == want
 
 
@@ -250,8 +249,8 @@ def test_unrolled_recurrence():
             acc = None
             for i in range(1, k + 1):
                 t = sig_pow(rho(binomial_operator(n - i, k - i + 1)), i - 1)
-                acc = t if acc is None else boxplus(acc, t)
-            acc = boxplus(acc, sig_pow(binomial_operator(n - 1, 0), k))
+                acc = t if acc is None else acc + t
+            acc = acc + sig_pow(binomial_operator(n - 1, 0), k)
             assert acc == binomial_operator(n, k), (n, k)
 
 
@@ -261,11 +260,11 @@ def test_unrolled_recurrence():
 def test_apply_is_weighted_product(fib):
     f = make_series(fib, [1, 2, 0, 1, 1])
     g = make_series(fib, [0, 1, 1, 2, 1])
-    assert apply_operator(A10, f, g) == f.fontane(g, 1, 0)
-    assert apply_operator(S21, f, g) == f.star(g, 2, 1)
-    s = boxplus(A10, op_scale(2, A21))
-    assert apply_operator(s, f, g) == f.fontane(g, 1, 0) + f.fontane(g, 2, 1).scale(2)
-    assert apply_operator(ZERO_OPERATOR, f, g) == f.fontane(g, 1, 0).scale(0)
+    assert A10.apply(f, g) == f.fontane(g, 1, 0)
+    assert S21.apply(f, g) == f.star(g, 2, 1)
+    s = A10 + A21.scale(2)
+    assert s.apply(f, g) == f.fontane(g, 1, 0) + f.fontane(g, 2, 1).scale(2)
+    assert ZERO_OPERATOR.apply(f, g) == f.fontane(g, 1, 0).scale(0)
 
 
 def test_apply_on_naturals_is_plain_binomial(nat):
@@ -274,7 +273,7 @@ def test_apply_on_naturals_is_plain_binomial(nat):
     fg = f * g
     for n in range(5):
         for k in range(n + 1):
-            got = apply_operator(binomial_operator(n, k), f, g)
+            got = binomial_operator(n, k).apply(f, g)
             assert got == fg.scale(comb(n, k)), (n, k)
 
 
@@ -283,7 +282,7 @@ def test_apply_on_q_twists_by_power(qsym):
         for k in range(n + 1):
             a, b = 2, 3
             xa, xb = monomial(qsym, a, 8), monomial(qsym, b, 8)
-            got = apply_operator(binomial_operator(n, k), xa, xb)
+            got = binomial_operator(n, k).apply(xa, xb)
             want = monomial(qsym, a + b, 8).scale(qsym.psi_binomial(n, k) * Q ** (k * a))
             assert got == want
 
@@ -292,11 +291,11 @@ def test_apply_respects_chain_coefficient_variants(qsym):
     f = make_series(qsym, [1, 1, 1])
     g = make_series(qsym, [1, 0, 1])
     half = OperatorSum.single(((1, 0),), coefficient=Fraction(1, 2))
-    got = apply_operator(half, f, g)
+    got = half.apply(f, g)
     assert got == f.fontane(g, 1, 0).scale(qsym.from_rational(Fraction(1, 2)))
     sym_coeff = OperatorSum.single(((1, 0),), coefficient=Q)
     with pytest.raises(VariantMismatch):
-        apply_operator(sym_coeff, make_series(get_context("fib", 8), [1]),
+        sym_coeff.apply(make_series(get_context("fib", 8), [1]),
                        make_series(get_context("fib", 8), [1]))
 
 
@@ -319,7 +318,93 @@ def test_extensional_eq_separates_kinds(qsym, fib):
 
 
 def test_extensional_eq_sees_through_syntax(qsym):
-    lhs = boxplus(A10, A10)
-    rhs = op_scale(2, A20)
+    lhs = A10 + A10
+    rhs = A20.scale(2)
     assert lhs != rhs
     assert extensional_eq(lhs, rhs, qsym, 6)
+
+
+# -- weight tables against term-by-term oracles -----------------------------------------
+
+ORACLE_SPECS = ("natural", "fib", "q", "q=3/2", custom_spec(16))
+
+
+def termwise(a, f, g):
+    """Action of a sum as one weighted product per chain, coefficients scaled in."""
+    acc = zeros(f.ctx, min(f.order, g.order))
+    for t in a.terms:
+        c = embed_rational(t.coefficient) if f.ctx.symbolic else t.coefficient
+        acc = acc + f.chain(g, t.pairs, star=t.flavor is Flavor.STAR).scale(c)
+    return acc
+
+
+def random_pairs(draw, max_i):
+    i_s = draw(st.lists(st.integers(1, max_i), max_size=3))
+    return tuple((i, draw(st.integers(0, i - 1))) for i in i_s)
+
+
+@st.composite
+def operator_sums(draw, max_i=3):
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeff = draw(st.fractions(-3, 3, max_denominator=4))
+        flavor = draw(st.sampled_from(Flavor))
+        terms.append(ProductChain(coeff, flavor, random_pairs(draw, max_i)))
+    return OperatorSum(tuple(terms))
+
+
+@st.composite
+def series_pairs(draw, spec, min_order=0, max_order=6):
+    ctx = get_context(spec, 0 if spec.startswith("custom:") else 16)
+    sizes = st.integers(min_order + 1, max_order + 1)
+    return tuple(make_series(ctx, draw(st.lists(st.integers(-4, 4), min_size=size,
+                                                max_size=size)))
+                 for size in (draw(sizes), draw(sizes)))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_weight_table_apply_matches_termwise_sum(spec, data):
+    a = data.draw(operator_sums())
+    f, g = data.draw(series_pairs(spec))
+    assert a.apply(f, g) == termwise(a, f, g)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_general_leibniz_matches_chain_expansion(spec, data):
+    n = data.draw(st.integers(0, 6))
+    f, g = data.draw(series_pairs(spec, min_order=n, max_order=9))
+    want = None
+    for k in range(n + 1):
+        term = termwise(binomial_operator(n, k), f.derivative(n - k), g.derivative(k))
+        want = term if want is None else want + term
+    assert general_leibniz(f, g, n) == want
+
+
+def monomial_pairs_agree(a, b, ctx, order):
+    for u in range(order + 1):
+        for v in range(order + 1 - u):
+            f, g = monomial(ctx, u, order), monomial(ctx, v, order)
+            if termwise(a, f, g) != termwise(b, f, g):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("spec", ("natural", "fib", "q", "q=3/2"))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_extensional_eq_matches_monomial_enumeration(spec, data):
+    # b is a random sum or a plus a difference of two single pairs; such a
+    # difference acts as zero on the naturals and, for equal j, on q
+    ctx = get_context(spec, 16)
+    small = st.sampled_from(((1, 0), (2, 0), (2, 1)))
+    terms = st.lists(st.tuples(small, st.integers(-1, 1)), max_size=3)
+    a, b = (OperatorSum(tuple(ProductChain(c, pairs=(p,)) for p, c in data.draw(terms)))
+            for _ in range(2))
+    if data.draw(st.booleans()):
+        b = a + OperatorSum.single((data.draw(small),)) - OperatorSum.single((data.draw(small),))
+    order = data.draw(st.integers(0, 5))
+    assert extensional_eq(a, b, ctx, order) == monomial_pairs_agree(a, b, ctx, order)

@@ -20,12 +20,9 @@ from psicalc.operator_algebra import Flavor, ProductChain
 from psicalc.psi_context import get_context
 from psicalc.series import (
     WardSeries,
-    add,
     chain_mul,
     constant,
     cos_psi,
-    diag_l,
-    diag_m,
     divide,
     e_psi,
     first_difference,
@@ -33,8 +30,6 @@ from psicalc.series import (
     make_series,
     monomial,
     mul_ordinary,
-    psi_derivative,
-    scalar_mul,
     sin_psi,
     star_mul,
     zeros,
@@ -167,12 +162,12 @@ def test_left_unit_is_inverse_kernel(fib, qsym):
     f = fib_series([1, 2, 1, 0, 3])
     one = constant(fib, 1, 4)
     # F(3,1) = 1 for fib, so the unit is literally 1 there
-    assert fontane_mul(one, f, 3, 1) == diag_l(f, 3, 1)
-    assert fontane_mul(f, one, 3, 1) == diag_m(f, 3, 1)
+    assert fontane_mul(one, f, 3, 1) == f.diag_l(3, 1)
+    assert fontane_mul(f, one, 3, 1) == f.diag_m(3, 1)
     g = make_series(qsym, [1, 1, 1, 1, 1])
     e = constant(qsym, Q ** -1, 4)  # 1/F(2,1) = 1/q
-    assert fontane_mul(e, g, 2, 1) == diag_l(g, 2, 1).scale(Q ** -1)
-    assert fontane_mul(g, e, 2, 1) == diag_m(g, 2, 1).scale(Q ** -1)
+    assert fontane_mul(e, g, 2, 1) == g.diag_l(2, 1).scale(Q ** -1)
+    assert fontane_mul(g, e, 2, 1) == g.diag_m(2, 1).scale(Q ** -1)
 
 
 def test_identity_unit_at_j_zero(fib):
@@ -186,17 +181,17 @@ def test_identity_unit_at_j_zero(fib):
 @settings(max_examples=30, deadline=None)
 def test_distributivity_and_bilinearity(a, b, c):
     f, g, h = fib_series(a), fib_series(b), fib_series(c)
-    assert fontane_mul(f, add(g, h), 2, 1) == add(fontane_mul(f, g, 2, 1), fontane_mul(f, h, 2, 1))
-    assert fontane_mul(add(f, g), h, 2, 1) == add(fontane_mul(f, h, 2, 1), fontane_mul(g, h, 2, 1))
-    assert fontane_mul(scalar_mul(3, f), g, 2, 1) == scalar_mul(3, fontane_mul(f, g, 2, 1))
-    assert fontane_mul(f, scalar_mul(3, g), 2, 1) == scalar_mul(3, fontane_mul(f, g, 2, 1))
+    assert fontane_mul(f, g + h, 2, 1) == fontane_mul(f, g, 2, 1) + fontane_mul(f, h, 2, 1)
+    assert fontane_mul(f + g, h, 2, 1) == fontane_mul(f, h, 2, 1) + fontane_mul(g, h, 2, 1)
+    assert fontane_mul(f.scale(3), g, 2, 1) == fontane_mul(f, g, 2, 1).scale(3)
+    assert fontane_mul(f, g.scale(3), 2, 1) == fontane_mul(f, g, 2, 1).scale(3)
 
 
 def test_diag_values(fib):
     e = e_psi(fib, 3)
-    assert diag_m(e, 2, 1).coeffs == (0, 1, 1, 2)
-    assert diag_l(e, 2, 1).coeffs == (0, 1, 1, Fraction(4, 3))
-    assert diag_l(e, 2, 0) == e
+    assert e.diag_m(2, 1).coeffs == (0, 1, 1, 2)
+    assert e.diag_l(2, 1).coeffs == (0, 1, 1, Fraction(4, 3))
+    assert e.diag_l(2, 0) == e
 
 
 def test_truncation_soundness(fib):
@@ -204,7 +199,7 @@ def test_truncation_soundness(fib):
     g = fib_series([5, 4, 3, 2, 1])
     full = fontane_mul(f, g, 2, 1)
     assert full.truncate(2) == fontane_mul(f.truncate(2), g.truncate(2), 2, 1)
-    assert psi_derivative(f).truncate(2) == psi_derivative(f.truncate(3))
+    assert f.derivative().truncate(2) == f.truncate(3).derivative()
     with pytest.raises(IndexOutOfBound):
         f.truncate(5)
 
@@ -221,38 +216,38 @@ def test_binary_ops_truncate_to_min_order(fib):
 
 def test_derivative_shifts_coefficients(fib):
     f = fib_series([7, 1, 4, -2, 9])
-    assert psi_derivative(f).coeffs == (1, 4, -2, 9)
-    assert psi_derivative(f, times=2).coeffs == (4, -2, 9)
+    assert f.derivative().coeffs == (1, 4, -2, 9)
+    assert f.derivative(times=2).coeffs == (4, -2, 9)
     assert f.derivative(0) == f
 
 
 def test_derivative_of_monomial(fib, nat):
     # D x^4 = s_4 x^3, Fibonacci: 3 x^3
     x4 = monomial(fib, 4, 6)
-    assert psi_derivative(x4) == monomial(fib, 3, 5).scale(3)
+    assert x4.derivative() == monomial(fib, 3, 5).scale(3)
     x5 = monomial(nat, 5, 8)
-    assert psi_derivative(x5) == monomial(nat, 4, 7).scale(5)
+    assert x5.derivative() == monomial(nat, 4, 7).scale(5)
 
 
 def test_derivative_special_series(nat, qsym):
     e = e_psi(nat, 6)
-    assert psi_derivative(e) == e.truncate(5)
-    assert psi_derivative(sin_psi(qsym, 6)) == cos_psi(qsym, 5)
-    assert psi_derivative(cos_psi(qsym, 6)) == sin_psi(qsym, 5).scale(qsym.from_int(-1))
+    assert e.derivative() == e.truncate(5)
+    assert sin_psi(qsym, 6).derivative() == cos_psi(qsym, 5)
+    assert cos_psi(qsym, 6).derivative() == sin_psi(qsym, 5).scale(qsym.from_int(-1))
 
 
 def test_derivative_is_linear(fib):
     f = fib_series([1, 2, 0, 4, 1])
     g = fib_series([0, 3, 1, 1, 2])
-    assert psi_derivative(f + g) == psi_derivative(f) + psi_derivative(g)
-    assert psi_derivative(f.scale(5)) == psi_derivative(f).scale(5)
+    assert (f + g).derivative() == f.derivative() + g.derivative()
+    assert f.scale(5).derivative() == f.derivative().scale(5)
 
 
 def test_derivative_errors(fib):
     with pytest.raises(OrderZero):
-        psi_derivative(constant(fib, 1, 0))
+        constant(fib, 1, 0).derivative()
     with pytest.raises(BadIndices):
-        psi_derivative(fib_series([1, 2, 3, 4, 5]), times=-1)
+        fib_series([1, 2, 3, 4, 5]).derivative(times=-1)
 
 
 # -- division ------------------------------------------------------------------
@@ -304,7 +299,7 @@ def test_bound_guard_blocks_kernel_overrun():
     with pytest.raises(BoundExceeded):
         fontane_mul(f, f, 1, 0)
     with pytest.raises(BoundExceeded):
-        diag_m(f, 1, 0)
+        f.diag_m(1, 0)
 
 
 def test_bad_pair_indices(fib):
