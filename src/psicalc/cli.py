@@ -22,6 +22,7 @@ from .coefficients import format_scalar, scalar_from_json, scalar_to_json
 from .errors import (
     BadIndices,
     BadSpec,
+    BoundExceeded,
     IndexOutOfBound,
     KernelUndefined,
     KOutOfRange,
@@ -34,7 +35,7 @@ from .series import WardSeries, make_series, series_header
 from . import verify
 
 _USAGE_ERRORS = (BadSpec, ParseError, BadIndices, KOutOfRange,
-                 KernelUndefined, IndexOutOfBound)
+                 KernelUndefined, IndexOutOfBound, BoundExceeded)
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class CliConfig:
     trials: int
 
     def __post_init__(self):
-        if self.order < 0:
-            raise BadSpec("order must be nonnegative")
+        if self.order < 2:
+            raise BadSpec("order must be at least 2")
         if self.trials < 1:
             raise BadSpec("trial count must be at least 1")
 
@@ -57,9 +58,7 @@ def _fmt_row(values) -> str:
 
 
 def cmd_seq(spec: str, n_max: int, fmt: str) -> str:
-    ctx = get_context(spec, 0 if spec.startswith("custom:") else max(n_max, 1))
-    if n_max > ctx.bound:
-        raise BadSpec(f"custom sequence too short for n={n_max}")
+    ctx = get_context(spec, n_max)
     values = [ctx.psi_value(n) for n in range(n_max + 1)]
     facts = [ctx.psi_factorial(n) for n in range(n_max + 1)]
     binoms = [[ctx.psi_binomial(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
@@ -98,7 +97,7 @@ def _parse_chain(text: str) -> tuple[tuple[int, int], ...]:
     return pairs
 
 
-def _load_operands(args_list, psi_flag: str | None, headroom: int) -> list[WardSeries]:
+def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:
     """Read series from JSON files or inline ``[a0,a1,...]`` literals.
 
     All operands end up on one shared context so binary operations see the
@@ -130,9 +129,7 @@ def _load_operands(args_list, psi_flag: str | None, headroom: int) -> list[WardS
         raise ParseError(f"operands disagree on the sequence: {sorted(specs)}")
     spec = specs.pop()
 
-    orders = [d["order"] for d in dicts]
-    bound = 0 if spec.startswith("custom:") else max(max(orders) + headroom, 1)
-    ctx = get_context(spec, bound)
+    ctx = get_context(spec)
 
     out = []
     for d in dicts:
@@ -152,11 +149,10 @@ def cmd_op(kind: str, operands, psi: str | None, i: int, j: int,
             raise BadSpec("op chain needs --chain \"[(i,j),...]\"")
         pairs = _parse_chain(chain_text)
 
-    headroom = {"fontane": i, "star": i, "chain": max((p[0] for p in pairs), default=0)}.get(kind, 0)
     need = 2 if kind != "derive" else 1
     if len(operands) != need:
         raise BadSpec(f"op {kind} takes {need} series operand(s), got {len(operands)}")
-    series = _load_operands(operands, psi, headroom)
+    series = _load_operands(operands, psi)
 
     if kind == "mul":
         result = series[0] * series[1]
@@ -193,7 +189,7 @@ def cmd_pascal(n_max: int, fmt: str) -> str:
 
 def cmd_check(suite: str, config: CliConfig) -> tuple[str, bool]:
     suites = verify.SUITE_NAMES if suite == "all" else (suite,)
-    specs = (config.psi,) if config.psi else verify.default_specs(config.order + verify.RULE_HEADROOM)
+    specs = (config.psi,) if config.psi else verify.default_specs(config.order)
     reports = verify.run_suites(suites, specs, config.order, config.trials, config.seed)
     ok = all(r.ok for r in reports)
     if config.fmt == "json":

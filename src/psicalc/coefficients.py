@@ -37,10 +37,6 @@ def parse_rational(text: str) -> Union[int, Fraction]:
     return _norm_rat(Fraction(s))
 
 
-def format_rational(x) -> str:
-    return str(x)
-
-
 def _norm_rat(x):
     # keep whole values as int so hot loops stay in integer arithmetic
     if isinstance(x, Fraction) and x.denominator == 1:
@@ -239,10 +235,6 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     while b:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_eval(p: PolyQ, point):
-    return p.eval(point)
 
 
 class RatFuncQ:

@@ -28,7 +28,7 @@ class DivisionByZero(PsiCalcError, ZeroDivisionError):
 
 
 class IndexOutOfBound(PsiCalcError, IndexError):
-    """A table lookup asked for an index beyond the context's bound."""
+    """A table lookup asked for a negative index or one past a custom list."""
 
 
 class KOutOfRange(PsiCalcError, ValueError):
@@ -44,7 +44,7 @@ class BadSpec(PsiCalcError, ValueError):
 
 
 class BoundExceeded(PsiCalcError, ValueError):
-    """An operation needs table entries beyond the context's bound."""
+    """An operation needs table entries past the end of a custom sequence."""
 
 
 class ContextMismatch(PsiCalcError, ValueError):

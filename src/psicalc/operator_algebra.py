@@ -42,7 +42,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .coefficients import RatFuncQ, Scalar, embed_rational
-from .errors import BoundExceeded, FlavorMismatch, KOutOfRange, VariantMismatch
+from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
 from .series import Pair, WardSeries, _chain_weights, _convolve, check_pair
 from .psi_context import PsiContext
 
@@ -240,8 +240,7 @@ def binomial_operator(n: int, k: int) -> OperatorSum:
 
 def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
     """Weight tables of <n 0>, ..., <n n> for rows up to m, by the shift maps."""
-    if n and m + n > ctx.bound:
-        raise BoundExceeded(f"order {m} with shift {n} exceeds bound {ctx.bound}")
+    ctx._grow(m + n)
     kern = ctx._kernel
     ones = [[ctx.one] * (r + 1) for r in range(m + n + 1)]
     level = [ones]  # tables of <j 0>, ..., <j j>; row j needs rows up to m + n - j

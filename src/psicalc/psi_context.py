@@ -1,12 +1,19 @@
 """Sequence contexts: the base sequence and every derived table.
 
-A context fixes the base sequence s_0, s_1, ... up to a bound chosen at
-construction and precomputes, eagerly and by definition:
+A context fixes one base sequence s_0, s_1, ... and keeps append-only
+tables for the indices it has been asked about.  ``_grow(n)`` extends
+them row by row the first time a caller needs index n, so one context
+serves every order and ``get_context`` hands out one context per spec.
+Row n holds:
 
-* the sequence values themselves (s_0 = 0, s_1 = 1, s_n != 0 required),
-* the running factorials  s_n! = s_1 * s_2 * ... * s_n  (s_0! = 1),
-* the generalized binomials  C(n, k) = s_n! / (s_k! * s_{n-k}!),
-* the weight kernel  F(n, k) = (s_n - s_k) / s_{n-k}  for 0 <= k < n.
+* the sequence value s_n (s_0 = 0, s_1 = 1; s_n != 0 is checked as the
+  row is added),
+* the running factorial  s_n! = s_1 * s_2 * ... * s_n  (s_0! = 1),
+* the weight kernel  F(n, k) = (s_n - s_k) / s_{n-k}  for 0 <= k < n,
+  which is the closed form q^k for the q-analogs,
+* the generalized binomials  C(n, k) = s_n! / (s_k! * s_{n-k}!), built
+  without division from the Pascal-type identity
+  C(n, k) = C(n-1, k-1) + F(n, k) * C(n-1, k).
 
 F(n, n) is deliberately left undefined: the defining relation
 s_n - s_k = F(n, k) * s_{n-k} says nothing at k = n, and every consumer in
@@ -19,7 +26,9 @@ Built-in sequence kinds:
                  scalars are rational functions of q.
 * ``q=<value>``  same sequence with q specialized to an exact rational.
 * ``fib``        s_n = n-th Fibonacci number.
-* ``custom:[..]`` explicit rational values, validated on construction.
+* ``custom:[..]`` explicit rational values.  The list length is a hard
+                 limit, ``ctx.bound``, and the tables are built in full on
+                 construction; every other kind has ``bound`` None.
 
 All scalars in one context share a single variant; see coefficients.
 """
@@ -31,22 +40,22 @@ from functools import lru_cache
 
 from .coefficients import (
     Q,
-    PolyQ,
     RatFuncQ,
     Scalar,
     _norm_rat,
     embed_rational,
     parse_rational,
 )
-from .errors import BadSpec, IndexOutOfBound, KernelUndefined, KOutOfRange
+from .errors import BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange
 
 
-def _rat_div(a, b):
-    return _norm_rat(Fraction(a) / b)
+def _q_analog(q, one):
+    # s_n = q * s_{n-1} + 1
+    return lambda psi: _norm_rat(psi[-1] * q + one)
 
 
 class PsiContext:
-    """Immutable bundle of one base sequence and its derived tables."""
+    """One base sequence and its append-only tables."""
 
     __slots__ = (
         "kind",
@@ -60,35 +69,36 @@ class PsiContext:
         "zero",
         "one",
         "_spec",
+        "_values",
+        "_step",
     )
 
-    def __init__(self, kind: str, bound: int, psi: tuple, *, q_scalar=None, spec: str):
-        if bound < 1:
-            raise BadSpec("bound must be at least 1")
-        if len(psi) != bound + 1:
-            raise BadSpec("sequence length does not match bound")
-        symbolic = isinstance(psi[1], RatFuncQ) if bound >= 1 else False
-        if psi[0] != 0:
+    def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None):
+        """``values`` starts the sequence; ``step(psi)`` gives each next value.
+
+        Without a step the sequence is exactly ``values``.
+        """
+        if values[0] != 0:
             raise BadSpec("sequence must start at 0")
-        if psi[1] != 1:
+        if values[1] != 1:
             raise BadSpec("sequence must have value 1 at index 1")
-        for n in range(1, bound + 1):
-            if not psi[n]:
-                raise BadSpec(f"sequence value at index {n} is zero")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "symbolic", symbolic)
-        object.__setattr__(self, "q_scalar", q_scalar)
-        object.__setattr__(self, "psi", tuple(psi))
-        object.__setattr__(self, "_spec", spec)
-        if symbolic:
-            object.__setattr__(self, "zero", RatFuncQ.from_rational(0))
-            object.__setattr__(self, "one", RatFuncQ.from_rational(1))
-            self._build_tables_symbolic()
-        else:
-            object.__setattr__(self, "zero", 0)
-            object.__setattr__(self, "one", 1)
-            self._build_tables_rational()
+        symbolic = isinstance(values[1], RatFuncQ)
+        one = RatFuncQ.from_rational(1) if symbolic else 1
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "bound", len(values) - 1 if step is None else None)
+        init(self, "symbolic", symbolic)
+        init(self, "q_scalar", q_scalar)
+        init(self, "zero", RatFuncQ.from_rational(0) if symbolic else 0)
+        init(self, "one", one)
+        init(self, "_spec", spec)
+        init(self, "_values", values)
+        init(self, "_step", step)
+        init(self, "psi", (values[0],))
+        init(self, "fact", (one,))
+        init(self, "_binom", [[one]])
+        init(self, "_kernel", [[]])
+        self._grow(1 if step else self.bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("PsiContext is immutable")
@@ -96,104 +106,63 @@ class PsiContext:
     def __repr__(self) -> str:
         return f"PsiContext({self._spec!r}, bound={self.bound})"
 
-    # -- table construction ------------------------------------------------
+    def _grow(self, n: int) -> None:
+        """Extend every table through index n; past a custom list's end, BoundExceeded."""
+        if n < len(self.psi):
+            return
+        if self.bound is not None and n > self.bound:
+            raise BoundExceeded(f"sequence {self._spec!r} ends at index {self.bound}, needs {n}")
+        psi, fact = list(self.psi), list(self.fact)
+        binom, kern, one, q = self._binom, self._kernel, self.one, self.q_scalar
+        try:
+            for m in range(len(psi), n + 1):
+                s = self._values[m] if m < len(self._values) else self._step(psi)
+                if not s:
+                    raise BadSpec(f"sequence value at index {m} is zero")
+                psi.append(s)
+                fact.append(_norm_rat(fact[-1] * s))
+                if q is None:
+                    krow = [_norm_rat(Fraction(s - psi[k]) / psi[m - k]) for k in range(m)]
+                else:
+                    krow = kern[-1] + [_norm_rat(kern[-1][-1] * q) if m > 1 else one]
+                prev = binom[-1]
+                binom.append([one] + [_norm_rat(prev[k - 1] + krow[k] * prev[k])
+                                      for k in range(1, m)] + [one])
+                kern.append(krow)
+        finally:
+            object.__setattr__(self, "psi", tuple(psi))
+            object.__setattr__(self, "fact", tuple(fact))
 
-    def _build_tables_rational(self) -> None:
-        psi, bound = self.psi, self.bound
-        fact = [1]
-        for n in range(1, bound + 1):
-            fact.append(_norm_rat(fact[-1] * psi[n]))
-        binom = []
-        for n in range(bound + 1):
-            row = [1]
-            for k in range(1, n + 1):
-                row.append(_rat_div(fact[n], fact[k] * fact[n - k]))
-            binom.append(row)
-        kernel = []
-        for n in range(bound + 1):
-            kernel.append([_rat_div(psi[n] - psi[k], psi[n - k]) for k in range(n)])
-        object.__setattr__(self, "fact", tuple(fact))
-        object.__setattr__(self, "_binom", binom)
-        object.__setattr__(self, "_kernel", kernel)
+    def _serve(self, bound: int | None) -> "PsiContext":
+        # build the tables through ``bound`` now; a custom list must reach it
+        if bound is not None:
+            if self.bound is not None and bound > self.bound:
+                raise BadSpec(
+                    f"custom sequence has bound {self.bound}, cannot serve bound {bound}"
+                )
+            self._grow(bound)
+        return self
 
-    def _build_tables_symbolic(self) -> None:
-        # work on bare polynomials (all divisions below are exact) and wrap
-        # the finished tables; this keeps construction off the gcd path
-        bound = self.bound
-        psi_p = [PolyQ((1,) * n) for n in range(bound + 1)]
-        fact_p = [PolyQ((1,))]
-        for n in range(1, bound + 1):
-            fact_p.append(fact_p[-1] * psi_p[n])
-        binom_p = []
-        for n in range(bound + 1):
-            # C(n, k) = C(n, k-1) * s_{n-k+1} / s_k, same ratio of factorials
-            row = [PolyQ((1,))]
-            for k in range(1, n + 1):
-                row.append((row[-1] * psi_p[n - k + 1]).exact_div(psi_p[k]))
-            binom_p.append(row)
-        kernel_p = []
-        for n in range(bound + 1):
-            kernel_p.append(
-                [(psi_p[n] - psi_p[k]).exact_div(psi_p[n - k]) for k in range(n)]
-            )
-        wrap = RatFuncQ._raw
-        one = PolyQ((1,))
-        object.__setattr__(self, "fact", tuple(wrap(p, one) for p in fact_p))
-        object.__setattr__(self, "_binom", [[wrap(p, one) for p in row] for row in binom_p])
-        object.__setattr__(self, "_kernel", [[wrap(p, one) for p in row] for row in kernel_p])
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def natural(cls, bound: int) -> "PsiContext":
-        return cls("natural", bound, tuple(range(bound + 1)), spec="natural")
-
-    @classmethod
-    def q_symbolic(cls, bound: int) -> "PsiContext":
-        psi = tuple(RatFuncQ._raw(PolyQ((1,) * n), PolyQ((1,))) for n in range(bound + 1))
-        return cls("q", bound, psi, q_scalar=Q, spec="q")
-
-    @classmethod
-    def q_value(cls, q0, bound: int) -> "PsiContext":
-        q0 = _norm_rat(Fraction(q0))
-        psi = [0]
-        for _ in range(bound):
-            psi.append(_norm_rat(psi[-1] * q0 + 1))
-        return cls("q", bound, tuple(psi), q_scalar=q0, spec=f"q={q0}")
-
-    @classmethod
-    def fibonacci(cls, bound: int) -> "PsiContext":
-        psi = [0, 1]
-        while len(psi) <= bound:
-            psi.append(psi[-1] + psi[-2])
-        return cls("fib", bound, tuple(psi[: bound + 1]), spec="fib")
-
-    @classmethod
-    def custom(cls, values) -> "PsiContext":
-        vals = tuple(_norm_rat(Fraction(v)) for v in values)
-        if len(vals) < 2:
-            raise BadSpec("custom sequence needs at least the first two values")
-        spec = "custom:[" + ",".join(str(v) for v in vals) + "]"
-        return cls("custom", len(vals) - 1, vals, spec=spec)
+    # -- constructor ---------------------------------------------------------
 
     @classmethod
     def from_spec(cls, spec: str, bound: int | None = None) -> "PsiContext":
+        """A new context for ``spec``; with ``bound``, tables built through it."""
         s = spec.strip()
-        if s in ("natural", "fib") or s == "q" or s.startswith("q="):
-            if bound is None:
-                raise BadSpec(f"spec {spec!r} needs an explicit bound")
-            if s == "natural":
-                return cls.natural(bound)
-            if s == "fib":
-                return cls.fibonacci(bound)
-            if s == "q":
-                return cls.q_symbolic(bound)
+        if s == "natural":
+            ctx = cls("natural", "natural", (0, 1), len)
+        elif s == "fib":
+            ctx = cls("fib", "fib", (0, 1), lambda psi: psi[-1] + psi[-2])
+        elif s == "q":
+            zero, one = RatFuncQ.from_rational(0), RatFuncQ.from_rational(1)
+            ctx = cls("q", "q", (zero, one), _q_analog(Q, one), q_scalar=Q)
+        elif s.startswith("q="):
             try:
                 q0 = parse_rational(s[2:])
             except Exception as exc:
                 raise BadSpec(f"bad q value in spec {spec!r}") from exc
-            return cls.q_value(q0, bound)
-        if s.startswith("custom:"):
+            ctx = cls("q", f"q={q0}", (0, 1), _q_analog(q0, 1), q_scalar=q0)
+        elif s.startswith("custom:"):
             body = s[len("custom:") :].strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise BadSpec(f"custom spec must carry a [..] list: {spec!r}")
@@ -201,16 +170,16 @@ class PsiContext:
             if not items:
                 raise BadSpec("custom sequence list is empty")
             try:
-                values = [parse_rational(x) for x in items]
+                values = tuple(parse_rational(x) for x in items)
             except Exception as exc:
                 raise BadSpec(f"bad value in custom spec: {spec!r}") from exc
-            ctx = cls.custom(values)
-            if bound is not None and bound > ctx.bound:
-                raise BadSpec(
-                    f"custom sequence has bound {ctx.bound}, cannot serve bound {bound}"
-                )
-            return ctx
-        raise BadSpec(f"unknown sequence spec {spec!r}")
+            if len(values) < 2:
+                raise BadSpec("custom sequence needs at least the first two values")
+            text = "custom:[" + ",".join(str(v) for v in values) + "]"
+            ctx = cls("custom", text, values)
+        else:
+            raise BadSpec(f"unknown sequence spec {spec!r}")
+        return ctx._serve(bound)
 
     # -- accessors -----------------------------------------------------------
 
@@ -218,8 +187,11 @@ class PsiContext:
         return self._spec
 
     def _check_index(self, n: int) -> None:
-        if not 0 <= n <= self.bound:
+        if n < 0:
+            raise IndexOutOfBound(f"index {n} is negative")
+        if self.bound is not None and n > self.bound:
             raise IndexOutOfBound(f"index {n} outside 0..{self.bound}")
+        self._grow(n)
 
     def psi_value(self, n: int) -> Scalar:
         self._check_index(n)
@@ -253,16 +225,26 @@ class PsiContext:
 
     @property
     def is_classical(self) -> bool:
-        """True when the base sequence is 0, 1, 2, 3, ... up to the bound."""
+        """True when the base sequence is 0, 1, 2, 3, ... (to the bound, if any)."""
+        if self.bound is None:
+            return self.kind == "natural" or self.q_scalar == 1
         return all(self.psi[n] == n for n in range(self.bound + 1))
 
 
 @lru_cache(maxsize=None)
-def get_context(spec: str, bound: int) -> PsiContext:
-    """Shared, cached context per (spec, bound).
+def _shared_context(spec: str) -> PsiContext:
+    return PsiContext.from_spec(spec)
+
+
+def get_context(spec: str, bound: int | None = None) -> PsiContext:
+    """The one shared context of ``spec``; ``bound`` builds its tables that far now.
 
     Binary series operations require both operands to live over the same
-    context object, so callers that want interoperable series should come
-    through here rather than constructing contexts ad hoc.
+    context object.  Every call with the same spec string returns the same
+    object, whatever bound it passes, so series of any orders combine.
     """
-    return PsiContext.from_spec(spec, bound)
+    return _shared_context(spec)._serve(bound)
+
+
+# the statistics of the per-spec cache behind get_context
+get_context.cache_info = _shared_context.cache_info

@@ -38,7 +38,6 @@ from .coefficients import (
 )
 from .errors import (
     BadIndices,
-    BoundExceeded,
     ContextMismatch,
     DivisionByZero,
     IndexOutOfBound,
@@ -85,9 +84,7 @@ def _chain_weights(ctx: PsiContext, pairs: Sequence[Pair], star: bool, m: int) -
     ``base`` is k for the asterisk flavor and n-k for the star flavor; the
     empty chain weighs every term by one.
     """
-    need = m + max((i for i, _ in pairs), default=0)
-    if need > ctx.bound:
-        raise BoundExceeded(f"order {m} with shift {need - m} exceeds bound {ctx.bound}")
+    ctx._grow(m + max((i for i, _ in pairs), default=0))
     table = []
     for n in range(m + 1):
         row = None
@@ -141,10 +138,7 @@ class WardSeries:
         c = tuple(_check_scalar(ctx, x) for x in coeffs)
         if not c:
             raise BadIndices("a series needs at least the constant coefficient")
-        if len(c) - 1 > ctx.bound:
-            raise BoundExceeded(
-                f"order {len(c) - 1} exceeds the context bound {ctx.bound}"
-            )
+        ctx._grow(len(c) - 1)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_c", c)
 
@@ -251,8 +245,7 @@ class WardSeries:
         """Scale a_n by F(n+i, n+j); the right-unit action of the weighted product."""
         i, j = check_pair((i, j))
         ctx = self.ctx
-        if self.order + i > ctx.bound:
-            raise BoundExceeded(f"order {self.order} with shift {i} exceeds bound {ctx.bound}")
+        ctx._grow(self.order + i)
         kern = ctx._kernel
         return WardSeries(
             ctx, [x * kern[n + i][n + j] for n, x in enumerate(self._c)]
@@ -262,8 +255,7 @@ class WardSeries:
         """Scale a_n by F(n+i, j); the left-unit action.  j = 0 is the identity."""
         i, j = check_pair((i, j))
         ctx = self.ctx
-        if self.order + i > ctx.bound:
-            raise BoundExceeded(f"order {self.order} with shift {i} exceeds bound {ctx.bound}")
+        ctx._grow(self.order + i)
         kern = ctx._kernel
         return WardSeries(ctx, [x * kern[n + i][j] for n, x in enumerate(self._c)])
 
@@ -339,14 +331,11 @@ class WardSeries:
         }
 
     @classmethod
-    def from_json_dict(cls, data, ctx: PsiContext | None = None, headroom: int = 0) -> "WardSeries":
+    def from_json_dict(cls, data, ctx: PsiContext | None = None) -> "WardSeries":
         spec, order, coeffs = series_header(data)
         if ctx is None:
-            if spec.startswith("custom:"):
-                ctx = get_context(spec, 0)
-            else:
-                ctx = get_context(spec, max(order + headroom, 1))
-            if ctx.bound < order:
+            ctx = get_context(spec)
+            if ctx.bound is not None and ctx.bound < order:
                 raise ParseError(
                     f"sequence {spec!r} is too short for a series of order {order}"
                 )

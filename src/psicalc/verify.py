@@ -33,8 +33,6 @@ from .series import (
     mul_ordinary,
 )
 
-RULE_HEADROOM = 4
-
 SUITE_NAMES = ("rings", "rules", "leibniz", "quotient")
 
 
@@ -47,24 +45,20 @@ def custom_spec(bound: int) -> str:
     return "custom:[" + ",".join(str(v) for v in custom_values(bound)) + "]"
 
 
-def default_specs(bound: int) -> tuple[str, ...]:
-    return ("natural", "q", "q=3/2", "fib", custom_spec(bound))
+def default_specs(order: int) -> tuple[str, ...]:
+    """The five sequences a check runs over when none is named."""
+    return ("natural", "q", "q=3/2", "fib", custom_spec(order + RULE_REACH))
 
 
 def context_for(spec: str, order: int) -> PsiContext:
-    bound = order + RULE_HEADROOM
-    ctx = get_context(spec, ctx_bound(spec, bound))
-    if ctx.bound < bound:
+    ctx = get_context(spec)
+    need = order + RULE_REACH
+    if ctx.bound is not None and ctx.bound < need:
         raise BadSpec(
             f"sequence {spec!r} is too short for order {order} checks "
-            f"(needs bound {bound}, has {ctx.bound})"
+            f"(needs bound {need}, has {ctx.bound})"
         )
     return ctx
-
-
-def ctx_bound(spec: str, bound: int) -> int:
-    # custom specs carry their own bound in the value list
-    return 0 if spec.startswith("custom:") else bound
 
 
 def random_series(ctx: PsiContext, order: int, rng: random.Random,
@@ -97,6 +91,9 @@ RULE_CHAINS = (
     ((1, 0), (2, 1), (3, 2)),
 )
 BOXPLUS_COMBOS = (((1, 0), (2, 1)), ((2, 0), (3, 1)))
+# how far past the series order a check may read kernel rows: one shift
+# past the largest pair index
+RULE_REACH = 1 + max(i for i, _ in RULE_PAIRS)
 
 
 def suite_rings(ctx: PsiContext, order: int, trials: int, rng: random.Random) -> list[RuleReport]:
@@ -421,7 +418,7 @@ def paired_specialization_check(order: int, trials: int, seed: int,
     point = Fraction(3, 2)
     sym = run_suites(suites, ("q",), order, trials, seed)
     num = run_suites(suites, ("q=3/2",), order, trials, seed)
-    target = get_context("q=3/2", order + RULE_HEADROOM)
+    target = get_context("q=3/2")
     problems: list[str] = []
     if len(sym) != len(num):
         return False, ["suite shapes differ between symbolic and numeric runs"]

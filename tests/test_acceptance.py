@@ -55,7 +55,7 @@ def test_criterion_01_binomial_recurrences():
     checked = 0
     for spec in FIVE_SPECS:
         ctx = spec_context(spec, 21)
-        n_top = min(20, ctx.bound - 1)
+        n_top = 20 if ctx.bound is None else ctx.bound - 1
         for n in range(1, n_top + 1):
             for k in range(1, n + 1):
                 b = ctx.psi_binomial

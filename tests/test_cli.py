@@ -76,7 +76,7 @@ def test_op_fontane_at_q2_is_dilated_product(capsys, tmp_path):
     gp.write_text(json.dumps(g.to_json_dict()))
     code, out, _ = run_cli(capsys, "op", "fontane", str(fp), str(gp), "--i", "1", "--j", "0")
     assert code == 0
-    got = WardSeries.from_json_dict(json.loads(out), headroom=1)
+    got = WardSeries.from_json_dict(json.loads(out))
     want = f.dilate(2) * g
     assert got.coeffs == want.coeffs
 
@@ -170,6 +170,17 @@ def test_op_boolean_coefficient_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "op", "mul", "[true,2]", "[1,2]", "--psi", "natural")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ("custom:[0,1,2]", "q=-1"))
+def test_op_sequence_too_short_or_zero_is_usage_error(capsys, spec):
+    # the custom list ends before F(4, 0); q = -1 makes s_2 = 0 while the
+    # tables grow to index 2
+    i = "3" if spec.startswith("custom:") else "1"
+    code, out, err = run_cli(capsys, "op", "fontane", "[1,2]", "[3,4]",
+                             "--psi", spec, "--i", i, "--j", "0")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_op_output_roundtrips(capsys):
@@ -278,6 +289,16 @@ def test_check_rejects_short_custom_spec(capsys):
         "--trials", "1", "--seed", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("suite", ("rings", "rules", "leibniz", "quotient"))
+@pytest.mark.parametrize("order", (0, 1))
+def test_check_order_below_two_is_usage_error(capsys, suite, order):
+    code, out, err = run_cli(capsys, "check", suite, "--psi", "natural",
+                             "--order", str(order), "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["error: order must be at least 2"]
 
 
 def test_cli_config_validates():

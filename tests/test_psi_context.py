@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from psicalc.coefficients import Q, PolyQ, RatFuncQ, scalar_eval
+from psicalc.coefficients import Q, PolyQ, RatFuncQ, _norm_rat, scalar_eval
 from psicalc.errors import (
     BadSpec,
     IndexOutOfBound,
@@ -66,7 +66,7 @@ def test_q_numeric_matches_symbolic_evaluation(qsym, qnum):
 def test_q_at_one_collapses_to_classical(qsym):
     ctx = get_context("q=1", 10)
     nat = get_context("natural", 10)
-    assert ctx.psi == nat.psi
+    assert ctx.psi[:11] == nat.psi[:11]
     assert ctx.is_classical
     # symbolic tables evaluated at q=1 give the classical tables entry-wise
     for n in range(11):
@@ -77,17 +77,37 @@ def test_q_at_one_collapses_to_classical(qsym):
             assert scalar_eval(qsym.fontane_kernel(n, k), 1) == 1
 
 
-def test_symbolic_binomial_equals_factorial_ratio(qsym):
-    for n in range(9):
+@pytest.mark.parametrize("spec", ["natural", "q", "q=3/2", "fib", "custom:[0,1,2,1,3,1,4]"])
+def test_symbolic_binomial_equals_factorial_ratio(spec):
+    # the binomials are built by the Pascal-type recurrence, so check them
+    # against the factorial ratio, in canonical form
+    ctx = get_context(spec)
+    fact = ctx.psi_factorial
+    for n in range(13 if ctx.bound is None else ctx.bound + 1):
         for k in range(n + 1):
-            ratio = qsym.psi_factorial(n) / (qsym.psi_factorial(k) * qsym.psi_factorial(n - k))
-            assert qsym.psi_binomial(n, k) == ratio
+            num, den = fact(n), fact(k) * fact(n - k)
+            ratio = num / den if ctx.symbolic else _norm_rat(Fraction(num) / den)
+            assert repr(ctx.psi_binomial(n, k)) == repr(ratio)
+
+
+@pytest.mark.parametrize("spec", ["natural", "q", "q=3/2", "fib"])
+def test_tables_grown_in_steps_match_one_build(spec):
+    stepped = PsiContext.from_spec(spec, 5)
+    stepped._grow(20)
+    whole = PsiContext.from_spec(spec, 20)
+
+    def tables(ctx):
+        return repr((ctx.psi, ctx.fact, ctx._binom, ctx._kernel))
+
+    assert tables(stepped) == tables(whole)
+    assert len(whole.psi) == 21
+    assert get_context("fib", 8) is get_context("fib", 12) is get_context("fib")
 
 
 @pytest.mark.parametrize("spec", ["natural", "q", "q=3/2", "fib", "custom:[0,1,2,1,3,1,4]"])
 def test_kernel_defining_relation(spec):
     ctx = get_context(spec, 0 if spec.startswith("custom") else 12)
-    for n in range(1, ctx.bound + 1):
+    for n in range(1, (12 if ctx.bound is None else ctx.bound) + 1):
         for k in range(n):
             assert ctx.psi_value(n) - ctx.psi_value(k) == ctx.fontane_kernel(n, k) * ctx.psi_value(n - k)
 
@@ -95,7 +115,7 @@ def test_kernel_defining_relation(spec):
 @pytest.mark.parametrize("spec", ["natural", "q", "q=3/2", "fib", "custom:[0,1,2,1,3,1,4]"])
 def test_binomial_recurrences(spec):
     ctx = get_context(spec, 0 if spec.startswith("custom") else 12)
-    for n in range(ctx.bound):
+    for n in range(12 if ctx.bound is None else ctx.bound):
         for k in range(1, n + 1):
             b = ctx.psi_binomial
             assert b(n + 1, k) == b(n, k - 1) + ctx.fontane_kernel(n + 1, k) * b(n, k)
@@ -114,12 +134,12 @@ def test_binomial_symmetry_and_edges(spec):
 
 def test_kernel_step_identities(fib):
     # s_{n+1} = s_n + F(n+1, n), and F(m, 0) = 1 always
-    for n in range(1, fib.bound):
+    for n in range(1, 16):
         assert fib.psi_value(n + 1) == fib.psi_value(n) + fib.fontane_kernel(n + 1, n)
-    for m in range(1, fib.bound + 1):
+    for m in range(1, 16 + 1):
         assert fib.fontane_kernel(m, 0) == 1
     # the step kernel for Fibonacci recovers the sequence two back
-    for n in range(2, fib.bound):
+    for n in range(2, 16):
         assert fib.fontane_kernel(n + 1, n) == fib.psi_value(n - 1)
 
 
@@ -148,8 +168,9 @@ def test_bad_specs_raise(spec):
 
 
 def test_bound_and_range_errors(fib):
+    short = get_context("custom:[0,1,2]")
     with pytest.raises(IndexOutOfBound):
-        fib.psi_value(fib.bound + 1)
+        short.psi_value(short.bound + 1)
     with pytest.raises(IndexOutOfBound):
         fib.psi_factorial(-1)
     with pytest.raises(KOutOfRange):
@@ -159,14 +180,12 @@ def test_bound_and_range_errors(fib):
     with pytest.raises(KernelUndefined):
         fib.fontane_kernel(4, -1)
     with pytest.raises(BadSpec):
-        PsiContext.from_spec("fib")  # no bound
-    with pytest.raises(BadSpec):
         get_context("custom:[0,1,2]", 5)  # too short for requested bound
 
 
 def test_get_context_is_shared(fib):
     assert get_context("fib", 16) is fib
-    assert get_context("fib", 15) is not fib
+    assert get_context("fib", 15) is fib
 
 
 def test_scalar_promotion_helpers(qsym, nat):

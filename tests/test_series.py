@@ -67,7 +67,7 @@ def test_series_requires_some_coefficient(fib):
     with pytest.raises(BadIndices):
         WardSeries(fib, [])
     with pytest.raises(BoundExceeded):
-        WardSeries(get_context("fib", 3), [0, 0, 0, 0, 0])
+        WardSeries(get_context("custom:[0,1,2,3]"), [0, 0, 0, 0, 0])
 
 
 # -- ordinary and weighted products ------------------------------------------------
@@ -286,7 +286,7 @@ def test_scalar_division(fib):
 
 def test_context_mismatch_is_detected():
     f = make_series(get_context("fib", 8), [1, 2])
-    g = make_series(get_context("fib", 9), [1, 2])
+    g = make_series(get_context("natural", 9), [1, 2])
     with pytest.raises(ContextMismatch):
         f + g
     with pytest.raises(ContextMismatch):
@@ -294,7 +294,7 @@ def test_context_mismatch_is_detected():
 
 
 def test_bound_guard_blocks_kernel_overrun():
-    ctx = get_context("fib", 5)
+    ctx = get_context("custom:[0,1,1,2,3,5]")
     f = make_series(ctx, [1] * 6)
     with pytest.raises(BoundExceeded):
         fontane_mul(f, f, 1, 0)
@@ -348,12 +348,15 @@ def test_json_roundtrip_symbolic(qsym):
     assert back == f
 
 
-def test_json_fresh_context_headroom():
+def test_json_fresh_context():
     f = make_series(get_context("q=3/2", 6), [1, 2, 3])
     data = f.to_json_dict()
-    back = WardSeries.from_json_dict(data, headroom=4)
-    assert back.ctx.bound >= 6
+    back = WardSeries.from_json_dict(data)
+    assert back.ctx is f.ctx
     assert [int(c) for c in back.coeffs] == [1, 2, 3]
+    with pytest.raises(ParseError):
+        WardSeries.from_json_dict({"psi": "custom:[0,1,2]", "order": 3,
+                                   "coeffs": ["1", "0", "0", "0"]})
 
 
 def test_json_rejects_garbage(fib):

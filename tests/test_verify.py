@@ -27,9 +27,8 @@ def test_default_specs_cover_all_kinds():
     assert specs[4].startswith("custom:")
 
 
-def test_context_for_adds_headroom():
-    ctx = context_for("fib", 6)
-    assert ctx.bound >= 10
+def test_context_for_shares_context():
+    assert context_for("fib", 6) is get_context("fib")
     with pytest.raises(BadSpec):
         context_for("custom:[0,1,2]", 6)
 
