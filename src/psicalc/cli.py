@@ -120,16 +120,18 @@ def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:
                 raise ParseError(f"{arg}: {exc}") from exc
             dicts.append(data)
 
-    specs = {d["psi"] for d in dicts if d.get("psi") is not None}
+    specs = [d["psi"] for d in dicts if d.get("psi") is not None]
     if psi_flag is not None:
-        specs.add(psi_flag)
+        specs.append(psi_flag)
     if not specs:
         raise BadSpec("inline series need --psi")
-    if len(specs) > 1:
-        raise ParseError(f"operands disagree on the sequence: {sorted(specs)}")
-    spec = specs.pop()
-
-    ctx = get_context(spec)
+    # spellings of one canonical spec (q=6/4, q=3/2) share one context
+    contexts = {get_context(spec) for spec in specs}
+    if len(contexts) > 1:
+        raise ParseError(
+            f"operands disagree on the sequence: {sorted(c.spec_string() for c in contexts)}"
+        )
+    ctx = contexts.pop()
 
     out = []
     for d in dicts:

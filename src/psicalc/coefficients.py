@@ -22,6 +22,7 @@ from __future__ import annotations
 import numbers
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, ParseError, VariantMismatch
@@ -39,9 +40,21 @@ def parse_rational(text: str) -> Union[int, Fraction]:
 
 def _norm_rat(x):
     # keep whole values as int so hot loops stay in integer arithmetic
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     return x
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def _normalized(c: list) -> list:
+    # an all-int list, the common case, is checked in one C-level pass
+    if _INT_ONLY.issuperset(map(type, c)):
+        return c
+    return [_norm_rat(x) for x in c]
 
 
 class PolyQ:
@@ -50,7 +63,7 @@ class PolyQ:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable = ()):
-        c = [_norm_rat(x) for x in coeffs]
+        c = _normalized(list(coeffs))
         while c and not c[-1]:
             c.pop()
         object.__setattr__(self, "_c", tuple(c))
@@ -94,32 +107,35 @@ class PolyQ:
         a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] = out[i] + x
-        return PolyQ(out)
+        return PolyQ([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
 
     def __sub__(self, other) -> "PolyQ":
         if not isinstance(other, PolyQ):
             return NotImplemented
         return self + (-other)
 
+    @classmethod
+    def _raw(cls, coeffs: list) -> "PolyQ":
+        # trusted constructor: normalized coefficients, nonzero last entry
+        self = object.__new__(cls)
+        object.__setattr__(self, "_c", tuple(coeffs))
+        return self
+
     def __mul__(self, other) -> "PolyQ":
         if isinstance(other, PolyQ):
             a, b = self._c, other._c
             if not a or not b:
                 return _P_ZERO
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if not x:
-                    continue
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-            return PolyQ(out)
+            if not any(b[:-1]):
+                a, b = b, a
+            elif any(a[:-1]):
+                return PolyQ._raw(_kronecker_mul(a, b))
+            # a is a monomial c*q^k, a constant when k = 0: scale and shift
+            return PolyQ._raw([0] * (len(a) - 1) + _normalized([a[-1] * y for y in b]))
         if isinstance(other, numbers.Rational):
             if not other:
                 return _P_ZERO
-            return PolyQ(x * other for x in self._c)
+            return PolyQ._raw(_normalized([x * other for x in self._c]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -218,6 +234,60 @@ class PolyQ:
         return out
 
 
+def _integer_vector(c: tuple) -> tuple:
+    """(d, v) with c == v / d, d the lcm of the denominators and v integral."""
+    d = 1
+    for x in c:
+        if type(x) is not int:
+            d = lcm(d, x.denominator)
+    if d == 1:
+        return 1, c
+    return d, [x.numerator * (d // x.denominator) for x in c]
+
+
+def _pack(v, width: int) -> int:
+    """sum v_i * 256^(width*i) for integers with |v_i| < 256^width / 2."""
+    packed = int.from_bytes(
+        b"".join(x.to_bytes(width, "little", signed=True) for x in v), "little"
+    )
+    # a negative digit, stored in two's complement, added 256^width too much
+    # at the next position up
+    borrows = bytearray(width * (len(v) + 1))
+    borrows[width::width] = bytes(x < 0 for x in v)
+    return packed - int.from_bytes(borrows, "little")
+
+
+def _kronecker_mul(a: tuple, b: tuple) -> list:
+    """Coefficients of the product of two nonzero polynomials.
+
+    Kronecker substitution: with the denominators cleared, each integer
+    vector is read as the digits of one integer in base 256^width, wide
+    enough that no product coefficient overflows a digit; one big-int
+    multiplication then does the whole convolution.
+    """
+    da, va = _integer_vector(a)
+    db, vb = _integer_vector(b)
+    bits = (
+        max(max(va), -min(va)).bit_length()
+        + max(max(vb), -min(vb)).bit_length()
+        + min(len(va), len(vb)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    n = len(va) + len(vb) - 1
+    raw = (_pack(va, width) * _pack(vb, width)).to_bytes(n * width, "little", signed=True)
+    out = []
+    carry = 0
+    for i in range(0, n * width, width):
+        digit = int.from_bytes(raw[i : i + width], "little", signed=True)
+        out.append(digit + carry)
+        carry = digit < 0
+    den = da * db
+    if den != 1:
+        out = [_norm_rat(Fraction(x, den)) for x in out]
+    return out
+
+
 def _check_rat(x):
     # JSON true/false arrive as bool, which is a numbers.Rational
     if isinstance(x, numbers.Rational) and not isinstance(x, bool):
@@ -245,18 +315,17 @@ class RatFuncQ:
     def __init__(self, num: PolyQ, den: PolyQ = _P_ONE):
         if not den:
             raise DivisionByZero("rational function with zero denominator")
-        if den is not _P_ONE and den != _P_ONE:
-            if not num:
-                den = _P_ONE
-            else:
+        if den is not _P_ONE:
+            # a constant denominator shares no factor with num: no gcd
+            if num and den.degree:
                 g = poly_gcd(num, den)
                 if g.degree > 0:
                     num = num.exact_div(g)
                     den = den.exact_div(g)
-                lead = den._c[-1]
-                if lead != 1:
-                    num = num * _norm_rat(Fraction(1, 1) / lead)
-                    den = den.monic()
+            lead = den._c[-1]
+            if lead != 1:
+                num = num * _norm_rat(Fraction(1) / lead)
+            den = den.monic() if num and den.degree else _P_ONE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

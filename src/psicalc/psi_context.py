@@ -231,16 +231,22 @@ class PsiContext:
         return all(self.psi[n] == n for n in range(self.bound + 1))
 
 
+_CONTEXTS: dict[str, PsiContext] = {}
+
+
 @lru_cache(maxsize=None)
 def _shared_context(spec: str) -> PsiContext:
-    return PsiContext.from_spec(spec)
+    # cached per spelling; the context itself is shared per canonical spec
+    ctx = PsiContext.from_spec(spec)
+    return _CONTEXTS.setdefault(ctx.spec_string(), ctx)
 
 
 def get_context(spec: str, bound: int | None = None) -> PsiContext:
     """The one shared context of ``spec``; ``bound`` builds its tables that far now.
 
     Binary series operations require both operands to live over the same
-    context object.  Every call with the same spec string returns the same
+    context object.  Every call whose spec has the same canonical form
+    (``q=6/4`` and ``q=3/2``, `` natural`` and ``natural``) returns the same
     object, whatever bound it passes, so series of any orders combine.
     """
     return _shared_context(spec)._serve(bound)

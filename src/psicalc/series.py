@@ -272,32 +272,42 @@ class WardSeries:
         return f
 
     def divide(self, other) -> "WardSeries":
-        """Forward substitution against the product convolution."""
+        """Fraction-free forward substitution against the product convolution.
+
+        With b0 the divisor's constant term, d_n = c_n * b0^(n+1) obeys
+        d_n = b0^n a_n - sum_{k<n} C(n,k) d_k b0^(n-k-1) b_{n-k}, which
+        needs no division; each quotient coefficient divides once at the end.
+        """
         o = self._peer(other)
         b = o._c
-        if not b[0]:
+        b0 = b[0]
+        if not b0:
             raise NonInvertible("divisor has zero constant term")
         ctx = self.ctx
-        symbolic = ctx.symbolic
-        inv = ctx.one / b[0] if symbolic else Fraction(1) / b[0]
         m = min(len(self._c), len(b)) - 1
         a = self._c
         binom = ctx._binom
-        c: list = []
+        power = [ctx.one]
+        for _ in range(m + 1):
+            power.append(power[-1] * b0)
+        # scaled[j] = b0^(j-1) b_j, so each term costs what it did with division
+        scaled = [None] + [b[j] * power[j - 1] for j in range(1, m + 1)]
+        d: list = []
         for n in range(m + 1):
-            s = a[n]
+            s = power[n] * a[n]
             row = binom[n]
             for k in range(n):
-                ck = c[k]
-                if not ck:
+                dk = d[k]
+                if not dk:
                     continue
-                bk = b[n - k]
+                bk = scaled[n - k]
                 if not bk:
                     continue
-                s = s - row[k] * ck * bk
-            s = s * inv
-            c.append(s if symbolic else _norm_rat(s))
-        return WardSeries(ctx, c)
+                s = s - row[k] * dk * bk
+            d.append(s)
+        if ctx.symbolic:
+            return WardSeries(ctx, [x / p for x, p in zip(d, power[1:])])
+        return WardSeries(ctx, [_norm_rat(Fraction(x) / p) for x, p in zip(d, power[1:])])
 
     # -- substitutions ----------------------------------------------------------------
 
@@ -339,7 +349,7 @@ class WardSeries:
                 raise ParseError(
                     f"sequence {spec!r} is too short for a series of order {order}"
                 )
-        elif ctx.spec_string() != spec:
+        elif get_context(spec).spec_string() != ctx.spec_string():
             raise ContextMismatch(
                 f"series carries spec {spec!r} but context is {ctx.spec_string()!r}"
             )

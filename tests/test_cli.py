@@ -118,6 +118,22 @@ def test_op_mismatched_specs_rejected(capsys, tmp_path):
     assert "disagree" in err
 
 
+def test_op_spellings_of_one_spec_agree(capsys, tmp_path):
+    f = make_series(get_context("q=3/2"), [1, 2, 3])
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json_dict()))
+    code, out, err = run_cli(capsys, "op", "mul", str(path), "[1,1,1]", "--psi", "q=6/4")
+    assert code == 0, err
+    expected = f * make_series(f.ctx, [1, 1, 1])
+    assert WardSeries.from_json_dict(json.loads(out)) == expected
+    data = f.to_json_dict()
+    data["psi"] = " q=6/4"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "op", "mul", str(path), "[1,1,1]", "--psi", "q=3/2")
+    assert code == 0, err
+    assert json.loads(out)["psi"] == "q=3/2"
+
+
 def test_op_missing_file(capsys):
     code, _, err = run_cli(capsys, "op", "derive", "nope.json")
     assert code == 2

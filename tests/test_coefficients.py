@@ -107,6 +107,65 @@ def test_poly_gcd_is_monic_common_divisor():
     assert g == PolyQ([1, 1])
 
 
+def schoolbook_mul(a: PolyQ, b: PolyQ) -> PolyQ:
+    """The O(n^2) product from the definition; the oracle for PolyQ.__mul__."""
+    if not a or not b:
+        return PolyQ([])
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return PolyQ(out)
+
+
+oracle_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.sampled_from([2**64, -(2**64), 2**63 - 1, -(2**63), 255, -256, 128, -128]),
+    st.fractions(min_value=-(2**70), max_value=2**70, max_denominator=10**6),
+)
+oracle_polys = st.one_of(
+    st.lists(oracle_coeffs, max_size=60).map(PolyQ),
+    # zero, constants and monomials c*q^k take the scale-and-shift path
+    st.tuples(st.integers(min_value=0, max_value=40), oracle_coeffs).map(
+        lambda kc: PolyQ([0] * kc[0] + [kc[1]])
+    ),
+)
+
+
+@given(oracle_polys, oracle_polys)
+@settings(max_examples=300, deadline=None)
+def test_poly_mul_matches_schoolbook(a, b):
+    # repr tells an int coefficient from a whole-valued Fraction
+    assert repr(a * b) == repr(schoolbook_mul(a, b))
+    assert repr(b * a) == repr(schoolbook_mul(a, b))
+
+
+@given(oracle_polys, oracle_coeffs)
+@settings(deadline=None)
+def test_poly_scalar_mul_matches_coefficientwise(a, c):
+    assert repr(a * c) == repr(PolyQ([x * c for x in a.coeffs]))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1, -1], [1, 1]),  # a product coefficient cancels to zero
+        ([-1] * 40, [-1] * 40),
+        ([3] * 7, [7] * 7),  # 147 = 7*3*7 needs 2+3+3 bits plus the sign bit
+        ([-3] * 7, [7] * 7),
+        ([2**64 - 1] * 7, [-(2**64 - 1)] * 9),
+        ([-(2**63)] * 5, [-(2**63)] * 5),  # every digit at its largest magnitude
+        ([127, -128, 255, -256], [-128, 127, -1, 1]),
+        ([Fraction(1, 3), Fraction(2, 3)], [3, 0, Fraction(-3, 2)]),  # whole results become int
+        ([Fraction(1, 2), 1], [2, 4]),
+    ],
+)
+def test_poly_mul_digit_boundaries(a, b):
+    pa, pb = PolyQ(a), PolyQ(b)
+    assert repr(pa * pb) == repr(schoolbook_mul(pa, pb))
+
+
 def test_poly_pow():
     assert PolyQ([1, 1]) ** 3 == PolyQ([1, 3, 3, 1])
     assert PolyQ([0, 1]) ** 0 == PolyQ([1])
@@ -122,6 +181,14 @@ def test_ratfunc_reduces_and_makes_denominator_monic():
     r2 = RatFuncQ(PolyQ([1]), PolyQ([0, 3]))
     assert r2.den == PolyQ([0, 1])
     assert r2.num == PolyQ([Fraction(1, 3)])
+
+
+def test_ratfunc_constant_denominator_divides_the_numerator():
+    r = RatFuncQ(PolyQ([1, 2]), PolyQ([4]))
+    assert r.is_polynomial
+    assert repr(r.num) == repr(PolyQ([Fraction(1, 4), Fraction(1, 2)]))
+    assert RatFuncQ(PolyQ([2, 4]), PolyQ([Fraction(2, 3)])).num == PolyQ([3, 6])
+    assert RatFuncQ(PolyQ([]), PolyQ([5])) == embed_rational(0)
 
 
 def test_ratfunc_zero_denominator_raises():

@@ -10,6 +10,7 @@ from psicalc.errors import (
     KOutOfRange,
 )
 from psicalc.psi_context import PsiContext, get_context
+from psicalc.series import make_series
 
 # frozen tables, worked out by hand from the definitions
 FIB_PSI = (0, 1, 1, 2, 3, 5, 8, 13)
@@ -186,6 +187,24 @@ def test_bound_and_range_errors(fib):
 def test_get_context_is_shared(fib):
     assert get_context("fib", 16) is fib
     assert get_context("fib", 15) is fib
+
+
+@pytest.mark.parametrize(
+    "spelling, canonical",
+    [
+        ("q=6/4", "q=3/2"),
+        (" q=3/2 ", "q=3/2"),
+        (" natural", "natural"),
+        ("custom:[0, 1, 4/2, 3]", "custom:[0,1,2,3]"),
+    ],
+)
+def test_get_context_is_keyed_on_the_canonical_spec(spelling, canonical):
+    ctx = get_context(spelling)
+    assert ctx is get_context(canonical)
+    assert ctx.spec_string() == canonical
+    f = make_series(ctx, [1, 2, 3])
+    g = make_series(get_context(canonical), [3, 2, 1])
+    assert (f + g).coeffs == make_series(ctx, [4, 4, 4]).coeffs
 
 
 def test_scalar_promotion_helpers(qsym, nat):

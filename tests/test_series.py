@@ -259,13 +259,35 @@ def test_divide_geometric_oracle(nat):
     assert divide(one, g).coeffs == (1, 1, 2, 6, 24, 120)
 
 
-@given(coeff_lists, coeff_lists)
+ROUNDTRIP_SPECS = ("fib", "natural", "q", "q=3/2", "custom:[0,1,1/2,3/2,-2/3,5/4]")
+
+
+@given(
+    spec=st.sampled_from(ROUNDTRIP_SPECS),
+    a=coeff_lists,
+    b=coeff_lists,
+    c0=st.sampled_from([1, 2, -3, Fraction(1, 2)]),
+)
+@settings(max_examples=120, deadline=None)
+def test_divide_roundtrip(spec, a, b, c0):
+    ctx = get_context(spec)
+    f, g = make_series(ctx, a), make_series(ctx, [c0] + b[1:])
+    assert divide(f, g) * g == f
+
+
+ONE = embed_rational(1)
+
+
+@given(
+    a=coeff_lists,
+    b=coeff_lists,
+    c0=st.sampled_from([Q + ONE, ONE - Q * Q * embed_rational(3), ONE / (Q + ONE)]),
+)
 @settings(max_examples=30, deadline=None)
-def test_divide_roundtrip(a, b):
-    if b[0] == 0:
-        b = [1] + b[1:]
-    f, g = fib_series(a), fib_series(b)
-    assert mul_ordinary(divide(f, g), g) == f
+def test_divide_roundtrip_by_rational_function_constant_term(qsym, a, b, c0):
+    f = make_series(qsym, a)
+    g = make_series(qsym, [c0] + [embed_rational(x) for x in b[1:]])
+    assert divide(f, g) * g == f
 
 
 def test_divide_requires_invertible_constant_term(fib):
