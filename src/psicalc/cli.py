@@ -36,6 +36,15 @@ from . import verify
 
 _USAGE_ERRORS = (BadSpec, ParseError, BadIndices, KOutOfRange,
                  KernelUndefined, IndexOutOfBound, BoundExceeded)
+# ValueError covers malformed JSON, undecodable bytes and integers longer
+# than Python's int-string digit limit; RecursionError, nesting deeper than
+# the decoder's recursion limit
+_JSON_ERRORS = (ValueError, RecursionError)
+
+# ``pascal`` renders every chain of every <n k>, so its output about doubles
+# with each row: n = 12 prints 0.3 MB in 0.4 s, n = 18 would print 32 MB
+# over 20 s.  A larger n is refused as a usage error.
+PASCAL_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -108,12 +117,15 @@ def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:
         if arg.lstrip().startswith("["):
             try:
                 coeffs = json.loads(arg)
-            except json.JSONDecodeError as exc:
+            except _JSON_ERRORS as exc:
                 raise ParseError(f"cannot parse inline series {arg!r}") from exc
             dicts.append({"psi": None, "order": len(coeffs) - 1, "coeffs": coeffs})
         else:
-            with open(arg, encoding="utf-8") as fh:
-                data = json.load(fh)
+            try:
+                with open(arg, encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except _JSON_ERRORS as exc:
+                raise ParseError(f"{arg}: not a JSON series file ({exc})") from exc
             try:
                 series_header(data)
             except ParseError as exc:
@@ -270,6 +282,8 @@ def main(argv=None) -> int:
         if args.command == "pascal":
             if args.n < 0:
                 raise BadSpec("--n must be nonnegative")
+            if args.n > PASCAL_MAX_N:
+                raise BadSpec(f"--n is at most {PASCAL_MAX_N}: the output doubles with each row")
             print(cmd_pascal(args.n, args.format))
             return 0
         config = CliConfig(psi=args.psi, order=args.order, fmt=args.format,
@@ -280,7 +294,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PsiCalcError, ZeroDivisionError) as exc:

@@ -22,7 +22,9 @@ from __future__ import annotations
 import numbers
 import re
 from fractions import Fraction
-from math import lcm
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, ParseError, VariantMismatch
@@ -172,14 +174,6 @@ class PolyQ:
                 rem[i + j] -= c * y
         return PolyQ(quot), PolyQ(rem)
 
-    def __floordiv__(self, other) -> "PolyQ":
-        q, _ = divmod(self, other)
-        return q
-
-    def __mod__(self, other) -> "PolyQ":
-        _, r = divmod(self, other)
-        return r
-
     def exact_div(self, other: "PolyQ") -> "PolyQ":
         q, r = divmod(self, other)
         if r:
@@ -236,52 +230,83 @@ class PolyQ:
 
 def _integer_vector(c: tuple) -> tuple:
     """(d, v) with c == v / d, d the lcm of the denominators and v integral."""
+    if _INT_ONLY.issuperset(map(type, c)):
+        return 1, c
     d = 1
     for x in c:
         if type(x) is not int:
             d = lcm(d, x.denominator)
-    if d == 1:
-        return 1, c
     return d, [x.numerator * (d // x.denominator) for x in c]
 
 
-def _pack(v, width: int) -> int:
-    """sum v_i * 256^(width*i) for integers with |v_i| < 256^width / 2."""
-    packed = int.from_bytes(
-        b"".join(x.to_bytes(width, "little", signed=True) for x in v), "little"
-    )
-    # a negative digit, stored in two's complement, added 256^width too much
-    # at the next position up
-    borrows = bytearray(width * (len(v) + 1))
-    borrows[width::width] = bytes(x < 0 for x in v)
-    return packed - int.from_bytes(borrows, "little")
+# Kronecker substitution.  An integer polynomial is evaluated at q = X =
+# 2^bits, so that its coefficients become the base-X digits of one int, and
+# a whole computation of sums and products runs on those ints.  Evaluation
+# is a ring homomorphism, so only the polynomials that are packed in or
+# unpacked at the end have to fit their digits: every coefficient below
+# X / 2 in absolute value.  ``_digit_bits`` picks X from an exact bound on
+# those coefficients, never from a guess; bits is a whole number of bytes,
+# so packing and unpacking are byte copies.
+
+
+def _digit_bits(bound: int) -> int:
+    """Bits per digit for coefficients of absolute value at most ``bound``, plus a sign bit."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _norm(v) -> int:
+    """|v|_1, which bounds every coefficient of v."""
+    return sum(map(abs, v))
+
+
+def _half_digits(n: int, width: int) -> int:
+    # n digits of ``width`` bytes that each hold X / 2: the offset that makes
+    # signed digits unsigned
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _pack(v, bits: int) -> int:
+    """The integer vector v evaluated at 2^bits; |v_i| < 2^(bits-1)."""
+    if not v:
+        return 0
+    if not any(v[:-1]):
+        # a monomial c*q^k, a constant when k = 0, is one shift
+        return v[-1] << (bits * (len(v) - 1))
+    width = bits // 8
+    raw = b"".join(map(int.to_bytes, map(add, v, repeat(1 << (bits - 1))), repeat(width),
+                       repeat("little")))
+    return int.from_bytes(raw, "little") - _half_digits(len(v), width)
+
+
+def _unpack(x: int, bits: int) -> list:
+    """The coefficients, without trailing zeros, of the polynomial packed in x.
+
+    Every coefficient must be below 2^(bits-1) in absolute value; then
+    |x| >= X^t / 2 for the degree t, which fixes how many digits to read.
+    """
+    width = bits // 8
+    n = abs(x).bit_length() // bits + 1
+    raw = (x + _half_digits(n, width)).to_bytes(n * width, "little")
+    digits = [raw[i : i + width] for i in range(0, n * width, width)]
+    out = list(map(sub, map(int.from_bytes, digits, repeat("little")), repeat(1 << (bits - 1))))
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _kronecker_mul(a: tuple, b: tuple) -> list:
     """Coefficients of the product of two nonzero polynomials.
 
-    Kronecker substitution: with the denominators cleared, each integer
-    vector is read as the digits of one integer in base 256^width, wide
-    enough that no product coefficient overflows a digit; one big-int
-    multiplication then does the whole convolution.
+    The one-product case of Kronecker substitution: with the denominators
+    cleared, one big-int multiplication does the whole convolution.  A
+    product coefficient is at most |a|_max * |b|_1, with a the longer factor.
     """
     da, va = _integer_vector(a)
     db, vb = _integer_vector(b)
-    bits = (
-        max(max(va), -min(va)).bit_length()
-        + max(max(vb), -min(vb)).bit_length()
-        + min(len(va), len(vb)).bit_length()
-        + 1
-    )
-    width = (bits + 7) // 8
-    n = len(va) + len(vb) - 1
-    raw = (_pack(va, width) * _pack(vb, width)).to_bytes(n * width, "little", signed=True)
-    out = []
-    carry = 0
-    for i in range(0, n * width, width):
-        digit = int.from_bytes(raw[i : i + width], "little", signed=True)
-        out.append(digit + carry)
-        carry = digit < 0
+    if len(va) < len(vb):
+        va, vb = vb, va
+    bits = _digit_bits(max(map(abs, va)) * _norm(vb))
+    out = _unpack(_pack(va, bits) * _pack(vb, bits), bits)
     den = da * db
     if den != 1:
         out = [_norm_rat(Fraction(x, den)) for x in out]
@@ -300,11 +325,50 @@ _P_ONE = PolyQ((1,))
 Q_POLY = PolyQ((0, 1))
 
 
+def _primitive(c) -> list:
+    """The integer vector of a nonzero polynomial with its content divided out."""
+    _, v = _integer_vector(c)
+    g = gcd(*v)
+    return [x // g for x in v] if g != 1 else list(v)
+
+
+def _pseudo_remainder(u: list, v: list) -> list:
+    """u mod v up to a nonzero integer factor, for integer vectors with len(u) >= len(v)."""
+    r = list(u)
+    lv = v[-1]
+    dv = len(v) - 1
+    while len(r) > dv:
+        g = gcd(r[-1], lv)
+        cr, cv = lv // g, r[-1] // g
+        if cr != 1:
+            r = [cr * x for x in r]
+        # cr * r - cv * q^shift * v cancels the leading term
+        shift = len(r) - 1 - dv
+        for j, y in enumerate(v):
+            r[shift + j] -= cv * y
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over the rationals (zero if both inputs are zero)."""
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd over the rationals (zero if both inputs are zero).
+
+    Euclid on primitive integer polynomials: each step takes a pseudo-
+    remainder, which stays integral, and divides out its content, so the
+    arithmetic is all in int.  The gcd is made monic at the end.
+    """
+    if not a or not b:
+        return (a or b).monic()
+    u, v = _primitive(a._c), _primitive(b._c)
+    if len(u) < len(v):
+        u, v = v, u
+    while True:
+        r = _pseudo_remainder(u, v)
+        if not r:
+            return PolyQ(v).monic()
+        u, v = v, _primitive(r)
 
 
 class RatFuncQ:
@@ -475,6 +539,40 @@ class RatFuncQ:
 
 
 Q = RatFuncQ._raw(Q_POLY, _P_ONE)
+
+
+def _integer_forms(values) -> tuple:
+    """(den, vectors) with values[i] == PolyQ(vectors[i]) / den, vectors integral.
+
+    ``values`` are rational functions; ``den`` is the lcm of their
+    denominators times the integer that clears every coefficient, and a
+    zero value has the empty vector.
+    """
+    polys = [x.num._c for x in values]
+    common = _P_ONE
+    for x in values:
+        d = x.den
+        if d is not _P_ONE and d != _P_ONE and d != common:
+            common = common * d.exact_div(poly_gcd(common, d))
+    if common is not _P_ONE:
+        polys = [x.num._c if not x or x.den == common
+                 else (x.num * common.exact_div(x.den))._c for x in values]
+    scale = 1
+    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(polys))):
+        for c in polys:
+            scale = lcm(scale, _integer_vector(c)[0])
+    if scale != 1:
+        polys = [[x.numerator * (scale // x.denominator) for x in c] for c in polys]
+        common = common * scale
+    return common, polys
+
+
+def _from_integer(v: list, den: PolyQ) -> RatFuncQ:
+    """The rational function v / den, for an integer vector without trailing zeros."""
+    if den == _P_ONE:
+        return RatFuncQ._raw(PolyQ._raw(v), _P_ONE)
+    return RatFuncQ(PolyQ._raw(v), den)
+
 
 Scalar = Union[int, Fraction, RatFuncQ]
 

@@ -143,6 +143,19 @@ class PsiContext:
             self._grow(bound)
         return self
 
+    def _binomials_at(self, bits: int):
+        """The rows of q-binomials at q = 2^bits, one at a time, for the symbolic q context.
+
+        The closed form F(n, k) = q^k makes the recurrence a shift and an
+        add, and only the row in use is kept.  The q-binomials have
+        nonnegative coefficients, so at bits = 0 (q = 1) the rows hold each
+        binomial's |.|_1 norm.
+        """
+        row = [1]
+        while True:
+            yield row
+            row = [1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, len(row))] + [1]
+
     # -- constructor ---------------------------------------------------------
 
     @classmethod

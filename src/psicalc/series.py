@@ -16,7 +16,12 @@ Three product families live side by side:
 
 Index pairs (i, j) always satisfy 0 <= j < i, which keeps every kernel
 lookup inside its domain.  The empty chain is the ordinary product; every
-product runs through one convolution loop fed a table of those weights.
+product runs through one convolution loop fed a table of those weights,
+and division through one forward-substitution loop.  Plain rationals go
+through the loops as they are.  Over symbolic q the loops run on Python
+ints: every polynomial is evaluated at q = 2^bits (Kronecker
+substitution), so a result coefficient is one packed big-int sum that is
+unpacked once, and bits comes from running the same loop on |.|_1 norms.
 
 Binary operations demand the *same context object* on both sides and
 truncate to the smaller order.  The derivative maps a_n to a_{n+1} (one
@@ -30,9 +35,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .coefficients import (
+    PolyQ,
     RatFuncQ,
     Scalar,
+    _digit_bits,
+    _from_integer,
+    _integer_forms,
+    _norm,
     _norm_rat,
+    _pack,
+    _unpack,
     scalar_from_json,
     scalar_to_json,
 )
@@ -84,7 +96,18 @@ def _chain_weights(ctx: PsiContext, pairs: Sequence[Pair], star: bool, m: int) -
     ``base`` is k for the asterisk flavor and n-k for the star flavor; the
     empty chain weighs every term by one.
     """
-    ctx._grow(m + max((i for i, _ in pairs), default=0))
+    top = m + max((i for i, _ in pairs), default=0)
+    ctx._grow(top)
+    q = ctx.q_scalar
+    if q is not None and pairs:
+        # F(n, k) = q^k, so P pairs weigh the (n, k) term by q^(P*base + sum j);
+        # kernel row ``top`` holds q^0, ..., q^(top-1)
+        p, shift = len(pairs), sum(j for _, j in pairs)
+        powers = list(ctx._kernel[top])
+        while len(powers) <= p * m + shift:
+            powers.append(powers[-1] * q)
+        return [[powers[p * (n - k if star else k) + shift] for k in range(n + 1)]
+                for n in range(m + 1)]
     table = []
     for n in range(m + 1):
         row = None
@@ -98,22 +121,17 @@ def _chain_weights(ctx: PsiContext, pairs: Sequence[Pair], star: bool, m: int) -
     return table
 
 
-def _convolve(f: "WardSeries", g: "WardSeries", weight: list | None) -> "WardSeries":
-    """c_n = sum_k C(n,k) a_k b_{n-k} W(n,k), up to the smaller order.
+def _sums(binom, a, b, weight: list | None) -> list:
+    """sum_k C(n,k) a_k b_{n-k} W(n,k) for each n < len(a), over any ring.
 
-    Every product of the package runs through this loop.  ``weight`` is
-    None for the ordinary product, else a table with a row per n.  The
-    weight multiplies last, which keeps big factors out of early products.
+    ``binom`` yields the binomial rows in order.  The weight multiplies
+    last, which keeps big factors out of early products, and zero factors
+    are skipped.
     """
-    ctx = f.ctx
-    a, b = f._c, g._c
-    binom = ctx._binom
-    zero = ctx.zero
     out = []
-    for n in range(min(len(a), len(b))):
-        row = binom[n]
+    for n, row in zip(range(len(a)), binom):
         wrow = None if weight is None else weight[n]
-        acc = zero
+        acc = 0
         for k in range(n + 1):
             x = a[k]
             if not x:
@@ -126,7 +144,72 @@ def _convolve(f: "WardSeries", g: "WardSeries", weight: list | None) -> "WardSer
             elif wrow[k]:
                 acc = acc + row[k] * x * y * wrow[k]
         out.append(acc)
-    return WardSeries(ctx, out)
+    return out
+
+
+def _convolve(f: "WardSeries", g: "WardSeries", weight: list | None) -> "WardSeries":
+    """c_n = sum_k C(n,k) a_k b_{n-k} W(n,k), up to the smaller order.
+
+    Every product of the package runs through this function.  ``weight`` is
+    None for the ordinary product, else a table with a row per n.  Plain
+    rationals are summed as they are.  Over symbolic q the same sums run on
+    Python ints: the operands' denominators are cleared once per series
+    and a weight row's once per row, every integer polynomial is evaluated
+    at q = 2^bits (Kronecker substitution), so each c_n is one packed
+    big-int dot product, unpacked and divided once.  The bits come from
+    the same sums run on |.|_1 norms, an exact bound on every coefficient.
+    """
+    ctx = f.ctx
+    m = min(len(f._c), len(g._c))
+    a, b = f._c[:m], g._c[:m]
+    if not ctx.symbolic:
+        return WardSeries(ctx, _sums(ctx._binom, a, b, weight))
+    da, va = _integer_forms(a)
+    db, vb = _integer_forms(b)
+    dens = [da * db] * m
+    wv = None
+    if weight is not None:
+        forms = [_integer_forms(row) for row in weight[:m]]
+        dens = [d * dw for d, (dw, _) in zip(dens, forms)]
+        wv = [row for _, row in forms]
+
+    def inputs(fn):
+        # fn of every operand and weight vector, in the shapes _sums takes
+        return ([fn(v) for v in va], [fn(v) for v in vb],
+                None if wv is None else [[fn(x) for x in row] for row in wv])
+
+    na, nb, nw = inputs(_norm)
+    bound = max(na + nb + _sums(ctx._binomials_at(0), na, nb, nw)
+                + [x for row in nw or () for x in row])
+    bits = _digit_bits(bound)
+    sums = _sums(ctx._binomials_at(bits), *inputs(lambda v: _pack(v, bits)))
+    return WardSeries(ctx, [_from_integer(_unpack(x, bits), d) for x, d in zip(sums, dens)])
+
+
+def _substitute(binom, a, b) -> tuple[list, list]:
+    """d_n = b0^n a_n - sum_{k<n} C(n,k) d_k b0^(n-k-1) b_{n-k} and b0^n, over any ring.
+
+    d_n = c_n b0^(n+1) for the quotient c = a / b; the divisor is scaled
+    once to b0^(j-1) b_j, so a term costs what it would with division.
+    """
+    b0 = b[0]
+    power = [1]
+    for _ in range(len(a)):
+        power.append(power[-1] * b0)
+    scaled = [None] + [b[j] * power[j - 1] for j in range(1, len(a))]
+    d: list = []
+    for n, row in zip(range(len(a)), binom):
+        s = power[n] * a[n]
+        for k in range(n):
+            dk = d[k]
+            if not dk:
+                continue
+            bk = scaled[n - k]
+            if not bk:
+                continue
+            s = s - row[k] * dk * bk
+        d.append(s)
+    return d, power
 
 
 class WardSeries:
@@ -274,40 +357,35 @@ class WardSeries:
     def divide(self, other) -> "WardSeries":
         """Fraction-free forward substitution against the product convolution.
 
-        With b0 the divisor's constant term, d_n = c_n * b0^(n+1) obeys
-        d_n = b0^n a_n - sum_{k<n} C(n,k) d_k b0^(n-k-1) b_{n-k}, which
-        needs no division; each quotient coefficient divides once at the end.
+        With b0 the divisor's constant term, d_n = c_n * b0^(n+1) obeys a
+        recurrence without division (``_substitute``); each quotient
+        coefficient divides once at the end.  Over symbolic q, with
+        a = A / Da and b = B / Db over integer polynomials, the recurrence
+        runs on A and B evaluated at q = 2^bits, and c_n is
+        d_n * Db / (B0^(n+1) * Da).  The bits come from the recurrence run
+        on |.|_1 norms with the divisor's higher terms negated, which turns
+        every subtraction into an addition of bounds.
         """
         o = self._peer(other)
-        b = o._c
-        b0 = b[0]
-        if not b0:
+        if not o._c[0]:
             raise NonInvertible("divisor has zero constant term")
         ctx = self.ctx
-        m = min(len(self._c), len(b)) - 1
-        a = self._c
-        binom = ctx._binom
-        power = [ctx.one]
-        for _ in range(m + 1):
-            power.append(power[-1] * b0)
-        # scaled[j] = b0^(j-1) b_j, so each term costs what it did with division
-        scaled = [None] + [b[j] * power[j - 1] for j in range(1, m + 1)]
-        d: list = []
-        for n in range(m + 1):
-            s = power[n] * a[n]
-            row = binom[n]
-            for k in range(n):
-                dk = d[k]
-                if not dk:
-                    continue
-                bk = scaled[n - k]
-                if not bk:
-                    continue
-                s = s - row[k] * dk * bk
-            d.append(s)
-        if ctx.symbolic:
-            return WardSeries(ctx, [x / p for x, p in zip(d, power[1:])])
-        return WardSeries(ctx, [_norm_rat(Fraction(x) / p) for x, p in zip(d, power[1:])])
+        m = min(len(self._c), len(o._c))
+        a, b = self._c[:m], o._c[:m]
+        if not ctx.symbolic:
+            d, power = _substitute(ctx._binom, a, b)
+            return WardSeries(ctx, [_norm_rat(Fraction(x) / p) for x, p in zip(d, power[1:])])
+        da, va = _integer_forms(a)
+        db, vb = _integer_forms(b)
+        na, nb = [_norm(v) for v in va], [_norm(v) for v in vb]
+        dn, pn = _substitute(ctx._binomials_at(0), na, nb[:1] + [-x for x in nb[1:]])
+        bits = _digit_bits(max(na + nb + dn + pn))
+        d, power = _substitute(ctx._binomials_at(bits), [_pack(v, bits) for v in va],
+                               [_pack(v, bits) for v in vb])
+        return WardSeries(ctx, [
+            RatFuncQ(PolyQ._raw(_unpack(x, bits)) * db, PolyQ._raw(_unpack(p, bits)) * da)
+            for x, p in zip(d, power[1:])
+        ])
 
     # -- substitutions ----------------------------------------------------------------
 

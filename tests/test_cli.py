@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psicalc import calculus
 from psicalc.calculus import compare
-from psicalc.cli import CliConfig, main
+from psicalc.cli import PASCAL_MAX_N, CliConfig, main
 from psicalc.errors import BadSpec
 from psicalc.psi_context import get_context
 from psicalc.series import WardSeries, constant, make_series
@@ -199,6 +203,31 @@ def test_op_sequence_too_short_or_zero_is_usage_error(capsys, spec):
     assert out == "" and err.startswith("error:")
 
 
+def test_op_undecodable_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, "op", "derive", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+DEEP = "[" * 5000 + "]" * 5000
+LONG_INT = "[" + "7" * 5000 + "]"  # past Python's int-string digit limit
+
+
+@pytest.mark.parametrize("text", (DEEP, LONG_INT))
+@pytest.mark.parametrize("where", ("file", "inline"))
+def test_op_unreadable_json_is_usage_error(capsys, tmp_path, where, text):
+    operand = text
+    if where == "file":
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        operand = str(path)
+    code, out, err = run_cli(capsys, "op", "derive", operand, "--psi", "natural")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_op_output_roundtrips(capsys):
     code, out, _ = run_cli(capsys, "op", "mul", "[1,2,3]", "[1,1,1]", "--psi", "q=3/2")
     assert code == 0
@@ -229,6 +258,21 @@ def test_pascal_json(capsys):
     assert by_nk[(0, 0)] == "*inf"
     assert len([1 for (n, k) in by_nk if n == 5 and k == 1]) == 1
     assert by_nk[(5, 1)].count("[+]") == 4  # five terms
+
+
+def test_pascal_at_the_ceiling_runs(capsys):
+    code, out, _ = run_cli(capsys, "pascal", "--n", str(PASCAL_MAX_N))
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert len(rows) == PASCAL_MAX_N + 1
+    assert len(rows[-1].split(" | ")) == PASCAL_MAX_N + 1
+
+
+@pytest.mark.parametrize("fmt", ("plain", "json"))
+def test_pascal_past_the_ceiling_is_usage_error(capsys, fmt):
+    code, out, err = run_cli(capsys, "pascal", "--n", str(PASCAL_MAX_N + 1), "--format", fmt)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and str(PASCAL_MAX_N) in err
 
 
 # -- check ------------------------------------------------------------------------
@@ -337,3 +381,91 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == ["*inf", "*inf | *(1,0)"]
+
+
+# -- fuzz -------------------------------------------------------------------------
+
+FUZZ_SPECS = ("natural", "fib", "q", "q=3/2", "q=0", "q=-1", "q=x", "",
+              "custom:[0,1,2,1,3,1,4,1,5,1,6]", "custom:[0,1]", "custom:[1,0]", "bogus")
+json_scalars = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from(["1/2", "-3", "0", "x", "1/0", "", "2/4"]),
+    st.fixed_dictionaries({
+        "num": st.lists(st.integers(min_value=-5, max_value=5), max_size=3),
+        "den": st.lists(st.integers(min_value=-5, max_value=5), max_size=3),
+    }),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+# orders stay below 6 so an example costs milliseconds
+inline_operands = st.one_of(
+    st.lists(json_scalars, max_size=6).map(json.dumps),
+    st.sampled_from(["[", "[1,", "[]", "[[]]", "[1,2]x", "[ 1 , 2 ]"]),
+)
+series_objects = st.one_of(
+    st.fixed_dictionaries({
+        "psi": st.one_of(st.sampled_from(FUZZ_SPECS), json_values),
+        "order": st.one_of(st.integers(min_value=-2, max_value=5), json_values),
+        "coeffs": st.one_of(st.lists(json_values, max_size=6), json_values),
+    }),
+    json_values,
+)
+small_ints = st.sampled_from(["-1", "0", "1", "2", "3", "5", "x"])
+
+
+def _fuzz_argv(draw, path):
+    # op, which reads operands, is drawn three times as often as the rest
+    command = draw(st.sampled_from(("seq", "op", "op", "op", "pascal", "check", "bogus")))
+    argv = [command]
+    flags = []
+    if command in ("seq", "op", "check") and draw(st.booleans()):
+        flags += ["--psi", draw(st.sampled_from(FUZZ_SPECS))]
+    if command in ("seq", "pascal", "check") and draw(st.booleans()):
+        flags += ["--format", draw(st.sampled_from(("plain", "json", "xml")))]
+    if command in ("seq", "pascal"):
+        flags += ["--n", draw(st.sampled_from(["-1", "0", "1", "4", str(PASCAL_MAX_N + 1), "x"]))]
+    elif command == "op":
+        argv.append(draw(st.sampled_from(("mul", "fontane", "star", "chain", "derive", "div",
+                                          "bogus"))))
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            argv.append(path if draw(st.booleans()) else draw(inline_operands))
+        if draw(st.booleans()):
+            flags += ["--i", draw(small_ints), "--j", draw(small_ints)]
+        if draw(st.booleans()):
+            flags += ["--chain", draw(st.sampled_from(
+                ("[(1,0)]", "[(2,1),(1,0)]", "[(0,1)]", "[(1,)]", "[[3,1]]", "x", "[]")))]
+    elif command == "check":
+        argv.append(draw(st.sampled_from(("rings", "rules", "leibniz", "quotient", "all",
+                                          "bogus"))))
+        flags += ["--order", draw(st.sampled_from(["-1", "0", "2", "3", "x"])),
+                  "--trials", draw(st.sampled_from(["0", "1", "2"])),
+                  "--seed", draw(small_ints)]
+    return argv + flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "series.json"
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_exit_codes(fuzz_file, data):
+    if data.draw(st.booleans()):
+        fuzz_file.write_text(json.dumps(data.draw(series_objects)))
+    else:
+        fuzz_file.write_bytes(data.draw(st.sampled_from(
+            (b"{", b"\xff\xfe\x00", DEEP.encode(), b'{"psi": "q"}'))))
+    argv = _fuzz_argv(data.draw, str(fuzz_file))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

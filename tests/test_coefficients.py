@@ -8,6 +8,9 @@ from psicalc.coefficients import (
     Q,
     PolyQ,
     RatFuncQ,
+    _digit_bits,
+    _pack,
+    _unpack,
     embed_rational,
     format_scalar,
     parse_rational,
@@ -164,6 +167,52 @@ def test_poly_scalar_mul_matches_coefficientwise(a, c):
 def test_poly_mul_digit_boundaries(a, b):
     pa, pb = PolyQ(a), PolyQ(b)
     assert repr(pa * pb) == repr(schoolbook_mul(pa, pb))
+
+
+@pytest.mark.parametrize("bits", (8, 16, 24, 64))
+def test_digit_bits_are_exact_at_the_sign_bit(bits):
+    top = 2 ** (bits - 1) - 1  # the largest digit magnitude the bits hold
+    assert _digit_bits(top) == bits
+    assert _digit_bits(top + 1) == bits + 8
+
+
+@pytest.mark.parametrize("bits", (8, 16, 24, 64))
+def test_pack_unpack_at_the_digit_edges(bits):
+    top = 2 ** (bits - 1) - 1
+    for v in ([top], [-top], [top, -top, top], [-top, 0, -top, top], [0, 0, -top],
+              [1, -1, 0, 1], [-1] * 5, [top, 0, 0, 0, 1]):
+        packed = _pack(v, bits)
+        assert packed == sum(x << (bits * i) for i, x in enumerate(v))
+        assert _unpack(packed, bits) == v
+    assert _unpack(0, bits) == []
+
+
+def euclid_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
+    """Euclid over Fraction coefficients; the oracle for poly_gcd."""
+    while b:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
+gcd_polys = st.lists(
+    st.one_of(st.integers(min_value=-20, max_value=20),
+              st.fractions(min_value=-20, max_value=20, max_denominator=12)),
+    max_size=7,
+).map(PolyQ)
+
+
+@given(gcd_polys, gcd_polys, gcd_polys)
+@settings(max_examples=200, deadline=None)
+def test_poly_gcd_matches_euclid_over_fractions(a, b, c):
+    # the shared factor c makes most gcds nontrivial
+    for x, y in ((a * c, b * c), (a, b), (a * c, PolyQ([])), (PolyQ([]), b)):
+        assert repr(poly_gcd(x, y)) == repr(euclid_gcd(x, y))
+
+
+def test_poly_gcd_of_powers_of_one_plus_q():
+    p = PolyQ([1, 1])
+    assert poly_gcd(p**9 * PolyQ([3, 0, -1]), p**4 * PolyQ([Fraction(1, 2), 5])) == p**4
+    assert poly_gcd(PolyQ([2]), p) == PolyQ([1])
 
 
 def test_poly_pow():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psicalc.coefficients import Q, embed_rational
+from psicalc.coefficients import Q, PolyQ, RatFuncQ, _digit_bits, embed_rational
 from psicalc.errors import (
     BadIndices,
     BoundExceeded,
@@ -16,7 +16,7 @@ from psicalc.errors import (
     ParseError,
     VariantMismatch,
 )
-from psicalc.operator_algebra import Flavor, ProductChain
+from psicalc.operator_algebra import Flavor, OperatorSum, ProductChain
 from psicalc.psi_context import get_context
 from psicalc.series import (
     WardSeries,
@@ -288,6 +288,118 @@ def test_divide_roundtrip_by_rational_function_constant_term(qsym, a, b, c0):
     f = make_series(qsym, a)
     g = make_series(qsym, [c0] + [embed_rational(x) for x in b[1:]])
     assert divide(f, g) * g == f
+
+
+# -- the symbolic-q kernel against the per-term RatFuncQ loop ---------------------
+
+
+def reference_chain(f, g, pairs=(), star=False) -> list:
+    """c_n = sum_k C(n,k) a_k b_{n-k} prod F(n+i, base+j), one RatFuncQ term at a time.
+
+    The oracle for the packed symbolic kernel; it reads the tables only
+    through the public accessors.
+    """
+    ctx = f.ctx
+    a, b = f.coeffs, g.coeffs
+    out = []
+    for n in range(min(len(a), len(b))):
+        acc = ctx.zero
+        for k in range(n + 1):
+            t = ctx.psi_binomial(n, k) * a[k] * b[n - k]
+            for i, j in pairs:
+                t = t * ctx.fontane_kernel(n + i, (n - k if star else k) + j)
+            acc = acc + t
+        out.append(acc)
+    return out
+
+
+def reference_divide(f, g) -> list:
+    """c_n = (a_n - sum_{k<n} C(n,k) c_k b_{n-k}) / b_0, one RatFuncQ term at a time."""
+    ctx = f.ctx
+    a, b = f.coeffs, g.coeffs
+    c = []
+    for n in range(min(len(a), len(b))):
+        acc = a[n]
+        for k in range(n):
+            acc = acc - ctx.psi_binomial(n, k) * c[k] * b[n - k]
+        c.append(acc / b[0])
+    return c
+
+
+def reprs(values) -> list:
+    # repr of the canonical form, coefficient types included
+    return [(repr(x), x.num.coeffs, x.den.coeffs) for x in values]
+
+
+RATFUNCS = (
+    ONE / (Q + ONE),
+    ONE - Q * Q * embed_rational(3),
+    Q / (embed_rational(2) - Q),
+    (Q * Q + embed_rational(Fraction(1, 2))) / (Q * embed_rational(3) + ONE),
+    embed_rational(Fraction(-7, 3)) * Q**5,
+)
+q_scalars = st.one_of(
+    st.integers(min_value=-9, max_value=9).map(embed_rational),
+    st.integers(min_value=-(2**70), max_value=2**70).map(embed_rational),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12).map(embed_rational),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), max_size=5).map(
+        lambda c: RatFuncQ(PolyQ(c))),
+    st.sampled_from(RATFUNCS),
+)
+q_lists = st.lists(q_scalars, min_size=1, max_size=7)
+chains = st.lists(st.sampled_from([(1, 0), (2, 1), (3, 1), (4, 2), (2, 0)]), max_size=3)
+
+
+@given(a=q_lists, b=q_lists, pairs=chains, star=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_symbolic_products_match_per_term_oracle(qsym, a, b, pairs, star):
+    f, g = WardSeries(qsym, a), WardSeries(qsym, b)
+    assert reprs((f * g).coeffs) == reprs(reference_chain(f, g))
+    assert reprs(f.chain(g, pairs, star=star).coeffs) == reprs(
+        reference_chain(f, g, pairs, star))
+
+
+@given(a=q_lists, b=q_lists, terms=st.lists(
+    st.tuples(q_scalars, st.sampled_from(Flavor), chains), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_symbolic_operator_sums_match_per_term_oracle(qsym, a, b, terms):
+    # rational-function coefficients give weight rows with denominators
+    f, g = WardSeries(qsym, a), WardSeries(qsym, b)
+    op = OperatorSum.of(*(ProductChain(c, flavor, tuple(pairs)) for c, flavor, pairs in terms))
+    expected = [qsym.zero] * min(len(a), len(b))
+    for t in op.terms:
+        part = reference_chain(f, g, t.pairs, t.flavor is Flavor.STAR)
+        expected = [x + t.coefficient * y for x, y in zip(expected, part)]
+    assert reprs(op.apply(f, g).coeffs) == reprs(expected)
+
+
+@given(a=q_lists, b=q_lists, b0=q_scalars.filter(bool))
+@settings(max_examples=120, deadline=None)
+def test_symbolic_divide_matches_per_term_oracle(qsym, a, b, b0):
+    f, g = WardSeries(qsym, a), WardSeries(qsym, [b0] + b[1:])
+    assert reprs(f.divide(g).coeffs) == reprs(reference_divide(f, g))
+
+
+@pytest.mark.parametrize("bits", (8, 16, 24, 72))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_symbolic_sums_at_the_digit_edge(qsym, bits, sign):
+    # c_1 = a_0 b_1 + a_1 b_0 with no cancellation reaches its bound exactly:
+    # 2^(bits-1) - 1 fits digits of ``bits`` bits, one more needs a byte more
+    top = 2 ** (bits - 1) - 1
+    assert _digit_bits(top) == bits and _digit_bits(top + 1) == bits + 8
+    half = 2 ** (bits - 2)
+    for c1 in (top, top + 1):
+        a = [embed_rational(sign * half), embed_rational(sign * (c1 - half))]
+        b = [ONE, ONE]
+        f = WardSeries(qsym, a)
+        for g in (WardSeries(qsym, b), WardSeries(qsym, [Q + ONE, ONE - Q])):
+            assert reprs((f * g).coeffs) == reprs(reference_chain(f, g))
+            assert reprs(f.fontane(g, 2, 1).coeffs) == reprs(reference_chain(f, g, ((2, 1),)))
+            assert reprs(f.divide(g).coeffs) == reprs(reference_divide(f, g))
+        # digits of both signs at the edge side by side
+        f = WardSeries(qsym, [embed_rational(c) for c in (top, -top, top)])
+        g = WardSeries(qsym, [RatFuncQ(PolyQ([sign * top, -sign * top, sign]))] + [ONE] * 2)
+        assert reprs((f * g).coeffs) == reprs(reference_chain(f, g))
 
 
 def test_divide_requires_invertible_constant_term(fib):
