@@ -16,6 +16,7 @@ import argparse
 import ast
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .coefficients import format_scalar, scalar_from_json, scalar_to_json
@@ -28,6 +29,7 @@ from .errors import (
     KOutOfRange,
     ParseError,
     PsiCalcError,
+    echo,
 )
 from .operator_algebra import binomial_operator
 from .psi_context import get_context
@@ -62,6 +64,27 @@ class CliConfig:
             raise BadSpec("trial count must be at least 1")
 
 
+@contextmanager
+def _exact_output():
+    """Lift Python's int-to-str digit limit while results are written out.
+
+    The CLI's job is to print exact values, and a sequence table passes
+    4300 digits early (``seq --psi fib --n 210``).  The limit stays in force
+    for everything that is read, so over-long JSON integers are still
+    refused.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:  # an interpreter without the limit
+        yield
+        return
+    old = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _fmt_row(values) -> str:
     return ", ".join(format_scalar(v) for v in values)
 
@@ -72,9 +95,14 @@ def cmd_seq(spec: str, n_max: int, fmt: str) -> str:
     facts = [ctx.psi_factorial(n) for n in range(n_max + 1)]
     binoms = [[ctx.psi_binomial(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
     kernels = [[ctx.fontane_kernel(n, k) for k in range(n)] for n in range(1, n_max + 1)]
+    with _exact_output():
+        return _format_seq(ctx.spec_string(), n_max, fmt, values, facts, binoms, kernels)
+
+
+def _format_seq(spec: str, n_max: int, fmt: str, values, facts, binoms, kernels) -> str:
     if fmt == "json":
         payload = {
-            "psi": ctx.spec_string(),
+            "psi": spec,
             "n": n_max,
             "values": [scalar_to_json(v) for v in values],
             "factorials": [scalar_to_json(v) for v in facts],
@@ -83,7 +111,7 @@ def cmd_seq(spec: str, n_max: int, fmt: str) -> str:
         }
         return json.dumps(payload, indent=2)
     lines = [
-        f"spec: {ctx.spec_string()}",
+        f"spec: {spec}",
         f"psi:  {_fmt_row(values)}",
         f"fact: {_fmt_row(facts)}",
         "binomials:",
@@ -102,7 +130,7 @@ def _parse_chain(text: str) -> tuple[tuple[int, int], ...]:
         raw = ast.literal_eval(text)
         pairs = tuple((int(i), int(j)) for i, j in raw)
     except (ValueError, SyntaxError, TypeError) as exc:
-        raise ParseError(f"cannot parse chain {text!r}") from exc
+        raise ParseError(f"cannot parse chain {echo(text)}") from exc
     return pairs
 
 
@@ -118,18 +146,18 @@ def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:
             try:
                 coeffs = json.loads(arg)
             except _JSON_ERRORS as exc:
-                raise ParseError(f"cannot parse inline series {arg!r}") from exc
+                raise ParseError(f"cannot parse inline series {echo(arg)}") from exc
             dicts.append({"psi": None, "order": len(coeffs) - 1, "coeffs": coeffs})
         else:
             try:
                 with open(arg, encoding="utf-8") as fh:
                     data = json.load(fh)
             except _JSON_ERRORS as exc:
-                raise ParseError(f"{arg}: not a JSON series file ({exc})") from exc
+                raise ParseError(f"{echo(arg)}: not a JSON series file ({exc})") from exc
             try:
                 series_header(data)
             except ParseError as exc:
-                raise ParseError(f"{arg}: {exc}") from exc
+                raise ParseError(f"{echo(arg)}: {exc}") from exc
             dicts.append(data)
 
     specs = [d["psi"] for d in dicts if d.get("psi") is not None]
@@ -141,7 +169,8 @@ def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:
     contexts = {get_context(spec) for spec in specs}
     if len(contexts) > 1:
         raise ParseError(
-            f"operands disagree on the sequence: {sorted(c.spec_string() for c in contexts)}"
+            "operands disagree on the sequence: "
+            + echo(sorted(c.spec_string() for c in contexts))
         )
     ctx = contexts.pop()
 
@@ -180,7 +209,8 @@ def cmd_op(kind: str, operands, psi: str | None, i: int, j: int,
         result = series[0].derivative()
     else:
         result = series[0].divide(series[1])
-    return json.dumps(result.to_json_dict(), indent=2)
+    with _exact_output():
+        return json.dumps(result.to_json_dict(), indent=2)
 
 
 def cmd_pascal(n_max: int, fmt: str) -> str:
@@ -205,6 +235,11 @@ def cmd_check(suite: str, config: CliConfig) -> tuple[str, bool]:
     suites = verify.SUITE_NAMES if suite == "all" else (suite,)
     specs = (config.psi,) if config.psi else verify.default_specs(config.order)
     reports = verify.run_suites(suites, specs, config.order, config.trials, config.seed)
+    with _exact_output():
+        return _format_check(suites, specs, config, reports)
+
+
+def _format_check(suites, specs, config: CliConfig, reports) -> tuple[str, bool]:
     ok = all(r.ok for r in reports)
     if config.fmt == "json":
         payload = {

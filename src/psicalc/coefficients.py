@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, ParseError, VariantMismatch
+from .errors import DivisionByZero, ParseError, VariantMismatch, echo
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -36,7 +36,7 @@ def parse_rational(text: str) -> Union[int, Fraction]:
     """Parse "p" or "p/q" into an exact rational (int when whole)."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
-        raise ParseError(f"not a rational literal: {text!r}")
+        raise ParseError(f"not a rational literal: {echo(text)}")
     return _norm_rat(Fraction(s))
 
 
@@ -201,7 +201,7 @@ class PolyQ:
     @classmethod
     def from_json(cls, data) -> "PolyQ":
         if not isinstance(data, list):
-            raise ParseError(f"polynomial must be a list of rationals, got {data!r}")
+            raise ParseError(f"polynomial must be a list of rationals, got {echo(data)}")
         return cls(parse_rational(x) if isinstance(x, str) else _check_rat(x) for x in data)
 
     def __str__(self) -> str:
@@ -317,7 +317,7 @@ def _check_rat(x):
     # JSON true/false arrive as bool, which is a numbers.Rational
     if isinstance(x, numbers.Rational) and not isinstance(x, bool):
         return x
-    raise ParseError(f"not a rational value: {x!r}")
+    raise ParseError(f"not a rational value: {echo(x)}")
 
 
 _P_ZERO = PolyQ(())
@@ -382,10 +382,18 @@ class RatFuncQ:
         if den is not _P_ONE:
             # a constant denominator shares no factor with num: no gcd
             if num and den.degree:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                if not any(den._c[:-1]):
+                    # a monomial c*q^j: the gcd is q^s, s the low-order zeros
+                    # that num and den share
+                    s = next(i for i, x in enumerate(num._c) if x)
+                    if s:
+                        s = min(s, den.degree)
+                        num, den = PolyQ._raw(num._c[s:]), PolyQ._raw(den._c[s:])
+                else:
+                    g = poly_gcd(num, den)
+                    if g.degree > 0:
+                        num = num.exact_div(g)
+                        den = den.exact_div(g)
             lead = den._c[-1]
             if lead != 1:
                 num = num * _norm_rat(Fraction(1) / lead)
@@ -534,7 +542,8 @@ class RatFuncQ:
     @classmethod
     def from_json(cls, data) -> "RatFuncQ":
         if not isinstance(data, dict) or set(data) != {"num", "den"}:
-            raise ParseError(f"rational function must be {{'num': .., 'den': ..}}, got {data!r}")
+            raise ParseError(
+                f"rational function must be {{'num': .., 'den': ..}}, got {echo(data)}")
         return cls(PolyQ.from_json(data["num"]), PolyQ.from_json(data["den"]))
 
 
@@ -542,12 +551,15 @@ Q = RatFuncQ._raw(Q_POLY, _P_ONE)
 
 
 def _integer_forms(values) -> tuple:
-    """(den, vectors) with values[i] == PolyQ(vectors[i]) / den, vectors integral.
+    """(den, integers) with values[i] == integers[i] / den, for one scalar variant.
 
-    ``values`` are rational functions; ``den`` is the lcm of their
-    denominators times the integer that clears every coefficient, and a
-    zero value has the empty vector.
+    Plain rationals clear to ints over the lcm of their denominators.
+    Rational functions clear to integer coefficient vectors: ``den`` is the
+    lcm of their denominators times the integer that clears every
+    coefficient, and a zero value has the empty vector.
     """
+    if not isinstance(values[0], RatFuncQ):
+        return _integer_vector(values)
     polys = [x.num._c for x in values]
     common = _P_ONE
     for x in values:
@@ -567,8 +579,11 @@ def _integer_forms(values) -> tuple:
     return common, polys
 
 
-def _from_integer(v: list, den: PolyQ) -> RatFuncQ:
-    """The rational function v / den, for an integer vector without trailing zeros."""
+def _from_integer(v, den):
+    """The canonical scalar v / den, for an int over an int or for an integer
+    vector without trailing zeros over a PolyQ."""
+    if not isinstance(den, PolyQ):
+        return v if den == 1 else _norm_rat(Fraction(v, den))
     if den == _P_ONE:
         return RatFuncQ._raw(PolyQ._raw(v), _P_ONE)
     return RatFuncQ(PolyQ._raw(v), den)
@@ -582,7 +597,7 @@ def embed_rational(value) -> RatFuncQ:
     if isinstance(value, RatFuncQ):
         return value
     if not isinstance(value, numbers.Rational):
-        raise VariantMismatch(f"cannot embed {value!r}")
+        raise VariantMismatch(f"cannot embed {echo(value)}")
     return RatFuncQ.from_rational(_norm_rat(value))
 
 

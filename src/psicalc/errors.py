@@ -9,6 +9,8 @@ bare builtin; code that needs the library type catches ZeroDivisionError,
 which covers both.
 """
 
+import reprlib
+
 
 class PsiCalcError(Exception):
     """Base class for all errors raised by psicalc."""
@@ -69,3 +71,16 @@ class FlavorMismatch(PsiCalcError, ValueError):
 
 class ParseError(PsiCalcError, ValueError):
     """Malformed serialized series, scalar, or operator input."""
+
+
+# Error messages quote the input they refuse, but never all of it: a
+# 5000-deep inline list would otherwise make a 10 KB line.
+ECHO_LIMIT = 80
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxother = 3, ECHO_LIMIT, ECHO_LIMIT
+
+
+def echo(value) -> str:
+    """repr(value) for an error message, cut to at most ECHO_LIMIT characters."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."

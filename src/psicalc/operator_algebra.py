@@ -39,12 +39,13 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 from .coefficients import RatFuncQ, Scalar, embed_rational
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
-from .series import Pair, WardSeries, _chain_weights, _convolve, check_pair
-from .psi_context import PsiContext
+from .psi_context import PsiContext, _chain_weights, _form_add, _form_eq, _form_mul, _form_scale
+from .series import Pair, WardSeries, _convolve, check_pair
 
 
 class Flavor(Enum):
@@ -176,17 +177,19 @@ class OperatorSum:
                 )
         return OperatorSum(tuple(out))
 
-    def weights(self, ctx: PsiContext, m: int) -> list:
-        """The weight table W(n, k) of this sum for n <= m."""
+    def weights(self, ctx: PsiContext, m: int) -> Iterator:
+        """The weight rows W(n, k) of this sum for n <= m, one row form per n.
+
+        The rows of every term are made side by side as they are read.
+        """
         table = None
         for t in self.terms:
             w = _chain_weights(ctx, t.pairs, t.flavor is Flavor.STAR, m)
             c = _lift_coefficient(ctx, t.coefficient)
             if c != 1:
-                w = [[c * x for x in row] for row in w]
-            table = w if table is None else [
-                [x + y for x, y in zip(r, s)] for r, s in zip(table, w)]
-        return table or [[ctx.zero] * (n + 1) for n in range(m + 1)]
+                w = map(_form_scale, w, repeat(c))
+            table = w if table is None else map(_form_add, table, w)
+        return iter([(1, [ctx.zero] * (n + 1)) for n in range(m + 1)]) if table is None else table
 
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
         o = f._peer(g)
@@ -242,24 +245,25 @@ def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
     """Weight tables of <n 0>, ..., <n n> for rows up to m, by the shift maps."""
     ctx._grow(m + n)
     kern = ctx._kernel
-    ones = [[ctx.one] * (r + 1) for r in range(m + n + 1)]
+    ones = [(1, [ctx.one] * (r + 1)) for r in range(m + n + 1)]
     level = [ones]  # tables of <j 0>, ..., <j j>; row j needs rows up to m + n - j
     for j in range(1, n + 1):
         top = m + n - j
         nxt = [ones]
         for k in range(1, j + 1):
-            sig = level[k - 1]  # sigma(<j-1 k-1>)
-            table = [[kern[r + 1][c] * sig[r + 1][c] for c in range(r + 1)]
-                     for r in range(top + 1)]
+            sig = level[k - 1]  # sigma(<j-1 k-1>): row r is F(r+1, c) W(r+1, c), c <= r
+            table = [_form_mul(kern[r + 1], sig[r + 1]) for r in range(top + 1)]
             if k < j:
-                rho_src = level[k]  # rho(<j-1 k>)
-                table = [[w + rho_src[r + 1][c + 1] for c, w in enumerate(ws)]
-                         for r, ws in enumerate(table)]
+                rho_src = level[k]  # rho(<j-1 k>): row r is W(r+1, c+1)
+                table = [_form_add(row, (d, v[1:])) for row, (d, v) in zip(table, rho_src[1:])]
             nxt.append(table)
         level = nxt
     return level
 
 
 def extensional_eq(a: OperatorSum, b: OperatorSum, ctx: PsiContext, order: int) -> bool:
-    """Equality of the actions on series up to ``order``, by weight tables."""
-    return a == b or a.weights(ctx, order) == b.weights(ctx, order)
+    """Equality of the actions on series up to ``order``, by weight tables.
+
+    The rows are compared by value, denominators cross-multiplied.
+    """
+    return a == b or all(map(_form_eq, a.weights(ctx, order), b.weights(ctx, order)))

@@ -15,6 +15,14 @@ Row n holds:
   without division from the Pascal-type identity
   C(n, k) = C(n-1, k-1) + F(n, k) * C(n-1, k).
 
+The kernel and binomial rows are kept as row forms (d, v), one
+denominator and a vector with row[k] == v[k] / d.  Over plain rationals d
+is a positive int, v holds ints and gcd(d, *v) == 1, which makes the form
+canonical; the series kernels then sum on ints and divide once per result
+coefficient.  Over symbolic q every entry carries its own denominator, so
+d is 1 and v holds the rational functions themselves.  The accessors give
+the canonical scalars (an int when whole).
+
 F(n, n) is deliberately left undefined: the defining relation
 s_n - s_k = F(n, k) * s_{n-k} says nothing at k = n, and every consumer in
 this package only ever needs k < n.
@@ -37,21 +45,92 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, mul
+from typing import Iterator
 
 from .coefficients import (
     Q,
     RatFuncQ,
     Scalar,
+    _integer_vector,
     _norm_rat,
     embed_rational,
     parse_rational,
 )
-from .errors import BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange
+from .errors import BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange, echo
 
 
 def _q_analog(q, one):
     # s_n = q * s_{n-1} + 1
     return lambda psi: _norm_rat(psi[-1] * q + one)
+
+
+# -- row forms ----------------------------------------------------------------
+#
+# Only the context's own rows are kept canonical (``_form``): they are built
+# once and read often.  Products and sums of forms leave the gcd to the one
+# division per result coefficient that every kernel ends in.
+
+
+def _form(d: int, v: list) -> tuple:
+    """The canonical form of the row v / d."""
+    if d == 1:
+        return 1, v
+    g = gcd(d, *v)
+    return (d, v) if g == 1 else (d // g, [x // g for x in v])
+
+
+def _form_value(form: tuple, k: int) -> Scalar:
+    """Entry k of a row form as a canonical scalar."""
+    d, v = form
+    return v[k] if d == 1 else _norm_rat(Fraction(v[k], d))
+
+
+def _form_eq(f: tuple, g: tuple) -> bool:
+    """Whether two row forms hold the same values."""
+    (d, v), (e, w) = f, g
+    if d == e:
+        return v == w
+    return [x * e for x in v] == [y * d for y in w]
+
+
+def _form_mul(f: tuple, g: tuple) -> tuple:
+    """The entrywise product of two row forms, as long as the shorter."""
+    return f[0] * g[0], list(map(mul, f[1], g[1]))
+
+
+def _form_add(f: tuple, g: tuple) -> tuple:
+    """The entrywise sum of two row forms, as long as the shorter."""
+    (d, v), (e, w) = f, g
+    if d == e:
+        return d, list(map(add, v, w))
+    m = lcm(d, e)
+    s, t = m // d, m // e
+    return m, [x * s + y * t for x, y in zip(v, w)]
+
+
+def _form_scale(f: tuple, c: Scalar) -> tuple:
+    """The row form times the scalar c."""
+    d, v = f
+    if isinstance(c, RatFuncQ):
+        return d, [c * x for x in v]
+    return d * c.denominator, [c.numerator * x for x in v]
+
+
+def _parts(q: Scalar) -> tuple:
+    """(u, w) with q = u / w in lowest terms; over symbolic q, (q, 1)."""
+    return (q, 1) if isinstance(q, RatFuncQ) else (q.numerator, q.denominator)
+
+
+def _next_powers(f: tuple, u, w) -> tuple:
+    """From the row form of q^a, ..., q^b, that of q^a, ..., q^b, q^(b+s), where q^s = u / w.
+
+    The entries share the denominator of the highest power, so each is
+    multiplied by w, and the new highest is u times the old one.
+    """
+    d, v = f
+    return d * w, (v if w == 1 else [x * w for x in v]) + [v[-1] * u]
 
 
 class PsiContext:
@@ -66,6 +145,7 @@ class PsiContext:
         "fact",
         "_binom",
         "_kernel",
+        "_scale",
         "zero",
         "one",
         "_spec",
@@ -96,8 +176,9 @@ class PsiContext:
         init(self, "_step", step)
         init(self, "psi", (values[0],))
         init(self, "fact", (one,))
-        init(self, "_binom", [[one]])
-        init(self, "_kernel", [[]])
+        init(self, "_binom", [(1, [one])])
+        init(self, "_kernel", [(1, [])])
+        init(self, "_scale", [])
         self._grow(1 if step else self.bound)
 
     def __setattr__(self, name, value):
@@ -111,9 +192,10 @@ class PsiContext:
         if n < len(self.psi):
             return
         if self.bound is not None and n > self.bound:
-            raise BoundExceeded(f"sequence {self._spec!r} ends at index {self.bound}, needs {n}")
+            raise BoundExceeded(
+                f"sequence {echo(self._spec)} ends at index {self.bound}, needs {n}")
         psi, fact = list(self.psi), list(self.fact)
-        binom, kern, one, q = self._binom, self._kernel, self.one, self.q_scalar
+        binom, kern, zero, q = self._binom, self._kernel, self.zero, self.q_scalar
         try:
             for m in range(len(psi), n + 1):
                 s = self._values[m] if m < len(self._values) else self._step(psi)
@@ -122,12 +204,15 @@ class PsiContext:
                 psi.append(s)
                 fact.append(_norm_rat(fact[-1] * s))
                 if q is None:
-                    krow = [_norm_rat(Fraction(s - psi[k]) / psi[m - k]) for k in range(m)]
+                    krow = _integer_vector([_norm_rat(Fraction(s - psi[k]) / psi[m - k])
+                                            for k in range(m)])
                 else:
-                    krow = kern[-1] + [_norm_rat(kern[-1][-1] * q) if m > 1 else one]
-                prev = binom[-1]
-                binom.append([one] + [_norm_rat(prev[k - 1] + krow[k] * prev[k])
-                                      for k in range(1, m)] + [one])
+                    # F(m, k) = q^k: one power more than the row before
+                    krow = _next_powers(kern[-1], *_parts(q)) if m > 1 else (1, [self.one])
+                # C(m, k) = C(m-1, k-1) + F(m, k) C(m-1, k), zero past either end
+                d, v = binom[-1]
+                e, w = _form_mul(krow, (d, v))
+                binom.append(_form(*_form_add((d, [zero] + v), (e, w + [zero]))))
                 kern.append(krow)
         finally:
             object.__setattr__(self, "psi", tuple(psi))
@@ -144,7 +229,7 @@ class PsiContext:
         return self
 
     def _binomials_at(self, bits: int):
-        """The rows of q-binomials at q = 2^bits, one at a time, for the symbolic q context.
+        """The q-binomial row forms at q = 2^bits, one at a time, for the symbolic q context.
 
         The closed form F(n, k) = q^k makes the recurrence a shift and an
         add, and only the row in use is kept.  The q-binomials have
@@ -153,8 +238,26 @@ class PsiContext:
         """
         row = [1]
         while True:
-            yield row
+            yield 1, row
             row = [1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, len(row))] + [1]
+
+    def _scales(self, m: int) -> list:
+        """G_n for n < m, the least integers that make C(n, k) G_n / G_k integral.
+
+        For plain rationals.  G_0 = 1 and G_n is the lcm over k < n of
+        den C(n, k) * G_k, so each G_{n-1} divides G_n; for q = u/v,
+        G_n = v^(n(n-1)/2).  Kept as they are found.
+        """
+        self._grow(m - 1)
+        scale = self._scale
+        for n in range(len(scale), m):
+            d, v = self._binom[n]
+            g = scale[-1] if scale else 1
+            if d != 1:
+                for k in range(n):
+                    g = lcm(g, d // gcd(d, v[k]) * scale[k])
+            scale.append(g)
+        return scale[:m]
 
     # -- constructor ---------------------------------------------------------
 
@@ -173,25 +276,25 @@ class PsiContext:
             try:
                 q0 = parse_rational(s[2:])
             except Exception as exc:
-                raise BadSpec(f"bad q value in spec {spec!r}") from exc
+                raise BadSpec(f"bad q value in spec {echo(spec)}") from exc
             ctx = cls("q", f"q={q0}", (0, 1), _q_analog(q0, 1), q_scalar=q0)
         elif s.startswith("custom:"):
             body = s[len("custom:") :].strip()
             if not (body.startswith("[") and body.endswith("]")):
-                raise BadSpec(f"custom spec must carry a [..] list: {spec!r}")
+                raise BadSpec(f"custom spec must carry a [..] list: {echo(spec)}")
             items = [x.strip() for x in body[1:-1].split(",") if x.strip()]
             if not items:
                 raise BadSpec("custom sequence list is empty")
             try:
                 values = tuple(parse_rational(x) for x in items)
             except Exception as exc:
-                raise BadSpec(f"bad value in custom spec: {spec!r}") from exc
+                raise BadSpec(f"bad value in custom spec: {echo(spec)}") from exc
             if len(values) < 2:
                 raise BadSpec("custom sequence needs at least the first two values")
             text = "custom:[" + ",".join(str(v) for v in values) + "]"
             ctx = cls("custom", text, values)
         else:
-            raise BadSpec(f"unknown sequence spec {spec!r}")
+            raise BadSpec(f"unknown sequence spec {echo(spec)}")
         return ctx._serve(bound)
 
     # -- accessors -----------------------------------------------------------
@@ -218,14 +321,14 @@ class PsiContext:
         self._check_index(n)
         if not 0 <= k <= n:
             raise KOutOfRange(f"k={k} outside 0..{n}")
-        return self._binom[n][k]
+        return _form_value(self._binom[n], k)
 
     def fontane_kernel(self, n: int, k: int) -> Scalar:
         """F(n, k) with s_n - s_k = F(n, k) * s_{n-k}; needs 0 <= k < n."""
         self._check_index(n)
         if not 0 <= k < n:
             raise KernelUndefined(f"F({n}, {k}) undefined; need 0 <= k < n")
-        return self._kernel[n][k]
+        return _form_value(self._kernel[n], k)
 
     # -- scalar helpers --------------------------------------------------------
 
@@ -242,6 +345,42 @@ class PsiContext:
         if self.bound is None:
             return self.kind == "natural" or self.q_scalar == 1
         return all(self.psi[n] == n for n in range(self.bound + 1))
+
+
+def _chain_weights(ctx: PsiContext, pairs, star: bool, m: int) -> Iterator:
+    """Rows W(n, k) = prod F(n+i, base+j) over the pairs, one row form per n <= m.
+
+    ``base`` is k for the asterisk flavor and n-k for the star flavor; the
+    empty chain weighs every term by one.  The rows are made as they are
+    read, so a product holds one at a time.
+    """
+    top = m + max((i for i, _ in pairs), default=0)
+    ctx._grow(top)
+    q, kern, one = ctx.q_scalar, ctx._kernel, ctx.one
+
+    def rows():
+        if q is not None and len(pairs) > 1:
+            # F(n, k) = q^k, so P pairs weigh the (n, k) term by q^(P*base + sum j),
+            # and row n + 1 is row n with the next power appended; one pair
+            # reads its rows off the kernel like any other sequence
+            (u, w), p, shift = _parts(q), len(pairs), sum(j for _, j in pairs)
+            row, up, wp = (w**shift, [u**shift]), u**p, w**p
+            for _ in range(m + 1):
+                yield (row[0], row[1][::-1]) if star else row
+                row = _next_powers(row, up, wp)
+            return
+        for n in range(m + 1):
+            row = None
+            for i, j in pairs:
+                # F(n+i, k+j) for k = 0..n is one slice of a kernel row
+                d, v = kern[n + i]
+                s = v[j : j + n + 1]
+                if star:
+                    s.reverse()
+                row = (d, s) if row is None else _form_mul(row, (d, s))
+            yield row or (1, [one] * (n + 1))
+
+    return rows()
 
 
 _CONTEXTS: dict[str, PsiContext] = {}

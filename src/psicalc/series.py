@@ -16,12 +16,16 @@ Three product families live side by side:
 
 Index pairs (i, j) always satisfy 0 <= j < i, which keeps every kernel
 lookup inside its domain.  The empty chain is the ordinary product; every
-product runs through one convolution loop fed a table of those weights,
-and division through one forward-substitution loop.  Plain rationals go
-through the loops as they are.  Over symbolic q the loops run on Python
-ints: every polynomial is evaluated at q = 2^bits (Kronecker
-substitution), so a result coefficient is one packed big-int sum that is
-unpacked once, and bits comes from running the same loop on |.|_1 norms.
+product runs through one convolution loop fed rows of those weights, and
+division through one forward-substitution loop.  Both loops run on Python
+ints for both scalar variants, fraction-free: denominators are cleared
+once, the sums are integer dot products, and each result coefficient is
+divided once.  Plain rationals read cleared binomial rows, an integer
+vector over one denominator per row, and division scales row n by the
+least G_n that keeps every step integral.  Over symbolic q every
+polynomial is evaluated at q = 2^bits (Kronecker substitution), so a result
+coefficient is one packed big-int sum that is unpacked once, and bits
+comes from running the same loop on |.|_1 norms.
 
 Binary operations demand the *same context object* on both sides and
 truncate to the smaller order.  The derivative maps a_n to a_{n+1} (one
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import numbers
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 from typing import Iterable, Sequence
 
 from .coefficients import (
@@ -58,8 +64,9 @@ from .errors import (
     ParseError,
     PsiCalcError,
     VariantMismatch,
+    echo,
 )
-from .psi_context import PsiContext, get_context
+from .psi_context import PsiContext, _chain_weights, _form_mul, _form_value, get_context
 
 Pair = tuple[int, int]
 
@@ -68,12 +75,12 @@ def _check_scalar(ctx: PsiContext, s) -> Scalar:
     if ctx.symbolic:
         if not isinstance(s, RatFuncQ):
             raise VariantMismatch(
-                f"context {ctx.spec_string()!r} needs rational-function scalars, got {s!r}"
+                f"context {echo(ctx.spec_string())} needs rational-function scalars, got {echo(s)}"
             )
         return s
     if not isinstance(s, numbers.Rational):
         raise VariantMismatch(
-            f"context {ctx.spec_string()!r} needs plain rational scalars, got {s!r}"
+            f"context {echo(ctx.spec_string())} needs plain rational scalars, got {echo(s)}"
         )
     return _norm_rat(s)
 
@@ -82,134 +89,102 @@ def check_pair(pair) -> Pair:
     try:
         i, j = pair
     except (TypeError, ValueError) as exc:
-        raise BadIndices(f"index pair must be (i, j), got {pair!r}") from exc
+        raise BadIndices(f"index pair must be (i, j), got {echo(pair)}") from exc
     if not (isinstance(i, int) and isinstance(j, int)):
-        raise BadIndices(f"index pair must be integers, got {pair!r}")
+        raise BadIndices(f"index pair must be integers, got {echo(pair)}")
     if not 0 <= j < i:
         raise BadIndices(f"index pair needs 0 <= j < i, got ({i}, {j})")
     return (i, j)
 
 
-def _chain_weights(ctx: PsiContext, pairs: Sequence[Pair], star: bool, m: int) -> list:
-    """Table W(n, k) = prod F(n+i, base+j) over the pairs, for n <= m.
+def _sums(binom, a, b) -> list:
+    """(D_n, sum_k v_n[k] a_k b_{n-k}) for each n < len(a), over any ring.
 
-    ``base`` is k for the asterisk flavor and n-k for the star flavor; the
-    empty chain weighs every term by one.
+    ``binom`` yields row forms (D_n, v_n) in order: the binomial rows, or
+    their products with the weight rows.  The division by D_n is left to
+    the caller.  Each sum is one dot product in C, a_k b_{n-k} formed first,
+    so a big binomial takes one multiplication per term.
     """
-    top = m + max((i for i, _ in pairs), default=0)
-    ctx._grow(top)
-    q = ctx.q_scalar
-    if q is not None and pairs:
-        # F(n, k) = q^k, so P pairs weigh the (n, k) term by q^(P*base + sum j);
-        # kernel row ``top`` holds q^0, ..., q^(top-1)
-        p, shift = len(pairs), sum(j for _, j in pairs)
-        powers = list(ctx._kernel[top])
-        while len(powers) <= p * m + shift:
-            powers.append(powers[-1] * q)
-        return [[powers[p * (n - k if star else k) + shift] for k in range(n + 1)]
-                for n in range(m + 1)]
-    table = []
-    for n in range(m + 1):
-        row = None
-        for i, j in pairs:
-            # F(n+i, k+j) for k = 0..n is one slice of a kernel row
-            s = ctx._kernel[n + i][j : j + n + 1]
-            if star:
-                s.reverse()
-            row = s if row is None else [x * y for x, y in zip(row, s)]
-        table.append(row or [ctx.one] * (n + 1))
-    return table
+    return [(den, sum(map(mul, row, map(mul, a[: n + 1], b[n::-1]))))
+            for n, (den, row) in zip(range(len(a)), binom)]
 
 
-def _sums(binom, a, b, weight: list | None) -> list:
-    """sum_k C(n,k) a_k b_{n-k} W(n,k) for each n < len(a), over any ring.
-
-    ``binom`` yields the binomial rows in order.  The weight multiplies
-    last, which keeps big factors out of early products, and zero factors
-    are skipped.
-    """
-    out = []
-    for n, row in zip(range(len(a)), binom):
-        wrow = None if weight is None else weight[n]
-        acc = 0
-        for k in range(n + 1):
-            x = a[k]
-            if not x:
-                continue
-            y = b[n - k]
-            if not y:
-                continue
-            if wrow is None:
-                acc = acc + row[k] * x * y
-            elif wrow[k]:
-                acc = acc + row[k] * x * y * wrow[k]
-        out.append(acc)
-    return out
-
-
-def _convolve(f: "WardSeries", g: "WardSeries", weight: list | None) -> "WardSeries":
+def _convolve(f: "WardSeries", g: "WardSeries", weight: Iterable | None) -> "WardSeries":
     """c_n = sum_k C(n,k) a_k b_{n-k} W(n,k), up to the smaller order.
 
     Every product of the package runs through this function.  ``weight`` is
-    None for the ordinary product, else a table with a row per n.  Plain
-    rationals are summed as they are.  Over symbolic q the same sums run on
-    Python ints: the operands' denominators are cleared once per series
-    and a weight row's once per row, every integer polynomial is evaluated
-    at q = 2^bits (Kronecker substitution), so each c_n is one packed
-    big-int dot product, unpacked and divided once.  The bits come from
-    the same sums run on |.|_1 norms, an exact bound on every coefficient.
+    None for the ordinary product, else yields a row form per n.  Both
+    scalar variants sum on Python ints: the operands' denominators are
+    cleared once per series, each weight row is multiplied into its
+    binomial row, and each c_n is one integer dot product divided once.
+    Plain rationals use the binomial rows as the context stores them,
+    cleared, and take the weight rows one at a time.  Over symbolic q the
+    weight rows are cleared once each, and every integer polynomial is
+    evaluated at q = 2^bits (Kronecker substitution), so the dot product
+    is a packed big-int sum unpacked once; the bits come from the same sums
+    run on |.|_1 norms, an exact bound on every coefficient.
     """
     ctx = f.ctx
     m = min(len(f._c), len(g._c))
-    a, b = f._c[:m], g._c[:m]
+    da, va = _integer_forms(f._c[:m])
+    db, vb = _integer_forms(g._c[:m])
     if not ctx.symbolic:
-        return WardSeries(ctx, _sums(ctx._binom, a, b, weight))
-    da, va = _integer_forms(a)
-    db, vb = _integer_forms(b)
+        rows = ctx._binom if weight is None else map(_form_mul, ctx._binom, weight)
+        return WardSeries(ctx, [_from_integer(x, da * db * d) for d, x in _sums(rows, va, vb)])
     dens = [da * db] * m
     wv = None
     if weight is not None:
-        forms = [_integer_forms(row) for row in weight[:m]]
+        # a symbolic row form has denominator 1 and rational-function entries
+        forms = [_integer_forms(v) for _, v in islice(weight, m)]
         dens = [d * dw for d, (dw, _) in zip(dens, forms)]
-        wv = [row for _, row in forms]
+        wv = [v for _, v in forms]
 
     def inputs(fn):
-        # fn of every operand and weight vector, in the shapes _sums takes
+        # fn of every operand and weight vector; the weights as row forms
         return ([fn(v) for v in va], [fn(v) for v in vb],
-                None if wv is None else [[fn(x) for x in row] for row in wv])
+                None if wv is None else [(1, [fn(x) for x in row]) for row in wv])
+
+    def sums(bits, a, b, w):
+        # _sums with the binomials at q = 2^bits
+        rows = ctx._binomials_at(bits)
+        return [x for _, x in _sums(rows if w is None else map(_form_mul, rows, w), a, b)]
 
     na, nb, nw = inputs(_norm)
-    bound = max(na + nb + _sums(ctx._binomials_at(0), na, nb, nw)
-                + [x for row in nw or () for x in row])
+    bound = max(na + nb + [x for _, row in nw or () for x in row] + sums(0, na, nb, nw))
     bits = _digit_bits(bound)
-    sums = _sums(ctx._binomials_at(bits), *inputs(lambda v: _pack(v, bits)))
-    return WardSeries(ctx, [_from_integer(_unpack(x, bits), d) for x, d in zip(sums, dens)])
+    out = sums(bits, *inputs(lambda v: _pack(v, bits)))
+    return WardSeries(ctx, [_from_integer(_unpack(x, bits), d) for x, d in zip(out, dens)])
 
 
-def _substitute(binom, a, b) -> tuple[list, list]:
-    """d_n = b0^n a_n - sum_{k<n} C(n,k) d_k b0^(n-k-1) b_{n-k} and b0^n, over any ring.
+def _substitute(binom, a, b, scale) -> tuple[list, list]:
+    """e_n = G_n d_n and b0^n, with d_n = c_n b0^(n+1) for the quotient c = a / b.
 
-    d_n = c_n b0^(n+1) for the quotient c = a / b; the divisor is scaled
-    once to b0^(j-1) b_j, so a term costs what it would with division.
+    d_n = b0^n a_n - sum_{k<n} C(n,k) d_k b0^(n-k-1) b_{n-k}, over any ring.
+    ``binom`` yields the binomial row forms (D_n, v) and ``scale`` the G_n
+    that make C(n,k) G_n / G_k integral, so with r_n = G_n / G_{n-1},
+    e_n = G_n b0^n a_n - (r_n / D_n) sum_{k<n} v[k] l_k b0^(n-k-1) b_{n-k}
+    where l_k = e_k G_{n-1} / G_k, and that is the only, exact, division.
+    The l_k are scaled by r_n as n grows, and the divisor is scaled once to
+    b0^(j-1) b_j, so a term costs what it would with division.
     """
     b0 = b[0]
     power = [1]
     for _ in range(len(a)):
         power.append(power[-1] * b0)
     scaled = [None] + [b[j] * power[j - 1] for j in range(1, len(a))]
-    d: list = []
-    for n, row in zip(range(len(a)), binom):
-        s = power[n] * a[n]
-        for k in range(n):
-            dk = d[k]
-            if not dk:
-                continue
-            bk = scaled[n - k]
-            if not bk:
-                continue
-            s = s - row[k] * dk * bk
-        d.append(s)
-    return d, power
+    e: list = []
+    lifted: list = []
+    for n, (den, row), g in zip(range(len(a)), binom, scale):
+        s = sum(map(mul, row, map(mul, lifted, scaled[n:0:-1])))
+        step = g // scale[n - 1] if n else 1
+        if step != 1:
+            lifted = [x * step for x in lifted]
+        if step != 1 or den != 1:
+            s = s * step // den
+        x = g * power[n] * a[n] - s
+        e.append(x)
+        lifted.append(x)
+    return e, power
 
 
 class WardSeries:
@@ -218,7 +193,9 @@ class WardSeries:
     __slots__ = ("ctx", "_c")
 
     def __init__(self, ctx: PsiContext, coeffs: Iterable[Scalar]):
-        c = tuple(_check_scalar(ctx, x) for x in coeffs)
+        # a list first: a tuple grown from a generator is resized, and CPython
+        # files the freed tuples in its per-size free lists until a full gc
+        c = tuple([_check_scalar(ctx, x) for x in coeffs])
         if not c:
             raise BadIndices("a series needs at least the constant coefficient")
         ctx._grow(len(c) - 1)
@@ -253,11 +230,11 @@ class WardSeries:
 
     def _peer(self, other) -> "WardSeries":
         if not isinstance(other, WardSeries):
-            raise ContextMismatch(f"expected a series, got {other!r}")
+            raise ContextMismatch(f"expected a series, got {echo(other)}")
         if other.ctx is not self.ctx:
             raise ContextMismatch(
                 "operands live over different contexts "
-                f"({self.ctx.spec_string()!r} vs {other.ctx.spec_string()!r})"
+                f"({echo(self.ctx.spec_string())} vs {echo(other.ctx.spec_string())})"
             )
         return other
 
@@ -330,9 +307,7 @@ class WardSeries:
         ctx = self.ctx
         ctx._grow(self.order + i)
         kern = ctx._kernel
-        return WardSeries(
-            ctx, [x * kern[n + i][n + j] for n, x in enumerate(self._c)]
-        )
+        return WardSeries(ctx, [x * _form_value(kern[n + i], n + j) for n, x in enumerate(self._c)])
 
     def diag_l(self, i: int, j: int) -> "WardSeries":
         """Scale a_n by F(n+i, j); the left-unit action.  j = 0 is the identity."""
@@ -340,7 +315,7 @@ class WardSeries:
         ctx = self.ctx
         ctx._grow(self.order + i)
         kern = ctx._kernel
-        return WardSeries(ctx, [x * kern[n + i][j] for n, x in enumerate(self._c)])
+        return WardSeries(ctx, [x * _form_value(kern[n + i], j) for n, x in enumerate(self._c)])
 
     # -- derivative and division ---------------------------------------------------
 
@@ -358,30 +333,35 @@ class WardSeries:
         """Fraction-free forward substitution against the product convolution.
 
         With b0 the divisor's constant term, d_n = c_n * b0^(n+1) obeys a
-        recurrence without division (``_substitute``); each quotient
-        coefficient divides once at the end.  Over symbolic q, with
-        a = A / Da and b = B / Db over integer polynomials, the recurrence
-        runs on A and B evaluated at q = 2^bits, and c_n is
-        d_n * Db / (B0^(n+1) * Da).  The bits come from the recurrence run
-        on |.|_1 norms with the divisor's higher terms negated, which turns
-        every subtraction into an addition of bounds.
+        recurrence without division (``_substitute``) once a = A / Da and
+        b = B / Db are cleared to integer A and B; then c_n is
+        d_n * Db / (B0^(n+1) * Da), one division per coefficient.  Plain
+        rationals scale row n by G_n, the least integer that makes every
+        T(n, k) = C(n, k) G_n / G_k integral (G_n = v^(n(n-1)/2) for q = u/v),
+        and substitute on e_n = G_n d_n, all in int.  Over symbolic q the
+        recurrence runs on A and B evaluated at q = 2^bits; the bits come
+        from the recurrence run on |.|_1 norms with the divisor's higher
+        terms negated, which turns every subtraction into an addition of
+        bounds.
         """
         o = self._peer(other)
         if not o._c[0]:
             raise NonInvertible("divisor has zero constant term")
         ctx = self.ctx
         m = min(len(self._c), len(o._c))
-        a, b = self._c[:m], o._c[:m]
+        da, va = _integer_forms(self._c[:m])
+        db, vb = _integer_forms(o._c[:m])
         if not ctx.symbolic:
-            d, power = _substitute(ctx._binom, a, b)
-            return WardSeries(ctx, [_norm_rat(Fraction(x) / p) for x, p in zip(d, power[1:])])
-        da, va = _integer_forms(a)
-        db, vb = _integer_forms(b)
+            scale = ctx._scales(m)
+            e, power = _substitute(ctx._binom, va, vb, scale)
+            return WardSeries(ctx, [_from_integer(x * db, g * p * da)
+                                    for x, g, p in zip(e, scale, power[1:])])
         na, nb = [_norm(v) for v in va], [_norm(v) for v in vb]
-        dn, pn = _substitute(ctx._binomials_at(0), na, nb[:1] + [-x for x in nb[1:]])
+        ones = [1] * m
+        dn, pn = _substitute(ctx._binomials_at(0), na, nb[:1] + [-x for x in nb[1:]], ones)
         bits = _digit_bits(max(na + nb + dn + pn))
         d, power = _substitute(ctx._binomials_at(bits), [_pack(v, bits) for v in va],
-                               [_pack(v, bits) for v in vb])
+                               [_pack(v, bits) for v in vb], ones)
         return WardSeries(ctx, [
             RatFuncQ(PolyQ._raw(_unpack(x, bits)) * db, PolyQ._raw(_unpack(p, bits)) * da)
             for x, p in zip(d, power[1:])
@@ -404,7 +384,7 @@ class WardSeries:
         q = self.ctx.q_scalar
         if q is None:
             raise PsiCalcError(
-                f"q dilation needs a q-analog context, not {self.ctx.spec_string()!r}"
+                f"q dilation needs a q-analog context, not {echo(self.ctx.spec_string())}"
             )
         factor = q**times if self.ctx.symbolic else _norm_rat(Fraction(q) ** times)
         return self.dilate(factor)
@@ -425,11 +405,11 @@ class WardSeries:
             ctx = get_context(spec)
             if ctx.bound is not None and ctx.bound < order:
                 raise ParseError(
-                    f"sequence {spec!r} is too short for a series of order {order}"
+                    f"sequence {echo(spec)} is too short for a series of order {order}"
                 )
         elif get_context(spec).spec_string() != ctx.spec_string():
             raise ContextMismatch(
-                f"series carries spec {spec!r} but context is {ctx.spec_string()!r}"
+                f"series carries spec {echo(spec)} but context is {echo(ctx.spec_string())}"
             )
         return cls(ctx, [scalar_from_json(x, ctx.symbolic) for x in coeffs])
 
@@ -437,15 +417,15 @@ class WardSeries:
 def series_header(data) -> tuple[str, int, list]:
     """Validated (spec, order, coeffs) of a series JSON object."""
     if not isinstance(data, dict):
-        raise ParseError(f"series must be a JSON object, got {data!r}")
+        raise ParseError(f"series must be a JSON object, got {echo(data)}")
     missing = {"psi", "order", "coeffs"} - set(data)
     if missing:
         raise ParseError(f"series object lacks keys {sorted(missing)}")
     spec, order, coeffs = data["psi"], data["order"], data["coeffs"]
     if not isinstance(spec, str):
-        raise ParseError(f"'psi' must be a spec string, got {spec!r}")
+        raise ParseError(f"'psi' must be a spec string, got {echo(spec)}")
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ParseError(f"'order' must be a nonnegative integer, got {order!r}")
+        raise ParseError(f"'order' must be a nonnegative integer, got {echo(order)}")
     if not isinstance(coeffs, list) or len(coeffs) != order + 1:
         raise ParseError("'coeffs' must be a list of length order + 1")
     return spec, order, coeffs

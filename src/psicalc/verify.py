@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import calculus
 from .calculus import RuleReport, compare
 from .coefficients import scalar_eval
-from .errors import BadSpec
+from .errors import BadSpec, echo
 from .psi_context import PsiContext, get_context
 from .series import (
     WardSeries,
@@ -55,7 +55,7 @@ def context_for(spec: str, order: int) -> PsiContext:
     need = order + RULE_REACH
     if ctx.bound is not None and ctx.bound < need:
         raise BadSpec(
-            f"sequence {spec!r} is too short for order {order} checks "
+            f"sequence {echo(spec)} is too short for order {order} checks "
             f"(needs bound {need}, has {ctx.bound})"
         )
     return ctx

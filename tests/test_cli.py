@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from psicalc import calculus
 from psicalc.calculus import compare
 from psicalc.cli import PASCAL_MAX_N, CliConfig, main
-from psicalc.errors import BadSpec
+from psicalc.errors import ECHO_LIMIT, BadSpec
 from psicalc.psi_context import get_context
 from psicalc.series import WardSeries, constant, make_series
 
@@ -226,6 +226,61 @@ def test_op_unreadable_json_is_usage_error(capsys, tmp_path, where, text):
     code, out, err = run_cli(capsys, "op", "derive", operand, "--psi", "natural")
     assert code == 2
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@contextlib.contextmanager
+def any_int_length():
+    # the test's own conversions of long integers, after the CLI has run
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="interpreter without an int-string digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("spec,n", (("fib", 205), ("q=3/2", 134)))
+def test_seq_prints_integers_past_the_digit_limit(capsys, spec, n):
+    # the smallest n whose table has an integer of more than 4300 digits
+    code, out, err = run_cli(capsys, "seq", "--psi", spec, "--n", str(n), "--format", "json")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert max(len(x) for row in data["binomials"] + [data["factorials"]] for x in row) > 4300
+    with any_int_length():
+        assert data["factorials"][-1] == str(get_context(spec).psi_factorial(n))
+
+
+@needs_digit_limit
+def test_op_prints_integers_past_the_digit_limit(capsys):
+    big = "9" * 3000  # each input fits the limit, their product does not
+    code, out, _ = run_cli(capsys, "op", "mul", f"[{big}]", f"[{big}]", "--psi", "natural")
+    assert code == 0
+    with any_int_length():
+        assert json.loads(out)["coeffs"] == [str(int(big) ** 2)]
+    # the limit still guards what is read
+    code, out, err = run_cli(capsys, "op", "derive", LONG_INT, "--psi", "natural")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("where", ("file", "inline"))
+def test_error_lines_echo_a_bounded_part_of_the_input(capsys, tmp_path, where):
+    deep = "[" * 3000 + "]" * 3000
+    operand = deep
+    if where == "file":
+        path = tmp_path / "f.json"
+        # nested under the decoder's limit, so the coefficient itself is refused
+        path.write_text(json.dumps({"psi": "natural", "order": 0,
+                                    "coeffs": [json.loads("[" * 900 + "]" * 900)]}))
+        operand = str(path)
+    code, out, err = run_cli(capsys, "op", "derive", operand, "--psi", "natural")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert len(err) < 2 * ECHO_LIMIT + len(operand if where == "file" else "") + 80
 
 
 def test_op_output_roundtrips(capsys):

@@ -240,6 +240,38 @@ def test_ratfunc_constant_denominator_divides_the_numerator():
     assert RatFuncQ(PolyQ([]), PolyQ([5])) == embed_rational(0)
 
 
+def gcd_reduced(num: PolyQ, den: PolyQ) -> tuple:
+    """(num, den) reduced by the full gcd, den monic; the oracle for monomial denominators."""
+    if num:
+        g = poly_gcd(num, den)
+        num, den = num.exact_div(g), den.exact_div(g)
+    return num * Fraction(1, den.coeffs[-1]), den.monic() if num and den.degree else PolyQ([1])
+
+
+@given(
+    num=gcd_polys,
+    shift=st.integers(min_value=0, max_value=5),
+    j=st.integers(min_value=1, max_value=6),
+    c=st.one_of(st.integers(min_value=-9, max_value=9).filter(bool),
+                st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)),
+)
+@settings(max_examples=200, deadline=None)
+def test_ratfunc_monomial_denominator_matches_the_gcd_path(num, shift, j, c):
+    # num * q^shift over c * q^j: the shared power of q is all the gcd there is
+    num = num * PolyQ([0] * shift + [1])
+    den = PolyQ([0] * j + [c])
+    r = RatFuncQ(num, den)
+    want_num, want_den = gcd_reduced(num, den)
+    assert (repr(r.num), repr(r.den)) == (repr(want_num), repr(want_den))
+
+
+def test_ratfunc_monomial_denominator_cancels_powers_of_q():
+    assert repr(RatFuncQ(PolyQ([0, 0, 3, 1]), PolyQ([0, 0, 0, 0, 2]))) == repr(
+        RatFuncQ._raw(PolyQ([Fraction(3, 2), Fraction(1, 2)]), PolyQ([0, 0, 1])))
+    assert RatFuncQ(PolyQ([0, 0, 3, 1]), PolyQ([0, 2])).is_polynomial
+    assert embed_rational(1) / Q**3 * Q**5 == Q * Q
+
+
 def test_ratfunc_zero_denominator_raises():
     with pytest.raises(DivisionByZero):
         RatFuncQ(PolyQ([1]), PolyQ([]))

@@ -324,6 +324,19 @@ def test_extensional_eq_sees_through_syntax(qsym):
     assert extensional_eq(lhs, rhs, qsym, 6)
 
 
+def test_extensional_eq_compares_weight_rows_by_value(nat, fib):
+    # on the naturals every kernel value is 1: halves of two chains add up to
+    # one whole chain over a denominator of 2, and a half chain is not the chain
+    half = Fraction(1, 2)
+    halves = OperatorSum.single(((1, 0),), coefficient=half) + OperatorSum.single(
+        ((2, 1),), coefficient=half)
+    assert extensional_eq(halves, A10, nat, 6)
+    assert not extensional_eq(A10.scale(half), A10, nat, 6)
+    # Fibonacci kernel rows carry their own denominators
+    assert extensional_eq(A10.scale(Fraction(2, 3)) + A10.scale(Fraction(1, 3)), A10, fib, 8)
+    assert not extensional_eq(A10.scale(Fraction(2, 3)), A20.scale(Fraction(2, 3)), fib, 8)
+
+
 # -- weight tables against term-by-term oracles -----------------------------------------
 
 ORACLE_SPECS = ("natural", "fib", "q", "q=3/2", custom_spec(16))

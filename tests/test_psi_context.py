@@ -98,11 +98,36 @@ def test_tables_grown_in_steps_match_one_build(spec):
     whole = PsiContext.from_spec(spec, 20)
 
     def tables(ctx):
-        return repr((ctx.psi, ctx.fact, ctx._binom, ctx._kernel))
+        return repr((ctx.psi, ctx.fact,
+                     [[ctx.psi_binomial(n, k) for k in range(n + 1)] for n in range(21)],
+                     [[ctx.fontane_kernel(n, k) for k in range(n)] for n in range(21)]))
 
     assert tables(stepped) == tables(whole)
     assert len(whole.psi) == 21
     assert get_context("fib", 8) is get_context("fib", 12) is get_context("fib")
+
+
+@pytest.mark.parametrize("spec,v", [("q=3/2", 2), ("q=-2/3", 3), ("q=5", 1), ("natural", 1),
+                                    ("fib", 1)])
+def test_division_scales_of_integral_and_q_contexts(spec, v):
+    # G_n = v^(n(n-1)/2) for q = u/v; integer binomials need no scale
+    assert get_context(spec)._scales(16) == [v ** (n * (n - 1) // 2) for n in range(16)]
+
+
+@pytest.mark.parametrize("spec", ["custom:[0,1,1/2,3/2,-2/3,5/4,7/3,-1/5,2,3/7,11/6]",
+                                  "custom:[0,1,2,1,3,1,4,1,5,1,6]", "q=-7/4"])
+def test_division_scales_are_the_least_that_clear_every_row(spec):
+    ctx = get_context(spec)
+    scale = ctx._scales(11)
+    for n in range(1, 11):
+        t = [ctx.psi_binomial(n, k) * scale[n] / scale[k] for k in range(n)]
+        assert all(Fraction(x).denominator == 1 for x in t)
+        assert scale[n] % scale[n - 1] == 0
+        # any proper divisor of G_n leaves some T(n, k) fractional
+        for p in (2, 3, 5, 7, 11, 13):
+            if scale[n] % p == 0 and scale[n] // p % scale[n - 1] == 0:
+                assert any(Fraction(ctx.psi_binomial(n, k) * (scale[n] // p) / scale[k])
+                           .denominator != 1 for k in range(n))
 
 
 @pytest.mark.parametrize("spec", ["natural", "q", "q=3/2", "fib", "custom:[0,1,2,1,3,1,4]"])

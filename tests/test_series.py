@@ -402,6 +402,133 @@ def test_symbolic_sums_at_the_digit_edge(qsym, bits, sign):
         assert reprs((f * g).coeffs) == reprs(reference_chain(f, g))
 
 
+# -- the plain-rational integer kernel against the Fraction loops -----------------
+#
+# The loops below are the Fraction arithmetic the plain-rational variant ran
+# before its kernels moved to cleared integer tables: every term a Fraction
+# product, every sum a Fraction addition.  They read the tables through the
+# public accessors only.
+
+
+def fraction_sums(ctx, a, b, weight=None) -> list:
+    """sum_k C(n,k) a_k b_{n-k} W(n,k), one Fraction term at a time."""
+    out = []
+    for n in range(min(len(a), len(b))):
+        row = [ctx.psi_binomial(n, k) for k in range(n + 1)]
+        wrow = None if weight is None else weight[n]
+        acc = 0
+        for k in range(n + 1):
+            x = a[k]
+            if not x:
+                continue
+            y = b[n - k]
+            if not y:
+                continue
+            if wrow is None:
+                acc = acc + row[k] * x * y
+            elif wrow[k]:
+                acc = acc + row[k] * x * y * wrow[k]
+        out.append(acc)
+    return out
+
+
+def fraction_substitute(ctx, a, b) -> list:
+    """c = a / b from d_n = b0^n a_n - sum_{k<n} C(n,k) d_k b0^(n-k-1) b_{n-k} in Fractions."""
+    m = min(len(a), len(b))
+    b0 = b[0]
+    power = [1]
+    for _ in range(m):
+        power.append(power[-1] * b0)
+    scaled = [None] + [b[j] * power[j - 1] for j in range(1, m)]
+    d: list = []
+    for n in range(m):
+        s = power[n] * a[n]
+        for k in range(n):
+            if d[k] and scaled[n - k]:
+                s = s - ctx.psi_binomial(n, k) * d[k] * scaled[n - k]
+        d.append(s)
+    return [Fraction(x) / p for x, p in zip(d, power[1:])]
+
+
+def fraction_weights(ctx, pairs, star, m) -> list:
+    """W(n, k) = prod F(n+i, base+j) for n <= m, in Fractions."""
+    table = []
+    for n in range(m + 1):
+        row = []
+        for k in range(n + 1):
+            w = 1
+            for i, j in pairs:
+                w = w * ctx.fontane_kernel(n + i, (n - k if star else k) + j)
+            row.append(w)
+        table.append(row)
+    return table
+
+
+def typed(series) -> list:
+    # repr of each canonical coefficient, int against Fraction included
+    return [(repr(x), type(x)) for x in series.coeffs]
+
+
+RATIONAL_SPECS = ("natural", "fib", "q=3/2", "q=-2/3",
+                  "custom:[0,1,1/2,3/2,-2/3,5/4,7/3,-1/5,2,3/7,11/6,1/9,4,-5/2]")
+plain_scalars = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from((2**70, -(2**70), 2**70 + 1)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+plain_lists = st.lists(plain_scalars, min_size=1, max_size=9)
+
+
+@given(spec=st.sampled_from(RATIONAL_SPECS), a=plain_lists, b=plain_lists, pairs=chains,
+       star=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_rational_products_match_fraction_loop(spec, a, b, pairs, star):
+    ctx = get_context(spec)
+    f, g = make_series(ctx, a), make_series(ctx, b)
+    assert typed(f * g) == typed(WardSeries(ctx, fraction_sums(ctx, f.coeffs, g.coeffs)))
+    m = min(f.order, g.order)
+    want = fraction_sums(ctx, f.coeffs, g.coeffs, fraction_weights(ctx, pairs, star, m))
+    assert typed(f.chain(g, pairs, star=star)) == typed(WardSeries(ctx, want))
+
+
+@given(spec=st.sampled_from(RATIONAL_SPECS), a=plain_lists, b=plain_lists, terms=st.lists(
+    st.tuples(plain_scalars, st.sampled_from(Flavor), chains), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_rational_operator_sums_match_fraction_loop(spec, a, b, terms):
+    ctx = get_context(spec)
+    f, g = make_series(ctx, a), make_series(ctx, b)
+    op = OperatorSum.of(*(ProductChain(c, flavor, tuple(pairs)) for c, flavor, pairs in terms))
+    m = min(f.order, g.order)
+    weight = [[0] * (n + 1) for n in range(m + 1)]
+    for t in op.terms:
+        w = fraction_weights(ctx, t.pairs, t.flavor is Flavor.STAR, m)
+        weight = [[x + t.coefficient * y for x, y in zip(r, s)] for r, s in zip(weight, w)]
+    want = fraction_sums(ctx, f.coeffs, g.coeffs, weight)
+    assert typed(op.apply(f, g)) == typed(WardSeries(ctx, want))
+
+
+@given(spec=st.sampled_from(RATIONAL_SPECS), a=plain_lists, b=plain_lists,
+       b0=plain_scalars.filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_rational_divide_matches_fraction_loop(spec, a, b, b0):
+    ctx = get_context(spec)
+    f, g = make_series(ctx, a), make_series(ctx, [b0] + b[1:])
+    want = fraction_substitute(ctx, f.coeffs, g.coeffs)
+    assert typed(f.divide(g)) == typed(WardSeries(ctx, want))
+
+
+def test_rational_divide_at_order_forty():
+    # deep enough that G_n = 2^(n(n-1)/2) for q = 3/2 runs to 780 bits
+    for spec in ("q=3/2", "fib", RATIONAL_SPECS[-1]):
+        ctx = get_context(spec)
+        order = 40 if ctx.bound is None else ctx.bound
+        f = make_series(ctx, [(-1) ** n * (n + 1) for n in range(order + 1)])
+        g = make_series(ctx, [Fraction(3, 2)] + [n % 4 - 1 for n in range(1, order + 1)])
+        assert typed(f.divide(g)) == typed(WardSeries(ctx, fraction_substitute(ctx, f.coeffs,
+                                                                                g.coeffs)))
+
+
 def test_divide_requires_invertible_constant_term(fib):
     f = fib_series([1, 0, 0, 0, 0])
     with pytest.raises(NonInvertible):
