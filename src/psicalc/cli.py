@@ -96,30 +96,26 @@ def cmd_seq(spec: str, n_max: int, fmt: str) -> str:
     binoms = [[ctx.psi_binomial(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
     kernels = [[ctx.fontane_kernel(n, k) for k in range(n)] for n in range(1, n_max + 1)]
     with _exact_output():
-        return _format_seq(ctx.spec_string(), n_max, fmt, values, facts, binoms, kernels)
-
-
-def _format_seq(spec: str, n_max: int, fmt: str, values, facts, binoms, kernels) -> str:
-    if fmt == "json":
-        payload = {
-            "psi": spec,
-            "n": n_max,
-            "values": [scalar_to_json(v) for v in values],
-            "factorials": [scalar_to_json(v) for v in facts],
-            "binomials": [[scalar_to_json(v) for v in row] for row in binoms],
-            "kernels": [[scalar_to_json(v) for v in row] for row in kernels],
-        }
-        return json.dumps(payload, indent=2)
-    lines = [
-        f"spec: {spec}",
-        f"psi:  {_fmt_row(values)}",
-        f"fact: {_fmt_row(facts)}",
-        "binomials:",
-    ]
-    lines += [f"  n={n}: {_fmt_row(row)}" for n, row in enumerate(binoms)]
-    lines.append("kernels:")
-    lines += [f"  n={n}: {_fmt_row(row)}" for n, row in enumerate(kernels, start=1)]
-    return "\n".join(lines)
+        if fmt == "json":
+            payload = {
+                "psi": ctx.spec_string(),
+                "n": n_max,
+                "values": [scalar_to_json(v) for v in values],
+                "factorials": [scalar_to_json(v) for v in facts],
+                "binomials": [[scalar_to_json(v) for v in row] for row in binoms],
+                "kernels": [[scalar_to_json(v) for v in row] for row in kernels],
+            }
+            return json.dumps(payload, indent=2)
+        lines = [
+            f"spec: {ctx.spec_string()}",
+            f"psi:  {_fmt_row(values)}",
+            f"fact: {_fmt_row(facts)}",
+            "binomials:",
+        ]
+        lines += [f"  n={n}: {_fmt_row(row)}" for n, row in enumerate(binoms)]
+        lines.append("kernels:")
+        lines += [f"  n={n}: {_fmt_row(row)}" for n, row in enumerate(kernels, start=1)]
+        return "\n".join(lines)
 
 
 _OP_KINDS = ("mul", "fontane", "star", "chain", "derive", "div")
@@ -235,23 +231,19 @@ def cmd_check(suite: str, config: CliConfig) -> tuple[str, bool]:
     suites = verify.SUITE_NAMES if suite == "all" else (suite,)
     specs = (config.psi,) if config.psi else verify.default_specs(config.order)
     reports = verify.run_suites(suites, specs, config.order, config.trials, config.seed)
-    with _exact_output():
-        return _format_check(suites, specs, config, reports)
-
-
-def _format_check(suites, specs, config: CliConfig, reports) -> tuple[str, bool]:
     ok = all(r.ok for r in reports)
     if config.fmt == "json":
-        payload = {
-            "suites": list(suites),
-            "specs": list(specs),
-            "order": config.order,
-            "trials": config.trials,
-            "seed": config.seed,
-            "ok": ok,
-            "reports": [r.to_json_dict() for r in reports],
-        }
-        return json.dumps(payload, indent=2), ok
+        with _exact_output():
+            payload = {
+                "suites": list(suites),
+                "specs": list(specs),
+                "order": config.order,
+                "trials": config.trials,
+                "seed": config.seed,
+                "ok": ok,
+                "reports": [r.to_json_dict() for r in reports],
+            }
+            return json.dumps(payload, indent=2), ok
     lines = []
     for r in reports:
         status = "PASS" if r.ok else "FAIL"

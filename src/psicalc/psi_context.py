@@ -21,7 +21,9 @@ is a positive int, v holds ints and gcd(d, *v) == 1, which makes the form
 canonical; the series kernels then sum on ints and divide once per result
 coefficient.  Over symbolic q every entry carries its own denominator, so
 d is 1 and v holds the rational functions themselves.  The accessors give
-the canonical scalars (an int when whole).
+the canonical scalars (an int when whole).  The weight rows of a chain of
+index pairs are products of kernel-row slices in the same form
+(``_chain_weights``), made only as a product reads them.
 
 F(n, n) is deliberately left undefined: the defining relation
 s_n - s_k = F(n, k) * s_{n-k} says nothing at k = n, and every consumer in

@@ -333,16 +333,16 @@ class WardSeries:
         """Fraction-free forward substitution against the product convolution.
 
         With b0 the divisor's constant term, d_n = c_n * b0^(n+1) obeys a
-        recurrence without division (``_substitute``) once a = A / Da and
-        b = B / Db are cleared to integer A and B; then c_n is
-        d_n * Db / (B0^(n+1) * Da), one division per coefficient.  Plain
-        rationals scale row n by G_n, the least integer that makes every
-        T(n, k) = C(n, k) G_n / G_k integral (G_n = v^(n(n-1)/2) for q = u/v),
-        and substitute on e_n = G_n d_n, all in int.  Over symbolic q the
-        recurrence runs on A and B evaluated at q = 2^bits; the bits come
-        from the recurrence run on |.|_1 norms with the divisor's higher
-        terms negated, which turns every subtraction into an addition of
-        bounds.
+        recurrence that never divides by b0 (``_substitute``), run on
+        integer A and B once a = A / Da and b = B / Db are cleared; then c_n
+        is d_n * Db / (B0^(n+1) * Da), one division per coefficient.  Plain
+        rationals run it on e_n = G_n d_n, G_n the least integer that makes
+        every C(n, k) G_n / G_k integral (G_n = v^(n(n-1)/2) for q = u/v), so
+        each step stays in int, with one exact division by its binomial
+        row's denominator.  Over symbolic q the recurrence runs on A and B
+        evaluated at q = 2^bits; the bits come from the recurrence run on
+        |.|_1 norms with the divisor's higher terms negated, which turns
+        every subtraction into an addition of bounds.
         """
         o = self._peer(other)
         if not o._c[0]:

@@ -10,11 +10,12 @@ The parent commit's files are extracted with ``git archive`` into a
 temporary directory; the change is the working tree as it stands.  For
 each workload and seed, the unchanged ``bench/run.py`` of each side runs
 once (``--trace 0``), the side that goes first alternating from seed to
-seed, and the JSON object on the last line of its output is kept.  The
-file holds every run's six end-to-end metrics and, per workload and
+seed, and the JSON object on the last line of its output is kept; then
+each side runs once traced (``--trace 1``) at the workload's first seed.
+The file holds every run's six end-to-end metrics and, per workload and
 metric, the median of each side, their ratio, the parent's interquartile
-range and in how many pairs the change was better.  Progress goes to
-stderr.
+range and in how many pairs the change was better, followed by the
+per-layer metrics of the traced runs.  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ def extract(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     # each side imports only its own sources
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -108,18 +109,20 @@ def main(argv=None) -> int:
     seconds = args.seconds or contract["run_seconds"]
 
     parent_dir = tempfile.mkdtemp(prefix="bench-parent-")
-    runs = []
+    runs, traced = [], []
     try:
         extract(args.parent, parent_dir)
         trees = {"parent": parent_dir, "change": ROOT}
         for workload, seeds in args.runs:
-            for seed in seeds:
+            for trace, seed in [(0, seed) for seed in seeds] + [(1, seeds[0])]:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
-                    result = run_bench(trees[side], workload, seed, seconds)
-                    runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "first": side == order[0], **result})
+                    print(f"{workload} seed {seed} trace {trace}: {side}", file=sys.stderr,
+                          flush=True)
+                    result = run_bench(trees[side], workload, seed, seconds, trace)
+                    (traced if trace else runs).append(
+                        {"workload": workload, "seed": seed, "side": side,
+                         "first": side == order[0], **result})
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
 
@@ -134,6 +137,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "summary": summarize(runs, contract["end_to_end"]),
         "runs": runs,
+        "traced": traced,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
