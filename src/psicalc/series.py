@@ -105,8 +105,10 @@ def _sums(binom, a, b) -> list:
     the caller.  Each sum is one dot product in C, a_k b_{n-k} formed first,
     so a big binomial takes one multiplication per term.
     """
-    return [(den, sum(map(mul, row, map(mul, a[: n + 1], b[n::-1]))))
-            for n, (den, row) in zip(range(len(a)), binom)]
+    # b reversed: row n reads its last n + 1 entries, b_n down to b_0
+    m, rb = len(a), b[len(a) - 1 :: -1]
+    return [(den, sum(map(mul, row, map(mul, a, islice(rb, m - 1 - n, None)))))
+            for n, (den, row) in zip(range(m), binom)]
 
 
 def _convolve(f: "WardSeries", g: "WardSeries", weight: Iterable | None) -> "WardSeries":
@@ -167,15 +169,16 @@ def _substitute(binom, a, b, scale) -> tuple[list, list]:
     The l_k are scaled by r_n as n grows, and the divisor is scaled once to
     b0^(j-1) b_j, so a term costs what it would with division.
     """
-    b0 = b[0]
+    m, b0 = len(a), b[0]
     power = [1]
-    for _ in range(len(a)):
+    for _ in range(m):
         power.append(power[-1] * b0)
-    scaled = [None] + [b[j] * power[j - 1] for j in range(1, len(a))]
+    # b0^(j-1) b_j from j = m-1 down to 1: row n reads its last n entries
+    scaled = [b[j] * power[j - 1] for j in range(m - 1, 0, -1)]
     e: list = []
     lifted: list = []
-    for n, (den, row), g in zip(range(len(a)), binom, scale):
-        s = sum(map(mul, row, map(mul, lifted, scaled[n:0:-1])))
+    for n, (den, row), g in zip(range(m), binom, scale):
+        s = sum(map(mul, row, map(mul, lifted, islice(scaled, m - 1 - n, None))))
         step = g // scale[n - 1] if n else 1
         if step != 1:
             lifted = [x * step for x in lifted]
