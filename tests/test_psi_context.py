@@ -120,14 +120,14 @@ def test_division_scales_are_the_least_that_clear_every_row(spec):
     ctx = get_context(spec)
     scale = ctx._scales(11)
     for n in range(1, 11):
-        t = [ctx.psi_binomial(n, k) * scale[n] / scale[k] for k in range(n)]
-        assert all(Fraction(x).denominator == 1 for x in t)
+        row = [Fraction(ctx.psi_binomial(n, k)) for k in range(n)]
+        assert all((c * scale[n] / scale[k]).denominator == 1 for k, c in enumerate(row))
         assert scale[n] % scale[n - 1] == 0
         # any proper divisor of G_n leaves some T(n, k) fractional
         for p in (2, 3, 5, 7, 11, 13):
             if scale[n] % p == 0 and scale[n] // p % scale[n - 1] == 0:
-                assert any(Fraction(ctx.psi_binomial(n, k) * (scale[n] // p) / scale[k])
-                           .denominator != 1 for k in range(n))
+                assert any((c * (scale[n] // p) / scale[k]).denominator != 1
+                           for k, c in enumerate(row))
 
 
 @pytest.mark.parametrize("spec", ["natural", "q", "q=3/2", "fib", "custom:[0,1,2,1,3,1,4]"])
