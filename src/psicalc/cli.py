@@ -149,11 +149,11 @@ def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:
                 with open(arg, encoding="utf-8") as fh:
                     data = json.load(fh)
             except _JSON_ERRORS as exc:
-                raise ParseError(f"{echo(arg)}: not a JSON series file ({exc})") from exc
+                raise ParseError(f"{arg}: not a JSON series file ({exc})") from exc
             try:
                 series_header(data)
             except ParseError as exc:
-                raise ParseError(f"{echo(arg)}: {exc}") from exc
+                raise ParseError(f"{arg}: {exc}") from exc
             dicts.append(data)
 
     specs = [d["psi"] for d in dicts if d.get("psi") is not None]

@@ -239,6 +239,11 @@ def _integer_vector(c: tuple) -> tuple:
     return d, [x.numerator * (d // x.denominator) for x in c]
 
 
+def _int_ratio(x: int, d: int):
+    """The canonical rational x / d of two ints (int when whole)."""
+    return x if d == 1 else _norm_rat(Fraction(x, d))
+
+
 # Kronecker substitution.  An integer polynomial is evaluated at q = X =
 # 2^bits, so that its coefficients become the base-X digits of one int, and
 # a whole computation of sums and products runs on those ints.  Evaluation
@@ -551,15 +556,12 @@ Q = RatFuncQ._raw(Q_POLY, _P_ONE)
 
 
 def _integer_forms(values) -> tuple:
-    """(den, integers) with values[i] == integers[i] / den, for one scalar variant.
+    """(den, vectors) with values[i] == PolyQ(vectors[i]) / den, vectors integral.
 
-    Plain rationals clear to ints over the lcm of their denominators.
-    Rational functions clear to integer coefficient vectors: ``den`` is the
-    lcm of their denominators times the integer that clears every
-    coefficient, and a zero value has the empty vector.
+    ``values`` are rational functions; ``den`` is the lcm of their
+    denominators times the integer that clears every coefficient, and a
+    zero value has the empty vector.
     """
-    if not isinstance(values[0], RatFuncQ):
-        return _integer_vector(values)
     polys = [x.num._c for x in values]
     common = _P_ONE
     for x in values:
@@ -579,11 +581,8 @@ def _integer_forms(values) -> tuple:
     return common, polys
 
 
-def _from_integer(v, den):
-    """The canonical scalar v / den, for an int over an int or for an integer
-    vector without trailing zeros over a PolyQ."""
-    if not isinstance(den, PolyQ):
-        return v if den == 1 else _norm_rat(Fraction(v, den))
+def _from_integer(v: list, den: PolyQ) -> RatFuncQ:
+    """The rational function v / den, for an integer vector without trailing zeros."""
     if den == _P_ONE:
         return RatFuncQ._raw(PolyQ._raw(v), _P_ONE)
     return RatFuncQ(PolyQ._raw(v), den)

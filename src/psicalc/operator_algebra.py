@@ -44,7 +44,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .coefficients import RatFuncQ, Scalar, embed_rational
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
-from .psi_context import PsiContext, _chain_weights, _form_add, _form_eq, _form_mul, _form_scale
+from .psi_context import (PsiContext, _chain_weights, _form_add, _form_eq, _form_mul,
+                          _form_scale, _form_value)
 from .series import Pair, WardSeries, _convolve, check_pair
 
 
@@ -177,10 +178,15 @@ class OperatorSum:
                 )
         return OperatorSum(tuple(out))
 
-    def weights(self, ctx: PsiContext, m: int) -> Iterator:
-        """The weight rows W(n, k) of this sum for n <= m, one row form per n.
+    def weights(self, ctx: PsiContext, m: int) -> list:
+        """The weight table W(n, k) of this sum for n <= m, as canonical scalars."""
+        return [[_form_value(row, k) for k in range(n + 1)]
+                for n, row in enumerate(self._weight_rows(ctx, m))]
 
-        The rows of every term are made side by side as they are read.
+    def _weight_rows(self, ctx: PsiContext, m: int) -> Iterator:
+        """The rows of ``weights``, one row form per n, made as they are read.
+
+        The rows of every term are made side by side.
         """
         table = None
         for t in self.terms:
@@ -195,7 +201,7 @@ class OperatorSum:
         o = f._peer(g)
         if self == ORDINARY:
             return _convolve(f, o, None)
-        return _convolve(f, o, self.weights(f.ctx, min(f.order, o.order)))
+        return _convolve(f, o, self._weight_rows(f.ctx, min(f.order, o.order)))
 
     def render(self) -> str:
         if not self.terms:
@@ -266,4 +272,4 @@ def extensional_eq(a: OperatorSum, b: OperatorSum, ctx: PsiContext, order: int) 
 
     The rows are compared by value, denominators cross-multiplied.
     """
-    return a == b or all(map(_form_eq, a.weights(ctx, order), b.weights(ctx, order)))
+    return a == b or all(map(_form_eq, a._weight_rows(ctx, order), b._weight_rows(ctx, order)))

@@ -55,6 +55,7 @@ from .coefficients import (
     Q,
     RatFuncQ,
     Scalar,
+    _int_ratio,
     _integer_vector,
     _norm_rat,
     embed_rational,
@@ -86,7 +87,7 @@ def _form(d: int, v: list) -> tuple:
 def _form_value(form: tuple, k: int) -> Scalar:
     """Entry k of a row form as a canonical scalar."""
     d, v = form
-    return v[k] if d == 1 else _norm_rat(Fraction(v[k], d))
+    return _int_ratio(v[k], d)
 
 
 def _form_eq(f: tuple, g: tuple) -> bool:

@@ -46,7 +46,9 @@ from .coefficients import (
     Scalar,
     _digit_bits,
     _from_integer,
+    _int_ratio,
     _integer_forms,
+    _integer_vector,
     _norm,
     _norm_rat,
     _pack,
@@ -128,11 +130,12 @@ def _convolve(f: "WardSeries", g: "WardSeries", weight: Iterable | None) -> "War
     """
     ctx = f.ctx
     m = min(len(f._c), len(g._c))
-    da, va = _integer_forms(f._c[:m])
-    db, vb = _integer_forms(g._c[:m])
+    clear = _integer_forms if ctx.symbolic else _integer_vector
+    da, va = clear(f._c[:m])
+    db, vb = clear(g._c[:m])
     if not ctx.symbolic:
         rows = ctx._binom if weight is None else map(_form_mul, ctx._binom, weight)
-        return WardSeries(ctx, [_from_integer(x, da * db * d) for d, x in _sums(rows, va, vb)])
+        return WardSeries(ctx, [_int_ratio(x, da * db * d) for d, x in _sums(rows, va, vb)])
     dens = [da * db] * m
     wv = None
     if weight is not None:
@@ -352,12 +355,13 @@ class WardSeries:
             raise NonInvertible("divisor has zero constant term")
         ctx = self.ctx
         m = min(len(self._c), len(o._c))
-        da, va = _integer_forms(self._c[:m])
-        db, vb = _integer_forms(o._c[:m])
+        clear = _integer_forms if ctx.symbolic else _integer_vector
+        da, va = clear(self._c[:m])
+        db, vb = clear(o._c[:m])
         if not ctx.symbolic:
             scale = ctx._scales(m)
             e, power = _substitute(ctx._binom, va, vb, scale)
-            return WardSeries(ctx, [_from_integer(x * db, g * p * da)
+            return WardSeries(ctx, [_int_ratio(x * db, g * p * da)
                                     for x, g, p in zip(e, scale, power[1:])])
         na, nb = [_norm(v) for v in va], [_norm(v) for v in vb]
         ones = [1] * m

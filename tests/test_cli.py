@@ -283,6 +283,15 @@ def test_error_lines_echo_a_bounded_part_of_the_input(capsys, tmp_path, where):
     assert len(err) < 2 * ECHO_LIMIT + len(operand if where == "file" else "") + 80
 
 
+def test_error_lines_print_a_file_path_as_given(capsys, tmp_path):
+    path = tmp_path / ("d" * 100) / "not-json.txt"
+    path.parent.mkdir()
+    path.write_text("plain text")
+    code, out, err = run_cli(capsys, "op", "derive", str(path), "--psi", "natural")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: not a JSON series file")
+
+
 def test_op_output_roundtrips(capsys):
     code, out, _ = run_cli(capsys, "op", "mul", "[1,2,3]", "[1,1,1]", "--psi", "q=3/2")
     assert code == 0

@@ -506,6 +506,10 @@ def test_rational_operator_sums_match_fraction_loop(spec, a, b, terms):
         weight = [[x + t.coefficient * y for x, y in zip(r, s)] for r, s in zip(weight, w)]
     want = fraction_sums(ctx, f.coeffs, g.coeffs, weight)
     assert typed(op.apply(f, g)) == typed(WardSeries(ctx, want))
+    # the public table holds canonical scalars, int when whole
+    table = op.weights(ctx, m)
+    assert table == weight
+    assert all(type(x) is int or x.denominator != 1 for row in table for x in row)
 
 
 @given(spec=st.sampled_from(RATIONAL_SPECS), a=plain_lists, b=plain_lists,

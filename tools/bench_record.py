@@ -9,9 +9,10 @@ Run from the repository root, for example:
 The parent commit's files are extracted with ``git archive`` into a
 temporary directory; the change is the working tree as it stands.  For
 each workload and seed, the unchanged ``bench/run.py`` of each side runs
-once (``--trace 0``), the side that goes first alternating from seed to
-seed, and the JSON object on the last line of its output is kept; then
-each side runs once traced (``--trace 1``) at the workload's first seed.
+once (``--trace 0``) for the ``run_seconds`` of ``BENCHMARK.json``, the
+side that goes first alternating from seed to seed, and the JSON object on
+the last line of its output is kept; then each side runs once traced
+(``--trace 1``) at the workload's first seed.
 The file holds every run's six end-to-end metrics and, per workload and
 metric, the median of each side, their ratio, the parent's interquartile
 range and in how many pairs the change was better, followed by the
@@ -101,12 +102,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
     parser.add_argument("--runs", type=seeds_of, action="append", required=True,
                         help="workload:seeds, e.g. series-q:1-3; repeat per workload")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         contract = json.load(fh)
-    seconds = args.seconds or contract["run_seconds"]
+    seconds = contract["run_seconds"]
 
     parent_dir = tempfile.mkdtemp(prefix="bench-parent-")
     runs, traced = [], []
