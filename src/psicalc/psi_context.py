@@ -8,12 +8,11 @@ Row n holds:
 
 * the sequence value s_n (s_0 = 0, s_1 = 1; s_n != 0 is checked as the
   row is added),
-* the running factorial  s_n! = s_1 * s_2 * ... * s_n  (s_0! = 1),
 * the weight kernel  F(n, k) = (s_n - s_k) / s_{n-k}  for 0 <= k < n,
   which is the closed form q^k for the q-analogs,
-* the generalized binomials  C(n, k) = s_n! / (s_k! * s_{n-k}!), built
-  without division from the Pascal-type identity
-  C(n, k) = C(n-1, k-1) + F(n, k) * C(n-1, k).
+* over plain rationals, the generalized binomials
+  C(n, k) = s_n! / (s_k! * s_{n-k}!), built without division from the
+  Pascal-type identity  C(n, k) = C(n-1, k-1) + F(n, k) * C(n-1, k).
 
 The kernel and binomial rows are kept as row forms (d, v), one
 denominator and a vector with row[k] == v[k] / d.  Over plain rationals d
@@ -24,6 +23,11 @@ d is 1 and v holds the rational functions themselves.  The accessors give
 the canonical scalars (an int when whole).  The weight rows of a chain of
 index pairs are products of kernel-row slices in the same form
 (``_chain_weights``), made only as a product reads them.
+
+Two tables are built only as they are read: ``psi_factorial`` extends the
+running product s_n! = s_1 * ... * s_n (s_0! = 1), and over symbolic q
+``psi_binomial`` unpacks a q-binomial from its value at q = 2^bits, the
+one form the kernels use (``_binomials_at``).
 
 F(n, n) is deliberately left undefined: the defining relation
 s_n - s_k = F(n, k) * s_{n-k} says nothing at k = n, and every consumer in
@@ -47,20 +51,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import islice
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Iterator
 
-from .coefficients import (
-    Q,
-    RatFuncQ,
-    Scalar,
-    _int_ratio,
-    _integer_vector,
-    _norm_rat,
-    embed_rational,
-    parse_rational,
-)
+from .coefficients import (_P_ONE, Q, RatFuncQ, Scalar, _digit_bits, _from_integer, _int_ratio,
+                           _integer_vector, _norm_rat, _unpack, embed_rational, parse_rational)
 from .errors import BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange, echo
 
 
@@ -126,35 +123,11 @@ def _parts(q: Scalar) -> tuple:
     return (q, 1) if isinstance(q, RatFuncQ) else (q.numerator, q.denominator)
 
 
-def _next_powers(f: tuple, u, w) -> tuple:
-    """From the row form of q^a, ..., q^b, that of q^a, ..., q^b, q^(b+s), where q^s = u / w.
-
-    The entries share the denominator of the highest power, so each is
-    multiplied by w, and the new highest is u times the old one.
-    """
-    d, v = f
-    return d * w, (v if w == 1 else [x * w for x in v]) + [v[-1] * u]
-
-
 class PsiContext:
     """One base sequence and its append-only tables."""
 
-    __slots__ = (
-        "kind",
-        "bound",
-        "symbolic",
-        "q_scalar",
-        "psi",
-        "fact",
-        "_binom",
-        "_kernel",
-        "_scale",
-        "zero",
-        "one",
-        "_spec",
-        "_values",
-        "_step",
-    )
+    __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
+                 "_scale", "zero", "one", "_spec", "_values", "_step")
 
     def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None):
         """``values`` starts the sequence; ``step(psi)`` gives each next value.
@@ -178,8 +151,8 @@ class PsiContext:
         init(self, "_values", values)
         init(self, "_step", step)
         init(self, "psi", (values[0],))
-        init(self, "fact", (one,))
-        init(self, "_binom", [(1, [one])])
+        init(self, "_fact", [one])
+        init(self, "_binom", None if symbolic else [(1, [1])])
         init(self, "_kernel", [(1, [])])
         init(self, "_scale", [])
         self._grow(1 if step else self.bound)
@@ -197,29 +170,31 @@ class PsiContext:
         if self.bound is not None and n > self.bound:
             raise BoundExceeded(
                 f"sequence {echo(self._spec)} ends at index {self.bound}, needs {n}")
-        psi, fact = list(self.psi), list(self.fact)
-        binom, kern, zero, q = self._binom, self._kernel, self.zero, self.q_scalar
+        psi = list(self.psi)
+        binom, kern, q = self._binom, self._kernel, self.q_scalar
         try:
             for m in range(len(psi), n + 1):
                 s = self._values[m] if m < len(self._values) else self._step(psi)
                 if not s:
                     raise BadSpec(f"sequence value at index {m} is zero")
                 psi.append(s)
-                fact.append(_norm_rat(fact[-1] * s))
                 if q is None:
                     krow = _integer_vector([_norm_rat(Fraction(s - psi[k]) / psi[m - k])
                                             for k in range(m)])
+                elif m > 1:
+                    # F(m, k) = q^k, q = u/w, over w^(m-1): the row before times w, one power more
+                    (d, v), (u, w) = kern[-1], _parts(q)
+                    krow = d * w, (v if w == 1 else [x * w for x in v]) + [v[-1] * u]
                 else:
-                    # F(m, k) = q^k: one power more than the row before
-                    krow = _next_powers(kern[-1], *_parts(q)) if m > 1 else (1, [self.one])
-                # C(m, k) = C(m-1, k-1) + F(m, k) C(m-1, k), zero past either end
-                d, v = binom[-1]
-                e, w = _form_mul(krow, (d, v))
-                binom.append(_form(*_form_add((d, [zero] + v), (e, w + [zero]))))
+                    krow = 1, [self.one]
                 kern.append(krow)
+                if binom is not None:
+                    # C(m, k) = C(m-1, k-1) + F(m, k) C(m-1, k), zero past either end
+                    d, v = binom[-1]
+                    e, w = _form_mul(krow, (d, v))
+                    binom.append(_form(*_form_add((d, [0] + v), (e, w + [0]))))
         finally:
             object.__setattr__(self, "psi", tuple(psi))
-            object.__setattr__(self, "fact", tuple(fact))
 
     def _serve(self, bound: int | None) -> "PsiContext":
         # build the tables through ``bound`` now; a custom list must reach it
@@ -231,17 +206,18 @@ class PsiContext:
             self._grow(bound)
         return self
 
-    def _binomials_at(self, bits: int):
+    def _binomials_at(self, bits: int, shift: int = 0):
         """The q-binomial row forms at q = 2^bits, one at a time, for the symbolic q context.
 
         The closed form F(n, k) = q^k makes the recurrence a shift and an
         add, and only the row in use is kept.  The q-binomials have
         nonnegative coefficients, so at bits = 0 (q = 1) the rows hold each
-        binomial's |.|_1 norm.
+        binomial's |.|_1 norm.  A nonzero ``shift`` = bits * P yields
+        C(n, k) q^(P k) instead, each entry shifted left by shift * k.
         """
         row = [1]
         while True:
-            yield 1, row
+            yield 1, [x << shift * k for k, x in enumerate(row)] if shift else row
             row = [1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, len(row))] + [1]
 
     def _scales(self, m: int) -> list:
@@ -318,13 +294,21 @@ class PsiContext:
 
     def psi_factorial(self, n: int) -> Scalar:
         self._check_index(n)
-        return self.fact[n]
+        fact = self._fact
+        for m in range(len(fact), n + 1):
+            fact.append(_norm_rat(fact[-1] * self.psi[m]))
+        return fact[n]
 
     def psi_binomial(self, n: int, k: int) -> Scalar:
         self._check_index(n)
         if not 0 <= k <= n:
             raise KOutOfRange(f"k={k} outside 0..{n}")
-        return _form_value(self._binom[n], k)
+        if not self.symbolic:
+            return _form_value(self._binom[n], k)
+        # the q-binomial's coefficients are at most its value at q = 1
+        bits = _digit_bits(comb(n, k))
+        row = next(islice(self._binomials_at(bits), n, None))[1]
+        return _from_integer(_unpack(row[k], bits), _P_ONE)
 
     def fontane_kernel(self, n: int, k: int) -> Scalar:
         """F(n, k) with s_n - s_k = F(n, k) * s_{n-k}; needs 0 <= k < n."""
@@ -357,21 +341,10 @@ def _chain_weights(ctx: PsiContext, pairs, star: bool, m: int) -> Iterator:
     empty chain weighs every term by one.  The rows are made as they are
     read, so a product holds one at a time.
     """
-    top = m + max((i for i, _ in pairs), default=0)
-    ctx._grow(top)
-    q, kern, one = ctx.q_scalar, ctx._kernel, ctx.one
+    ctx._grow(m + max((i for i, _ in pairs), default=0))
+    kern, one = ctx._kernel, ctx.one
 
     def rows():
-        if q is not None and len(pairs) > 1:
-            # F(n, k) = q^k, so P pairs weigh the (n, k) term by q^(P*base + sum j),
-            # and row n + 1 is row n with the next power appended; one pair
-            # reads its rows off the kernel like any other sequence
-            (u, w), p, shift = _parts(q), len(pairs), sum(j for _, j in pairs)
-            row, up, wp = (w**shift, [u**shift]), u**p, w**p
-            for _ in range(m + 1):
-                yield (row[0], row[1][::-1]) if star else row
-                row = _next_powers(row, up, wp)
-            return
         for n in range(m + 1):
             row = None
             for i, j in pairs:
@@ -384,6 +357,13 @@ def _chain_weights(ctx: PsiContext, pairs, star: bool, m: int) -> Iterator:
             yield row or (1, [one] * (n + 1))
 
     return rows()
+
+
+def _chain_twist(ctx: PsiContext, pairs, m: int) -> tuple:
+    """(P, J), J = sum j: over a q-analog, F(n, k) = q^k weighs a chain by q^(P k + J)."""
+    # grown as for _chain_weights, which refuses a zero value (q = -1 has s_2 = 0)
+    ctx._grow(m + max((i for i, _ in pairs), default=0))
+    return len(pairs), sum(j for _, j in pairs)
 
 
 _CONTEXTS: dict[str, PsiContext] = {}

@@ -17,15 +17,17 @@ Three product families live side by side:
 Index pairs (i, j) always satisfy 0 <= j < i, which keeps every kernel
 lookup inside its domain.  The empty chain is the ordinary product; every
 product runs through one convolution loop fed rows of those weights, and
-division through one forward-substitution loop.  Both loops run on Python
-ints for both scalar variants, fraction-free: denominators are cleared
-once, the sums are integer dot products, and each result coefficient is
-divided once.  Plain rationals read cleared binomial rows, an integer
-vector over one denominator per row, and division scales row n by the
-least G_n that keeps every step integral.  Over symbolic q every
-polynomial is evaluated at q = 2^bits (Kronecker substitution), so a result
-coefficient is one packed big-int sum that is unpacked once, and bits
-comes from running the same loop on |.|_1 norms.
+division through one forward-substitution loop.  Over a q-analog, where
+F(n, k) = q^k, a chain needs no weight rows: it is an ordinary product
+with powers of q folded into the loop.  Both loops run on Python ints for
+both scalar variants, fraction-free: denominators are cleared once, the
+sums are integer dot products, and each result coefficient is divided
+once.  Plain rationals read cleared binomial rows, an integer vector over
+one denominator per row, and division scales row n by the least G_n that
+keeps every step integral.  Over symbolic q every polynomial is evaluated
+at q = 2^bits (Kronecker substitution), so a result coefficient is one
+packed big-int sum that is unpacked once, and bits comes from running the
+same loop on |.|_1 norms.
 
 Binary operations demand the *same context object* on both sides and
 truncate to the smaller order.  The derivative maps a_n to a_{n+1} (one
@@ -68,7 +70,8 @@ from .errors import (
     VariantMismatch,
     echo,
 )
-from .psi_context import PsiContext, _chain_weights, _form_mul, _form_value, get_context
+from .psi_context import (PsiContext, _chain_twist, _chain_weights, _form_mul, _form_value,
+                          _parts, get_context)
 
 Pair = tuple[int, int]
 
@@ -113,7 +116,8 @@ def _sums(binom, a, b) -> list:
             for n, (den, row) in zip(range(m), binom)]
 
 
-def _convolve(f: "WardSeries", g: "WardSeries", weight: Iterable | None) -> "WardSeries":
+def _convolve(f: "WardSeries", g: "WardSeries", weight: Iterable | None,
+              twist: tuple = (0, 0)) -> "WardSeries":
     """c_n = sum_k C(n,k) a_k b_{n-k} W(n,k), up to the smaller order.
 
     Every product of the package runs through this function.  ``weight`` is
@@ -126,15 +130,25 @@ def _convolve(f: "WardSeries", g: "WardSeries", weight: Iterable | None) -> "War
     weight rows are cleared once each, and every integer polynomial is
     evaluated at q = 2^bits (Kronecker substitution), so the dot product
     is a packed big-int sum unpacked once; the bits come from the same sums
-    run on |.|_1 norms, an exact bound on every coefficient.
+    run on |.|_1 norms, an exact bound on every coefficient.  ``twist`` =
+    (P, J) weighs the (n, k) term of a q-analog by q^(P k + J), with no
+    weight rows: at q = 2^bits a shift of each binomial entry and packed
+    sum, as |q^s p|_1 = |p|_1; for q = u/w, u^(P k + J) and w^(P (n - k))
+    dilate the operands and w^(P n + J) joins the one division.
     """
     ctx = f.ctx
     m = min(len(f._c), len(g._c))
     clear = _integer_forms if ctx.symbolic else _integer_vector
     da, va = clear(f._c[:m])
     db, vb = clear(g._c[:m])
+    p, shift = twist
     if not ctx.symbolic:
         rows = ctx._binom if weight is None else map(_form_mul, ctx._binom, weight)
+        if p:
+            u, w = _parts(ctx.q_scalar)
+            va = [x * u ** (p * k + shift) for k, x in enumerate(va)]
+            vb = [x * w ** (p * k) for k, x in enumerate(vb)]
+            rows = ((d * w ** (p * n + shift), v) for n, (d, v) in enumerate(rows))
         return WardSeries(ctx, [_int_ratio(x, da * db * d) for d, x in _sums(rows, va, vb)])
     dens = [da * db] * m
     wv = None
@@ -150,15 +164,16 @@ def _convolve(f: "WardSeries", g: "WardSeries", weight: Iterable | None) -> "War
                 None if wv is None else [(1, [fn(x) for x in row]) for row in wv])
 
     def sums(bits, a, b, w):
-        # _sums with the binomials at q = 2^bits
-        rows = ctx._binomials_at(bits)
+        # _sums with the binomials at q = 2^bits, times q^(P k) when twisted
+        rows = ctx._binomials_at(bits, bits * p)
         return [x for _, x in _sums(rows if w is None else map(_form_mul, rows, w), a, b)]
 
     na, nb, nw = inputs(_norm)
     bound = max(na + nb + [x for _, row in nw or () for x in row] + sums(0, na, nb, nw))
     bits = _digit_bits(bound)
     out = sums(bits, *inputs(lambda v: _pack(v, bits)))
-    return WardSeries(ctx, [_from_integer(_unpack(x, bits), d) for x, d in zip(out, dens)])
+    return WardSeries(ctx, [_from_integer(_unpack(x << bits * shift, bits), d)
+                            for x, d in zip(out, dens)])
 
 
 def _substitute(binom, a, b, scale) -> tuple[list, list]:
@@ -297,7 +312,11 @@ class WardSeries:
         o = self._peer(other)
         chain = tuple(check_pair(p) for p in pairs)
         m = min(len(self._c), len(o._c)) - 1
-        return _convolve(self, o, _chain_weights(self.ctx, chain, star, m) if chain else None)
+        if self.ctx.q_scalar is None:
+            return _convolve(self, o, _chain_weights(self.ctx, chain, star, m) if chain else None)
+        # C(n, k) = C(n, n-k) makes star the asterisk flavor with the operands swapped
+        f, g = (o, self) if star else (self, o)
+        return _convolve(f, g, None, _chain_twist(self.ctx, chain, m))
 
     def fontane(self, other, i: int, j: int) -> "WardSeries":
         return self.chain(other, ((i, j),))

@@ -192,13 +192,15 @@ def test_op_boolean_coefficient_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("spec", ("custom:[0,1,2]", "q=-1"))
-def test_op_sequence_too_short_or_zero_is_usage_error(capsys, spec):
+@pytest.mark.parametrize("spec,kind", [
+    pytest.param(spec, kind, id=spec if kind == "fontane" else f"{kind}-{spec}")
+    for kind in ("fontane", "star", "chain") for spec in ("custom:[0,1,2]", "q=-1")])
+def test_op_sequence_too_short_or_zero_is_usage_error(capsys, spec, kind):
     # the custom list ends before F(4, 0); q = -1 makes s_2 = 0 while the
     # tables grow to index 2
     i = "3" if spec.startswith("custom:") else "1"
-    code, out, err = run_cli(capsys, "op", "fontane", "[1,2]", "[3,4]",
-                             "--psi", spec, "--i", i, "--j", "0")
+    pairs = ("--chain", f"[({i},0),(1,0)]") if kind == "chain" else ("--i", i, "--j", "0")
+    code, out, err = run_cli(capsys, "op", kind, "[1,2]", "[3,4]", "--psi", spec, *pairs)
     assert code == 2
     assert out == "" and err.startswith("error:")
 

@@ -12,6 +12,8 @@ from psicalc.errors import (
 from psicalc.psi_context import PsiContext, get_context
 from psicalc.series import make_series
 
+ONE, ZERO = RatFuncQ.from_rational(1), RatFuncQ.from_rational(0)
+
 # frozen tables, worked out by hand from the definitions
 FIB_PSI = (0, 1, 1, 2, 3, 5, 8, 13)
 FIB_FACT = (1, 1, 1, 2, 6, 30, 240, 3120)
@@ -22,7 +24,7 @@ FIB_KERNEL_4 = [1, 1, 2, 1]
 
 def test_fib_tables_match_hand_values(fib):
     assert fib.psi[:8] == FIB_PSI
-    assert fib.fact[:8] == FIB_FACT
+    assert tuple(fib.psi_factorial(n) for n in range(8)) == FIB_FACT
     assert [fib.psi_binomial(3, k) for k in range(4)] == FIB_BINOM_3
     assert [fib.psi_binomial(5, k) for k in range(6)] == FIB_BINOM_5
     assert [fib.fontane_kernel(4, k) for k in range(4)] == FIB_KERNEL_4
@@ -98,13 +100,31 @@ def test_tables_grown_in_steps_match_one_build(spec):
     whole = PsiContext.from_spec(spec, 20)
 
     def tables(ctx):
-        return repr((ctx.psi, ctx.fact,
+        return repr((ctx.psi, [ctx.psi_factorial(n) for n in range(21)],
                      [[ctx.psi_binomial(n, k) for k in range(n + 1)] for n in range(21)],
                      [[ctx.fontane_kernel(n, k) for k in range(n)] for n in range(21)]))
 
     assert tables(stepped) == tables(whole)
     assert len(whole.psi) == 21
     assert get_context("fib", 8) is get_context("fib", 12) is get_context("fib")
+
+
+@pytest.mark.parametrize("order", [(20, 5), (5, 20)])
+def test_symbolic_tables_read_out_of_order(order):
+    # the q-binomials from the recurrence C(n, k) = C(n-1, k-1) + q^k C(n-1, k)
+    # in rational functions, and the factorials as running products
+    rows, fact = [[ONE]], [ONE]
+    for n in range(1, 21):
+        prev = rows[-1] + [ZERO]
+        rows.append([ONE] + [prev[k - 1] + Q**k * prev[k] for k in range(1, n + 1)])
+        fact.append(fact[-1] * sum((Q**k for k in range(1, n)), ONE))
+    ctx = PsiContext.from_spec("q")
+    for n in order:
+        got = [ctx.psi_binomial(n, k) for k in range(n + 1)]
+        assert [(repr(x), x.num.coeffs, x.den.coeffs) for x in got] == [
+            (repr(x), x.num.coeffs, x.den.coeffs) for x in rows[n]]
+        assert repr(ctx.psi_factorial(n)) == repr(fact[n])
+    assert [ctx.psi_factorial(n) for n in range(21)] == fact
 
 
 @pytest.mark.parametrize("spec,v", [("q=3/2", 2), ("q=-2/3", 3), ("q=5", 1), ("natural", 1),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from psicalc.coefficients import Q, PolyQ, RatFuncQ, _digit_bits, embed_rational
 from psicalc.errors import (
     BadIndices,
+    BadSpec,
     BoundExceeded,
     ContextMismatch,
     DivisionByZero,
@@ -510,6 +511,42 @@ def test_rational_operator_sums_match_fraction_loop(spec, a, b, terms):
     table = op.weights(ctx, m)
     assert table == weight
     assert all(type(x) is int or x.denominator != 1 for row in table for x in row)
+
+
+# -- q-analog chains, run as twisted ordinary products, against the weight table --
+
+index_pairs = st.integers(min_value=1, max_value=4).flatmap(
+    lambda i: st.tuples(st.just(i), st.integers(min_value=0, max_value=i - 1)))
+
+
+def canonical(values) -> str:
+    # repr with the coefficient types: int against Fraction, also inside a polynomial
+    return repr([(x.num.coeffs, x.den.coeffs) if isinstance(x, RatFuncQ) else (type(x), x)
+                 for x in values])
+
+
+@given(spec=st.sampled_from(("q", "q=3/2", "q=-2/3", "q=1")),
+       a=st.lists(plain_scalars, min_size=1, max_size=13),
+       b=st.lists(plain_scalars, min_size=1, max_size=13),
+       pairs=st.lists(index_pairs, min_size=1, max_size=3), star=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_q_analog_chains_match_weight_table(spec, a, b, pairs, star):
+    # the oracle weighs each term by psi_binomial * prod fontane_kernel
+    ctx = get_context(spec)
+    f, g = make_series(ctx, a), make_series(ctx, b)
+    got = f.star(g, *pairs[0]) if star and len(pairs) == 1 else f.chain(g, pairs, star=star)
+    want = WardSeries(ctx, reference_chain(f, g, pairs, star))
+    assert canonical(got.coeffs) == canonical(want.coeffs)
+
+
+@pytest.mark.parametrize("spec,error", [("q=-1", BadSpec), ("custom:[0,1,1,2]", BoundExceeded)])
+def test_weighted_products_refuse_a_zero_or_missing_sequence_value(spec, error):
+    # the products need index 4: q = -1 makes s_2 = 0, the custom list ends at 3
+    f = make_series(get_context(spec), [1, 2])
+    for product in (lambda: f.fontane(f, 3, 0), lambda: f.star(f, 3, 1),
+                    lambda: f.chain(f, ((1, 0), (3, 1))), lambda: f.chain(f, ((3, 2),), True)):
+        with pytest.raises(error):
+            product()
 
 
 @given(spec=st.sampled_from(RATIONAL_SPECS), a=plain_lists, b=plain_lists,

@@ -129,8 +129,9 @@ def main(argv=None) -> int:
         "command": "python3 tools/bench_record.py " + " ".join(
             argv if argv is not None else sys.argv[1:]),
         "parent": git("rev-parse", args.parent),
-        "change": git("rev-parse", "HEAD") + (" + working tree changes"
-                                              if git("status", "--porcelain") else ""),
+        "change": git("rev-parse", "HEAD") + (
+            " + working tree changes"
+            if git("status", "--porcelain", "--untracked-files=no") else ""),
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
         "seconds": seconds,
