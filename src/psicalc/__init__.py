@@ -50,32 +50,37 @@ from .series import (
     star_mul,
     zeros,
 )
-from .operator_algebra import (
-    ORDINARY,
-    ZERO_OPERATOR,
-    Flavor,
-    OperatorSum,
-    ProductChain,
-    binomial_operator,
-    extensional_eq,
-    rho,
-    sigma,
-)
-from .calculus import (
-    RuleReport,
-    general_leibniz,
-    general_leibniz_report,
-    product_rule_asterisk,
-    product_rule_boxplus,
-    product_rule_chain,
-    product_rule_ordinary,
-    product_rule_star,
-    quotient_derivative,
-    quotient_q_display_reports,
-    quotient_rule_report,
-    reciprocal_derivative,
-    reciprocal_rule_report,
-)
+
+# The operator and calculus layers load on first use (PEP 562): a process
+# that only tabulates sequences or multiplies series never compiles them.
+_LAZY = {
+    **dict.fromkeys(("operator_algebra", "ORDINARY", "ZERO_OPERATOR", "Flavor", "OperatorSum",
+                     "ProductChain", "binomial_operator", "extensional_eq", "rho", "sigma"),
+                    "operator_algebra"),
+    **dict.fromkeys(("calculus", "RuleReport", "general_leibniz", "general_leibniz_report",
+                     "product_rule_asterisk", "product_rule_boxplus", "product_rule_chain",
+                     "product_rule_ordinary", "product_rule_star", "quotient_derivative",
+                     "quotient_q_display_reports", "quotient_rule_report",
+                     "reciprocal_derivative", "reciprocal_rule_report"), "calculus"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

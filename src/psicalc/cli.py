@@ -3,7 +3,9 @@
 Four subcommands: ``seq`` tabulates a sequence with its factorials,
 binomials, and kernel triangle; ``op`` applies series operations to JSON
 series files or inline coefficient lists; ``pascal`` renders the operator
-triangle; ``check`` runs the verification suites.
+triangle; ``check`` runs the verification suites.  Each subcommand imports
+only the layers it runs: ``pascal`` the operator layer, ``check`` the
+suites, which bring in the operator and calculus layers.
 
 Exit codes: 0 success, 1 operation or verification failure, 2 usage or
 input errors.  Output is deterministic for a fixed command line; the JSON
@@ -13,11 +15,9 @@ forms carry no timestamps or environment data.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .coefficients import format_scalar, scalar_from_json, scalar_to_json
 from .errors import (
@@ -31,10 +31,8 @@ from .errors import (
     PsiCalcError,
     echo,
 )
-from .operator_algebra import binomial_operator
 from .psi_context import get_context
 from .series import WardSeries, make_series, series_header
-from . import verify
 
 _USAGE_ERRORS = (BadSpec, ParseError, BadIndices, KOutOfRange,
                  KernelUndefined, IndexOutOfBound, BoundExceeded)
@@ -49,19 +47,21 @@ _JSON_ERRORS = (ValueError, RecursionError)
 PASCAL_MAX_N = 12
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    psi: str | None
-    order: int
-    fmt: str
-    seed: int
-    trials: int
+# verify.SUITE_NAMES, spelled out so that building the parser loads no suite
+_SUITES = ("rings", "rules", "leibniz", "quotient")
 
-    def __post_init__(self):
-        if self.order < 2:
+
+class CliConfig:
+    """The settings of one ``check`` run."""
+
+    __slots__ = ("psi", "order", "fmt", "seed", "trials")
+
+    def __init__(self, psi: str | None, order: int, fmt: str, seed: int, trials: int):
+        if order < 2:
             raise BadSpec("order must be at least 2")
-        if self.trials < 1:
+        if trials < 1:
             raise BadSpec("trial count must be at least 1")
+        self.psi, self.order, self.fmt, self.seed, self.trials = psi, order, fmt, seed, trials
 
 
 @contextmanager
@@ -122,6 +122,8 @@ _OP_KINDS = ("mul", "fontane", "star", "chain", "derive", "div")
 
 
 def _parse_chain(text: str) -> tuple[tuple[int, int], ...]:
+    import ast
+
     try:
         raw = ast.literal_eval(text)
         pairs = tuple((int(i), int(j)) for i, j in raw)
@@ -210,6 +212,8 @@ def cmd_op(kind: str, operands, psi: str | None, i: int, j: int,
 
 
 def cmd_pascal(n_max: int, fmt: str) -> str:
+    from .operator_algebra import binomial_operator
+
     rows = [
         [binomial_operator(n, k).render() for k in range(n + 1)]
         for n in range(n_max + 1)
@@ -228,6 +232,8 @@ def cmd_pascal(n_max: int, fmt: str) -> str:
 
 
 def cmd_check(suite: str, config: CliConfig) -> tuple[str, bool]:
+    from . import verify
+
     suites = verify.SUITE_NAMES if suite == "all" else (suite,)
     specs = (config.psi,) if config.psi else verify.default_specs(config.order)
     reports = verify.run_suites(suites, specs, config.order, config.trials, config.seed)
@@ -279,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pascal.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p_check = sub.add_parser("check", help="run verification suites")
-    p_check.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
+    p_check.add_argument("suite", choices=_SUITES + ("all",))
     p_check.add_argument("--psi")
     p_check.add_argument("--order", type=int, default=8)
     p_check.add_argument("--trials", type=int, default=25)

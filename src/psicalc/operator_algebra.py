@@ -44,9 +44,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .coefficients import RatFuncQ, Scalar, embed_rational
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
-from .psi_context import (PsiContext, _chain_weights, _form_add, _form_eq, _form_mul,
-                          _form_scale, _form_value)
-from .series import Pair, WardSeries, _convolve, check_pair
+from .psi_context import (PsiContext, _chain_twist, _chain_weights, _form_add, _form_eq,
+                          _form_mul, _form_scale, _form_value)
+from .series import Pair, WardSeries, _convolve, check_pair, zeros
 
 
 class Flavor(Enum):
@@ -201,7 +201,24 @@ class OperatorSum:
         o = f._peer(g)
         if self == ORDINARY:
             return _convolve(f, o, None)
-        return _convolve(f, o, self._weight_rows(f.ctx, min(f.order, o.order)))
+        ctx, m = f.ctx, min(f.order, o.order)
+        if ctx.q_scalar is None:
+            return _convolve(f, o, self._weight_rows(ctx, m))
+        # over a q-analog a chain weighs by q^(P k + J) (WardSeries.chain), so
+        # the chains of one flavor, P and J act alike: one product per twist
+        twists: dict = {}
+        for t in self.terms:
+            key = (t.flavor is Flavor.STAR, *_chain_twist(ctx, t.pairs, m))
+            c = _lift_coefficient(ctx, t.coefficient)
+            pairs, total = twists.get(key, (t.pairs, ctx.zero))
+            twists[key] = pairs, total + c
+        out = None
+        for (star, _, _), (pairs, c) in twists.items():
+            if c:
+                term = f.chain(o, pairs, star)
+                term = term if c == 1 else term.scale(c)
+                out = term if out is None else out + term
+        return zeros(ctx, m) if out is None else out
 
     def render(self) -> str:
         if not self.terms:

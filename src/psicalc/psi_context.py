@@ -27,7 +27,8 @@ index pairs are products of kernel-row slices in the same form
 Two tables are built only as they are read: ``psi_factorial`` extends the
 running product s_n! = s_1 * ... * s_n (s_0! = 1), and over symbolic q
 ``psi_binomial`` unpacks a q-binomial from its value at q = 2^bits, the
-one form the kernels use (``_binomials_at``).
+one form the kernels use (``_binomials_at``), and keeps the last row it
+walked to, so reading a whole table is one walk per row.
 
 F(n, n) is deliberately left undefined: the defining relation
 s_n - s_k = F(n, k) * s_{n-k} says nothing at k = n, and every consumer in
@@ -49,6 +50,7 @@ All scalars in one context share a single variant; see coefficients.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -56,9 +58,11 @@ from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Iterator
 
-from .coefficients import (_P_ONE, Q, RatFuncQ, Scalar, _digit_bits, _from_integer, _int_ratio,
-                           _integer_vector, _norm_rat, _unpack, embed_rational, parse_rational)
-from .errors import BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange, echo
+from .coefficients import (_INT_ONLY, _P_ONE, Q, RatFuncQ, Scalar, _digit_bits, _from_integer,
+                           _int_ratio, _integer_vector, _norm_rat, _unpack, embed_rational,
+                           parse_rational)
+from .errors import (BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange,
+                     VariantMismatch, echo)
 
 
 def _q_analog(q, one):
@@ -127,7 +131,7 @@ class PsiContext:
     """One base sequence and its append-only tables."""
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
-                 "_scale", "zero", "one", "_spec", "_values", "_step")
+                 "_scale", "_row", "zero", "one", "_spec", "_values", "_step")
 
     def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None):
         """``values`` starts the sequence; ``step(psi)`` gives each next value.
@@ -155,6 +159,7 @@ class PsiContext:
         init(self, "_binom", None if symbolic else [(1, [1])])
         init(self, "_kernel", [(1, [])])
         init(self, "_scale", [])
+        init(self, "_row", (-1, 0, []))
         self._grow(1 if step else self.bound)
 
     def __setattr__(self, name, value):
@@ -305,9 +310,13 @@ class PsiContext:
             raise KOutOfRange(f"k={k} outside 0..{n}")
         if not self.symbolic:
             return _form_value(self._binom[n], k)
-        # the q-binomial's coefficients are at most its value at q = 1
-        bits = _digit_bits(comb(n, k))
-        row = next(islice(self._binomials_at(bits), n, None))[1]
+        if self._row[0] != n:
+            # the last row read is kept, at the bits of its largest entry: a
+            # q-binomial's coefficients are at most its value at q = 1
+            bits = _digit_bits(comb(n, n // 2))
+            row = next(islice(self._binomials_at(bits), n, None))[1]
+            object.__setattr__(self, "_row", (n, bits, row))
+        _, bits, row = self._row
         return _from_integer(_unpack(row[k], bits), _P_ONE)
 
     def fontane_kernel(self, n: int, k: int) -> Scalar:
@@ -332,6 +341,36 @@ class PsiContext:
         if self.bound is None:
             return self.kind == "natural" or self.q_scalar == 1
         return all(self.psi[n] == n for n in range(self.bound + 1))
+
+
+_RATFUNC_ONLY = frozenset((RatFuncQ,))
+
+
+def _check_scalar(ctx: PsiContext, s) -> Scalar:
+    """s as a canonical scalar of the context's variant; VariantMismatch when it is not one."""
+    if ctx.symbolic:
+        if not isinstance(s, RatFuncQ):
+            raise VariantMismatch(
+                f"context {echo(ctx.spec_string())} needs rational-function scalars, got {echo(s)}"
+            )
+        return s
+    if not isinstance(s, numbers.Rational):
+        raise VariantMismatch(
+            f"context {echo(ctx.spec_string())} needs plain rational scalars, got {echo(s)}"
+        )
+    return _norm_rat(s)
+
+
+def _check_scalars(ctx: PsiContext, values) -> tuple:
+    """The values through ``_check_scalar``, as a tuple.
+
+    All ints over plain rationals or all ``RatFuncQ`` over symbolic q, what
+    every kernel returns, pass in one C-level type pass.
+    """
+    c = tuple(values)
+    if (_RATFUNC_ONLY if ctx.symbolic else _INT_ONLY).issuperset(map(type, c)):
+        return c
+    return tuple([_check_scalar(ctx, x) for x in c])
 
 
 def _chain_weights(ctx: PsiContext, pairs, star: bool, m: int) -> Iterator:

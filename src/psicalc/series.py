@@ -67,27 +67,12 @@ from .errors import (
     OrderZero,
     ParseError,
     PsiCalcError,
-    VariantMismatch,
     echo,
 )
-from .psi_context import (PsiContext, _chain_twist, _chain_weights, _form_mul, _form_value,
-                          _parts, get_context)
+from .psi_context import (PsiContext, _chain_twist, _chain_weights, _check_scalar,
+                          _check_scalars, _form_mul, _form_value, _parts, get_context)
 
 Pair = tuple[int, int]
-
-
-def _check_scalar(ctx: PsiContext, s) -> Scalar:
-    if ctx.symbolic:
-        if not isinstance(s, RatFuncQ):
-            raise VariantMismatch(
-                f"context {echo(ctx.spec_string())} needs rational-function scalars, got {echo(s)}"
-            )
-        return s
-    if not isinstance(s, numbers.Rational):
-        raise VariantMismatch(
-            f"context {echo(ctx.spec_string())} needs plain rational scalars, got {echo(s)}"
-        )
-    return _norm_rat(s)
 
 
 def check_pair(pair) -> Pair:
@@ -214,9 +199,9 @@ class WardSeries:
     __slots__ = ("ctx", "_c")
 
     def __init__(self, ctx: PsiContext, coeffs: Iterable[Scalar]):
-        # a list first: a tuple grown from a generator is resized, and CPython
-        # files the freed tuples in its per-size free lists until a full gc
-        c = tuple([_check_scalar(ctx, x) for x in coeffs])
+        # callers pass lists: a tuple grown from a generator is resized, and
+        # CPython files the freed tuples in its per-size free lists until a full gc
+        c = _check_scalars(ctx, coeffs)
         if not c:
             raise BadIndices("a series needs at least the constant coefficient")
         ctx._grow(len(c) - 1)

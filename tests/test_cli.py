@@ -449,6 +449,75 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip().splitlines() == ["*inf", "*inf | *(1,0)"]
 
 
+# -- import boundaries ---------------------------------------------------------------
+
+LAYERS = ("psicalc.verify", "psicalc.calculus", "psicalc.operator_algebra")
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this package; its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (None, ()),
+    (["op", "mul", "[1,2]", "[3,4]", "--psi", "q"], ()),
+    (["op", "chain", "[1,2]", "[3,4]", "--psi", "fib", "--chain", "[(2,1)]"], ()),
+    (["seq", "--psi", "q=3/2", "--n", "3"], ()),
+    (["pascal", "--n", "2"], ("psicalc.operator_algebra",)),
+    (["check", "rings", "--psi", "natural", "--trials", "1"], LAYERS),
+])
+def test_each_command_loads_only_the_layers_it_runs(argv, loaded):
+    out = run_fresh("import sys, contextlib, io\n"
+                    "from psicalc.cli import main\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    assert {argv is None} or main({argv!r}) == 0\n"
+                    f"print(sorted(m for m in {LAYERS!r} if m in sys.modules))\n")
+    assert out.strip() == repr(sorted(loaded))
+
+
+def test_cli_suite_names_are_the_verify_suites():
+    from psicalc.cli import _SUITES
+    from psicalc.verify import SUITE_NAMES
+
+    assert _SUITES == SUITE_NAMES
+
+
+def test_every_package_name_resolves_to_its_module_object():
+    out = run_fresh(
+        "import importlib, sys\n"
+        "import psicalc\n"
+        "lazy = [m for m in ('psicalc.operator_algebra', 'psicalc.calculus') if m in sys.modules]\n"
+        "mods = [importlib.import_module('psicalc.' + m) for m in ('coefficients', 'errors',\n"
+        "        'psi_context', 'series', 'operator_algebra', 'calculus')]\n"
+        "for name in psicalc.__all__:\n"
+        "    owners = [m for m in mods if hasattr(m, name)]\n"
+        "    assert owners, name\n"
+        "    assert all(getattr(psicalc, name) is getattr(m, name) for m in owners), name\n"
+        "    assert name in vars(psicalc) and name in dir(psicalc), name\n"
+        "star = {}\n"
+        "exec('from psicalc import *', star)\n"
+        "assert set(psicalc.__all__) <= set(star)\n"
+        "assert not hasattr(psicalc, 'no_such_name')\n"
+        "print(lazy)\n")
+    assert out.strip() == "[]"
+
+
+def test_lazy_layers_load_on_first_use():
+    out = run_fresh(
+        "import sys\n"
+        "import psicalc\n"
+        "assert 'general_leibniz' in dir(psicalc) and 'calculus' in dir(psicalc)\n"
+        "assert 'psicalc.calculus' not in sys.modules\n"
+        "from psicalc import general_leibniz\n"
+        "assert psicalc.calculus.general_leibniz is general_leibniz\n"
+        "print(sorted(m for m in sys.modules if m.startswith('psicalc.')))\n")
+    assert out.strip() == repr(sorted(
+        ["psicalc.calculus", "psicalc.coefficients", "psicalc.errors",
+         "psicalc.operator_algebra", "psicalc.psi_context", "psicalc.series"]))
+
 # -- fuzz -------------------------------------------------------------------------
 
 FUZZ_SPECS = ("natural", "fib", "q", "q=3/2", "q=0", "q=-1", "q=x", "",

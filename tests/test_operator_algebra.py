@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from psicalc.calculus import general_leibniz
 from psicalc.coefficients import Q, embed_rational
-from psicalc.errors import BadIndices, FlavorMismatch, KOutOfRange, VariantMismatch
+from psicalc.errors import BadIndices, BadSpec, FlavorMismatch, KOutOfRange, VariantMismatch
 from psicalc.operator_algebra import (
     ORDINARY,
     ZERO_OPERATOR,
@@ -20,7 +20,7 @@ from psicalc.operator_algebra import (
     sigma,
 )
 from psicalc.psi_context import get_context
-from psicalc.series import e_psi, make_series, monomial, zeros
+from psicalc.series import _convolve, e_psi, make_series, monomial, zeros
 from psicalc.verify import custom_spec
 
 A10 = OperatorSum.single(((1, 0),))
@@ -421,3 +421,54 @@ def test_extensional_eq_matches_monomial_enumeration(spec, data):
         b = a + OperatorSum.single((data.draw(small),)) - OperatorSum.single((data.draw(small),))
     order = data.draw(st.integers(0, 5))
     assert extensional_eq(a, b, ctx, order) == monomial_pairs_agree(a, b, ctx, order)
+
+
+# -- operator sums over q-analogs: one twisted product per twist ----------------------
+
+Q_ANALOG_SPECS = ("q", "q=3/2", "q=-2/3")
+
+
+@st.composite
+def twisted_sums(draw, symbolic):
+    # mixed flavors, coefficients != 1 and the empty chain, plus two chains
+    # that share a twist, (1,0) and (2,0) or (2,1) and (3,1): they merge there,
+    # and cancel when their coefficients do
+    a = draw(st.one_of(operator_sums(), st.just(ZERO_OPERATOR), st.just(ORDINARY)))
+    if draw(st.booleans()):
+        first, second = draw(st.sampled_from(((((1, 0),), ((2, 0),)), (((2, 1),), ((3, 1),)))))
+        flavor = draw(st.sampled_from(Flavor))
+        c = draw(st.fractions(-2, 2, max_denominator=3))
+        d = -c if draw(st.booleans()) else draw(st.fractions(-2, 2, max_denominator=3))
+        a = a + OperatorSum.single(first, flavor, c) + OperatorSum.single(second, flavor, d)
+    if symbolic and draw(st.booleans()):
+        a = a.scale(Q + embed_rational(1))  # rational-function coefficients
+    return a
+
+
+@pytest.mark.parametrize("spec", Q_ANALOG_SPECS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_q_analog_apply_matches_weight_rows(spec, data):
+    ctx = get_context(spec)
+    a = data.draw(twisted_sums(ctx.symbolic))
+    f, g = data.draw(series_pairs(spec))
+    want = _convolve(f, g, a._weight_rows(ctx, min(f.order, g.order)))
+    assert repr(a.apply(f, g)) == repr(want)
+    assert [type(x) for x in a.apply(f, g).coeffs] == [type(x) for x in want.coeffs]
+
+
+def test_q_analog_apply_refuses_what_the_weight_rows_refuse():
+    qnum = get_context("q=3/2")
+    f = make_series(qnum, [1, 2, 3])
+    with pytest.raises(VariantMismatch):
+        OperatorSum.single(((1, 0),), coefficient=Q).apply(f, f)
+    with pytest.raises(VariantMismatch):  # refused even where it would cancel
+        (OperatorSum.single(((1, 0),), coefficient=Q) + OperatorSum.single(
+            ((2, 0),), coefficient=-Q)).apply(f, f)
+    # q = -1 has s_2 = 0; the chains grow the tables as the weight rows did
+    qneg = get_context("q=-1")
+    h = make_series(qneg, [1, 1])
+    for a in (A10, A10 - A20, S21.scale(2)):
+        with pytest.raises(BadSpec):
+            a.apply(h, h)
+    assert ORDINARY.apply(h, h) == h * h

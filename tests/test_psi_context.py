@@ -109,7 +109,7 @@ def test_tables_grown_in_steps_match_one_build(spec):
     assert get_context("fib", 8) is get_context("fib", 12) is get_context("fib")
 
 
-@pytest.mark.parametrize("order", [(20, 5), (5, 20)])
+@pytest.mark.parametrize("order", [(20, 5), (5, 20), (20, 5, 20)])
 def test_symbolic_tables_read_out_of_order(order):
     # the q-binomials from the recurrence C(n, k) = C(n-1, k-1) + q^k C(n-1, k)
     # in rational functions, and the factorials as running products

@@ -71,6 +71,40 @@ def test_series_requires_some_coefficient(fib):
         WardSeries(get_context("custom:[0,1,2,3]"), [0, 0, 0, 0, 0])
 
 
+def typed_coeffs(f):
+    return [(repr(x), type(x)) for x in f.coeffs]
+
+
+@pytest.mark.parametrize("values", [[1, True], [True, 2, 3], [1, Fraction(4, 2)],
+                                    [Fraction(4, 2), 1], [Fraction(1, 3), 2], [0, False, 0]])
+def test_plain_series_keep_the_scalars_that_pass_the_type_check(nat, values):
+    # a bool stays a bool (it is an int subclass), a whole Fraction becomes an int
+    want = [(repr(x), type(x)) for x in (int(v) if type(v) is Fraction and v.denominator == 1
+                                        else v for v in values)]
+    assert typed_coeffs(WardSeries(nat, values)) == want
+    assert typed_coeffs(WardSeries(nat, tuple(values))) == want
+
+
+@pytest.mark.parametrize("bad", [1.5, 3.0, Q, embed_rational(2), "1", None])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_plain_series_refuse_other_scalars(nat, bad, where):
+    values = [1, 2, 3]
+    values[where] = bad
+    with pytest.raises(VariantMismatch):
+        WardSeries(nat, values)
+
+
+def test_symbolic_series_take_rational_functions_only(qsym):
+    one = embed_rational(1)
+    f = WardSeries(qsym, [one, Q, embed_rational(Fraction(4, 2))])
+    assert [(str(x), type(x)) for x in f.coeffs] == [("1", RatFuncQ), ("q", RatFuncQ),
+                                                     ("2", RatFuncQ)]
+    for bad in (True, 1, Fraction(4, 2), Fraction(1, 2), 1.0, 3.0, None):
+        for values in ([bad], [one, bad], [bad, one, Q]):
+            with pytest.raises(VariantMismatch):
+                WardSeries(qsym, values)
+
+
 # -- ordinary and weighted products ------------------------------------------------
 
 
