@@ -37,8 +37,10 @@ displays with dilated numerators over g(x) g(qx).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
+from .coefficients import _int_ratio, _integer_vector
 from .errors import BadIndices, PsiCalcError
 from .operator_algebra import (
     ORDINARY,
@@ -49,7 +51,9 @@ from .operator_algebra import (
     rho,
     sigma,
 )
-from .series import Pair, WardSeries, _convolve, check_pair, constant, first_difference
+from .psi_context import _form_mul
+from .series import (Pair, WardSeries, _convolve, _sums, check_pair, constant,
+                     first_difference)
 
 
 @dataclass(frozen=True)
@@ -157,20 +161,46 @@ def product_rule_boxplus(f: WardSeries, g: WardSeries, first: Pair, second: Pair
 
 
 def general_leibniz(f: WardSeries, g: WardSeries, n: int) -> WardSeries:
-    """sum_k <n k>(D^(n-k) f, D^k g) via the weight tables, truncated to min(order) - n."""
+    """sum_k <n k>(D^(n-k) f, D^k g), truncated to min(order) - n.
+
+    Over a q-analog, <n k> is C_q(n, k) times the ordinary product twisted
+    by q^(k i) on its (r, i) term, so the sum is n + 1 twisted products and
+    no weight table is built.  Over the other plain-rational contexts the
+    operands are cleared once, term k reads D^(n-k) f and D^k g as slices of
+    the cleared vectors, and its row sums, over the binomial rows times the
+    weight table of <n k>, add into one integer numerator per row; each
+    coefficient is divided once.
+    """
     if n < 0:
         raise BadIndices("derivative count must be nonnegative")
+    g = f._peer(g)
     if min(f.order, g.order) < n:
         raise PsiCalcError(f"series orders too small for {n} derivatives")
-    g = f._peer(g)
+    ctx = f.ctx
     m = min(f.order, g.order) - n
-    weights = binomial_weights(f.ctx, n, m)
-    acc = None
+    if ctx.q_scalar is not None:
+        ctx._grow(m + n)
+        acc = None
+        for k in range(n + 1):
+            term = _convolve(f.derivative(n - k).truncate(m), g.derivative(k).truncate(m),
+                             None, (k, 0)).scale(ctx.psi_binomial(n, k))
+            acc = term if acc is None else acc + term
+        return acc
+    weights = binomial_weights(ctx, n, m)
+    da, va = _integer_vector(f._c[: m + n + 1])
+    db, vb = _integer_vector(g._c[: m + n + 1])
+    nums, dens = [0] * (m + 1), [1] * (m + 1)
     for k in range(n + 1):
-        term = _convolve(f.derivative(n - k).truncate(m), g.derivative(k).truncate(m),
-                         weights[k] if k else None)
-        acc = term if acc is None else acc + term
-    return acc
+        rows = map(_form_mul, ctx._binom, weights[k]) if k else ctx._binom
+        for r, (d, s) in enumerate(_sums(rows, va[n - k : n - k + m + 1], vb[k : k + m + 1])):
+            e = dens[r]
+            if d == e:
+                nums[r] += s
+            else:
+                e = lcm(d, e)
+                nums[r] = nums[r] * (e // dens[r]) + s * (e // d)
+                dens[r] = e
+    return WardSeries(ctx, [_int_ratio(x, e * da * db) for x, e in zip(nums, dens)])
 
 
 def general_leibniz_report(f: WardSeries, g: WardSeries, n: int) -> RuleReport:

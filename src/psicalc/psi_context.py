@@ -332,7 +332,9 @@ class PsiContext:
         return embed_rational(value) if self.symbolic else value
 
     def from_rational(self, value) -> Scalar:
-        value = _norm_rat(Fraction(value))
+        # an int is already canonical; a bool, float or string goes through Fraction
+        if type(value) is not int:
+            value = _norm_rat(Fraction(value))
         return embed_rational(value) if self.symbolic else value
 
     @property
@@ -344,6 +346,7 @@ class PsiContext:
 
 
 _RATFUNC_ONLY = frozenset((RatFuncQ,))
+_RATIONAL_ONLY = frozenset((int, Fraction))
 
 
 def _check_scalar(ctx: PsiContext, s) -> Scalar:
@@ -365,11 +368,14 @@ def _check_scalars(ctx: PsiContext, values) -> tuple:
     """The values through ``_check_scalar``, as a tuple.
 
     All ints over plain rationals or all ``RatFuncQ`` over symbolic q, what
-    every kernel returns, pass in one C-level type pass.
+    every kernel returns, pass in one C-level type pass.  Ints and
+    ``Fraction``s over plain rationals take ``_norm_rat`` alone.
     """
     c = tuple(values)
     if (_RATFUNC_ONLY if ctx.symbolic else _INT_ONLY).issuperset(map(type, c)):
         return c
+    if not ctx.symbolic and _RATIONAL_ONLY.issuperset(map(type, c)):
+        return tuple([_norm_rat(x) for x in c])
     return tuple([_check_scalar(ctx, x) for x in c])
 
 

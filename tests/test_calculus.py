@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from psicalc import calculus
+from psicalc import calculus, operator_algebra
 from psicalc.calculus import (
     RuleReport,
     compare,
@@ -22,9 +24,10 @@ from psicalc.calculus import (
     reciprocal_rule_report,
 )
 from psicalc.coefficients import Q, scalar_eval
-from psicalc.errors import PsiCalcError
+from psicalc.errors import BadIndices, ContextMismatch, PsiCalcError
+from psicalc.operator_algebra import binomial_weights
 from psicalc.psi_context import get_context
-from psicalc.series import constant, cos_psi, e_psi, make_series, monomial, sin_psi
+from psicalc.series import _convolve, constant, cos_psi, e_psi, make_series, monomial, sin_psi
 from psicalc.verify import random_series
 
 SPECS = ("natural", "q", "q=3/2", "fib")
@@ -172,6 +175,101 @@ def test_leibniz_rejects_excessive_order(fib):
     f = make_series(fib, [1, 2, 3])
     with pytest.raises(PsiCalcError):
         general_leibniz(f, f, 3)
+
+
+def test_leibniz_rejects_bad_counts_and_mixed_contexts(fib, nat):
+    f = make_series(fib, [1, 2, 3])
+    with pytest.raises(BadIndices):
+        general_leibniz(f, f, -1)
+    with pytest.raises(ContextMismatch):
+        general_leibniz(f, make_series(nat, [1, 2, 3]), 1)
+    with pytest.raises(ContextMismatch):
+        general_leibniz(f, [1, 2, 3], 1)
+
+
+def leibniz_per_term(f, g, n):
+    """The reference: n + 1 separate weighted products over the weight tables, then summed."""
+    m = min(f.order, g.order) - n
+    weights = binomial_weights(f.ctx, n, m)
+    acc = None
+    for k in range(n + 1):
+        term = _convolve(f.derivative(n - k).truncate(m), g.derivative(k).truncate(m),
+                         weights[k] if k else None)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+ORACLE_SPECS = ("natural", "fib", "q", "q=3/2", "q=-2/3", "q=1",
+                "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13]")
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def leibniz_cases(draw):
+    spec = draw(st.sampled_from(ORACLE_SPECS))
+    a = draw(st.lists(fractions, min_size=1, max_size=11))
+    b = draw(st.lists(fractions, min_size=1, max_size=11))
+    n = draw(st.integers(0, min(len(a), len(b)) - 1))
+    return spec, a, b, n
+
+
+def fixed_case(spec, seed):
+    rng = random.Random(seed)
+    a = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(4, 11))]
+    b = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(4, 11))]
+    return spec, a, b, rng.randint(1, min(len(a), len(b)) - 1)
+
+
+def with_fixed_cases(test):
+    # every spec is checked with n >= 1 whatever the random draws are
+    for seed, spec in enumerate(ORACLE_SPECS):
+        test = example(fixed_case(spec, seed))(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(leibniz_cases())
+@with_fixed_cases
+def test_leibniz_matches_the_per_term_reference(case):
+    spec, a, b, n = case
+    ctx = get_context(spec)
+    f, g = make_series(ctx, a), make_series(ctx, b)
+    assert repr(general_leibniz(f, g, n)) == repr(leibniz_per_term(f, g, n))
+
+
+@pytest.mark.parametrize("spec", ("natural", "fib"))
+def test_leibniz_over_plain_sequences_is_one_sum(monkeypatch, spec):
+    ctx = get_context(spec)
+    rng = random.Random(4)
+    f, g = random_series(ctx, 9, rng), random_series(ctx, 11, rng)
+    want = leibniz_per_term(f, g, 3)
+    divisions, ratio = [], calculus._int_ratio
+
+    def int_ratio(x, d):
+        divisions.append(d)
+        return ratio(x, d)
+
+    def refuse(*args):
+        raise AssertionError("per-term product")
+
+    monkeypatch.setattr(calculus, "_int_ratio", int_ratio)
+    monkeypatch.setattr(calculus, "_convolve", refuse)
+    assert general_leibniz(f, g, 3) == want
+    assert len(divisions) == 9 - 3 + 1
+
+
+@pytest.mark.parametrize("spec", ("q", "q=3/2"))
+def test_leibniz_over_q_analogs_builds_no_weight_tables(monkeypatch, spec):
+    def refuse(*args):
+        raise AssertionError("weight tables built")
+
+    monkeypatch.setattr(operator_algebra, "binomial_weights", refuse)
+    monkeypatch.setattr(calculus, "binomial_weights", refuse)
+    ctx = get_context(spec)
+    rng = random.Random(6)
+    f, g = random_series(ctx, 8, rng), random_series(ctx, 7, rng)
+    for n in range(5):
+        assert general_leibniz(f, g, n) == (f * g).derivative(n)
 
 
 # -- quotient and reciprocal -------------------------------------------------------

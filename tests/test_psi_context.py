@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from psicalc.coefficients import Q, PolyQ, RatFuncQ, _norm_rat, scalar_eval
+from psicalc.coefficients import Q, PolyQ, RatFuncQ, _norm_rat, embed_rational, scalar_eval
 from psicalc.errors import (
     BadSpec,
     IndexOutOfBound,
@@ -257,3 +257,12 @@ def test_scalar_promotion_helpers(qsym, nat):
     assert nat.from_int(3) == 3
     assert nat.from_rational(Fraction(4, 2)) == 2
     assert isinstance(nat.from_rational(Fraction(4, 2)), int)
+
+
+@pytest.mark.parametrize("value, plain", [(7, 7), (-3, -3), (True, 1), (False, 0),
+                                          (Fraction(4, 2), 2), (Fraction(-1, 3), Fraction(-1, 3)),
+                                          (1.5, Fraction(3, 2)), ("5/10", Fraction(1, 2))])
+def test_from_rational_gives_canonical_scalars(qsym, nat, value, plain):
+    got = nat.from_rational(value)
+    assert got == plain and type(got) is type(plain)
+    assert qsym.from_rational(value) == embed_rational(plain)

@@ -76,13 +76,21 @@ def typed_coeffs(f):
 
 
 @pytest.mark.parametrize("values", [[1, True], [True, 2, 3], [1, Fraction(4, 2)],
-                                    [Fraction(4, 2), 1], [Fraction(1, 3), 2], [0, False, 0]])
+                                    [Fraction(4, 2), 1], [Fraction(1, 3), 2], [0, False, 0],
+                                    [Fraction(4, 2), Fraction(1, 3)],
+                                    [Fraction(-6, 3), True, Fraction(5, 7)]])
 def test_plain_series_keep_the_scalars_that_pass_the_type_check(nat, values):
     # a bool stays a bool (it is an int subclass), a whole Fraction becomes an int
     want = [(repr(x), type(x)) for x in (int(v) if type(v) is Fraction and v.denominator == 1
                                         else v for v in values)]
     assert typed_coeffs(WardSeries(nat, values)) == want
     assert typed_coeffs(WardSeries(nat, tuple(values))) == want
+
+
+@pytest.mark.parametrize("values", [[Fraction(1, 2), 2.0], [3, Fraction(2, 3), 0.5]])
+def test_plain_series_refuse_floats_among_fractions(nat, values):
+    with pytest.raises(VariantMismatch):
+        WardSeries(nat, values)
 
 
 @pytest.mark.parametrize("bad", [1.5, 3.0, Q, embed_rational(2), "1", None])
