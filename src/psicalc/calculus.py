@@ -37,7 +37,7 @@ displays with dilated numerators over g(x) g(qx).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm
 from typing import Sequence
 
 from .coefficients import _int_ratio, _integer_vector
@@ -169,7 +169,10 @@ def general_leibniz(f: WardSeries, g: WardSeries, n: int) -> WardSeries:
     operands are cleared once, term k reads D^(n-k) f and D^k g as slices of
     the cleared vectors, and its row sums, over the binomial rows times the
     weight table of <n k>, add into one integer numerator per row; each
-    coefficient is divided once.
+    coefficient is divided once.  The weight tables are the context's
+    stored ones (``binomial_weights``).  Over a classical sequence
+    0, 1, 2, ... every kernel entry is 1, so <n k> weighs every term by
+    C(n, k): term k's row sums are scaled by it and no table is read.
     """
     if n < 0:
         raise BadIndices("derivative count must be nonnegative")
@@ -178,21 +181,26 @@ def general_leibniz(f: WardSeries, g: WardSeries, n: int) -> WardSeries:
         raise PsiCalcError(f"series orders too small for {n} derivatives")
     ctx = f.ctx
     m = min(f.order, g.order) - n
+    ctx._grow(m + n)
     if ctx.q_scalar is not None:
-        ctx._grow(m + n)
         acc = None
         for k in range(n + 1):
             term = _convolve(f.derivative(n - k).truncate(m), g.derivative(k).truncate(m),
                              None, (k, 0)).scale(ctx.psi_binomial(n, k))
             acc = term if acc is None else acc + term
         return acc
-    weights = binomial_weights(ctx, n, m)
+    weights = None if ctx.is_classical else binomial_weights(ctx, n, m)
     da, va = _integer_vector(f._c[: m + n + 1])
     db, vb = _integer_vector(g._c[: m + n + 1])
     nums, dens = [0] * (m + 1), [1] * (m + 1)
     for k in range(n + 1):
-        rows = map(_form_mul, ctx._binom, weights[k]) if k else ctx._binom
+        rows, c = ctx._binom, 1
+        if weights is None:
+            c = comb(n, k)
+        elif k:
+            rows = map(_form_mul, rows, weights[k])
         for r, (d, s) in enumerate(_sums(rows, va[n - k : n - k + m + 1], vb[k : k + m + 1])):
+            s *= c
             e = dens[r]
             if d == e:
                 nums[r] += s

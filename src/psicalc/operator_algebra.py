@@ -28,9 +28,13 @@ chains mirrored to W(n, n-k)), fed to the one convolution loop of the
 series module.  The shift maps act on weights as well,
 W_rho(A)(n, k) = W_A(n+1, k+1) and W_sigma(A)(n, k) = F(n+1, k) W_A(n+1, k),
 which builds the tables of a whole triangle row without expanding <n k>
-into its C(n, k) chains.  Syntactic equality is equality of canonical
-forms; ``extensional_eq`` compares weight tables, which is equality of
-actions because A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
+into its C(n, k) chains.  A context keeps the tables of the triangle
+once built and grows them on demand (``binomial_weights``); over a
+classical sequence every kernel entry is 1 and W_<n k> is the constant
+C(n, k), which callers use without reading a table.  Syntactic equality
+is equality of canonical forms; ``extensional_eq`` compares weight
+tables, which is equality of actions because
+A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .coefficients import RatFuncQ, Scalar, embed_rational
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
-from .psi_context import (PsiContext, _chain_twist, _chain_weights, _form_add, _form_eq,
+from .psi_context import (PsiContext, _chain_twist, _chain_weights, _form, _form_add, _form_eq,
                           _form_mul, _form_scale, _form_value)
 from .series import Pair, WardSeries, _convolve, check_pair, zeros
 
@@ -265,23 +269,37 @@ def binomial_operator(n: int, k: int) -> OperatorSum:
 
 
 def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
-    """Weight tables of <n 0>, ..., <n n> for rows up to m, by the shift maps."""
+    """Weight tables of <n 0>, ..., <n n> through row m, from the context's triangle.
+
+    The context keeps the tables of <j k> for j <= J, level j with rows
+    0..T-j, in canonical row forms (``PsiContext._weights``).  A request
+    appends levels up to J >= n and rows to every level up to T >= m + n;
+    a level's new rows come from the rows of the level before, just
+    appended, by the shift maps
+
+        W<j k>(r, c) = W<j-1 k>(r+1, c+1) + F(r+1, c) W<j-1 k-1>(r+1, c).
+
+    Nothing is rebuilt.  The stored tables are returned, so they may hold
+    rows past m, and they must not be changed.
+    """
     ctx._grow(m + n)
-    kern = ctx._kernel
-    ones = [(1, [ctx.one] * (r + 1)) for r in range(m + n + 1)]
-    level = [ones]  # tables of <j 0>, ..., <j j>; row j needs rows up to m + n - j
-    for j in range(1, n + 1):
-        top = m + n - j
-        nxt = [ones]
-        for k in range(1, j + 1):
-            sig = level[k - 1]  # sigma(<j-1 k-1>): row r is F(r+1, c) W(r+1, c), c <= r
-            table = [_form_mul(kern[r + 1], sig[r + 1]) for r in range(top + 1)]
-            if k < j:
-                rho_src = level[k]  # rho(<j-1 k>): row r is W(r+1, c+1)
-                table = [_form_add(row, (d, v[1:])) for row, (d, v) in zip(table, rho_src[1:])]
-            nxt.append(table)
-        level = nxt
-    return level
+    tri = ctx._weights
+    kern, top = ctx._kernel, max(m + n, len(tri[0][0]) - 1 if tri else 0)
+    for j in range(max(n + 1, len(tri))):
+        if j == len(tri):
+            tri.append([[] for _ in range(j + 1)])
+        level, prev = tri[j], tri[j - 1]
+        for k, table in enumerate(level):
+            for r in range(len(table), top - j + 1):
+                if k == 0:  # <j 0> is the ordinary product; level 0 holds the rows of ones
+                    table.append(prev[0][r] if j else (1, [ctx.one] * (r + 1)))
+                    continue
+                d, v = _form_mul(kern[r + 1], prev[k - 1][r + 1])  # sigma(<j-1 k-1>)
+                if k < j:  # rho(<j-1 k>)
+                    e, w = prev[k][r + 1]
+                    d, v = _form_add((d, v), (e, w[1:]))
+                table.append(_form(d, v))
+    return tri[n]
 
 
 def extensional_eq(a: OperatorSum, b: OperatorSum, ctx: PsiContext, order: int) -> bool:

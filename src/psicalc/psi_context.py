@@ -24,11 +24,15 @@ the canonical scalars (an int when whole).  The weight rows of a chain of
 index pairs are products of kernel-row slices in the same form
 (``_chain_weights``), made only as a product reads them.
 
-Two tables are built only as they are read: ``psi_factorial`` extends the
-running product s_n! = s_1 * ... * s_n (s_0! = 1), and over symbolic q
+Three tables are built only as they are read: ``psi_factorial`` extends
+the running product s_n! = s_1 * ... * s_n (s_0! = 1); over symbolic q
 ``psi_binomial`` unpacks a q-binomial from its value at q = 2^bits, the
 one form the kernels use (``_binomials_at``), and keeps the last row it
-walked to, so reading a whole table is one walk per row.
+walked to, so reading a whole table is one walk per row; and
+``_weights`` holds the weight tables of the binomial operators <j k>,
+level j for j <= J with rows 0..T-j in canonical row forms, which
+``operator_algebra.binomial_weights`` grows append-only as requests for
+larger n or orders arrive.
 
 F(n, n) is deliberately left undefined: the defining relation
 s_n - s_k = F(n, k) * s_{n-k} says nothing at k = n, and every consumer in
@@ -131,7 +135,7 @@ class PsiContext:
     """One base sequence and its append-only tables."""
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
-                 "_scale", "_row", "zero", "one", "_spec", "_values", "_step")
+                 "_scale", "_row", "_weights", "zero", "one", "_spec", "_values", "_step")
 
     def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None):
         """``values`` starts the sequence; ``step(psi)`` gives each next value.
@@ -160,6 +164,7 @@ class PsiContext:
         init(self, "_kernel", [(1, [])])
         init(self, "_scale", [])
         init(self, "_row", (-1, 0, []))
+        init(self, "_weights", [])
         self._grow(1 if step else self.bound)
 
     def __setattr__(self, name, value):

@@ -25,7 +25,7 @@ from psicalc.calculus import (
 )
 from psicalc.coefficients import Q, scalar_eval
 from psicalc.errors import BadIndices, ContextMismatch, PsiCalcError
-from psicalc.operator_algebra import binomial_weights
+from psicalc.operator_algebra import binomial_operator
 from psicalc.psi_context import get_context
 from psicalc.series import _convolve, constant, cos_psi, e_psi, make_series, monomial, sin_psi
 from psicalc.verify import random_series
@@ -188,13 +188,16 @@ def test_leibniz_rejects_bad_counts_and_mixed_contexts(fib, nat):
 
 
 def leibniz_per_term(f, g, n):
-    """The reference: n + 1 separate weighted products over the weight tables, then summed."""
+    """The reference: n + 1 separate weighted products, then summed.
+
+    Each weighs by the rows of the chain expansion of <n k>, not by the
+    context's stored tables.
+    """
     m = min(f.order, g.order) - n
-    weights = binomial_weights(f.ctx, n, m)
     acc = None
     for k in range(n + 1):
         term = _convolve(f.derivative(n - k).truncate(m), g.derivative(k).truncate(m),
-                         weights[k] if k else None)
+                         binomial_operator(n, k)._weight_rows(f.ctx, m) if k else None)
         acc = term if acc is None else acc + term
     return acc
 
@@ -258,18 +261,37 @@ def test_leibniz_over_plain_sequences_is_one_sum(monkeypatch, spec):
     assert len(divisions) == 9 - 3 + 1
 
 
-@pytest.mark.parametrize("spec", ("q", "q=3/2"))
-def test_leibniz_over_q_analogs_builds_no_weight_tables(monkeypatch, spec):
+def refuse_weight_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError("weight tables built")
 
     monkeypatch.setattr(operator_algebra, "binomial_weights", refuse)
     monkeypatch.setattr(calculus, "binomial_weights", refuse)
+
+
+@pytest.mark.parametrize("spec", ("q", "q=3/2"))
+def test_leibniz_over_q_analogs_builds_no_weight_tables(monkeypatch, spec):
+    refuse_weight_tables(monkeypatch)
     ctx = get_context(spec)
     rng = random.Random(6)
     f, g = random_series(ctx, 8, rng), random_series(ctx, 7, rng)
     for n in range(5):
         assert general_leibniz(f, g, n) == (f * g).derivative(n)
+
+
+@pytest.mark.parametrize("spec", ("natural", "custom:[0,1,2,3,4,5,6,7,8,9,10,11,12]"))
+def test_leibniz_over_classical_sequences_reads_no_weight_tables(monkeypatch, spec):
+    # every kernel entry is 1 there, so <n k> weighs each term by C(n, k)
+    ctx = get_context(spec)
+    assert ctx.is_classical
+    rng = random.Random(8)
+    f, g = random_series(ctx, 12, rng), random_series(ctx, 10, rng)
+    want = [leibniz_per_term(f, g, n) for n in range(11)]
+    refuse_weight_tables(monkeypatch)
+    for n in range(11):
+        got = general_leibniz(f, g, n)
+        assert repr(got) == repr(want[n])
+        assert got == (f * g).derivative(n)
 
 
 # -- quotient and reciprocal -------------------------------------------------------

@@ -15,11 +15,12 @@ from psicalc.operator_algebra import (
     OperatorSum,
     ProductChain,
     binomial_operator,
+    binomial_weights,
     extensional_eq,
     rho,
     sigma,
 )
-from psicalc.psi_context import get_context
+from psicalc.psi_context import PsiContext, _form, _form_eq, _form_value, get_context
 from psicalc.series import _convolve, e_psi, make_series, monomial, zeros
 from psicalc.verify import custom_spec
 
@@ -252,6 +253,47 @@ def test_unrolled_recurrence():
                 acc = t if acc is None else acc + t
             acc = acc + sig_pow(binomial_operator(n - 1, 0), k)
             assert acc == binomial_operator(n, k), (n, k)
+
+
+# -- the weight tables of the triangle, stored per context ----------------------------
+
+# not classical: the values 2, 3, ... are not all s_n = n
+LONG_CUSTOM = "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13,-2,5/7,6,-1/3,8,17]"
+
+
+@pytest.mark.parametrize("spec", ("fib", LONG_CUSTOM, "q=3/2", "natural"))
+def test_binomial_weights_give_the_rule_on_monomials(spec):
+    # D^n(x^u x^(r+n-u)) at x^r: only c = u-n+k of term k survives, so
+    # sum_k C(r, c) W<n k>(r, c) = C(r+n, u)
+    ctx = get_context(spec)
+    for n in range(7):
+        tables = binomial_weights(ctx, n, 10)
+        for r in range(11):
+            for u in range(r + n + 1):
+                got = sum(ctx.psi_binomial(r, c) * _form_value(tables[k][r], c)
+                          for k in range(n + 1) if 0 <= (c := u - n + k) <= r)
+                assert got == ctx.psi_binomial(r + n, u), (n, r, u)
+
+
+@pytest.mark.parametrize("spec", ("fib", LONG_CUSTOM, "q=3/2"))
+def test_binomial_weights_grow_in_any_order(spec):
+    ctx = PsiContext.from_spec(spec)
+    assert ctx._weights == []
+    requests = ((2, 5), (6, 3), (3, 12), (8, 0))
+    stored = {}
+    for n, m in requests + requests[::-1]:
+        tables = binomial_weights(ctx, n, m)
+        assert stored.setdefault(n, tables) is tables
+        assert len(tables) == n + 1
+        for k, table in enumerate(tables):
+            assert len(table) > m
+            assert all(map(_form_eq, table, binomial_operator(n, k)._weight_rows(ctx, m)))
+        # level j holds rows 0..T-j, each a canonical form
+        top = len(ctx._weights[0][0]) - 1
+        for j, level in enumerate(ctx._weights):
+            assert [len(t) for t in level] == [top - j + 1] * (j + 1)
+            assert all(row == _form(*row) for t in level for row in t)
+    assert top == 15 and len(ctx._weights) == 9
 
 
 # -- action on series -----------------------------------------------------------------
