@@ -257,7 +257,7 @@ def test_unrolled_recurrence():
 
 # -- the weight tables of the triangle, stored per context ----------------------------
 
-# not classical: the values 2, 3, ... are not all s_n = n
+# not the classical list 0, 1, 2, ...; long enough for r + n = 16
 LONG_CUSTOM = "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13,-2,5/7,6,-1/3,8,17]"
 
 
