@@ -37,10 +37,8 @@ displays with dilated numerators over g(x) g(qx).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
 from typing import Sequence
 
-from .coefficients import _int_ratio, _integer_vector
 from .errors import BadIndices, PsiCalcError
 from .operator_algebra import (
     ORDINARY,
@@ -51,9 +49,8 @@ from .operator_algebra import (
     rho,
     sigma,
 )
-from .psi_context import _form_mul
-from .series import (Pair, WardSeries, _convolve, _sums, check_pair, constant,
-                     first_difference)
+from .psi_context import _weighting
+from .series import Pair, WardSeries, _convolve, check_pair, constant, first_difference
 
 
 @dataclass(frozen=True)
@@ -163,52 +160,26 @@ def product_rule_boxplus(f: WardSeries, g: WardSeries, first: Pair, second: Pair
 def general_leibniz(f: WardSeries, g: WardSeries, n: int) -> WardSeries:
     """sum_k <n k>(D^(n-k) f, D^k g), truncated to min(order) - n.
 
-    Over a q-analog, <n k> is C_q(n, k) times the ordinary product twisted
-    by q^(k i) on its (r, i) term, so the sum is n + 1 twisted products and
-    no weight table is built.  Over the other plain-rational contexts the
-    operands are cleared once, term k reads D^(n-k) f and D^k g as slices of
-    the cleared vectors, and its row sums, over the binomial rows times the
-    weight table of <n k>, add into one integer numerator per row; each
-    coefficient is divided once.  The weight tables are the context's
-    stored ones (``binomial_weights``).  Over a classical sequence
-    0, 1, 2, ... every kernel entry is 1, so <n k> weighs every term by
-    C(n, k): term k's row sums are scaled by it and no table is read.
+    One kernel call of n + 1 terms: term k reads D^(n-k) f and D^k g as
+    the operands at offsets (n-k, k) and weighs by <n k>.  Where
+    ``_weighting`` finds a power kernel F(n, k) = q^k (the q-analogs; q = 1
+    over 0, 1, 2, ...), <n k> is C(n, k) times the twist (k, 0), and no
+    weight table is built; otherwise it is the weight table of <n k> the
+    context stores (``binomial_weights``), and <n 0> the ordinary product.
     """
     if n < 0:
         raise BadIndices("derivative count must be nonnegative")
     g = f._peer(g)
     if min(f.order, g.order) < n:
         raise PsiCalcError(f"series orders too small for {n} derivatives")
-    ctx = f.ctx
-    m = min(f.order, g.order) - n
-    ctx._grow(m + n)
-    if ctx.q_scalar is not None:
-        acc = None
-        for k in range(n + 1):
-            term = _convolve(f.derivative(n - k).truncate(m), g.derivative(k).truncate(m),
-                             None, (k, 0)).scale(ctx.psi_binomial(n, k))
-            acc = term if acc is None else acc + term
-        return acc
-    weights = None if ctx.is_classical else binomial_weights(ctx, n, m)
-    da, va = _integer_vector(f._c[: m + n + 1])
-    db, vb = _integer_vector(g._c[: m + n + 1])
-    nums, dens = [0] * (m + 1), [1] * (m + 1)
-    for k in range(n + 1):
-        rows, c = ctx._binom, 1
-        if weights is None:
-            c = comb(n, k)
-        elif k:
-            rows = map(_form_mul, rows, weights[k])
-        for r, (d, s) in enumerate(_sums(rows, va[n - k : n - k + m + 1], vb[k : k + m + 1])):
-            s *= c
-            e = dens[r]
-            if d == e:
-                nums[r] += s
-            else:
-                e = lcm(d, e)
-                nums[r] = nums[r] * (e // dens[r]) + s * (e // d)
-                dens[r] = e
-    return WardSeries(ctx, [_int_ratio(x, e * da * db) for x, e in zip(nums, dens)])
+    ctx, m = f.ctx, min(f.order, g.order) - n
+    # <n n> = (1,0)...(n,0), which reads the tables through index m + n
+    if type(_weighting(ctx, [(i, 0) for i in range(1, n + 1)], False, m)) is tuple:
+        return _convolve(f, g, [(n - k, k, (k, 0, False), ctx.psi_binomial(n, k))
+                                for k in range(n + 1)])
+    tables = binomial_weights(ctx, n, m)
+    return _convolve(f, g, [(n - k, k, tables[k] if k else (0, 0, False), ctx.one)
+                            for k in range(n + 1)])
 
 
 def general_leibniz_report(f: WardSeries, g: WardSeries, n: int) -> RuleReport:

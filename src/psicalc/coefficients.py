@@ -422,17 +422,8 @@ class RatFuncQ:
         return cls._raw(PolyQ((value,)), _P_ONE)
 
     @property
-    def is_polynomial(self) -> bool:
-        return self.den == _P_ONE
-
-    @property
     def is_constant(self) -> bool:
         return self.den == _P_ONE and self.num.degree <= 0
-
-    def as_rational(self):
-        if not self.is_constant:
-            raise ValueError(f"{self} is not a constant")
-        return self.num._c[0] if self.num else 0
 
     def __bool__(self) -> bool:
         return bool(self.num)

@@ -22,19 +22,21 @@ The binomial operators follow the Pascal-style recurrence
 
 and are memoized per (n, k).
 
-A sum A acts on a series pair through one weight table,
+A sum A acts on a series pair through one call of the series module's
+weighted-sum kernel.  Its weight table is
 W_A(n, k) = sum of coefficient * prod F(n+i, k+j) over its chains (star
-chains mirrored to W(n, n-k)), fed to the one convolution loop of the
-series module.  The shift maps act on weights as well,
+chains mirrored to W(n, n-k)); where every kernel entry is a power
+F(n, k) = q^k a chain is a twist instead, and the chains that share a
+twist are one term with their coefficients added.  The shift maps act on
+weights as well,
 W_rho(A)(n, k) = W_A(n+1, k+1) and W_sigma(A)(n, k) = F(n+1, k) W_A(n+1, k),
 which builds the tables of a whole triangle row without expanding <n k>
 into its C(n, k) chains.  A context keeps the tables of the triangle
-once built and grows them on demand (``binomial_weights``); over a
-classical sequence every kernel entry is 1 and W_<n k> is the constant
-C(n, k), which callers use without reading a table.  Syntactic equality
-is equality of canonical forms; ``extensional_eq`` compares weight
-tables, which is equality of actions because
-A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
+once built and grows them on demand (``binomial_weights``); over a power
+kernel W_<n k>(r, c) = C(n, k) q^(k c), which callers use without reading
+a table.  Syntactic equality is equality of canonical forms;
+``extensional_eq`` compares weight tables, which is equality of actions
+because A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .coefficients import RatFuncQ, Scalar, embed_rational
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
-from .psi_context import (PsiContext, _chain_twist, _chain_weights, _form, _form_add, _form_eq,
-                          _form_mul, _form_scale, _form_value)
-from .series import Pair, WardSeries, _convolve, check_pair, zeros
+from .psi_context import (PsiContext, _form, _form_add, _form_eq, _form_mul, _form_scale,
+                          _form_value, _weighting)
+from .series import Pair, WardSeries, _convolve, check_pair
 
 
 class Flavor(Enum):
@@ -194,7 +196,7 @@ class OperatorSum:
         """
         table = None
         for t in self.terms:
-            w = _chain_weights(ctx, t.pairs, t.flavor is Flavor.STAR, m)
+            w = _weighting(ctx, t.pairs, t.flavor is Flavor.STAR, m, twist=False)
             c = _lift_coefficient(ctx, t.coefficient)
             if c != 1:
                 w = map(_form_scale, w, repeat(c))
@@ -202,27 +204,20 @@ class OperatorSum:
         return iter([(1, [ctx.zero] * (n + 1)) for n in range(m + 1)]) if table is None else table
 
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
+        """One kernel call: a term per distinct twist, or the summed weight rows.
+
+        Chains with the same twist (a power kernel, ``_weighting``) act
+        alike, so their coefficients are added first.
+        """
         o = f._peer(g)
-        if self == ORDINARY:
-            return _convolve(f, o, None)
         ctx, m = f.ctx, min(f.order, o.order)
-        if ctx.q_scalar is None:
-            return _convolve(f, o, self._weight_rows(ctx, m))
-        # over a q-analog a chain weighs by q^(P k + J) (WardSeries.chain), so
-        # the chains of one flavor, P and J act alike: one product per twist
         twists: dict = {}
         for t in self.terms:
-            key = (t.flavor is Flavor.STAR, *_chain_twist(ctx, t.pairs, m))
-            c = _lift_coefficient(ctx, t.coefficient)
-            pairs, total = twists.get(key, (t.pairs, ctx.zero))
-            twists[key] = pairs, total + c
-        out = None
-        for (star, _, _), (pairs, c) in twists.items():
-            if c:
-                term = f.chain(o, pairs, star)
-                term = term if c == 1 else term.scale(c)
-                out = term if out is None else out + term
-        return zeros(ctx, m) if out is None else out
+            w = _weighting(ctx, t.pairs, t.flavor is Flavor.STAR, m)
+            if type(w) is not tuple:
+                return _convolve(f, o, [(0, 0, self._weight_rows(ctx, m), ctx.one)])
+            twists[w] = twists.get(w, ctx.zero) + _lift_coefficient(ctx, t.coefficient)
+        return _convolve(f, o, [(0, 0, w, c) for w, c in twists.items() if c])
 
     def render(self) -> str:
         if not self.terms:
@@ -271,11 +266,11 @@ def binomial_operator(n: int, k: int) -> OperatorSum:
 def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
     """Weight tables of <n 0>, ..., <n n> through row m, from the context's triangle.
 
-    The context keeps the tables of <j k> for j <= J, level j with rows
-    0..T-j, in canonical row forms (``PsiContext._weights``).  A request
-    appends levels up to J >= n and rows to every level up to T >= m + n;
-    a level's new rows come from the rows of the level before, just
-    appended, by the shift maps
+    The context keeps the tables of <j k> for j <= J in canonical row forms
+    (``PsiContext._weights``).  A request appends levels up to J >= n and
+    grows only levels 0..n, level j to rows 0..m+n-j, each as far as the
+    level after it reads; a level's new rows come from the rows of the
+    level before, just appended, by the shift maps
 
         W<j k>(r, c) = W<j-1 k>(r+1, c+1) + F(r+1, c) W<j-1 k-1>(r+1, c).
 
@@ -284,13 +279,13 @@ def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
     """
     ctx._grow(m + n)
     tri = ctx._weights
-    kern, top = ctx._kernel, max(m + n, len(tri[0][0]) - 1 if tri else 0)
-    for j in range(max(n + 1, len(tri))):
+    kern = ctx._kernel
+    for j in range(n + 1):
         if j == len(tri):
             tri.append([[] for _ in range(j + 1)])
         level, prev = tri[j], tri[j - 1]
         for k, table in enumerate(level):
-            for r in range(len(table), top - j + 1):
+            for r in range(len(table), m + n - j + 1):
                 if k == 0:  # <j 0> is the ordinary product; level 0 holds the rows of ones
                     table.append(prev[0][r] if j else (1, [ctx.one] * (r + 1)))
                     continue

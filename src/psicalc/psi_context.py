@@ -20,9 +20,12 @@ is a positive int, v holds ints and gcd(d, *v) == 1, which makes the form
 canonical; the series kernels then sum on ints and divide once per result
 coefficient.  Over symbolic q every entry carries its own denominator, so
 d is 1 and v holds the rational functions themselves.  The accessors give
-the canonical scalars (an int when whole).  The weight rows of a chain of
-index pairs are products of kernel-row slices in the same form
-(``_chain_weights``), made only as a product reads them.
+the canonical scalars (an int when whole).  How a chain of index pairs
+weighs a product is decided here, in ``_weighting``: where every kernel
+entry is a power F(n, k) = q^k (the q-analogs, and q = 1 over the
+sequence 0, 1, 2, ...) it is a twist, a power of q per term, and no rows
+are built; otherwise it is weight rows, products of kernel-row slices in
+the same form, made only as a product reads them.
 
 Three tables are built only as they are read: ``psi_factorial`` extends
 the running product s_n! = s_1 * ... * s_n (s_0! = 1); over symbolic q
@@ -30,9 +33,9 @@ the running product s_n! = s_1 * ... * s_n (s_0! = 1); over symbolic q
 one form the kernels use (``_binomials_at``), and keeps the last row it
 walked to, so reading a whole table is one walk per row; and
 ``_weights`` holds the weight tables of the binomial operators <j k>,
-level j for j <= J with rows 0..T-j in canonical row forms, which
+level j for j <= J in canonical row forms, which
 ``operator_algebra.binomial_weights`` grows append-only as requests for
-larger n or orders arrive.
+larger n or orders arrive, each level only as far as some request read.
 
 F(n, n) is deliberately left undefined: the defining relation
 s_n - s_k = F(n, k) * s_{n-k} says nothing at k = n, and every consumer in
@@ -60,8 +63,6 @@ from functools import lru_cache
 from itertools import islice
 from math import comb, gcd, lcm
 from operator import add, mul
-from typing import Iterator
-
 from .coefficients import (_INT_ONLY, _P_ONE, Q, RatFuncQ, Scalar, _digit_bits, _from_integer,
                            _int_ratio, _integer_vector, _norm_rat, _unpack, embed_rational,
                            parse_rational)
@@ -126,8 +127,10 @@ def _form_scale(f: tuple, c: Scalar) -> tuple:
     return d * c.denominator, [c.numerator * x for x in v]
 
 
-def _parts(q: Scalar) -> tuple:
-    """(u, w) with q = u / w in lowest terms; over symbolic q, (q, 1)."""
+def _parts(q: Scalar | None) -> tuple:
+    """(u, w) with q = u / w in lowest terms; over symbolic q, (q, 1); q None is 1."""
+    if q is None:
+        return 1, 1
     return (q, 1) if isinstance(q, RatFuncQ) else (q.numerator, q.denominator)
 
 
@@ -384,14 +387,23 @@ def _check_scalars(ctx: PsiContext, values) -> tuple:
     return tuple([_check_scalar(ctx, x) for x in c])
 
 
-def _chain_weights(ctx: PsiContext, pairs, star: bool, m: int) -> Iterator:
-    """Rows W(n, k) = prod F(n+i, base+j) over the pairs, one row form per n <= m.
+def _weighting(ctx: PsiContext, pairs, star: bool, m: int, twist: bool = True):
+    """How a chain of index pairs weighs the (n, k) term for n <= m.
 
-    ``base`` is k for the asterisk flavor and n-k for the star flavor; the
-    empty chain weighs every term by one.  The rows are made as they are
-    read, so a product holds one at a time.
+    The weight is W(n, k) = prod F(n+i, base+j) over the pairs, ``base``
+    k for the asterisk flavor and n-k for the star flavor.  Where every
+    kernel entry is a power F(n, k) = q^k (the q-analogs; q = 1 over
+    0, 1, 2, ...), W(n, k) = q^(P base + J) with P pairs and J the sum of
+    the j, and the chain is the twist (P, J, star); so is the empty chain,
+    which weighs by one everywhere.  This is the one place that decides
+    it.  Otherwise, or with ``twist`` false, the chain is its weight rows,
+    one row form per n, made as they are read, so a product holds one at
+    a time.  The tables are grown first either way, so a zero sequence
+    value (q = -1 has s_2 = 0) is refused.
     """
-    ctx._grow(m + max((i for i, _ in pairs), default=0))
+    ctx._grow(m + max(pairs, default=(0, 0))[0])
+    if twist and (not pairs or ctx.q_scalar is not None or ctx.is_classical):
+        return len(pairs), sum([j for _, j in pairs]), star
     kern, one = ctx._kernel, ctx.one
 
     def rows():
@@ -407,13 +419,6 @@ def _chain_weights(ctx: PsiContext, pairs, star: bool, m: int) -> Iterator:
             yield row or (1, [one] * (n + 1))
 
     return rows()
-
-
-def _chain_twist(ctx: PsiContext, pairs, m: int) -> tuple:
-    """(P, J), J = sum j: over a q-analog, F(n, k) = q^k weighs a chain by q^(P k + J)."""
-    # grown as for _chain_weights, which refuses a zero value (q = -1 has s_2 = 0)
-    ctx._grow(m + max((i for i, _ in pairs), default=0))
-    return len(pairs), sum(j for _, j in pairs)
 
 
 _CONTEXTS: dict[str, PsiContext] = {}

@@ -15,19 +15,22 @@ Three product families live side by side:
   as the one-sided unit actions of the weighted products.
 
 Index pairs (i, j) always satisfy 0 <= j < i, which keeps every kernel
-lookup inside its domain.  The empty chain is the ordinary product; every
-product runs through one convolution loop fed rows of those weights, and
-division through one forward-substitution loop.  Over a q-analog, where
-F(n, k) = q^k, a chain needs no weight rows: it is an ordinary product
-with powers of q folded into the loop.  Both loops run on Python ints for
-both scalar variants, fraction-free: denominators are cleared once, the
-sums are integer dot products, and each result coefficient is divided
-once.  Plain rationals read cleared binomial rows, an integer vector over
-one denominator per row, and division scales row n by the least G_n that
-keeps every step integral.  Over symbolic q every polynomial is evaluated
-at q = 2^bits (Kronecker substitution), so a result coefficient is one
-packed big-int sum that is unpacked once, and bits comes from running the
-same loop on |.|_1 norms.
+lookup inside its domain.  The empty chain is the ordinary product.
+Every product, every operator sum and the general Leibniz rule runs
+through one weighted-sum kernel (``_convolve``), which takes a list of
+terms, each an operand offset pair, a weighting and a scalar, and
+division through one forward-substitution loop.  A weighting is weight
+rows, or, where F(n, k) = q^k (``psi_context._weighting`` decides), a
+twist: an ordinary product with powers of q folded into the loop.  Both
+loops run on Python ints for both scalar variants, fraction-free:
+denominators are cleared once, the sums are integer dot products, every
+term adds into one numerator per result coefficient, and each result
+coefficient is divided once.  Plain rationals read cleared binomial
+rows, an integer vector over one denominator per row, and division
+scales row n by the least G_n that keeps every step integral.  Over
+symbolic q every polynomial is evaluated at q = 2^bits (Kronecker
+substitution), so a result coefficient is one packed big-int sum that is
+unpacked once, and bits comes from running the same loop on |.|_1 norms.
 
 Binary operations demand the *same context object* on both sides and
 truncate to the smaller order.  The derivative maps a_n to a_{n+1} (one
@@ -38,8 +41,9 @@ from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from itertools import islice
-from operator import mul
+from itertools import accumulate, islice, repeat
+from math import lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .coefficients import (
@@ -69,8 +73,8 @@ from .errors import (
     PsiCalcError,
     echo,
 )
-from .psi_context import (PsiContext, _chain_twist, _chain_weights, _check_scalar,
-                          _check_scalars, _form_mul, _form_value, _parts, get_context)
+from .psi_context import (PsiContext, _check_scalar, _check_scalars, _form_mul, _form_value,
+                          _parts, _weighting, get_context)
 
 Pair = tuple[int, int]
 
@@ -87,78 +91,94 @@ def check_pair(pair) -> Pair:
     return (i, j)
 
 
-def _sums(binom, a, b) -> list:
-    """(D_n, sum_k v_n[k] a_k b_{n-k}) for each n < len(a), over any ring.
+def _convolve(f, g, terms: list) -> "WardSeries":
+    """c_n = sum over terms (i, j, W, c) of c sum_k C(n,k) W(n,k) a_{k+i} b_{n-k+j}.
 
-    ``binom`` yields row forms (D_n, v_n) in order: the binomial rows, or
-    their products with the weight rows.  The division by D_n is left to
-    the caller.  Each sum is one dot product in C, a_k b_{n-k} formed first,
-    so a big binomial takes one multiplication per term.
-    """
-    # b reversed: row n reads its last n + 1 entries, b_n down to b_0
-    m, rb = len(a), b[len(a) - 1 :: -1]
-    return [(den, sum(map(mul, row, map(mul, a, islice(rb, m - 1 - n, None)))))
-            for n, (den, row) in zip(range(m), binom)]
-
-
-def _convolve(f: "WardSeries", g: "WardSeries", weight: Iterable | None,
-              twist: tuple = (0, 0)) -> "WardSeries":
-    """c_n = sum_k C(n,k) a_k b_{n-k} W(n,k), up to the smaller order.
-
-    Every product of the package runs through this function.  ``weight`` is
-    None for the ordinary product, else yields a row form per n.  Both
-    scalar variants sum on Python ints: the operands' denominators are
-    cleared once per series, each weight row is multiplied into its
-    binomial row, and each c_n is one integer dot product divided once.
-    Plain rationals use the binomial rows as the context stores them,
-    cleared, and take the weight rows one at a time.  Over symbolic q the
-    weight rows are cleared once each, and every integer polynomial is
-    evaluated at q = 2^bits (Kronecker substitution), so the dot product
-    is a packed big-int sum unpacked once; the bits come from the same sums
-    run on |.|_1 norms, an exact bound on every coefficient.  ``twist`` =
-    (P, J) weighs the (n, k) term of a q-analog by q^(P k + J), with no
-    weight rows: at q = 2^bits a shift of each binomial entry and packed
-    sum, as |q^s p|_1 = |p|_1; for q = u/w, u^(P k + J) and w^(P (n - k))
-    dilate the operands and w^(P n + J) joins the one division.
+    The package's one weighted-sum kernel: every product, operator sum and
+    Leibniz rule is a list of terms, summed into one integer numerator per
+    c_n and divided once.  A weighting W is weight rows, one row form per
+    n, or a twist (P, J, star) for a power kernel F(n, k) = q^k, which
+    weighs by q^(P k + J), or by q^(P (n-k) + J) for star, with no weight
+    rows; C(n, k) = C(n, n-k) makes star the asterisk twist with the
+    operand slices swapped.  c_n runs to the largest n that every term
+    reaches.  The operands' denominators are cleared once.  Plain
+    rationals sum on ints: a term's row sums, over the binomial rows the
+    context stores cleared (times its weight rows), are scaled by c, and
+    the terms meet over the lcm of their row denominators.  For
+    q = u/w a twist multiplies the operand slices by u^(P k + J) and
+    w^(P k), and w^(P n + J) joins the row denominator.  Over symbolic q
+    the scalars and the weight rows, c folded in, are cleared together
+    over one denominator, and every integer polynomial is evaluated at
+    q = 2^bits (Kronecker substitution), so c_n is one packed big-int sum
+    unpacked once; the bits come from the same sums run on |.|_1 norms, an
+    exact bound on every coefficient.  There a twist is a shift of each
+    binomial entry by bits P k and of the term's packed scalar by bits J,
+    as |q^s p|_1 = |p|_1.  Row n of a term is one dot product in C,
+    sum_k v[k] (a_k b_{n-k}) with b_n down to b_0 a reversed slice, so a big
+    binomial takes one multiplication per term.
     """
     ctx = f.ctx
-    m = min(len(f._c), len(g._c))
+    i, j = map(max, zip((0, 0), *terms))
+    m = min(len(f._c) - i, len(g._c) - j)
     clear = _integer_forms if ctx.symbolic else _integer_vector
-    da, va = clear(f._c[:m])
-    db, vb = clear(g._c[:m])
-    p, shift = twist
+    (da, va), (db, vb) = clear(f._c[: m + i]), clear(g._c[: m + j])
     if not ctx.symbolic:
-        rows = ctx._binom if weight is None else map(_form_mul, ctx._binom, weight)
-        if p:
-            u, w = _parts(ctx.q_scalar)
-            va = [x * u ** (p * k + shift) for k, x in enumerate(va)]
-            vb = [x * w ** (p * k) for k, x in enumerate(vb)]
-            rows = ((d * w ** (p * n + shift), v) for n, (d, v) in enumerate(rows))
-        return WardSeries(ctx, [_int_ratio(x, da * db * d) for d, x in _sums(rows, va, vb)])
-    dens = [da * db] * m
-    wv = None
-    if weight is not None:
-        # a symbolic row form has denominator 1 and rational-function entries
-        forms = [_integer_forms(v) for _, v in islice(weight, m)]
-        dens = [d * dw for d, (dw, _) in zip(dens, forms)]
-        wv = [v for _, v in forms]
+        # lists: b_n down to b_0 is a reversed slice, and CPython 3.11 files
+        # freed 20-tuples in a free list it never draws from
+        va, vb = list(va), list(vb)
+        dc, vc = _integer_vector([c for *_, c in terms])
+        den, (u, w) = da * db * dc, _parts(ctx.q_scalar)
+        nums, dens = [0] * m, [1] * m
+        for (i, j, wt, _), c in zip(terms, vc):
+            a, b, rows = va[i : i + m], vb[j : j + m], ctx._binom
+            if type(wt) is tuple:
+                p, s, star = wt
+                if star:
+                    a, b = b, a
+                if (p or s) and u * w != 1:
+                    a = [x * u ** (p * k + s) for k, x in enumerate(a)]
+                    b = [x * w ** (p * k) for k, x in enumerate(b)]
+                    rows = ((d * w ** (p * n + s), v) for n, (d, v) in enumerate(rows))
+            else:
+                rows = map(_form_mul, rows, wt)
+            # the terms meet over the lcm of their row denominators
+            for r, (d, v) in zip(range(m), rows):
+                x, e = sum(map(mul, v, map(mul, a, b[r::-1]))) * c, dens[r]
+                if d == e:
+                    nums[r] += x
+                elif not nums[r]:
+                    nums[r], dens[r] = x, d
+                else:
+                    dens[r] = l = lcm(d, e)
+                    nums[r] = nums[r] * (l // e) + x * (l // d)
+        return WardSeries(ctx, [_int_ratio(x, d * den) for x, d in zip(nums, dens)])
+    # a symbolic row form has denominator 1 and rational-function entries
+    dc, vc = _integer_forms([x for _, _, wt, c in terms for x in (
+        [c] if type(wt) is tuple else [c * y for _, row in islice(wt, m) for y in row])])
 
-    def inputs(fn):
-        # fn of every operand and weight vector; the weights as row forms
-        return ([fn(v) for v in va], [fn(v) for v in vb],
-                None if wv is None else [(1, [fn(x) for x in row]) for row in wv])
+    def sums(bits, pa, pb, pc):
+        # every term's sums at q = 2^bits, added up, from the vectors evaluated there
+        out, pc = None, iter(pc)
+        for i, j, wt, _ in terms:
+            a, b, c, s = pa[i : i + m], pb[j : j + m], 1, 0
+            if type(wt) is tuple:
+                p, s, star = wt
+                if star:
+                    a, b = b, a
+                rows, c, s = ctx._binomials_at(bits, bits * p), next(pc), bits * s
+            else:
+                rows = map(_form_mul, ctx._binomials_at(bits),
+                           [(1, list(islice(pc, n + 1))) for n in range(m)])
+            part = [sum(map(mul, v, map(mul, a, b[n::-1]))) * c << s
+                    for n, (_, v) in zip(range(m), rows)]
+            out = part if out is None else list(map(add, out, part))
+        return out or [0] * m
 
-    def sums(bits, a, b, w):
-        # _sums with the binomials at q = 2^bits, times q^(P k) when twisted
-        rows = ctx._binomials_at(bits, bits * p)
-        return [x for _, x in _sums(rows if w is None else map(_form_mul, rows, w), a, b)]
-
-    na, nb, nw = inputs(_norm)
-    bound = max(na + nb + [x for _, row in nw or () for x in row] + sums(0, na, nb, nw))
-    bits = _digit_bits(bound)
-    out = sums(bits, *inputs(lambda v: _pack(v, bits)))
-    return WardSeries(ctx, [_from_integer(_unpack(x << bits * shift, bits), d)
-                            for x, d in zip(out, dens)])
+    # |.|_1 norms at q = 1 bound every coefficient
+    norms = [[_norm(v) for v in x] for x in (va, vb, vc)]
+    bits, den = _digit_bits(max(sum(norms, []) + sums(0, *norms))), da * db * dc
+    packed = ([_pack(v, bits) for v in x] for x in (va, vb, vc))
+    return WardSeries(ctx, [_from_integer(_unpack(x, bits), den) for x in sums(bits, *packed)])
 
 
 def _substitute(binom, a, b, scale) -> tuple[list, list]:
@@ -173,15 +193,13 @@ def _substitute(binom, a, b, scale) -> tuple[list, list]:
     b0^(j-1) b_j, so a term costs what it would with division.
     """
     m, b0 = len(a), b[0]
-    power = [1]
-    for _ in range(m):
-        power.append(power[-1] * b0)
+    power = list(accumulate(repeat(b0, m), mul, initial=1))
     # b0^(j-1) b_j from j = m-1 down to 1: row n reads its last n entries
     scaled = [b[j] * power[j - 1] for j in range(m - 1, 0, -1)]
     e: list = []
     lifted: list = []
     for n, (den, row), g in zip(range(m), binom, scale):
-        s = sum(map(mul, row, map(mul, lifted, islice(scaled, m - 1 - n, None))))
+        s = sum(map(mul, row, map(mul, lifted, scaled[m - 1 - n :])))
         step = g // scale[n - 1] if n else 1
         if step != 1:
             lifted = [x * step for x in lifted]
@@ -245,14 +263,10 @@ class WardSeries:
         return other
 
     def __add__(self, other) -> "WardSeries":
-        o = self._peer(other)
-        m = min(len(self._c), len(o._c))
-        return WardSeries(self.ctx, [self._c[n] + o._c[n] for n in range(m)])
+        return WardSeries(self.ctx, list(map(add, self._c, self._peer(other)._c)))
 
     def __sub__(self, other) -> "WardSeries":
-        o = self._peer(other)
-        m = min(len(self._c), len(o._c))
-        return WardSeries(self.ctx, [self._c[n] - o._c[n] for n in range(m)])
+        return WardSeries(self.ctx, list(map(sub, self._c, self._peer(other)._c)))
 
     def __neg__(self) -> "WardSeries":
         return WardSeries(self.ctx, [-x for x in self._c])
@@ -281,9 +295,7 @@ class WardSeries:
     def truncate(self, order: int) -> "WardSeries":
         if order < 0 or order > self.order:
             raise IndexOutOfBound(f"cannot truncate order {self.order} to {order}")
-        if order == self.order:
-            return self
-        return WardSeries(self.ctx, self._c[: order + 1])
+        return self if order == self.order else WardSeries(self.ctx, self._c[: order + 1])
 
     # -- products -------------------------------------------------------------
 
@@ -297,11 +309,7 @@ class WardSeries:
         o = self._peer(other)
         chain = tuple(check_pair(p) for p in pairs)
         m = min(len(self._c), len(o._c)) - 1
-        if self.ctx.q_scalar is None:
-            return _convolve(self, o, _chain_weights(self.ctx, chain, star, m) if chain else None)
-        # C(n, k) = C(n, n-k) makes star the asterisk flavor with the operands swapped
-        f, g = (o, self) if star else (self, o)
-        return _convolve(f, g, None, _chain_twist(self.ctx, chain, m))
+        return _convolve(self, o, [(0, 0, _weighting(self.ctx, chain, star, m), self.ctx.one)])
 
     def fontane(self, other, i: int, j: int) -> "WardSeries":
         return self.chain(other, ((i, j),))
@@ -313,31 +321,29 @@ class WardSeries:
 
     def diag_m(self, i: int, j: int) -> "WardSeries":
         """Scale a_n by F(n+i, n+j); the right-unit action of the weighted product."""
-        i, j = check_pair((i, j))
-        ctx = self.ctx
-        ctx._grow(self.order + i)
-        kern = ctx._kernel
-        return WardSeries(ctx, [x * _form_value(kern[n + i], n + j) for n, x in enumerate(self._c)])
+        return self._diag(i, j, 1)
 
     def diag_l(self, i: int, j: int) -> "WardSeries":
         """Scale a_n by F(n+i, j); the left-unit action.  j = 0 is the identity."""
+        return self._diag(i, j, 0)
+
+    def _diag(self, i: int, j: int, step: int) -> "WardSeries":
+        # a_n times F(n+i, step n + j)
         i, j = check_pair((i, j))
         ctx = self.ctx
         ctx._grow(self.order + i)
         kern = ctx._kernel
-        return WardSeries(ctx, [x * _form_value(kern[n + i], j) for n, x in enumerate(self._c)])
+        return WardSeries(ctx, [x * _form_value(kern[n + i], step * n + j)
+                                for n, x in enumerate(self._c)])
 
     # -- derivative and division ---------------------------------------------------
 
     def derivative(self, times: int = 1) -> "WardSeries":
         if times < 0:
             raise BadIndices("derivative count must be nonnegative")
-        f = self
-        for _ in range(times):
-            if f.order == 0:
-                raise OrderZero("derivative of an order-0 series")
-            f = WardSeries(f.ctx, f._c[1:])
-        return f
+        if times > self.order:
+            raise OrderZero("derivative of an order-0 series")
+        return WardSeries(self.ctx, self._c[times:]) if times else self
 
     def divide(self, other) -> "WardSeries":
         """Fraction-free forward substitution against the product convolution.
@@ -382,13 +388,9 @@ class WardSeries:
 
     def dilate(self, factor: Scalar) -> "WardSeries":
         """Coefficientwise x -> factor * x, i.e. a_n -> factor^n a_n."""
-        factor = _check_scalar(self.ctx, factor)
-        out = []
-        power = self.ctx.one
-        for x in self._c:
-            out.append(x * power)
-            power = power * factor
-        return WardSeries(self.ctx, out)
+        powers = accumulate(repeat(_check_scalar(self.ctx, factor), self.order), mul,
+                            initial=self.ctx.one)
+        return WardSeries(self.ctx, list(map(mul, self._c, powers)))
 
     def q_dilate(self, times: int = 1) -> "WardSeries":
         """x -> q^times x, for q-analog contexts only."""
@@ -447,13 +449,8 @@ def series_header(data) -> tuple[str, int, list]:
 
 def make_series(ctx: PsiContext, values: Iterable) -> WardSeries:
     """Build a series, lifting plain rationals into the context's variant."""
-    coeffs = []
-    for v in values:
-        if isinstance(v, numbers.Rational):
-            coeffs.append(ctx.from_rational(v))
-        else:
-            coeffs.append(v)
-    return WardSeries(ctx, coeffs)
+    return WardSeries(ctx, [ctx.from_rational(v) if isinstance(v, numbers.Rational) else v
+                            for v in values])
 
 
 def zeros(ctx: PsiContext, order: int) -> WardSeries:
@@ -484,24 +481,14 @@ def e_psi(ctx: PsiContext, order: int) -> WardSeries:
 
 def sin_psi(ctx: PsiContext, order: int) -> WardSeries:
     """a_{2m+1} = (-1)^m, even coefficients zero."""
-    out = []
-    for n in range(order + 1):
-        if n % 2:
-            out.append(ctx.from_int(-1 if (n // 2) % 2 else 1))
-        else:
-            out.append(ctx.zero)
-    return WardSeries(ctx, out)
+    return WardSeries(ctx, [ctx.from_int(-1 if n // 2 % 2 else 1) if n % 2 else ctx.zero
+                            for n in range(order + 1)])
 
 
 def cos_psi(ctx: PsiContext, order: int) -> WardSeries:
     """a_{2m} = (-1)^m, odd coefficients zero."""
-    out = []
-    for n in range(order + 1):
-        if n % 2:
-            out.append(ctx.zero)
-        else:
-            out.append(ctx.from_int(-1 if (n // 2) % 2 else 1))
-    return WardSeries(ctx, out)
+    return WardSeries(ctx, [ctx.zero if n % 2 else ctx.from_int(-1 if n // 2 % 2 else 1)
+                            for n in range(order + 1)])
 
 
 # -- functional aliases --------------------------------------------------------
@@ -546,9 +533,5 @@ def first_difference(f: WardSeries, g: WardSeries) -> int | None:
     if f.ctx is not g.ctx:
         raise ContextMismatch("cannot compare series over different contexts")
     m = min(len(f._c), len(g._c))
-    for n in range(m):
-        if f._c[n] != g._c[n]:
-            return n
-    if len(f._c) != len(g._c):
-        return m
-    return None
+    return next((n for n in range(m) if f._c[n] != g._c[n]),
+                None if len(f._c) == len(g._c) else m)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psicalc import calculus, operator_algebra
+from psicalc import calculus, operator_algebra, series
 from psicalc.calculus import (
     RuleReport,
     compare,
@@ -197,7 +197,7 @@ def leibniz_per_term(f, g, n):
     acc = None
     for k in range(n + 1):
         term = _convolve(f.derivative(n - k).truncate(m), g.derivative(k).truncate(m),
-                         binomial_operator(n, k)._weight_rows(f.ctx, m) if k else None)
+                         [(0, 0, binomial_operator(n, k)._weight_rows(f.ctx, m), f.ctx.one)])
         acc = term if acc is None else acc + term
     return acc
 
@@ -240,25 +240,26 @@ def test_leibniz_matches_the_per_term_reference(case):
     assert repr(general_leibniz(f, g, n)) == repr(leibniz_per_term(f, g, n))
 
 
-@pytest.mark.parametrize("spec", ("natural", "fib"))
+@pytest.mark.parametrize("spec", ("natural", "fib", "q", "q=3/2"))
 def test_leibniz_over_plain_sequences_is_one_sum(monkeypatch, spec):
+    # one kernel call, and one division (plain) or one unpack (symbolic q) per coefficient
     ctx = get_context(spec)
     rng = random.Random(4)
     f, g = random_series(ctx, 9, rng), random_series(ctx, 11, rng)
     want = leibniz_per_term(f, g, 3)
-    divisions, ratio = [], calculus._int_ratio
+    calls = {"kernel": 0, "finish": 0}
 
-    def int_ratio(x, d):
-        divisions.append(d)
-        return ratio(x, d)
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
 
-    def refuse(*args):
-        raise AssertionError("per-term product")
-
-    monkeypatch.setattr(calculus, "_int_ratio", int_ratio)
-    monkeypatch.setattr(calculus, "_convolve", refuse)
+    monkeypatch.setattr(calculus, "_convolve", counted("kernel", calculus._convolve))
+    finish = "_unpack" if ctx.symbolic else "_int_ratio"
+    monkeypatch.setattr(series, finish, counted("finish", getattr(series, finish)))
     assert general_leibniz(f, g, 3) == want
-    assert len(divisions) == 9 - 3 + 1
+    assert calls == {"kernel": 1, "finish": 9 - 3 + 1}
 
 
 def refuse_weight_tables(monkeypatch):

@@ -280,7 +280,7 @@ def test_binomial_weights_grow_in_any_order(spec):
     ctx = PsiContext.from_spec(spec)
     assert ctx._weights == []
     requests = ((2, 5), (6, 3), (3, 12), (8, 0))
-    stored = {}
+    stored, reached = {}, {}
     for n, m in requests + requests[::-1]:
         tables = binomial_weights(ctx, n, m)
         assert stored.setdefault(n, tables) is tables
@@ -288,12 +288,25 @@ def test_binomial_weights_grow_in_any_order(spec):
         for k, table in enumerate(tables):
             assert len(table) > m
             assert all(map(_form_eq, table, binomial_operator(n, k)._weight_rows(ctx, m)))
-        # level j holds rows 0..T-j, each a canonical form
-        top = len(ctx._weights[0][0]) - 1
+        # a request reaches levels 0..n and needs rows 0..m+n-j of level j;
+        # a level holds what its largest request needed, each row canonical
+        for j in range(n + 1):
+            reached[j] = max(reached.get(j, 0), m + n - j + 1)
         for j, level in enumerate(ctx._weights):
-            assert [len(t) for t in level] == [top - j + 1] * (j + 1)
+            if j <= n:
+                assert all(len(t) >= m + n - j + 1 for t in level)
+            assert [len(t) for t in level] == [reached[j]] * (j + 1)
             assert all(row == _form(*row) for t in level for row in t)
-    assert top == 15 and len(ctx._weights) == 9
+    assert len(ctx._weights[0][0]) == 16 and len(ctx._weights) == 9
+
+
+def test_binomial_weights_grow_only_the_levels_a_request_reaches():
+    ctx = PsiContext.from_spec("fib")
+    binomial_weights(ctx, 8, 0)
+    before = [[len(t) for t in level] for level in ctx._weights]
+    binomial_weights(ctx, 1, 60)
+    assert [[len(t) for t in level] for level in ctx._weights][2:] == before[2:]
+    assert [len(t) for t in ctx._weights[1]] == [61, 61]
 
 
 # -- action on series -----------------------------------------------------------------
@@ -465,9 +478,13 @@ def test_extensional_eq_matches_monomial_enumeration(spec, data):
     assert extensional_eq(a, b, ctx, order) == monomial_pairs_agree(a, b, ctx, order)
 
 
-# -- operator sums over q-analogs: one twisted product per twist ----------------------
+# -- operator sums over power kernels: one twisted product per twist ------------------
+#
+# F(n, k) = q^k over the q-analogs, and with q = 1 over the classical
+# sequence 0, 1, 2, ...; the weight rows stay the oracle there.
 
 Q_ANALOG_SPECS = ("q", "q=3/2", "q=-2/3")
+POWER_KERNEL_SPECS = Q_ANALOG_SPECS + ("natural", "custom:[0,1,2,3,4,5,6,7,8,9,10,11,12]")
 
 
 @st.composite
@@ -487,14 +504,14 @@ def twisted_sums(draw, symbolic):
     return a
 
 
-@pytest.mark.parametrize("spec", Q_ANALOG_SPECS)
+@pytest.mark.parametrize("spec", POWER_KERNEL_SPECS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_q_analog_apply_matches_weight_rows(spec, data):
     ctx = get_context(spec)
     a = data.draw(twisted_sums(ctx.symbolic))
     f, g = data.draw(series_pairs(spec))
-    want = _convolve(f, g, a._weight_rows(ctx, min(f.order, g.order)))
+    want = _convolve(f, g, [(0, 0, a._weight_rows(ctx, min(f.order, g.order)), ctx.one)])
     got = a.apply(f, g)
     assert repr(got) == repr(want)
     assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
