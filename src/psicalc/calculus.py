@@ -138,7 +138,7 @@ def product_rule_ordinary(f: WardSeries, g: WardSeries) -> tuple[RuleReport, Rul
 
 def product_rule_chain(f: WardSeries, g: WardSeries, pairs: Sequence[Pair],
                        star: bool = False) -> RuleReport:
-    pairs = tuple(check_pair(p) for p in pairs)
+    pairs = tuple([check_pair(p) for p in pairs])
     flavor = "star" if star else "asterisk"
     label = "".join(f"({i},{j})" for i, j in pairs) or "empty"
     return _product_rule(f"product.chain.{flavor}.{label}", OperatorSum.single(pairs), f, g,

@@ -15,6 +15,13 @@ rational constant into the q-field say so with ``embed_rational``.
 
 ``PolyQ`` stores dense coefficients ``(a_0, ..., a_n)`` in ascending degree
 with no trailing zeros; the zero polynomial is the empty tuple.
+
+Every rational function is reduced by one integer-only canonicalizer,
+``_canonical``, from an integer numerator and denominator vector: the gcd
+is the heuristic GCDHEU on the Kronecker substitution the kernels use,
+with Euclid on primitive pseudo-remainders as its fallback, the cofactors
+are the reduced pair, and dividing by the denominator's leading
+coefficient is the only step that makes a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -153,41 +160,6 @@ class PolyQ:
             n >>= 1
         return result
 
-    def __divmod__(self, other) -> tuple["PolyQ", "PolyQ"]:
-        if not isinstance(other, PolyQ):
-            return NotImplemented
-        if not other:
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self._c)
-        d = other.degree
-        lead = other._c[-1]
-        if len(rem) <= d:
-            return _P_ZERO, self
-        quot = [0] * (len(rem) - d)
-        for i in range(len(rem) - 1 - d, -1, -1):
-            c = rem[i + d]
-            if not c:
-                continue
-            c = _norm_rat(Fraction(c) / lead) if lead != 1 else c
-            quot[i] = c
-            for j, y in enumerate(other._c):
-                rem[i + j] -= c * y
-        return PolyQ(quot), PolyQ(rem)
-
-    def exact_div(self, other: "PolyQ") -> "PolyQ":
-        q, r = divmod(self, other)
-        if r:
-            raise ValueError(f"{self!r} is not divisible by {other!r}")
-        return q
-
-    def monic(self) -> "PolyQ":
-        if not self._c:
-            return self
-        lead = self._c[-1]
-        if lead == 1:
-            return self
-        return PolyQ(_norm_rat(Fraction(x) / lead) for x in self._c)
-
     def eval(self, point):
         """Evaluate at an exact rational point by Horner's scheme."""
         acc = 0
@@ -284,13 +256,15 @@ def _pack(v, bits: int) -> int:
 
 
 def _unpack(x: int, bits: int) -> list:
-    """The coefficients, without trailing zeros, of the polynomial packed in x.
+    """The balanced base-X digits of x, each in [-X/2, X/2), without trailing zeros.
 
-    Every coefficient must be below 2^(bits-1) in absolute value; then
-    |x| >= X^t / 2 for the degree t, which fixes how many digits to read.
+    Balanced digits are unique, so these are the coefficients of the
+    polynomial packed in x whenever every coefficient is below X/2 =
+    2^(bits-1) in absolute value.  n digits hold every |x| < X^n / 4, which
+    fixes how many to read.
     """
     width = bits // 8
-    n = abs(x).bit_length() // bits + 1
+    n = (abs(x).bit_length() + 1) // bits + 1
     raw = (x + _half_digits(n, width)).to_bytes(n * width, "little")
     digits = [raw[i : i + width] for i in range(0, n * width, width)]
     out = list(map(sub, map(int.from_bytes, digits, repeat("little")), repeat(1 << (bits - 1))))
@@ -357,23 +331,89 @@ def _pseudo_remainder(u: list, v: list) -> list:
     return r
 
 
-def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over the rationals (zero if both inputs are zero).
+def _quotient(u, h) -> list:
+    """u / h for integer vectors where h divides u over the integers.
 
-    Euclid on primitive integer polynomials: each step takes a pseudo-
-    remainder, which stays integral, and divides out its content, so the
-    arithmetic is all in int.  The gcd is made monic at the end.
+    By Mignotte's bound no coefficient of a factor of u exceeds
+    2^deg(u) |u|_2, so at those bits the quotient of the packed values reads
+    back exactly.
     """
+    bits = _digit_bits(_norm(u) << len(u))
+    return _unpack(_pack(u, bits) // _pack(h, bits), bits)
+
+
+# The heuristic gcd GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet,
+# J. Symbolic Comput. 7, 1989) packs u and v at X = 2^bits with X >= 2
+# max|coefficient| + 29, reads back the int gcd of the packed values as
+# balanced digits and takes its primitive part h.  If h divides u and v it
+# is their primitive gcd g: for g = h k, k(X) divides the content of the
+# read-back, at most X / 2, while a nonconstant k divides u, so its roots lie
+# below 1 + max|u_i| <= X / 2 and |k(X)| > X / 2.  Each failed try doubles
+# bits; after the last, Euclid on pseudo-remainders (D. Knuth, TAOCP vol. 2,
+# 4.6.1) finds g, and Gauss's lemma makes u / g and v / g integral.
+_HEU_TRIES = 4
+
+
+def _cofactors(u: list, v: list) -> tuple:
+    """(h, u / h, v / h) for h a primitive gcd of the integer vectors u and v."""
+    bits = _digit_bits(max(map(abs, chain(u, v))) + 14)
+    for _ in range(_HEU_TRIES):
+        x, y = _pack(u, bits), _pack(v, bits)
+        g = gcd(x, y)
+        h = _unpack(g, bits)
+        if len(h) == 1:
+            return [1], u, v
+        c = gcd(*h)
+        if c != 1:
+            g //= c
+            h = _unpack(g, bits)
+        # h(X) divides x and y; balanced digits are unique, so once
+        # |h|_1 |w / h|_max < X / 2 the cofactor read back times h is w itself
+        cs = _unpack(x // g, bits), _unpack(y // g, bits)
+        for f, w in zip(cs, (u, v)):
+            if _norm(h) * max(map(abs, f)) >> (bits - 1) and _kronecker_mul(f, h) != list(w):
+                break
+        else:
+            return (h, *cs)
+        bits *= 2
+    a, b = map(_primitive, (u, v) if len(u) >= len(v) else (v, u))
+    r = _pseudo_remainder(a, b)
+    while r:
+        a, b = b, _primitive(r)
+        r = _pseudo_remainder(a, b)
+    return b, _quotient(u, b), _quotient(v, b)
+
+
+def _canonical(nv, dv) -> tuple:
+    """The reduced pair (num, den), den monic, of nv / dv for integer vectors.
+
+    Neither vector has trailing zeros, and dv is nonzero.  A constant or
+    monomial denominator needs no gcd; otherwise the cofactors of nv and dv
+    by their primitive gcd are the reduced pair.  Dividing by the
+    denominator's leading coefficient is the one Fraction per coefficient.
+    """
+    if not nv:
+        return _P_ZERO, _P_ONE
+    if len(dv) > 1:
+        if not any(dv[:-1]):
+            # a monomial c*q^j: the gcd is q^s, s the low-order zeros that nv and dv share
+            s = min(next(i for i, x in enumerate(nv) if x), len(dv) - 1)
+            nv, dv = nv[s:], dv[s:]
+        else:
+            _, nv, dv = _cofactors(nv, dv)
+    lead = dv[-1]
+    den = _P_ONE if len(dv) == 1 else PolyQ._raw(map(_int_ratio, dv, repeat(lead)))
+    return PolyQ._raw(nv if lead == 1 else map(_int_ratio, nv, repeat(lead))), den
+
+
+def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
+    """Monic gcd over the rationals (zero if both inputs are zero)."""
     if not a or not b:
-        return (a or b).monic()
-    u, v = _primitive(a._c), _primitive(b._c)
-    if len(u) < len(v):
-        u, v = v, u
-    while True:
-        r = _pseudo_remainder(u, v)
-        if not r:
-            return PolyQ(v).monic()
-        u, v = v, _primitive(r)
+        a = b = a or b
+        if not a:
+            return a
+    h = _cofactors(_primitive(a._c), _primitive(b._c))[0]
+    return _canonical(h, h[-1:])[0]
 
 
 class RatFuncQ:
@@ -385,24 +425,9 @@ class RatFuncQ:
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         if den is not _P_ONE:
-            # a constant denominator shares no factor with num: no gcd
-            if num and den.degree:
-                if not any(den._c[:-1]):
-                    # a monomial c*q^j: the gcd is q^s, s the low-order zeros
-                    # that num and den share
-                    s = next(i for i, x in enumerate(num._c) if x)
-                    if s:
-                        s = min(s, den.degree)
-                        num, den = PolyQ._raw(num._c[s:]), PolyQ._raw(den._c[s:])
-                else:
-                    g = poly_gcd(num, den)
-                    if g.degree > 0:
-                        num = num.exact_div(g)
-                        den = den.exact_div(g)
-            lead = den._c[-1]
-            if lead != 1:
-                num = num * _norm_rat(Fraction(1) / lead)
-            den = den.monic() if num and den.degree else _P_ONE
+            # cleared over one denominator, which cancels
+            v, n = _integer_vector(num._c + den._c)[1], len(num._c)
+            num, den = _canonical(v[:n], v[n:])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -547,36 +572,38 @@ Q = RatFuncQ._raw(Q_POLY, _P_ONE)
 
 
 def _integer_forms(values) -> tuple:
-    """(den, vectors) with values[i] == PolyQ(vectors[i]) / den, vectors integral.
+    """(den, vectors) with values[i] == PolyQ(vectors[i]) / den, den and vectors integral.
 
-    ``values`` are rational functions; ``den`` is the lcm of their
-    denominators times the integer that clears every coefficient, and a
-    zero value has the empty vector.
+    ``values`` are rational functions; ``den`` is the lcm of the primitive
+    parts of their denominators times the integer that clears every
+    numerator, and a zero value has the empty vector.
     """
-    polys = [x.num._c for x in values]
-    common = _P_ONE
+    parts = {}
     for x in values:
-        d = x.den
-        if d is not _P_ONE and d != _P_ONE and d != common:
-            common = common * d.exact_div(poly_gcd(common, d))
-    if common is not _P_ONE:
-        polys = [x.num._c if not x or x.den == common
-                 else (x.num * common.exact_div(x.den))._c for x in values]
+        d = x.den._c
+        if len(d) > 1 and d not in parts:
+            parts[d] = _primitive(d)
+    polys, common = [x.num._c for x in values], [1]
+    if parts:
+        for p in parts.values():
+            common = _kronecker_mul(common, _cofactors(common, p)[2])
+        # num / (p / p[-1]) is num p[-1] (common / p) over common
+        for d, p in parts.items():
+            parts[d] = PolyQ._raw(_quotient(common, p)) * p[-1]
+        whole = PolyQ._raw(common)
+        polys = [(x.num * parts.get(x.den._c, whole))._c for x in values]
     scale = 1
     if not _INT_ONLY.issuperset(map(type, chain.from_iterable(polys))):
         for c in polys:
             scale = lcm(scale, _integer_vector(c)[0])
     if scale != 1:
         polys = [[x.numerator * (scale // x.denominator) for x in c] for c in polys]
-        common = common * scale
-    return common, polys
+    return _P_ONE if scale == 1 and not parts else PolyQ._raw(common) * scale, polys
 
 
-def _from_integer(v: list, den: PolyQ) -> RatFuncQ:
-    """The rational function v / den, for an integer vector without trailing zeros."""
-    if den == _P_ONE:
-        return RatFuncQ._raw(PolyQ._raw(v), _P_ONE)
-    return RatFuncQ(PolyQ._raw(v), den)
+def _from_integer(v, dv=(1,)) -> RatFuncQ:
+    """The rational function v / dv of two integer vectors without trailing zeros."""
+    return RatFuncQ._raw(*_canonical(v, dv))
 
 
 Scalar = Union[int, Fraction, RatFuncQ]

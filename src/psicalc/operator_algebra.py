@@ -81,7 +81,7 @@ class ProductChain:
     pairs: tuple[Pair, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(check_pair(p) for p in self.pairs))
+        object.__setattr__(self, "pairs", tuple([check_pair(p) for p in self.pairs]))
         if not isinstance(self.flavor, Flavor):
             raise FlavorMismatch(f"bad flavor {self.flavor!r}")
 

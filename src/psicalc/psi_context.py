@@ -12,15 +12,18 @@ Row n holds:
   which is the closed form q^k for the q-analogs,
 * over plain rationals, the generalized binomials
   C(n, k) = s_n! / (s_k! * s_{n-k}!), built without division from the
-  Pascal-type identity  C(n, k) = C(n-1, k-1) + F(n, k) * C(n-1, k).
+  Pascal-type identity  C(n, k) = C(n-1, k-1) + F(n, k) * C(n-1, k);
+  over symbolic q, the same identity at q = 1, Pascal's rows, which bound
+  the digits of every q-binomial the kernels use.
 
 The kernel and binomial rows are kept as row forms (d, v), one
 denominator and a vector with row[k] == v[k] / d.  Over plain rationals d
 is a positive int, v holds ints and gcd(d, *v) == 1, which makes the form
 canonical; the series kernels then sum on ints and divide once per result
-coefficient.  Over symbolic q every entry carries its own denominator, so
-d is 1 and v holds the rational functions themselves.  The accessors give
-the canonical scalars (an int when whole).  How a chain of index pairs
+coefficient.  Over symbolic q every kernel entry carries its own
+denominator, so d is 1 and v holds the rational functions themselves; the
+binomial rows there are Pascal's, with d = 1 and int entries.  The
+accessors give the canonical scalars (an int when whole).  How a chain of index pairs
 weighs a product is decided here, in ``_weighting``: where every kernel
 entry is a power F(n, k) = q^k (the q-analogs, and q = 1 over the
 sequence 0, 1, 2, ...) it is a twist, a power of q per term, and no rows
@@ -63,7 +66,7 @@ from functools import lru_cache
 from itertools import islice
 from math import comb, gcd, lcm
 from operator import add, mul
-from .coefficients import (_INT_ONLY, _P_ONE, Q, RatFuncQ, Scalar, _digit_bits, _from_integer,
+from .coefficients import (_INT_ONLY, Q, RatFuncQ, Scalar, _digit_bits, _from_integer,
                            _int_ratio, _integer_vector, _norm_rat, _unpack, embed_rational,
                            parse_rational)
 from .errors import (BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange,
@@ -163,7 +166,7 @@ class PsiContext:
         init(self, "_step", step)
         init(self, "psi", (values[0],))
         init(self, "_fact", [one])
-        init(self, "_binom", None if symbolic else [(1, [1])])
+        init(self, "_binom", [(1, [1])])
         init(self, "_kernel", [(1, [])])
         init(self, "_scale", [])
         init(self, "_row", (-1, 0, []))
@@ -201,11 +204,11 @@ class PsiContext:
                 else:
                     krow = 1, [self.one]
                 kern.append(krow)
-                if binom is not None:
-                    # C(m, k) = C(m-1, k-1) + F(m, k) C(m-1, k), zero past either end
-                    d, v = binom[-1]
-                    e, w = _form_mul(krow, (d, v))
-                    binom.append(_form(*_form_add((d, [0] + v), (e, w + [0]))))
+                # C(m, k) = C(m-1, k-1) + F(m, k) C(m-1, k), zero past either end; over
+                # symbolic q, at q = 1, where every F is 1: Pascal's rows
+                d, v = binom[-1]
+                e, w = (d, v) if self.symbolic else _form_mul(krow, (d, v))
+                binom.append(_form(*_form_add((d, [0] + v), (e, w + [0]))))
         finally:
             object.__setattr__(self, "psi", tuple(psi))
 
@@ -225,9 +228,15 @@ class PsiContext:
         The closed form F(n, k) = q^k makes the recurrence a shift and an
         add, and only the row in use is kept.  The q-binomials have
         nonnegative coefficients, so at bits = 0 (q = 1) the rows hold each
-        binomial's |.|_1 norm.  A nonzero ``shift`` = bits * P yields
-        C(n, k) q^(P k) instead, each entry shifted left by shift * k.
+        binomial's |.|_1 norm: Pascal's rows, which the norm pass of every
+        kernel call reads, so they are the context's binomial table, read
+        through index n once the tables are grown to n.  A nonzero
+        ``shift`` = bits * P yields C(n, k) q^(P k) instead, each entry
+        shifted left by shift * k.
         """
+        if not bits:
+            yield from self._binom
+            return
         row = [1]
         while True:
             yield 1, [x << shift * k for k, x in enumerate(row)] if shift else row
@@ -325,7 +334,7 @@ class PsiContext:
             row = next(islice(self._binomials_at(bits), n, None))[1]
             object.__setattr__(self, "_row", (n, bits, row))
         _, bits, row = self._row
-        return _from_integer(_unpack(row[k], bits), _P_ONE)
+        return _from_integer(_unpack(row[k], bits))
 
     def fontane_kernel(self, n: int, k: int) -> Scalar:
         """F(n, k) with s_n - s_k = F(n, k) * s_{n-k}; needs 0 <= k < n."""

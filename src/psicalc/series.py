@@ -47,8 +47,6 @@ from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .coefficients import (
-    PolyQ,
-    RatFuncQ,
     Scalar,
     _digit_bits,
     _from_integer,
@@ -176,7 +174,7 @@ def _convolve(f, g, terms: list) -> "WardSeries":
 
     # |.|_1 norms at q = 1 bound every coefficient
     norms = [[_norm(v) for v in x] for x in (va, vb, vc)]
-    bits, den = _digit_bits(max(sum(norms, []) + sums(0, *norms))), da * db * dc
+    bits, den = _digit_bits(max(sum(norms, []) + sums(0, *norms))), (da * db * dc)._c
     packed = ([_pack(v, bits) for v in x] for x in (va, vb, vc))
     return WardSeries(ctx, [_from_integer(_unpack(x, bits), den) for x in sums(bits, *packed)])
 
@@ -307,7 +305,7 @@ class WardSeries:
         prod F(n+i, n-k+j).
         """
         o = self._peer(other)
-        chain = tuple(check_pair(p) for p in pairs)
+        chain = tuple([check_pair(p) for p in pairs])
         m = min(len(self._c), len(o._c)) - 1
         return _convolve(self, o, [(0, 0, _weighting(self.ctx, chain, star, m), self.ctx.one)])
 
@@ -350,15 +348,16 @@ class WardSeries:
 
         With b0 the divisor's constant term, d_n = c_n * b0^(n+1) obeys a
         recurrence that never divides by b0 (``_substitute``), run on
-        integer A and B once a = A / Da and b = B / Db are cleared; then c_n
-        is d_n * Db / (B0^(n+1) * Da), one division per coefficient.  Plain
-        rationals run it on e_n = G_n d_n, G_n the least integer that makes
-        every C(n, k) G_n / G_k integral (G_n = v^(n(n-1)/2) for q = u/v), so
-        each step stays in int, with one exact division by its binomial
-        row's denominator.  Over symbolic q the recurrence runs on A and B
-        evaluated at q = 2^bits; the bits come from the recurrence run on
-        |.|_1 norms with the divisor's higher terms negated, which turns
-        every subtraction into an addition of bounds.
+        integer A and B once a = A / D and b = B / D are cleared over one
+        denominator D, which cancels: c_n is d_n / B0^(n+1), one division per
+        coefficient.  Plain rationals run it on e_n = G_n d_n, G_n the least
+        integer that makes every C(n, k) G_n / G_k integral (G_n =
+        v^(n(n-1)/2) for q = u/v), so each step stays in int, with one exact
+        division by its binomial row's denominator.  Over symbolic q the
+        recurrence runs on A and B evaluated at q = 2^bits; the bits come
+        from the recurrence run on |.|_1 norms with the divisor's higher
+        terms negated, which turns every subtraction into an addition of
+        bounds.
         """
         o = self._peer(other)
         if not o._c[0]:
@@ -366,23 +365,20 @@ class WardSeries:
         ctx = self.ctx
         m = min(len(self._c), len(o._c))
         clear = _integer_forms if ctx.symbolic else _integer_vector
-        da, va = clear(self._c[:m])
-        db, vb = clear(o._c[:m])
+        ab = clear(self._c[:m] + o._c[:m])[1]
+        va, vb = ab[:m], ab[m:]
         if not ctx.symbolic:
             scale = ctx._scales(m)
             e, power = _substitute(ctx._binom, va, vb, scale)
-            return WardSeries(ctx, [_int_ratio(x * db, g * p * da)
-                                    for x, g, p in zip(e, scale, power[1:])])
+            return WardSeries(ctx, [_int_ratio(x, g * p) for x, g, p in zip(e, scale, power[1:])])
         na, nb = [_norm(v) for v in va], [_norm(v) for v in vb]
         ones = [1] * m
         dn, pn = _substitute(ctx._binomials_at(0), na, nb[:1] + [-x for x in nb[1:]], ones)
         bits = _digit_bits(max(na + nb + dn + pn))
         d, power = _substitute(ctx._binomials_at(bits), [_pack(v, bits) for v in va],
                                [_pack(v, bits) for v in vb], ones)
-        return WardSeries(ctx, [
-            RatFuncQ(PolyQ._raw(_unpack(x, bits)) * db, PolyQ._raw(_unpack(p, bits)) * da)
-            for x, p in zip(d, power[1:])
-        ])
+        return WardSeries(ctx, [_from_integer(_unpack(x, bits), _unpack(p, bits))
+                                for x, p in zip(d, power[1:])])
 
     # -- substitutions ----------------------------------------------------------------
 

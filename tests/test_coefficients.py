@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psicalc import coefficients
 from psicalc.coefficients import (
     Q,
     PolyQ,
@@ -78,23 +79,6 @@ def test_poly_ring_axioms(a, b, c):
     assert a + PolyQ([]) == a
     assert a * PolyQ([1]) == a
     assert a - a == PolyQ([])
-
-
-@given(small_polys, small_polys.filter(bool))
-def test_poly_divmod_identity(a, b):
-    quot, rem = divmod(a, b)
-    assert quot * b + rem == a
-    assert rem.degree < b.degree or not rem
-
-
-@given(small_polys, small_polys.filter(bool))
-def test_poly_exact_div_of_products(a, b):
-    assert (a * b).exact_div(b) == a
-
-
-def test_poly_exact_div_rejects_remainder():
-    with pytest.raises(ValueError):
-        PolyQ([1, 1, 1]).exact_div(PolyQ([1, 1]))
 
 
 @given(small_polys, rationals)
@@ -187,11 +171,49 @@ def test_pack_unpack_at_the_digit_edges(bits):
     assert _unpack(0, bits) == []
 
 
+@pytest.mark.parametrize("bits", (8, 16, 64))
+@given(st.integers(min_value=-(2**300), max_value=2**300))
+def test_unpack_reads_balanced_digits_of_any_int(bits, x):
+    # X^n X/2 needs a digit more than X^n X/2 - 1, whose top digit is X/2 - 1
+    half = 1 << (bits - 1)
+    edges = [s * ((half << (bits * n)) + d) for n in range(4) for d in (-2, -1, 0, 1)
+             for s in (1, -1)]
+    for y in [x, *edges]:
+        digits = _unpack(y, bits)
+        assert sum(d << (bits * i) for i, d in enumerate(digits)) == y
+        assert all(-half <= d < half for d in digits)
+        assert not digits or digits[-1]
+
+
+def fraction_divmod(a: PolyQ, b: PolyQ) -> tuple:
+    """Long division over Fraction coefficients; the oracle for every exact quotient."""
+    rem, d = [Fraction(x) for x in a.coeffs], b.degree
+    quot = [Fraction(0)] * max(len(rem) - d, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = c = rem[i + d] / b.coeffs[-1]
+        for j, y in enumerate(b.coeffs):
+            rem[i + j] -= c * y
+    return PolyQ(quot), PolyQ(rem)
+
+
+def monic(p: PolyQ) -> PolyQ:
+    return PolyQ([Fraction(x) / p.coeffs[-1] for x in p.coeffs]) if p else p
+
+
 def euclid_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     """Euclid over Fraction coefficients; the oracle for poly_gcd."""
     while b:
-        a, b = b, divmod(a, b)[1]
-    return a.monic()
+        a, b = b, fraction_divmod(a, b)[1]
+    return monic(a)
+
+
+def euclid_reduced(num: PolyQ, den: PolyQ) -> tuple:
+    """(num, den) divided by their Euclid gcd, den monic; the oracle for RatFuncQ."""
+    if not num:
+        return num, PolyQ([1])
+    g = euclid_gcd(num, den)
+    num, den = fraction_divmod(num, g)[0], fraction_divmod(den, g)[0]
+    return PolyQ([Fraction(x) / den.coeffs[-1] for x in num.coeffs]), monic(den)
 
 
 gcd_polys = st.lists(
@@ -207,6 +229,33 @@ def test_poly_gcd_matches_euclid_over_fractions(a, b, c):
     # the shared factor c makes most gcds nontrivial
     for x, y in ((a * c, b * c), (a, b), (a * c, PolyQ([])), (PolyQ([]), b)):
         assert repr(poly_gcd(x, y)) == repr(euclid_gcd(x, y))
+
+
+@given(gcd_polys, gcd_polys, gcd_polys)
+@settings(max_examples=200, deadline=None)
+def test_poly_gcd_fallback_matches_euclid_over_fractions(a, b, c):
+    # no GCDHEU try: every gcd comes from the pseudo-remainder fallback
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coefficients, "_HEU_TRIES", 0)
+        for x, y in ((a * c, b * c), (a, b)):
+            assert repr(poly_gcd(x, y)) == repr(euclid_gcd(x, y))
+
+
+def test_gcdheu_rejects_a_false_candidate():
+    # at X = 256 the read-back gcd of the packed values is q + 73, which divides neither
+    num, den = PolyQ([58, 59, 35]), PolyQ([-25, -2, 69])
+    r = RatFuncQ(num, den)
+    assert (repr(r.num), repr(r.den)) == tuple(map(repr, euclid_reduced(num, den)))
+    assert poly_gcd(num, den) == PolyQ([1])
+
+
+def test_gcd_fallback_reduces_when_the_heuristic_gives_up(monkeypatch):
+    monkeypatch.setattr(coefficients, "_HEU_TRIES", 0)
+    p = PolyQ([1, 1])
+    num, den = p**5 * PolyQ([3, 0, -1]), p**7 * PolyQ([Fraction(1, 2), 5])
+    r = RatFuncQ(num, den)
+    assert (repr(r.num), repr(r.den)) == tuple(map(repr, euclid_reduced(num, den)))
+    assert poly_gcd(num, den) == p**5
 
 
 def test_poly_gcd_of_powers_of_one_plus_q():
@@ -244,14 +293,6 @@ def test_ratfunc_constant_denominator_divides_the_numerator():
     assert RatFuncQ(PolyQ([]), PolyQ([5])) == embed_rational(0)
 
 
-def gcd_reduced(num: PolyQ, den: PolyQ) -> tuple:
-    """(num, den) reduced by the full gcd, den monic; the oracle for monomial denominators."""
-    if num:
-        g = poly_gcd(num, den)
-        num, den = num.exact_div(g), den.exact_div(g)
-    return num * Fraction(1, den.coeffs[-1]), den.monic() if num and den.degree else PolyQ([1])
-
-
 @given(
     num=gcd_polys,
     shift=st.integers(min_value=0, max_value=5),
@@ -265,8 +306,18 @@ def test_ratfunc_monomial_denominator_matches_the_gcd_path(num, shift, j, c):
     num = num * PolyQ([0] * shift + [1])
     den = PolyQ([0] * j + [c])
     r = RatFuncQ(num, den)
-    want_num, want_den = gcd_reduced(num, den)
+    want_num, want_den = euclid_reduced(num, den)
     assert (repr(r.num), repr(r.den)) == (repr(want_num), repr(want_den))
+
+
+@given(gcd_polys, gcd_polys.filter(bool), gcd_polys.filter(bool),
+       st.integers(min_value=1, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_ratfunc_matches_the_euclid_reduction(a, b, c, k):
+    # a shared factor c, and the powers of 1 + q that symbolic division divides by
+    for num, den in ((a * c, b * c), (a, PolyQ([1, 1]) ** k), (a * PolyQ([1, 1]) ** 3, b * c)):
+        r = RatFuncQ(num, den)
+        assert (repr(r.num), repr(r.den)) == tuple(map(repr, euclid_reduced(num, den)))
 
 
 def test_ratfunc_monomial_denominator_cancels_powers_of_q():
