@@ -80,10 +80,6 @@ class PolyQ:
     def __setattr__(self, name, value):
         raise AttributeError("PolyQ is immutable")
 
-    @classmethod
-    def constant(cls, value) -> "PolyQ":
-        return cls((value,))
-
     @property
     def coeffs(self) -> tuple:
         return self._c

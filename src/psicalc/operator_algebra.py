@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Sequence
 from .coefficients import RatFuncQ, Scalar, embed_rational
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
 from .psi_context import (PsiContext, _form, _form_add, _form_eq, _form_mul, _form_scale,
-                          _form_value, _weighting)
+                          _weighting)
 from .series import Pair, WardSeries, _convolve, check_pair
 
 
@@ -184,15 +184,10 @@ class OperatorSum:
                 )
         return OperatorSum(tuple(out))
 
-    def weights(self, ctx: PsiContext, m: int) -> list:
-        """The weight table W(n, k) of this sum for n <= m, as canonical scalars."""
-        return [[_form_value(row, k) for k in range(n + 1)]
-                for n, row in enumerate(self._weight_rows(ctx, m))]
-
     def _weight_rows(self, ctx: PsiContext, m: int) -> Iterator:
-        """The rows of ``weights``, one row form per n, made as they are read.
+        """The weight table W(n, k) of this sum for n <= m, one row form per n.
 
-        The rows of every term are made side by side.
+        The rows are made as they are read, those of every term side by side.
         """
         table = None
         for t in self.terms:

@@ -1,16 +1,20 @@
 """Randomized verification suites over the core identities.
 
-Each suite runs a fixed battery of identity checks over one context with
-seeded random series and returns one ``RuleReport`` per check: the first
-failing trial's report when a check fails, otherwise the last trial's.
-The CLI surfaces these as its ``check`` command; the test suite reuses
-them directly.
+Every check is one row of ``RULES``: the suite it belongs to, its name, a
+test of whether it applies to a context, a draw of operands, and a check
+that turns the operands into one report or a fixed tuple of reports.
+``run_suites`` runs each applicable rule's trials and keeps the reports of
+its first failing trial, otherwise its last trial's.  The CLI surfaces
+these as its ``check`` command; the test suite reuses them directly.
 
-Determinism contract: the sequence of random draws depends only on
-(order, trials) and the context's branch-relevant traits (q-analog or
-not, classical or not), never on computed values.  Runs over the
-symbolic-q context and over a numeric q therefore consume identical
-draws, which is what makes the specialization comparison in
+Determinism contract: each rule draws from its own generator, seeded with
+the string ``"<seed>:<rule>:<kind>"`` (``random`` hashes a string seed
+with SHA-512, whatever ``PYTHONHASHSEED`` is).  So a rule's draws depend
+only on (seed, rule, kind, order, trials), never on computed values or on
+the suites and sequences run before it: any report is reproduced by
+running its suite over its sequence alone with the same flags.  The kind
+is ``"q"`` for symbolic q and for every numeric q, so the two runs consume
+identical draws, which is what makes the specialization comparison in
 ``paired_specialization_check`` meaningful.
 """
 
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from typing import Callable, NamedTuple
 
 from . import calculus
 from .calculus import RuleReport, compare
@@ -63,23 +69,10 @@ def context_for(spec: str, order: int) -> PsiContext:
 
 def random_series(ctx: PsiContext, order: int, rng: random.Random,
                   span: int = 5, invertible: bool = False) -> WardSeries:
-    coeffs = [rng.randint(-span, span) for _ in range(order + 1)]
+    coeffs = list(map(rng.randint, [-span] * (order + 1), [span] * (order + 1)))
     if invertible and coeffs[0] == 0:
         coeffs[0] = rng.choice([-3, -2, -1, 1, 2, 3])
     return make_series(ctx, coeffs)
-
-
-def _scalar_inv(ctx: PsiContext, value):
-    return ctx.one / value if ctx.symbolic else Fraction(1) / value
-
-
-def _worst(make_one, trials: int) -> RuleReport:
-    report = None
-    for t in range(trials):
-        report = make_one(t)
-        if not report.ok:
-            return report
-    return report
 
 
 RULE_PAIRS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
@@ -96,310 +89,232 @@ BOXPLUS_COMBOS = (((1, 0), (2, 1)), ((2, 0), (3, 1)))
 RULE_REACH = 1 + max(i for i, _ in RULE_PAIRS)
 
 
-def suite_rings(ctx: PsiContext, order: int, trials: int, rng: random.Random) -> list[RuleReport]:
-    reports: list[RuleReport] = []
-    is_q = ctx.q_scalar is not None
+# -- draws: (ctx, order, rng) -> operands ------------------------------------------
 
-    unit_pairs = [p for p in RULE_PAIRS if ctx.fontane_kernel(*p)]
 
-    for i, j in unit_pairs:
-        kernel = ctx.fontane_kernel(i, j)
-        e = _scalar_inv(ctx, kernel)
+def _series(ctx, order, rng):
+    return (random_series(ctx, order, rng),)
 
-        def left_unit(t, i=i, j=j, e=e):
-            f = random_series(ctx, order, rng)
-            e_series = constant(ctx, e, order)
-            return compare(
-                f"ring.unit.left({i},{j})",
-                e_series.fontane(f, i, j),
-                f.diag_l(i, j).scale(e),
-            )
 
-        def right_unit(t, i=i, j=j, e=e):
-            f = random_series(ctx, order, rng)
-            e_series = constant(ctx, e, order)
-            return compare(
-                f"ring.unit.right({i},{j})",
-                f.fontane(e_series, i, j),
-                f.diag_m(i, j).scale(e),
-            )
+def _pair(ctx, order, rng):
+    return random_series(ctx, order, rng), random_series(ctx, order, rng)
 
-        reports.append(_worst(left_unit, trials))
-        reports.append(_worst(right_unit, trials))
 
-    def unit_identity(t):
-        f = random_series(ctx, order, rng)
-        one = constant(ctx, 1, order)
-        return compare("ring.unit.left_identity(2,0)", one.fontane(f, 2, 0), f)
+def _triple(ctx, order, rng):
+    return _pair(ctx, order, rng) + _series(ctx, order, rng)
 
-    reports.append(_worst(unit_identity, trials))
 
-    def distributive_right(t):
-        f, g, h = (random_series(ctx, order, rng) for _ in range(3))
-        return compare(
-            "ring.distributive.right",
-            f.fontane(g + h, 2, 1),
-            f.fontane(g, 2, 1) + f.fontane(h, 2, 1),
-        )
+def _scaled_pair(ctx, order, rng):
+    """f, g and an integer scalar 2..5."""
+    return _pair(ctx, order, rng) + (ctx.from_int(rng.randint(2, 5)),)
 
-    def distributive_left(t):
-        f, g, h = (random_series(ctx, order, rng) for _ in range(3))
-        return compare(
-            "ring.distributive.left",
-            (f + g).fontane(h, 2, 1),
-            f.fontane(h, 2, 1) + g.fontane(h, 2, 1),
-        )
 
-    def bilinear_left(t):
-        f, g = (random_series(ctx, order, rng) for _ in range(2))
-        alpha = ctx.from_int(rng.randint(2, 5))
-        return compare(
-            "ring.bilinear.left",
-            f.scale(alpha).fontane(g, 2, 1),
-            f.fontane(g, 2, 1).scale(alpha),
-        )
+def _invertible(ctx, order, rng):
+    """A series with an invertible constant term."""
+    return (random_series(ctx, order, rng, invertible=True),)
 
-    def bilinear_right(t):
-        f, g = (random_series(ctx, order, rng) for _ in range(2))
-        alpha = ctx.from_int(rng.randint(2, 5))
-        return compare(
-            "ring.bilinear.right",
-            f.fontane(g.scale(alpha), 2, 1),
-            f.fontane(g, 2, 1).scale(alpha),
-        )
 
-    def monomial_product(t):
-        a = rng.randint(0, order // 2)
-        b = rng.randint(0, order - a)
-        return compare(
-            "ring.monomial_product",
-            mul_ordinary(monomial(ctx, a, order), monomial(ctx, b, order)),
-            monomial(ctx, a + b, order),
-        )
+def _over_invertible(ctx, order, rng):
+    return _series(ctx, order, rng) + _invertible(ctx, order, rng)
 
-    reports.append(_worst(distributive_right, trials))
-    reports.append(_worst(distributive_left, trials))
-    reports.append(_worst(bilinear_left, trials))
-    reports.append(_worst(bilinear_right, trials))
-    reports.append(_worst(monomial_product, trials))
 
+def _monomials(ctx, order, rng):
+    """x^a, x^b and x^(a+b) for a <= order/2 and a + b <= order."""
+    a = rng.randint(0, order // 2)
+    b = rng.randint(0, order - a)
+    return monomial(ctx, a, order), monomial(ctx, b, order), monomial(ctx, a + b, order)
+
+
+def _fixed(ctx, order, rng):
+    """e_psi, x and 1 + x, to order at most 4."""
+    w = min(order, 4)
+    return e_psi(ctx, w), monomial(ctx, 1, w), make_series(ctx, [1, 1] + [0] * (w - 1))
+
+
+def _triples(ctx, order, rng):
+    """All triples of the fixed series, then five random ones."""
+    w = min(order, 4)
+    triples = list(product(_fixed(ctx, order, rng), repeat=3))
+    for _ in range(5):
+        triples.append((random_series(ctx, w, rng, span=3), random_series(ctx, w, rng, span=3),
+                        random_series(ctx, w, rng, span=3)))
+    return (triples,)
+
+
+# -- checks: (rule, *operands, *args) -> report or tuple of reports ----------------
+
+
+def _unit_law(rule, f, i, j, left):
+    """e *_{i,j} f = e diag_l f and f *_{i,j} e = e diag_m f, for e the constant 1/F(i, j)."""
+    ctx = f.ctx
+    kernel = ctx.fontane_kernel(i, j)
+    e = ctx.one / kernel if ctx.symbolic else Fraction(1) / kernel
+    unit = constant(ctx, e, f.order)
+    if left:
+        return compare(rule, unit.fontane(f, i, j), f.diag_l(i, j).scale(e))
+    return compare(rule, f.fontane(unit, i, j), f.diag_m(i, j).scale(e))
+
+
+def _associator(f, g, h):
+    return f.fontane(g, 1, 0).fontane(h, 1, 0), f.fontane(g.fontane(h, 1, 0), 1, 0)
+
+
+def _commutator(f, g, h):
+    return f.fontane(g, 1, 0), g.fontane(f, 1, 0)
+
+
+def _search(rule, triples, sides, expected_equal):
+    """The report of the first triple whose sides differ, else of the last.
+
+    For an identity that is the first failure; for a witness of its
+    failure (``expected_equal`` False), the first witness.
+    """
+    for triple in triples:
+        report = compare(rule, *sides(*triple), expected_equal=expected_equal)
+        if not report.equal:
+            break
+    return report
+
+
+def _q_collapse(rule, f, g, j):
+    """Over a q-analog, f *_{j+1,j} g = f *_{j+2,j} g = f *_{j+3,j} g."""
+    first = f.fontane(g, j + 1, j)
+    others = [f.fontane(g, j + 2, j), f.fontane(g, j + 3, j)]
+    return compare(rule, first, next((o for o in others if o != first), others[-1]))
+
+
+def _truncation(rule, f, g):
+    small = f.order - 2
+    return compare(rule, f.fontane(g, 2, 1).truncate(small),
+                   f.truncate(small).fontane(g.truncate(small), 2, 1))
+
+
+def _roundtrip(rule, f, g):
+    """Df = (f/g) *_{1,0} Dg + D(f/g) g, the product rule read backwards."""
+    h = f.divide(g)
+    return compare(rule, f.derivative(), h.chain(g.derivative(), ((1, 0),)) + h.derivative() * g)
+
+
+def _label(chain) -> str:
+    return "".join(f"({i},{j})" for i, j in chain)
+
+
+def _always(ctx, order, *args):
+    return True
+
+
+def _q_analog(ctx, order, *args):
+    return ctx.q_scalar is not None
+
+
+def _classical(ctx, order, *args):
+    return ctx.is_classical
+
+
+def _not_classical(ctx, order, *args):
+    return not ctx.is_classical
+
+
+class Rule(NamedTuple):
+    suite: str
+    name: str  # with the seed and the context's kind, seeds the rule's draws
+    applies: Callable  # (ctx, order, *args) -> bool
+    draw: Callable
+    check: Callable
+    args: tuple = ()
+    once: bool = False  # a search over its own operand list runs one trial
+
+
+# In report order.  The checks look up ``calculus`` functions when they run,
+# so that a test can replace one.
+RULES = (
+    *(Rule("rings", f"ring.unit.{side}({i},{j})",
+           lambda ctx, order, i, j, left: bool(ctx.fontane_kernel(i, j)), _series, _unit_law,
+           (i, j, side == "left"))
+      for i, j in RULE_PAIRS for side in ("left", "right")),
+    Rule("rings", "ring.unit.left_identity(2,0)", _always, _series,
+         lambda rule, f: compare(rule, constant(f.ctx, 1, f.order).fontane(f, 2, 0), f)),
+    Rule("rings", "ring.distributive.right", _always, _triple,
+         lambda rule, f, g, h: compare(rule, f.fontane(g + h, 2, 1),
+                                       f.fontane(g, 2, 1) + f.fontane(h, 2, 1))),
+    Rule("rings", "ring.distributive.left", _always, _triple,
+         lambda rule, f, g, h: compare(rule, (f + g).fontane(h, 2, 1),
+                                       f.fontane(h, 2, 1) + g.fontane(h, 2, 1))),
+    Rule("rings", "ring.bilinear.left", _always, _scaled_pair,
+         lambda rule, f, g, a: compare(rule, f.scale(a).fontane(g, 2, 1),
+                                       f.fontane(g, 2, 1).scale(a))),
+    Rule("rings", "ring.bilinear.right", _always, _scaled_pair,
+         lambda rule, f, g, a: compare(rule, f.fontane(g.scale(a), 2, 1),
+                                       f.fontane(g, 2, 1).scale(a))),
+    Rule("rings", "ring.monomial_product", _always, _monomials,
+         lambda rule, xa, xb, xab: compare(rule, mul_ordinary(xa, xb), xab)),
     # associativity and commutativity of *_{1,0}: identities in the classical
     # case, inequalities (witness demanded) otherwise
-    w_order = min(order, 4)
-    candidates = [
-        e_psi(ctx, w_order),
-        monomial(ctx, 1, w_order),
-        make_series(ctx, [1, 1] + [0] * (w_order - 1)),
-    ]
-    triples = [(f, g, h) for f in candidates for g in candidates for h in candidates]
-    for _ in range(5):
-        triples.append(tuple(random_series(ctx, w_order, rng, span=3) for _ in range(3)))
-    if ctx.is_classical:
-        assoc = None
-        for f, g, h in triples:
-            assoc = compare(
-                "ring.associative",
-                f.fontane(g, 1, 0).fontane(h, 1, 0),
-                f.fontane(g.fontane(h, 1, 0), 1, 0),
-            )
-            if not assoc.ok:
-                break
-        reports.append(assoc)
-        comm = compare(
-            "ring.commutative",
-            candidates[0].fontane(candidates[1], 1, 0),
-            candidates[1].fontane(candidates[0], 1, 0),
-        )
-        reports.append(comm)
-    else:
-        witness = None
-        for f, g, h in triples:
-            witness = compare(
-                "ring.non_associative_witness",
-                f.fontane(g, 1, 0).fontane(h, 1, 0),
-                f.fontane(g.fontane(h, 1, 0), 1, 0),
-                expected_equal=False,
-            )
-            if witness.ok:
-                break
-        reports.append(witness)
-        comm_witness = None
-        for f, g, _ in triples:
-            comm_witness = compare(
-                "ring.non_commutative_witness",
-                f.fontane(g, 1, 0),
-                g.fontane(f, 1, 0),
-                expected_equal=False,
-            )
-            if comm_witness.ok:
-                break
-        reports.append(comm_witness)
+    Rule("rings", "ring.associative", _classical, _triples, _search, (_associator, True),
+         once=True),
+    Rule("rings", "ring.commutative", _classical, _fixed,
+         lambda rule, f, g, h: compare(rule, *_commutator(f, g, h)), once=True),
+    Rule("rings", "ring.non_associative_witness", _not_classical, _triples, _search,
+         (_associator, False), once=True),
+    Rule("rings", "ring.non_commutative_witness", _not_classical, _triples, _search,
+         (_commutator, False), once=True),
+    *(Rule("rings", f"ring.opposite.{_label(chain)}", _always, _pair,
+           lambda rule, f, g, chain: compare(rule, f.chain(g, chain),
+                                             g.chain(f, chain, star=True)), (chain,))
+      for chain in RULE_CHAINS[:3]),
+    *(Rule("rings", f"ring.q_collapse.j={j}", _q_analog, _pair, _q_collapse, (j,))
+      for j in (0, 1)),
+    Rule("rings", "ring.truncation.fontane", _always, _pair, _truncation),
+    Rule("rings", "ring.divide_roundtrip", _always, _over_invertible,
+         lambda rule, f, g: compare(rule, mul_ordinary(f.divide(g), g), f)),
+    *(Rule("rules", f"product.{flavor}({i},{j})", _always, _pair,
+           lambda rule, f, g, i, j, star: (calculus.product_rule_star if star else
+                                           calculus.product_rule_asterisk)(f, g, i, j),
+           (i, j, flavor == "star"))
+      for i, j in RULE_PAIRS for flavor in ("asterisk", "star")),
+    Rule("rules", "product.ordinary", _always, _pair,
+         lambda rule, f, g: calculus.product_rule_ordinary(f, g)),
+    *(Rule("rules", f"product.chain.{flavor}.{_label(chain)}", _always, _pair,
+           lambda rule, f, g, chain, star: calculus.product_rule_chain(f, g, chain, star=star),
+           (chain, flavor == "star"))
+      for chain in RULE_CHAINS for flavor in ("asterisk", "star")),
+    *(Rule("rules", f"product.boxplus.{flavor}.{p}+{r}", _always, _pair,
+           lambda rule, f, g, p, r, star: calculus.product_rule_boxplus(f, g, p, r, star=star),
+           (p, r, flavor == "star"))
+      for p, r in BOXPLUS_COMBOS for flavor in ("asterisk", "star")),
+    *(Rule("leibniz", f"leibniz.n={n}", lambda ctx, order, n: n < order, _pair,
+           lambda rule, f, g, n: calculus.general_leibniz_report(f, g, n), (n,))
+      for n in range(1, 5)),
+    Rule("quotient", "quotient", _always, _over_invertible,
+         lambda rule, f, g: calculus.quotient_rule_report(f, g)),
+    Rule("quotient", "reciprocal", _always, _invertible,
+         lambda rule, g: calculus.reciprocal_rule_report(g)),
+    Rule("quotient", "quotient.roundtrip", _always, _over_invertible, _roundtrip),
+    Rule("quotient", "quotient.q_display", _q_analog, _over_invertible,
+         lambda rule, f, g: calculus.quotient_q_display_reports(f, g)),
+)
 
-    for chain in RULE_CHAINS[:3]:
-        label = "".join(f"({i},{j})" for i, j in chain)
 
-        def opposite(t, chain=chain, label=label):
-            f, g = (random_series(ctx, order, rng) for _ in range(2))
-            return compare(
-                f"ring.opposite.{label}",
-                f.chain(g, chain),
-                g.chain(f, chain, star=True),
-            )
-
-        reports.append(_worst(opposite, trials))
-
-    if is_q:
-        for j in (0, 1):
-
-            def collapse(t, j=j):
-                f, g = (random_series(ctx, order, rng) for _ in range(2))
-                first = f.fontane(g, j + 1, j)
-                others = [f.fontane(g, j + 2, j), f.fontane(g, j + 3, j)]
-                bad = next((o for o in others if o != first), others[-1])
-                return compare(f"ring.q_collapse.j={j}", first, bad)
-
-            reports.append(_worst(collapse, trials))
-
-    def truncation_fontane(t):
-        f, g = (random_series(ctx, order, rng) for _ in range(2))
-        small = order - 2
-        return compare(
-            "ring.truncation.fontane",
-            f.fontane(g, 2, 1).truncate(small),
-            f.truncate(small).fontane(g.truncate(small), 2, 1),
-        )
-
-    def divide_roundtrip(t):
-        f = random_series(ctx, order, rng)
-        g = random_series(ctx, order, rng, invertible=True)
-        return compare(
-            "ring.divide_roundtrip", mul_ordinary(f.divide(g), g), f
-        )
-
-    reports.append(_worst(truncation_fontane, trials))
-    reports.append(_worst(divide_roundtrip, trials))
+def _run(rule: Rule, ctx: PsiContext, order: int, trials: int, seed: int):
+    """The reports of the rule's first failing trial, otherwise of its last."""
+    rng = random.Random(f"{seed}:{rule.name}:{ctx.kind}")
+    for _ in range(1 if rule.once else trials):
+        reports = rule.check(rule.name, *rule.draw(ctx, order, rng), *rule.args)
+        if isinstance(reports, RuleReport):
+            reports = (reports,)
+        if not all(r.ok for r in reports):
+            break
     return reports
-
-
-def suite_rules(ctx: PsiContext, order: int, trials: int, rng: random.Random) -> list[RuleReport]:
-    reports: list[RuleReport] = []
-
-    for i, j in RULE_PAIRS:
-
-        def asterisk(t, i=i, j=j):
-            f, g = (random_series(ctx, order, rng) for _ in range(2))
-            return calculus.product_rule_asterisk(f, g, i, j)
-
-        def star(t, i=i, j=j):
-            f, g = (random_series(ctx, order, rng) for _ in range(2))
-            return calculus.product_rule_star(f, g, i, j)
-
-        reports.append(_worst(asterisk, trials))
-        reports.append(_worst(star, trials))
-
-    state = {}
-
-    def ordinary_both(t):
-        f, g = (random_series(ctx, order, rng) for _ in range(2))
-        first, second = calculus.product_rule_ordinary(f, g)
-        state["second"] = second if not second.ok else state.get("second", second)
-        return first
-
-    reports.append(_worst(ordinary_both, trials))
-    reports.append(state["second"])
-
-    for chain in RULE_CHAINS:
-        for star_flavor in (False, True):
-
-            def chain_rule(t, chain=chain, star_flavor=star_flavor):
-                f, g = (random_series(ctx, order, rng) for _ in range(2))
-                return calculus.product_rule_chain(f, g, chain, star=star_flavor)
-
-            reports.append(_worst(chain_rule, trials))
-
-    for first, second in BOXPLUS_COMBOS:
-        for star_flavor in (False, True):
-
-            def boxplus_rule(t, first=first, second=second, star_flavor=star_flavor):
-                f, g = (random_series(ctx, order, rng) for _ in range(2))
-                return calculus.product_rule_boxplus(f, g, first, second, star=star_flavor)
-
-            reports.append(_worst(boxplus_rule, trials))
-
-    return reports
-
-
-def suite_leibniz(ctx: PsiContext, order: int, trials: int, rng: random.Random) -> list[RuleReport]:
-    reports: list[RuleReport] = []
-    for n in range(1, min(4, order - 1) + 1):
-
-        def leibniz(t, n=n):
-            f, g = (random_series(ctx, order, rng) for _ in range(2))
-            return calculus.general_leibniz_report(f, g, n)
-
-        reports.append(_worst(leibniz, trials))
-    return reports
-
-
-def suite_quotient(ctx: PsiContext, order: int, trials: int, rng: random.Random) -> list[RuleReport]:
-    reports: list[RuleReport] = []
-    is_q = ctx.q_scalar is not None
-
-    def quotient(t):
-        f = random_series(ctx, order, rng)
-        g = random_series(ctx, order, rng, invertible=True)
-        return calculus.quotient_rule_report(f, g)
-
-    def reciprocal(t):
-        g = random_series(ctx, order, rng, invertible=True)
-        return calculus.reciprocal_rule_report(g)
-
-    def roundtrip(t):
-        # Df = (f/g) *_{1,0} Dg + D(f/g) g, the product rule read backwards
-        f = random_series(ctx, order, rng)
-        g = random_series(ctx, order, rng, invertible=True)
-        h = f.divide(g)
-        return compare(
-            "quotient.roundtrip",
-            f.derivative(),
-            h.chain(g.derivative(), ((1, 0),)) + h.derivative() * g,
-        )
-
-    reports.append(_worst(quotient, trials))
-    reports.append(_worst(reciprocal, trials))
-    reports.append(_worst(roundtrip, trials))
-
-    if is_q:
-        state = {}
-
-        def q_display_first(t):
-            f = random_series(ctx, order, rng)
-            g = random_series(ctx, order, rng, invertible=True)
-            first, second = calculus.quotient_q_display_reports(f, g)
-            state["second"] = second if not second.ok else state.get("second", second)
-            return first
-
-        reports.append(_worst(q_display_first, trials))
-        reports.append(state["second"])
-
-    return reports
-
-
-_SUITES = {
-    "rings": suite_rings,
-    "rules": suite_rules,
-    "leibniz": suite_leibniz,
-    "quotient": suite_quotient,
-}
 
 
 def run_suites(suites, specs, order: int, trials: int, seed: int) -> list[RuleReport]:
-    rng = random.Random(seed)
     reports: list[RuleReport] = []
     for spec in specs:
         ctx = context_for(spec, order)
-        for name in suites:
-            reports.extend(_SUITES[name](ctx, order, trials, rng))
+        for suite in suites:
+            for rule in RULES:
+                if rule.suite == suite and rule.applies(ctx, order, *rule.args):
+                    reports.extend(_run(rule, ctx, order, trials, seed))
     return reports
 
 

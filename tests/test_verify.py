@@ -5,6 +5,7 @@ import pytest
 from psicalc.errors import BadSpec
 from psicalc.psi_context import get_context
 from psicalc.verify import (
+    SUITE_NAMES,
     context_for,
     custom_spec,
     custom_values,
@@ -56,3 +57,20 @@ def test_witness_polarity_tracks_classical_kind():
     assert "ring.associative" in natural and "ring.commutative" in natural
     assert "ring.non_associative_witness" in fib
     assert "ring.non_commutative_witness" in fib
+
+
+def test_two_report_rules_take_both_reports_from_one_trial():
+    # both reports of a pair compare against the same left side, D(fg) or D(f/g)
+    reports = {r.rule: r for r in run_suites(("rules", "quotient"), ("q=3/2",), 6, 3, 1)}
+    for first, second in (("product.ordinary.asterisk_form", "product.ordinary.star_form"),
+                          ("quotient.q_display.dilated_g", "quotient.q_display.plain_g")):
+        assert reports[first].lhs == reports[second].lhs
+
+
+def test_each_suite_and_spec_draws_alone():
+    # a report of a full run equals the one its suite gives over its spec alone
+    specs = default_specs(4)
+    full = run_suites(SUITE_NAMES, specs, 4, 2, 1)
+    alone = [r for spec in specs for suite in SUITE_NAMES
+             for r in run_suites((suite,), (spec,), 4, 2, 1)]
+    assert [r.to_json_dict() for r in full] == [r.to_json_dict() for r in alone]
