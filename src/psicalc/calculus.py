@@ -105,7 +105,7 @@ def compare(rule: str, lhs: WardSeries, rhs: WardSeries,
 def _flavored(a: OperatorSum, star: bool) -> OperatorSum:
     if not star:
         return a
-    return OperatorSum(tuple(ProductChain(t.coefficient, Flavor.STAR, t.pairs) for t in a.terms))
+    return OperatorSum(tuple([ProductChain(t.coefficient, Flavor.STAR, t.pairs) for t in a.terms]))
 
 
 def _product_rule(rule: str, a: OperatorSum, f: WardSeries, g: WardSeries,

@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import numbers
 import re
+import struct
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, rshift
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, ParseError, VariantMismatch, echo
@@ -232,9 +234,10 @@ def _norm(v) -> int:
     return sum(map(abs, v))
 
 
+@lru_cache(maxsize=256)
 def _half_digits(n: int, width: int) -> int:
     # n digits of ``width`` bytes that each hold X / 2: the offset that makes
-    # signed digits unsigned
+    # signed digits unsigned; kept, as sizes repeat from call to call
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
@@ -257,13 +260,31 @@ def _unpack(x: int, bits: int) -> list:
     Balanced digits are unique, so these are the coefficients of the
     polynomial packed in x whenever every coefficient is below X/2 =
     2^(bits-1) in absolute value.  n digits hold every |x| < X^n / 4, which
-    fixes how many to read.
+    fixes how many to read.  With H the n digits X/2, x + H has the
+    balanced digits plus X/2, so (x + H) ^ H has each balanced digit as a
+    two's-complement field of bits / 8 bytes.  Fields of 1, 2, 4 and 8
+    bytes are read by one signed ``struct.unpack``; fields of 3, 5, 6 and
+    7 bytes are first spread to the top of 4- or 8-byte slots, one strided
+    slice per byte plane, and read the same way, then shifted down; wider
+    fields are read one by one.
     """
     width = bits // 8
     n = (abs(x).bit_length() + 1) // bits + 1
-    raw = (x + _half_digits(n, width)).to_bytes(n * width, "little")
-    digits = [raw[i : i + width] for i in range(0, n * width, width)]
-    out = list(map(sub, map(int.from_bytes, digits, repeat("little")), repeat(1 << (bits - 1))))
+    half = _half_digits(n, width)
+    raw = ((x + half) ^ half).to_bytes(n * width, "little")
+    if width > 8:
+        out = [int.from_bytes(raw[i : i + width], "little", signed=True)
+               for i in range(0, n * width, width)]
+    else:
+        slot = 1 << (width - 1).bit_length()
+        pad = slot - width
+        if pad:
+            buf = bytearray(n * slot)
+            for t in range(width):
+                buf[pad + t :: slot] = raw[t::width]
+            raw = buf
+        words = struct.unpack(f"<{n}{'bhiq'[slot.bit_length() - 1]}", raw)
+        out = list(map(rshift, words, repeat(8 * pad)) if pad else words)
     while out and not out[-1]:
         out.pop()
     return out

@@ -159,13 +159,13 @@ class OperatorSum:
     def __sub__(self, other) -> "OperatorSum":
         if not isinstance(other, OperatorSum):
             return NotImplemented
-        return OperatorSum(self.terms + tuple(t.negated() for t in other.terms))
+        return OperatorSum(self.terms + tuple([t.negated() for t in other.terms]))
 
     def __neg__(self) -> "OperatorSum":
-        return OperatorSum(tuple(t.negated() for t in self.terms))
+        return OperatorSum(tuple([t.negated() for t in self.terms]))
 
     def scale(self, alpha: Scalar) -> "OperatorSum":
-        return OperatorSum(tuple(t.scaled(alpha) for t in self.terms))
+        return OperatorSum(tuple([t.scaled(alpha) for t in self.terms]))
 
     def __mul__(self, other) -> "OperatorSum":
         """Concatenation, distributed over both sums."""
@@ -230,7 +230,7 @@ ORDINARY = OperatorSum.single()
 def _shift_chain(t: ProductChain, di: int, dj: int, append: bool) -> ProductChain:
     if t.pairs and t.flavor is not Flavor.ASTERISK:
         raise FlavorMismatch("shift maps are defined on asterisk chains only")
-    pairs = tuple((i + di, j + dj) for i, j in t.pairs)
+    pairs = tuple([(i + di, j + dj) for i, j in t.pairs])
     if append:
         pairs = pairs + ((1, 0),)
     return ProductChain(t.coefficient, Flavor.ASTERISK, pairs)
@@ -238,12 +238,12 @@ def _shift_chain(t: ProductChain, di: int, dj: int, append: bool) -> ProductChai
 
 def rho(a: OperatorSum) -> OperatorSum:
     """(i, j) -> (i+1, j+1) on every pair; fixes the empty chain."""
-    return OperatorSum(tuple(_shift_chain(t, 1, 1, append=False) for t in a.terms))
+    return OperatorSum(tuple([_shift_chain(t, 1, 1, append=False) for t in a.terms]))
 
 
 def sigma(a: OperatorSum) -> OperatorSum:
     """(i, j) -> (i+1, j) on every pair, then append (1, 0)."""
-    return OperatorSum(tuple(_shift_chain(t, 1, 0, append=True) for t in a.terms))
+    return OperatorSum(tuple([_shift_chain(t, 1, 0, append=True) for t in a.terms]))
 
 
 @cache
@@ -254,7 +254,7 @@ def binomial_operator(n: int, k: int) -> OperatorSum:
     if k == 0:
         return ORDINARY
     if k == n:
-        return OperatorSum.single(tuple((i, 0) for i in range(1, n + 1)))
+        return OperatorSum.single(tuple([(i, 0) for i in range(1, n + 1)]))
     return rho(binomial_operator(n - 1, k)) + sigma(binomial_operator(n - 1, k - 1))
 
 

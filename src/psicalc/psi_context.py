@@ -32,9 +32,9 @@ the same form, made only as a product reads them.
 
 Three tables are built only as they are read: ``psi_factorial`` extends
 the running product s_n! = s_1 * ... * s_n (s_0! = 1); over symbolic q
-``psi_binomial`` unpacks a q-binomial from its value at q = 2^bits, the
-one form the kernels use (``_binomials_at``), and keeps the last row it
-walked to, so reading a whole table is one walk per row; and
+``_packed`` keeps the q-binomial rows at q = 2^bits, the one form the
+kernels use (``_binomials_at``), per bits value, for the few bits values
+read last, and ``psi_binomial`` unpacks a q-binomial from them; and
 ``_weights`` holds the weight tables of the binomial operators <j k>,
 level j for j <= J in canonical row forms, which
 ``operator_algebra.binomial_weights`` grows append-only as requests for
@@ -63,7 +63,7 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from math import comb, gcd, lcm
 from operator import add, mul
 from .coefficients import (_INT_ONLY, Q, RatFuncQ, Scalar, _digit_bits, _from_integer,
@@ -71,6 +71,9 @@ from .coefficients import (_INT_ONLY, Q, RatFuncQ, Scalar, _digit_bits, _from_in
                            parse_rational)
 from .errors import (BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange,
                      VariantMismatch, echo)
+
+# how many bits values a symbolic context keeps packed q-binomial rows for
+_PACKED_BITS = 16
 
 
 def _q_analog(q, one):
@@ -141,7 +144,7 @@ class PsiContext:
     """One base sequence and its append-only tables."""
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
-                 "_scale", "_row", "_weights", "zero", "one", "_spec", "_values", "_step")
+                 "_scale", "_packed", "_weights", "zero", "one", "_spec", "_values", "_step")
 
     def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None):
         """``values`` starts the sequence; ``step(psi)`` gives each next value.
@@ -169,7 +172,7 @@ class PsiContext:
         init(self, "_binom", [(1, [1])])
         init(self, "_kernel", [(1, [])])
         init(self, "_scale", [])
-        init(self, "_row", (-1, 0, []))
+        init(self, "_packed", {})
         init(self, "_weights", [])
         self._grow(1 if step else self.bound)
 
@@ -225,22 +228,31 @@ class PsiContext:
     def _binomials_at(self, bits: int, shift: int = 0):
         """The q-binomial row forms at q = 2^bits, one at a time, for the symbolic q context.
 
-        The closed form F(n, k) = q^k makes the recurrence a shift and an
-        add, and only the row in use is kept.  The q-binomials have
-        nonnegative coefficients, so at bits = 0 (q = 1) the rows hold each
-        binomial's |.|_1 norm: Pascal's rows, which the norm pass of every
-        kernel call reads, so they are the context's binomial table, read
-        through index n once the tables are grown to n.  A nonzero
-        ``shift`` = bits * P yields C(n, k) q^(P k) instead, each entry
-        shifted left by shift * k.
+        The q-binomials have nonnegative coefficients, so at bits = 0
+        (q = 1) the rows hold each binomial's |.|_1 norm: Pascal's rows,
+        which the norm pass of every kernel call reads, so they are the
+        context's binomial table, read through index n once the tables are
+        grown to n.  At bits > 0 the rows are kept per bits value, in
+        ``_packed``, and grown append-only as they are read; the closed
+        form F(n, k) = q^k makes the recurrence a shift and an add.  The
+        store holds the rows of the ``_PACKED_BITS`` bits values read last.
+        A nonzero ``shift`` = bits * P yields C(n, k) q^(P k) instead, each
+        entry shifted left by shift * k.
         """
         if not bits:
             yield from self._binom
             return
-        row = [1]
-        while True:
+        store = self._packed
+        rows = store.pop(bits, None) or [[1]]
+        store[bits] = rows
+        if len(store) > _PACKED_BITS:
+            del store[next(iter(store))]
+        for n in count():
+            if n == len(rows):
+                row = rows[-1]
+                rows.append([1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, n)] + [1])
+            row = rows[n]
             yield 1, [x << shift * k for k, x in enumerate(row)] if shift else row
-            row = [1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, len(row))] + [1]
 
     def _scales(self, m: int) -> list:
         """G_n for n < m, the least integers that make C(n, k) G_n / G_k integral.
@@ -322,18 +334,21 @@ class PsiContext:
         return fact[n]
 
     def psi_binomial(self, n: int, k: int) -> Scalar:
+        """C(n, k) = s_n! / (s_k! s_{n-k}!); needs 0 <= k <= n.
+
+        Over symbolic q the entry is unpacked from row n of the packed rows
+        at the bits of its largest coefficient (``_binomials_at``), so the
+        rows read are kept and a whole table costs one recurrence step per
+        row and bits value.
+        """
         self._check_index(n)
         if not 0 <= k <= n:
             raise KOutOfRange(f"k={k} outside 0..{n}")
         if not self.symbolic:
             return _form_value(self._binom[n], k)
-        if self._row[0] != n:
-            # the last row read is kept, at the bits of its largest entry: a
-            # q-binomial's coefficients are at most its value at q = 1
-            bits = _digit_bits(comb(n, n // 2))
-            row = next(islice(self._binomials_at(bits), n, None))[1]
-            object.__setattr__(self, "_row", (n, bits, row))
-        _, bits, row = self._row
+        # a q-binomial's coefficients are at most its value at q = 1
+        bits = _digit_bits(comb(n, n // 2))
+        row = next(islice(self._binomials_at(bits), n, None))[1]
         return _from_integer(_unpack(row[k], bits))
 
     def fontane_kernel(self, n: int, k: int) -> Scalar:

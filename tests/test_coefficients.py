@@ -160,26 +160,44 @@ def test_digit_bits_are_exact_at_the_sign_bit(bits):
     assert _digit_bits(top + 1) == bits + 8
 
 
-@pytest.mark.parametrize("bits", (8, 16, 24, 64))
+def slice_unpack(x: int, bits: int) -> list:
+    """Balanced digits read one bytes slice at a time; the oracle for ``_unpack``."""
+    width, half = bits // 8, 1 << (bits - 1)
+    n = (abs(x).bit_length() + 1) // bits + 1
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = (x + offset).to_bytes(n * width, "little")
+    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+# every digit width from 1 to 17 bytes: one struct word, a spread to a
+# wider word, or a field read on its own
+DIGIT_BITS = tuple(range(8, 137, 8))
+
+
+@pytest.mark.parametrize("bits", DIGIT_BITS)
 def test_pack_unpack_at_the_digit_edges(bits):
     top = 2 ** (bits - 1) - 1
     for v in ([top], [-top], [top, -top, top], [-top, 0, -top, top], [0, 0, -top],
               [1, -1, 0, 1], [-1] * 5, [top, 0, 0, 0, 1]):
         packed = _pack(v, bits)
         assert packed == sum(x << (bits * i) for i, x in enumerate(v))
-        assert _unpack(packed, bits) == v
-    assert _unpack(0, bits) == []
+        assert _unpack(packed, bits) == slice_unpack(packed, bits) == v
+    assert _unpack(0, bits) == slice_unpack(0, bits) == []
 
 
-@pytest.mark.parametrize("bits", (8, 16, 64))
+@pytest.mark.parametrize("bits", DIGIT_BITS)
 @given(st.integers(min_value=-(2**300), max_value=2**300))
 def test_unpack_reads_balanced_digits_of_any_int(bits, x):
     # X^n X/2 needs a digit more than X^n X/2 - 1, whose top digit is X/2 - 1
     half = 1 << (bits - 1)
     edges = [s * ((half << (bits * n)) + d) for n in range(4) for d in (-2, -1, 0, 1)
              for s in (1, -1)]
-    for y in [x, *edges]:
+    for y in [x, 0, *edges]:
         digits = _unpack(y, bits)
+        assert digits == slice_unpack(y, bits)
         assert sum(d << (bits * i) for i, d in enumerate(digits)) == y
         assert all(-half <= d < half for d in digits)
         assert not digits or digits[-1]

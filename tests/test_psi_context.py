@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -9,7 +10,7 @@ from psicalc.errors import (
     KernelUndefined,
     KOutOfRange,
 )
-from psicalc.psi_context import PsiContext, get_context
+from psicalc.psi_context import _PACKED_BITS, PsiContext, get_context
 from psicalc.series import make_series
 
 ONE, ZERO = RatFuncQ.from_rational(1), RatFuncQ.from_rational(0)
@@ -109,7 +110,7 @@ def test_tables_grown_in_steps_match_one_build(spec):
     assert get_context("fib", 8) is get_context("fib", 12) is get_context("fib")
 
 
-@pytest.mark.parametrize("order", [(20, 5), (5, 20), (20, 5, 20)])
+@pytest.mark.parametrize("order", [(20, 5), (5, 20), (20, 5, 20), tuple(range(21))])
 def test_symbolic_tables_read_out_of_order(order):
     # the q-binomials from the recurrence C(n, k) = C(n-1, k-1) + q^k C(n-1, k)
     # in rational functions, and the factorials as running products
@@ -125,6 +126,55 @@ def test_symbolic_tables_read_out_of_order(order):
             (repr(x), x.num.coeffs, x.den.coeffs) for x in rows[n]]
         assert repr(ctx.psi_factorial(n)) == repr(fact[n])
     assert [ctx.psi_factorial(n) for n in range(21)] == fact
+
+
+def packed_rows(bits: int, shift: int, m: int) -> list:
+    """Rows 0..m of C_q(n, k) q^(P k) at q = 2^bits, shift = bits * P, from
+    the Gaussian coefficients, C(n, k) = C(n-1, k-1) + q^k C(n-1, k) on
+    coefficient lists."""
+    def add(a, b):
+        return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+    rows = [[[1]]]
+    for n in range(1, m + 1):
+        prev = rows[-1] + [[]]
+        rows.append([[1]] + [add(prev[k - 1], [0] * k + prev[k]) for k in range(1, n + 1)])
+    return [(1, [sum(c << bits * i for i, c in enumerate(p)) << shift * k
+                 for k, p in enumerate(row)]) for row in rows]
+
+
+def test_packed_rows_read_in_any_order_match_the_recurrence():
+    # interleaved bits values, shifts and lengths, some reads growing the
+    # kept rows and some reading rows another read grew
+    ctx = PsiContext.from_spec("q")
+    reads = [(16, 0, 4), (24, 0, 12), (16, 32, 9), (40, 0, 2), (24, 48, 20), (16, 0, 25),
+             (40, 120, 18), (24, 0, 3), (8, 8, 30), (16, 16, 30)]
+    for bits, shift, m in reads:
+        assert list(islice(ctx._binomials_at(bits, shift), m + 1)) == packed_rows(bits, shift, m)
+        assert len(ctx._packed) <= _PACKED_BITS
+    # two readers of one bits value, each growing the rows the other reads
+    first, second = ctx._binomials_at(56), ctx._binomials_at(56, 112)
+    got = [list(islice(first, 6)), list(islice(second, 11)), list(islice(first, 10))]
+    assert got[0] + got[2] == packed_rows(56, 0, 15)
+    assert got[1] == packed_rows(56, 112, 10)
+
+
+def test_packed_row_store_keeps_the_bits_values_read_last():
+    ctx = PsiContext.from_spec("q")
+    every = [8 * (b + 1) for b in range(_PACKED_BITS + 4)]
+    for bits in every:
+        next(islice(ctx._binomials_at(bits), 5, None))
+        assert len(ctx._packed) <= _PACKED_BITS
+    assert list(ctx._packed) == every[-_PACKED_BITS:]
+    # a read keeps its bits value; the least recently read one goes
+    kept, evicted = every[-_PACKED_BITS], every[-_PACKED_BITS + 1]
+    next(ctx._binomials_at(kept))
+    next(ctx._binomials_at(8 * 100))
+    assert kept in ctx._packed and evicted not in ctx._packed
+    assert len(ctx._packed) == _PACKED_BITS
+    # evicted rows come back from the recurrence
+    assert list(islice(ctx._binomials_at(evicted, evicted), 9)) == packed_rows(evicted, evicted, 8)
+    assert len(ctx._packed) == _PACKED_BITS
 
 
 @pytest.mark.parametrize("spec,v", [("q=3/2", 2), ("q=-2/3", 3), ("q=5", 1), ("natural", 1),
