@@ -49,7 +49,6 @@ from .operator_algebra import (
     rho,
     sigma,
 )
-from .psi_context import _weighting
 from .series import Pair, WardSeries, _convolve, check_pair, constant, first_difference
 
 
@@ -161,11 +160,12 @@ def general_leibniz(f: WardSeries, g: WardSeries, n: int) -> WardSeries:
     """sum_k <n k>(D^(n-k) f, D^k g), truncated to min(order) - n.
 
     One kernel call of n + 1 terms: term k reads D^(n-k) f and D^k g as
-    the operands at offsets (n-k, k) and weighs by <n k>.  Where
-    ``_weighting`` finds a power kernel F(n, k) = q^k (the q-analogs; q = 1
-    over 0, 1, 2, ...), <n k> is C(n, k) times the twist (k, 0), and no
-    weight table is built; otherwise it is the weight table of <n k> the
-    context stores (``binomial_weights``), and <n 0> the ordinary product.
+    the operands at offsets (n-k, k) and weighs by <n k>.  Over a power
+    kernel F(n, k) = q^k (``PsiContext.power_kernel``: the q-analogs, and
+    q = 1 over 0, 1, 2, ...), <n k> is C(n, k) times the twist (k, 0), and
+    no weight table is built; otherwise it is the weight table of <n k>
+    the context stores (``binomial_weights``), and <n 0> the ordinary
+    product.
     """
     if n < 0:
         raise BadIndices("derivative count must be nonnegative")
@@ -173,8 +173,7 @@ def general_leibniz(f: WardSeries, g: WardSeries, n: int) -> WardSeries:
     if min(f.order, g.order) < n:
         raise PsiCalcError(f"series orders too small for {n} derivatives")
     ctx, m = f.ctx, min(f.order, g.order) - n
-    # <n n> = (1,0)...(n,0), which reads the tables through index m + n
-    if type(_weighting(ctx, [(i, 0) for i in range(1, n + 1)], False, m)) is tuple:
+    if ctx.power_kernel:
         return _convolve(f, g, [(n - k, k, (k, 0, False), ctx.psi_binomial(n, k))
                                 for k in range(n + 1)])
     tables = binomial_weights(ctx, n, m)

@@ -32,7 +32,7 @@ from .errors import (
     echo,
 )
 from .psi_context import get_context
-from .series import WardSeries, make_series, series_header
+from .series import WardSeries, check_pair, make_series, series_header
 
 _USAGE_ERRORS = (BadSpec, ParseError, BadIndices, KOutOfRange,
                  KernelUndefined, IndexOutOfBound, BoundExceeded)
@@ -125,11 +125,10 @@ def _parse_chain(text: str) -> tuple[tuple[int, int], ...]:
     import ast
 
     try:
-        raw = ast.literal_eval(text)
-        pairs = tuple((int(i), int(j)) for i, j in raw)
+        raw = tuple(ast.literal_eval(text))
     except (ValueError, SyntaxError, TypeError) as exc:
         raise ParseError(f"cannot parse chain {echo(text)}") from exc
-    return pairs
+    return tuple([check_pair(p) for p in raw])
 
 
 def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:

@@ -423,16 +423,6 @@ def _canonical(nv, dv) -> tuple:
     return PolyQ._raw(nv if lead == 1 else map(_int_ratio, nv, repeat(lead))), den
 
 
-def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over the rationals (zero if both inputs are zero)."""
-    if not a or not b:
-        a = b = a or b
-        if not a:
-            return a
-    h = _cofactors(_primitive(a._c), _primitive(b._c))[0]
-    return _canonical(h, h[-1:])[0]
-
-
 class RatFuncQ:
     """Reduced ratio of two PolyQ with a monic, nonzero denominator."""
 

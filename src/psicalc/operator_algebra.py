@@ -23,12 +23,11 @@ The binomial operators follow the Pascal-style recurrence
 and are memoized per (n, k).
 
 A sum A acts on a series pair through one call of the series module's
-weighted-sum kernel.  Its weight table is
+weighted-sum kernel, with one term per chain, weighed as
+``psi_context._weighting`` decides; the kernel adds the terms into one
+numerator per result coefficient.  The weight table of A is
 W_A(n, k) = sum of coefficient * prod F(n+i, k+j) over its chains (star
-chains mirrored to W(n, n-k)); where every kernel entry is a power
-F(n, k) = q^k a chain is a twist instead, and the chains that share a
-twist are one term with their coefficients added.  The shift maps act on
-weights as well,
+chains mirrored to W(n, n-k)).  The shift maps act on weights as well,
 W_rho(A)(n, k) = W_A(n+1, k+1) and W_sigma(A)(n, k) = F(n+1, k) W_A(n+1, k),
 which builds the tables of a whole triangle row without expanding <n k>
 into its C(n, k) chains.  A context keeps the tables of the triangle
@@ -50,8 +49,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .coefficients import RatFuncQ, Scalar, embed_rational
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
-from .psi_context import (PsiContext, _form, _form_add, _form_eq, _form_mul, _form_scale,
-                          _weighting)
+from .psi_context import (PsiContext, _chain_rows, _form, _form_add, _form_eq, _form_mul,
+                          _form_scale, _weighting)
 from .series import Pair, WardSeries, _convolve, check_pair
 
 
@@ -191,7 +190,7 @@ class OperatorSum:
         """
         table = None
         for t in self.terms:
-            w = _weighting(ctx, t.pairs, t.flavor is Flavor.STAR, m, twist=False)
+            w = _chain_rows(ctx, t.pairs, t.flavor is Flavor.STAR, m)
             c = _lift_coefficient(ctx, t.coefficient)
             if c != 1:
                 w = map(_form_scale, w, repeat(c))
@@ -199,20 +198,11 @@ class OperatorSum:
         return iter([(1, [ctx.zero] * (n + 1)) for n in range(m + 1)]) if table is None else table
 
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
-        """One kernel call: a term per distinct twist, or the summed weight rows.
-
-        Chains with the same twist (a power kernel, ``_weighting``) act
-        alike, so their coefficients are added first.
-        """
+        """One kernel call with one term per chain, weighed by ``_weighting``."""
         o = f._peer(g)
         ctx, m = f.ctx, min(f.order, o.order)
-        twists: dict = {}
-        for t in self.terms:
-            w = _weighting(ctx, t.pairs, t.flavor is Flavor.STAR, m)
-            if type(w) is not tuple:
-                return _convolve(f, o, [(0, 0, self._weight_rows(ctx, m), ctx.one)])
-            twists[w] = twists.get(w, ctx.zero) + _lift_coefficient(ctx, t.coefficient)
-        return _convolve(f, o, [(0, 0, w, c) for w, c in twists.items() if c])
+        return _convolve(f, o, [(0, 0, _weighting(ctx, t.pairs, t.flavor is Flavor.STAR, m),
+                                 _lift_coefficient(ctx, t.coefficient)) for t in self.terms])
 
     def render(self) -> str:
         if not self.terms:

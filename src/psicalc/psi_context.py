@@ -23,12 +23,14 @@ canonical; the series kernels then sum on ints and divide once per result
 coefficient.  Over symbolic q every kernel entry carries its own
 denominator, so d is 1 and v holds the rational functions themselves; the
 binomial rows there are Pascal's, with d = 1 and int entries.  The
-accessors give the canonical scalars (an int when whole).  How a chain of index pairs
-weighs a product is decided here, in ``_weighting``: where every kernel
-entry is a power F(n, k) = q^k (the q-analogs, and q = 1 over the
-sequence 0, 1, 2, ...) it is a twist, a power of q per term, and no rows
-are built; otherwise it is weight rows, products of kernel-row slices in
-the same form, made only as a product reads them.
+accessors give the canonical scalars (an int when whole).  Whether every
+kernel entry is a power F(n, k) = q^k (the q-analogs, and q = 1 over the
+sequence 0, 1, 2, ...) is one fact of a context, ``power_kernel``, fixed
+on construction.  ``_weighting`` reads it to weigh a product by a chain
+of index pairs: over a power kernel by a twist, a power of q per term,
+with no rows built; otherwise by the chain's weight rows
+(``_chain_rows``), products of kernel-row slices in the same form, made
+only as a product reads them.
 
 Three tables are built only as they are read: ``psi_factorial`` extends
 the running product s_n! = s_1 * ... * s_n (s_0! = 1); over symbolic q
@@ -141,10 +143,16 @@ def _parts(q: Scalar | None) -> tuple:
 
 
 class PsiContext:
-    """One base sequence and its append-only tables."""
+    """One base sequence and its append-only tables.
+
+    ``is_classical``: the sequence is 0, 1, 2, 3, ... (to the bound, if
+    any).  ``power_kernel``: every F(n, k) is q^k, which holds for the
+    q-analogs and, with q = 1, for the classical sequence.
+    """
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
-                 "_scale", "_packed", "_weights", "zero", "one", "_spec", "_values", "_step")
+                 "_scale", "_packed", "_weights", "zero", "one", "_spec", "_values", "_step",
+                 "is_classical", "power_kernel")
 
     def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None):
         """``values`` starts the sequence; ``step(psi)`` gives each next value.
@@ -175,6 +183,10 @@ class PsiContext:
         init(self, "_packed", {})
         init(self, "_weights", [])
         self._grow(1 if step else self.bound)
+        classical = kind == "natural" or q_scalar == 1 or (
+            step is None and values == tuple(range(len(values))))
+        init(self, "is_classical", classical)
+        init(self, "power_kernel", classical or q_scalar is not None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PsiContext is immutable")
@@ -369,13 +381,6 @@ class PsiContext:
             value = _norm_rat(Fraction(value))
         return embed_rational(value) if self.symbolic else value
 
-    @property
-    def is_classical(self) -> bool:
-        """True when the base sequence is 0, 1, 2, 3, ... (to the bound, if any)."""
-        if self.bound is None:
-            return self.kind == "natural" or self.q_scalar == 1
-        return all(self.psi[n] == n for n in range(self.bound + 1))
-
 
 _RATFUNC_ONLY = frozenset((RatFuncQ,))
 _RATIONAL_ONLY = frozenset((int, Fraction))
@@ -411,23 +416,16 @@ def _check_scalars(ctx: PsiContext, values) -> tuple:
     return tuple([_check_scalar(ctx, x) for x in c])
 
 
-def _weighting(ctx: PsiContext, pairs, star: bool, m: int, twist: bool = True):
-    """How a chain of index pairs weighs the (n, k) term for n <= m.
+def _chain_rows(ctx: PsiContext, pairs, star: bool, m: int):
+    """The weight rows of a chain of index pairs, one row form per n <= m.
 
     The weight is W(n, k) = prod F(n+i, base+j) over the pairs, ``base``
-    k for the asterisk flavor and n-k for the star flavor.  Where every
-    kernel entry is a power F(n, k) = q^k (the q-analogs; q = 1 over
-    0, 1, 2, ...), W(n, k) = q^(P base + J) with P pairs and J the sum of
-    the j, and the chain is the twist (P, J, star); so is the empty chain,
-    which weighs by one everywhere.  This is the one place that decides
-    it.  Otherwise, or with ``twist`` false, the chain is its weight rows,
-    one row form per n, made as they are read, so a product holds one at
-    a time.  The tables are grown first either way, so a zero sequence
-    value (q = -1 has s_2 = 0) is refused.
+    k for the asterisk flavor and n-k for the star flavor; the empty chain
+    weighs by one everywhere.  The rows are made as they are read, so a
+    product holds one at a time.  The tables are grown first, so a zero
+    sequence value (q = -1 has s_2 = 0) is refused.
     """
     ctx._grow(m + max(pairs, default=(0, 0))[0])
-    if twist and (not pairs or ctx.q_scalar is not None or ctx.is_classical):
-        return len(pairs), sum([j for _, j in pairs]), star
     kern, one = ctx._kernel, ctx.one
 
     def rows():
@@ -443,6 +441,21 @@ def _weighting(ctx: PsiContext, pairs, star: bool, m: int, twist: bool = True):
             yield row or (1, [one] * (n + 1))
 
     return rows()
+
+
+def _weighting(ctx: PsiContext, pairs, star: bool, m: int):
+    """How a chain of index pairs weighs the (n, k) term for n <= m.
+
+    Over a power kernel (``ctx.power_kernel``) the weight of
+    ``_chain_rows`` is W(n, k) = q^(P base + J) with P pairs and J the sum
+    of the j, and the chain is the twist (P, J, star); so is the empty
+    chain.  Otherwise the chain is its weight rows.  The tables are grown
+    either way.
+    """
+    rows = _chain_rows(ctx, pairs, star, m)
+    if ctx.power_kernel or not pairs:
+        return len(pairs), sum([j for _, j in pairs]), star
+    return rows
 
 
 _CONTEXTS: dict[str, PsiContext] = {}

@@ -20,8 +20,9 @@ Every product, every operator sum and the general Leibniz rule runs
 through one weighted-sum kernel (``_convolve``), which takes a list of
 terms, each an operand offset pair, a weighting and a scalar, and
 division through one forward-substitution loop.  A weighting is weight
-rows, or, where F(n, k) = q^k (``psi_context._weighting`` decides), a
-twist: an ordinary product with powers of q folded into the loop.  Both
+rows, or, over a power kernel F(n, k) = q^k (``PsiContext.power_kernel``,
+which ``psi_context._weighting`` reads), a twist: an ordinary product
+with powers of q folded into the loop.  Both
 loops run on Python ints for both scalar variants, fraction-free:
 denominators are cleared once, the sums are integer dot products, every
 term adds into one numerator per result coefficient, and each result

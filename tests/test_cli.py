@@ -149,6 +149,15 @@ def test_op_bad_chain_text(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("chain", ("[(1.5,0)]", "[(1e400,0)]"))
+def test_op_non_integer_chain_index_is_usage_error(capsys, chain):
+    # neither is rounded to an int: 1.5 is not (1, 0), and 1e400 is inf
+    code, out, err = run_cli(capsys, "op", "chain", "[1,2]", "[3,4]", "--psi", "fib",
+                             "--chain", chain)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_op_wrong_operand_count(capsys):
     code, _, err = run_cli(capsys, "op", "mul", "[1]", "--psi", "fib")
     assert code == 2
@@ -575,7 +584,8 @@ def _fuzz_argv(draw, path):
             flags += ["--i", draw(small_ints), "--j", draw(small_ints)]
         if draw(st.booleans()):
             flags += ["--chain", draw(st.sampled_from(
-                ("[(1,0)]", "[(2,1),(1,0)]", "[(0,1)]", "[(1,)]", "[[3,1]]", "x", "[]")))]
+                ("[(1,0)]", "[(2,1),(1,0)]", "[(0,1)]", "[(1,)]", "[[3,1]]", "x", "[]",
+                 "[(1.5,0)]", "[(1e400,0)]")))]
     elif command == "check":
         argv.append(draw(st.sampled_from(("rings", "rules", "leibniz", "quotient", "all",
                                           "bogus"))))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psicalc import operator_algebra
 from psicalc.calculus import general_leibniz
 from psicalc.coefficients import Q, embed_rational
 from psicalc.errors import BadIndices, BadSpec, FlavorMismatch, KOutOfRange, VariantMismatch
@@ -22,7 +23,7 @@ from psicalc.operator_algebra import (
 )
 from psicalc.psi_context import PsiContext, _form, _form_eq, _form_value, get_context
 from psicalc.series import _convolve, e_psi, make_series, monomial, zeros
-from psicalc.verify import custom_spec
+from psicalc.verify import custom_spec, default_specs
 
 A10 = OperatorSum.single(((1, 0),))
 A20 = OperatorSum.single(((2, 0),))
@@ -478,7 +479,7 @@ def test_extensional_eq_matches_monomial_enumeration(spec, data):
     assert extensional_eq(a, b, ctx, order) == monomial_pairs_agree(a, b, ctx, order)
 
 
-# -- operator sums over power kernels: one twisted product per twist ------------------
+# -- operator sums over power kernels: one twisted term per chain ----------------------
 #
 # F(n, k) = q^k over the q-analogs, and with q = 1 over the classical
 # sequence 0, 1, 2, ...; the weight rows stay the oracle there.
@@ -490,8 +491,8 @@ POWER_KERNEL_SPECS = Q_ANALOG_SPECS + ("natural", "custom:[0,1,2,3,4,5,6,7,8,9,1
 @st.composite
 def twisted_sums(draw, symbolic):
     # mixed flavors, coefficients != 1 and the empty chain, plus two chains
-    # that share a twist, (1,0) and (2,0) or (2,1) and (3,1): they merge there,
-    # and cancel when their coefficients do
+    # that share a twist, (1,0) and (2,0) or (2,1) and (3,1): they act alike
+    # there, and cancel when their coefficients do
     a = draw(st.one_of(operator_sums(), st.just(ZERO_OPERATOR), st.just(ORDINARY)))
     if draw(st.booleans()):
         first, second = draw(st.sampled_from(((((1, 0),), ((2, 0),)), (((2, 1),), ((3, 1),)))))
@@ -532,3 +533,26 @@ def test_q_analog_apply_refuses_what_the_weight_rows_refuse():
         with pytest.raises(BadSpec):
             a.apply(h, h)
     assert ORDINARY.apply(h, h) == h * h
+
+
+@pytest.mark.parametrize("spec", default_specs(6))
+def test_apply_is_one_kernel_call_with_one_term_per_chain(spec, monkeypatch):
+    calls = []
+
+    def spy(f, g, terms):
+        calls.append(len(terms))
+        return _convolve(f, g, terms)
+
+    monkeypatch.setattr(operator_algebra, "_convolve", spy)
+    ctx = get_context(spec)
+    f, g = make_series(ctx, [1, 2, -3, 4]), make_series(ctx, [2, -1, 0, 5])
+    # (1,0) and (2,0) share a twist over a power kernel, and so do (2,1) and (3,1)
+    shared = (A10 + A20.scale(3) + OperatorSum.single(((2, 1),), Flavor.STAR, -2)
+              + OperatorSum.single(((3, 1),), Flavor.STAR))
+    for a in (ZERO_OPERATOR, ORDINARY, A10, shared, shared - A20.scale(3) + S21,
+              binomial_operator(4, 2)):
+        calls.clear()
+        got = a.apply(f, g)
+        assert calls == [len(a.terms)]
+        want = _convolve(f, g, [(0, 0, a._weight_rows(ctx, 3), ctx.one)])
+        assert repr(got) == repr(want)

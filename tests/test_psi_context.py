@@ -12,6 +12,7 @@ from psicalc.errors import (
 )
 from psicalc.psi_context import _PACKED_BITS, PsiContext, get_context
 from psicalc.series import make_series
+from psicalc.verify import custom_spec
 
 ONE, ZERO = RatFuncQ.from_rational(1), RatFuncQ.from_rational(0)
 
@@ -316,3 +317,21 @@ def test_from_rational_gives_canonical_scalars(qsym, nat, value, plain):
     got = nat.from_rational(value)
     assert got == plain and type(got) is type(plain)
     assert qsym.from_rational(value) == embed_rational(plain)
+
+
+@pytest.mark.parametrize("spec,classical,power", [
+    ("natural", True, True),
+    ("q=1", True, True),
+    ("custom:[" + ",".join(map(str, range(13))) + "]", True, True),
+    (custom_spec(12), False, False),
+    ("fib", False, False),
+    ("q", False, True),
+    ("q=3/2", False, True),
+])
+def test_classical_and_power_kernel_facts(spec, classical, power):
+    ctx = PsiContext.from_spec(spec)
+    assert (ctx.is_classical, ctx.power_kernel) == (classical, power)
+    # both facts against the tables: s_n = n, and F(n, k) = q^k
+    q = 1 if ctx.q_scalar is None else ctx.q_scalar
+    assert all(ctx.psi_value(n) == n for n in range(13)) == classical
+    assert all(ctx.fontane_kernel(n, k) == q**k for n in range(13) for k in range(n)) == power
