@@ -7,16 +7,7 @@ builds the binomial-operator triangle and the derivative rules that tie
 it all together.
 """
 
-from .coefficients import (
-    Q,
-    PolyQ,
-    RatFuncQ,
-    Scalar,
-    embed_rational,
-    format_scalar,
-    parse_rational,
-    parse_scalar,
-)
+from .coefficients import Scalar, format_scalar, parse_rational, parse_scalar
 from .errors import (
     BadIndices,
     BadSpec,
@@ -51,9 +42,11 @@ from .series import (
     zeros,
 )
 
-# The operator and calculus layers load on first use (PEP 562): a process
-# that only tabulates sequences or multiplies series never compiles them.
+# The q-field, operator and calculus layers load on first use (PEP 562): a
+# process over plain rationals never compiles the q-field, and one that only
+# tabulates sequences or multiplies series never compiles the other two.
 _LAZY = {
+    **dict.fromkeys(("qfield", "Q", "PolyQ", "RatFuncQ", "embed_rational"), "qfield"),
     **dict.fromkeys(("operator_algebra", "ORDINARY", "ZERO_OPERATOR", "Flavor", "OperatorSum",
                      "ProductChain", "binomial_operator", "extensional_eq", "rho", "sigma"),
                     "operator_algebra"),

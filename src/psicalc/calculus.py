@@ -36,13 +36,13 @@ displays with dilated numerators over g(x) g(qx).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadIndices, PsiCalcError
 from .operator_algebra import (
     ORDINARY,
     Flavor,
+    Frozen,
     OperatorSum,
     ProductChain,
     binomial_weights,
@@ -52,18 +52,14 @@ from .operator_algebra import (
 from .series import Pair, WardSeries, _convolve, check_pair, constant, first_difference
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(Frozen):
     """Two sides of one identity and the outcome of comparing them."""
 
-    rule: str
-    psi: str
-    order: int
-    lhs: WardSeries
-    rhs: WardSeries
-    equal: bool
-    first_diff: int | None
-    expected_equal: bool = True
+    __slots__ = ("rule", "psi", "order", "lhs", "rhs", "equal", "first_diff", "expected_equal")
+
+    def __init__(self, rule: str, psi: str, order: int, lhs: WardSeries, rhs: WardSeries,
+                 equal: bool, first_diff: int | None, expected_equal: bool = True):
+        self._init(rule, psi, order, lhs, rhs, equal, first_diff, expected_equal)
 
     @property
     def ok(self) -> bool:
@@ -109,12 +105,19 @@ def _flavored(a: OperatorSum, star: bool) -> OperatorSum:
 
 def _product_rule(rule: str, a: OperatorSum, f: WardSeries, g: WardSeries,
                   star: bool) -> RuleReport:
-    """Check D(A(f, g)) against the one rule, for A or its star mirror."""
+    """Check D(A(f, g)) against the one rule, for A or its star mirror.
+
+    The right side r(Df, g) + s(f, Dg) is one kernel call: the terms of r
+    read the operands at offsets (1, 0), those of s at (0, 1), through row
+    min(f.order, g.order) - 1.
+    """
     lhs = _flavored(a, star).apply(f, g).derivative()
     r, s = _flavored(rho(a), star), _flavored(sigma(a), star)
     if star:
         r, s = s, r
-    return compare(rule, lhs, r.apply(f.derivative(), g) + s.apply(f, g.derivative()))
+    ctx, m = f.ctx, min(f.order, g.order) - 1
+    return compare(rule, lhs, _convolve(f, g, r.kernel_terms(ctx, m, 1, 0)
+                                        + s.kernel_terms(ctx, m, 0, 1)))
 
 
 def product_rule_asterisk(f: WardSeries, g: WardSeries, i: int, j: int) -> RuleReport:

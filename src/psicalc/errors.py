@@ -20,7 +20,7 @@ class VariantMismatch(PsiCalcError, TypeError):
     """Arithmetic mixed a plain rational with a rational function of q.
 
     The two scalar variants never auto-promote: embedding has to be asked
-    for explicitly (see coefficients.embed_rational), otherwise a symbolic
+    for explicitly (see qfield.embed_rational), otherwise a symbolic
     q could silently collapse to a number.
     """
 

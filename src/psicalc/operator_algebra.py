@@ -41,14 +41,13 @@ because A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
-from .coefficients import RatFuncQ, Scalar, embed_rational
-from .errors import FlavorMismatch, KOutOfRange, VariantMismatch
+from .coefficients import Scalar
+from .errors import FlavorMismatch, KOutOfRange, VariantMismatch, echo
 from .psi_context import (PsiContext, _chain_rows, _form, _form_add, _form_eq, _form_mul,
                           _form_scale, _weighting)
 from .series import Pair, WardSeries, _convolve, check_pair
@@ -63,26 +62,57 @@ def _lift_coefficient(ctx: PsiContext, c: Scalar) -> Scalar:
     # rational operator coefficients embed canonically into the q-field;
     # the reverse direction would lose the symbol and is refused
     if ctx.symbolic:
-        return c if isinstance(c, RatFuncQ) else embed_rational(c)
-    if isinstance(c, RatFuncQ):
+        return ctx._qkernels.embed_rational(c)
+    if not isinstance(c, numbers.Rational):
         raise VariantMismatch(
-            "operator coefficient is a rational function of q but the context is plain rational"
+            f"a plain rational context needs plain rational operator coefficients, got {echo(c)}"
         )
     return c
 
 
-@dataclass(frozen=True)
-class ProductChain:
+class Frozen:
+    """An immutable value with slots, compared, hashed and shown by the fields in ``__slots__``."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        # the constructors' one way to set the fields, in ``__slots__`` order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ProductChain(Frozen):
     """One weighted-product word; pairs kept in construction order."""
 
-    coefficient: Scalar = 1
-    flavor: Flavor = Flavor.ASTERISK
-    pairs: tuple[Pair, ...] = ()
+    __slots__ = ("coefficient", "flavor", "pairs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple([check_pair(p) for p in self.pairs]))
-        if not isinstance(self.flavor, Flavor):
-            raise FlavorMismatch(f"bad flavor {self.flavor!r}")
+    def __init__(self, coefficient: Scalar = 1, flavor: Flavor = Flavor.ASTERISK,
+                 pairs: tuple[Pair, ...] = ()):
+        pairs = tuple([check_pair(p) for p in pairs])
+        if not isinstance(flavor, Flavor):
+            raise FlavorMismatch(f"bad flavor {flavor!r}")
+        self._init(coefficient, flavor, pairs)
 
     @property
     def is_ordinary(self) -> bool:
@@ -93,7 +123,10 @@ class ProductChain:
 
     def scaled(self, alpha: Scalar) -> "ProductChain":
         c = self.coefficient
-        if isinstance(alpha, RatFuncQ) and isinstance(c, numbers.Rational):
+        if not isinstance(alpha, numbers.Rational) and isinstance(c, numbers.Rational):
+            # a rational function of q scales: qfield is loaded already
+            from .qfield import embed_rational
+
             c = embed_rational(c)
         return ProductChain(alpha * c, self.flavor, self.pairs)
 
@@ -132,14 +165,13 @@ def _canonical_terms(terms: Iterable[ProductChain]) -> tuple[ProductChain, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class OperatorSum:
+class OperatorSum(Frozen):
     """Canonical formal sum of product chains."""
 
-    terms: tuple[ProductChain, ...] = ()
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical_terms(self.terms))
+    def __init__(self, terms: tuple[ProductChain, ...] = ()):
+        self._init(_canonical_terms(terms))
 
     @classmethod
     def of(cls, *chains: ProductChain) -> "OperatorSum":
@@ -197,12 +229,19 @@ class OperatorSum:
             table = w if table is None else map(_form_add, table, w)
         return iter([(1, [ctx.zero] * (n + 1)) for n in range(m + 1)]) if table is None else table
 
+    def kernel_terms(self, ctx: PsiContext, m: int, i: int = 0, j: int = 0) -> list:
+        """The sum as ``series._convolve`` terms for rows n <= m, one per chain.
+
+        Each term reads the operands at offsets (i, j) and is weighed as
+        ``_weighting`` decides, its coefficient in the context's variant.
+        """
+        return [(i, j, _weighting(ctx, t.pairs, t.flavor is Flavor.STAR, m),
+                 _lift_coefficient(ctx, t.coefficient)) for t in self.terms]
+
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
-        """One kernel call with one term per chain, weighed by ``_weighting``."""
+        """One kernel call with one term per chain."""
         o = f._peer(g)
-        ctx, m = f.ctx, min(f.order, o.order)
-        return _convolve(f, o, [(0, 0, _weighting(ctx, t.pairs, t.flavor is Flavor.STAR, m),
-                                 _lift_coefficient(ctx, t.coefficient)) for t in self.terms])
+        return _convolve(f, o, self.kernel_terms(f.ctx, min(f.order, o.order)))
 
     def render(self) -> str:
         if not self.terms:

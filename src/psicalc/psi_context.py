@@ -35,8 +35,8 @@ only as a product reads them.
 Three tables are built only as they are read: ``psi_factorial`` extends
 the running product s_n! = s_1 * ... * s_n (s_0! = 1); over symbolic q
 ``_packed`` keeps the q-binomial rows at q = 2^bits, the one form the
-kernels use (``_binomials_at``), per bits value, for the few bits values
-read last, and ``psi_binomial`` unpacks a q-binomial from them; and
+kernels use (``qkernels._binomials_at``), per bits value, for the few bits
+values read last, and ``psi_binomial`` unpacks a q-binomial from them; and
 ``_weights`` holds the weight tables of the binomial operators <j k>,
 level j for j <= J in canonical row forms, which
 ``operator_algebra.binomial_weights`` grows append-only as requests for
@@ -57,7 +57,9 @@ Built-in sequence kinds:
                  limit, ``ctx.bound``, and the tables are built in full on
                  construction; every other kind has ``bound`` None.
 
-All scalars in one context share a single variant; see coefficients.
+All scalars in one context share a single variant; see coefficients.  A
+symbolic context holds the ``qkernels`` module as ``_qkernels``: the q-field
+kernels it dispatches to, one attribute read away; it is None otherwise.
 """
 
 from __future__ import annotations
@@ -65,17 +67,12 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul
-from .coefficients import (_INT_ONLY, Q, RatFuncQ, Scalar, _digit_bits, _from_integer,
-                           _int_ratio, _integer_vector, _norm_rat, _unpack, embed_rational,
+from .coefficients import (_INT_ONLY, Scalar, _int_ratio, _integer_vector, _norm_rat,
                            parse_rational)
 from .errors import (BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange,
                      VariantMismatch, echo)
-
-# how many bits values a symbolic context keeps packed q-binomial rows for
-_PACKED_BITS = 16
 
 
 def _q_analog(q, one):
@@ -130,16 +127,17 @@ def _form_add(f: tuple, g: tuple) -> tuple:
 def _form_scale(f: tuple, c: Scalar) -> tuple:
     """The row form times the scalar c."""
     d, v = f
-    if isinstance(c, RatFuncQ):
-        return d, [c * x for x in v]
-    return d * c.denominator, [c.numerator * x for x in v]
+    if isinstance(c, numbers.Rational):
+        return d * c.denominator, [c.numerator * x for x in v]
+    return d, [c * x for x in v]
 
 
-def _parts(q: Scalar | None) -> tuple:
-    """(u, w) with q = u / w in lowest terms; over symbolic q, (q, 1); q None is 1."""
+def _parts(ctx: PsiContext) -> tuple:
+    """(u, w) with the context's q = u / w in lowest terms; over symbolic q, (q, 1); no q is 1."""
+    q = ctx.q_scalar
     if q is None:
         return 1, 1
-    return (q, 1) if isinstance(q, RatFuncQ) else (q.numerator, q.denominator)
+    return (q, 1) if ctx.symbolic else (q.numerator, q.denominator)
 
 
 class PsiContext:
@@ -152,25 +150,28 @@ class PsiContext:
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
                  "_scale", "_packed", "_weights", "zero", "one", "_spec", "_values", "_step",
-                 "is_classical", "power_kernel")
+                 "is_classical", "power_kernel", "_qkernels")
 
-    def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None):
+    def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None,
+                 qkernels=None):
         """``values`` starts the sequence; ``step(psi)`` gives each next value.
 
-        Without a step the sequence is exactly ``values``.
+        Without a step the sequence is exactly ``values``.  ``qkernels`` is
+        the ``qkernels`` module for a sequence of rational functions of q.
         """
         if values[0] != 0:
             raise BadSpec("sequence must start at 0")
         if values[1] != 1:
             raise BadSpec("sequence must have value 1 at index 1")
-        symbolic = isinstance(values[1], RatFuncQ)
-        one = RatFuncQ.from_rational(1) if symbolic else 1
+        symbolic = qkernels is not None
+        one = qkernels.embed_rational(1) if symbolic else 1
         init = object.__setattr__
         init(self, "kind", kind)
         init(self, "bound", len(values) - 1 if step is None else None)
         init(self, "symbolic", symbolic)
+        init(self, "_qkernels", qkernels)
         init(self, "q_scalar", q_scalar)
-        init(self, "zero", RatFuncQ.from_rational(0) if symbolic else 0)
+        init(self, "zero", qkernels.embed_rational(0) if symbolic else 0)
         init(self, "one", one)
         init(self, "_spec", spec)
         init(self, "_values", values)
@@ -214,7 +215,7 @@ class PsiContext:
                                             for k in range(m)])
                 elif m > 1:
                     # F(m, k) = q^k, q = u/w, over w^(m-1): the row before times w, one power more
-                    (d, v), (u, w) = kern[-1], _parts(q)
+                    (d, v), (u, w) = kern[-1], _parts(self)
                     krow = d * w, (v if w == 1 else [x * w for x in v]) + [v[-1] * u]
                 else:
                     krow = 1, [self.one]
@@ -236,35 +237,6 @@ class PsiContext:
                 )
             self._grow(bound)
         return self
-
-    def _binomials_at(self, bits: int, shift: int = 0):
-        """The q-binomial row forms at q = 2^bits, one at a time, for the symbolic q context.
-
-        The q-binomials have nonnegative coefficients, so at bits = 0
-        (q = 1) the rows hold each binomial's |.|_1 norm: Pascal's rows,
-        which the norm pass of every kernel call reads, so they are the
-        context's binomial table, read through index n once the tables are
-        grown to n.  At bits > 0 the rows are kept per bits value, in
-        ``_packed``, and grown append-only as they are read; the closed
-        form F(n, k) = q^k makes the recurrence a shift and an add.  The
-        store holds the rows of the ``_PACKED_BITS`` bits values read last.
-        A nonzero ``shift`` = bits * P yields C(n, k) q^(P k) instead, each
-        entry shifted left by shift * k.
-        """
-        if not bits:
-            yield from self._binom
-            return
-        store = self._packed
-        rows = store.pop(bits, None) or [[1]]
-        store[bits] = rows
-        if len(store) > _PACKED_BITS:
-            del store[next(iter(store))]
-        for n in count():
-            if n == len(rows):
-                row = rows[-1]
-                rows.append([1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, n)] + [1])
-            row = rows[n]
-            yield 1, [x << shift * k for k, x in enumerate(row)] if shift else row
 
     def _scales(self, m: int) -> list:
         """G_n for n < m, the least integers that make C(n, k) G_n / G_k integral.
@@ -295,8 +267,11 @@ class PsiContext:
         elif s == "fib":
             ctx = cls("fib", "fib", (0, 1), lambda psi: psi[-1] + psi[-2])
         elif s == "q":
-            zero, one = RatFuncQ.from_rational(0), RatFuncQ.from_rational(1)
-            ctx = cls("q", "q", (zero, one), _q_analog(Q, one), q_scalar=Q)
+            from . import qkernels
+            from .qfield import Q
+
+            zero, one = map(qkernels.embed_rational, (0, 1))
+            ctx = cls("q", "q", (zero, one), _q_analog(Q, one), q_scalar=Q, qkernels=qkernels)
         elif s.startswith("q="):
             try:
                 q0 = parse_rational(s[2:])
@@ -348,20 +323,15 @@ class PsiContext:
     def psi_binomial(self, n: int, k: int) -> Scalar:
         """C(n, k) = s_n! / (s_k! s_{n-k}!); needs 0 <= k <= n.
 
-        Over symbolic q the entry is unpacked from row n of the packed rows
-        at the bits of its largest coefficient (``_binomials_at``), so the
-        rows read are kept and a whole table costs one recurrence step per
-        row and bits value.
+        Over symbolic q the entry comes from the packed q-binomial rows
+        (``qkernels.q_binomial``).
         """
         self._check_index(n)
         if not 0 <= k <= n:
             raise KOutOfRange(f"k={k} outside 0..{n}")
         if not self.symbolic:
             return _form_value(self._binom[n], k)
-        # a q-binomial's coefficients are at most its value at q = 1
-        bits = _digit_bits(comb(n, n // 2))
-        row = next(islice(self._binomials_at(bits), n, None))[1]
-        return _from_integer(_unpack(row[k], bits))
+        return self._qkernels.q_binomial(self, n, k)
 
     def fontane_kernel(self, n: int, k: int) -> Scalar:
         """F(n, k) with s_n - s_k = F(n, k) * s_{n-k}; needs 0 <= k < n."""
@@ -373,23 +343,22 @@ class PsiContext:
     # -- scalar helpers --------------------------------------------------------
 
     def from_int(self, value: int) -> Scalar:
-        return embed_rational(value) if self.symbolic else value
+        return self._qkernels.embed_rational(value) if self.symbolic else value
 
     def from_rational(self, value) -> Scalar:
         # an int is already canonical; a bool, float or string goes through Fraction
         if type(value) is not int:
             value = _norm_rat(Fraction(value))
-        return embed_rational(value) if self.symbolic else value
+        return self._qkernels.embed_rational(value) if self.symbolic else value
 
 
-_RATFUNC_ONLY = frozenset((RatFuncQ,))
 _RATIONAL_ONLY = frozenset((int, Fraction))
 
 
 def _check_scalar(ctx: PsiContext, s) -> Scalar:
     """s as a canonical scalar of the context's variant; VariantMismatch when it is not one."""
     if ctx.symbolic:
-        if not isinstance(s, RatFuncQ):
+        if not isinstance(s, ctx._qkernels.RatFuncQ):
             raise VariantMismatch(
                 f"context {echo(ctx.spec_string())} needs rational-function scalars, got {echo(s)}"
             )
@@ -409,7 +378,7 @@ def _check_scalars(ctx: PsiContext, values) -> tuple:
     ``Fraction``s over plain rationals take ``_norm_rat`` alone.
     """
     c = tuple(values)
-    if (_RATFUNC_ONLY if ctx.symbolic else _INT_ONLY).issuperset(map(type, c)):
+    if (ctx._qkernels._RATFUNC_ONLY if ctx.symbolic else _INT_ONLY).issuperset(map(type, c)):
         return c
     if not ctx.symbolic and _RATIONAL_ONLY.issuperset(map(type, c)):
         return tuple([_norm_rat(x) for x in c])
@@ -459,9 +428,12 @@ def _weighting(ctx: PsiContext, pairs, star: bool, m: int):
 
 
 _CONTEXTS: dict[str, PsiContext] = {}
+# how many spellings get_context keeps; a spelling read again after it has
+# been dropped parses its spec again and still finds the one shared context
+_SPELLINGS = 256
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPELLINGS)
 def _shared_context(spec: str) -> PsiContext:
     # cached per spelling; the context itself is shared per canonical spec
     ctx = PsiContext.from_spec(spec)

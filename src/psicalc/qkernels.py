@@ -1,0 +1,172 @@
+"""The symbolic-q halves of the series kernels and tables.
+
+A context over symbolic q (``PsiContext.from_spec("q")``) loads this
+module, keeps it as ``ctx._qkernels`` and dispatches to it through that
+one attribute: ``convolve`` and ``divide`` are the symbolic halves of
+``series._convolve`` and ``WardSeries.divide``, ``_binomials_at`` the
+q-binomial rows they read, kept per bits value in the context's
+``_packed`` store, and ``q_binomial`` the context's ``psi_binomial``.
+The context reads its scalar type and embedding here too.  The kernels
+clear rational functions over one denominator (``_integer_forms``) and
+make results from integer vectors (``_from_integer``).
+
+The scalars live apart, in ``qfield``, so that a process which only reads
+``PolyQ`` or parses a symbolic value compiles no kernel code, and neither
+module passes the 4096 parser tokens past which CPython's parser doubles
+its token array.
+"""
+
+from __future__ import annotations
+
+from itertools import chain, count, islice
+from math import comb, lcm
+from operator import add, mul
+
+from .coefficients import _INT_ONLY, _integer_vector
+from .psi_context import _form_mul
+from .qfield import (_P_ONE, _RATFUNC_ONLY, PolyQ, RatFuncQ, _canonical, _cofactors, _digit_bits,
+                     _kronecker_mul, _norm, _pack, _primitive, _quotient, _unpack, embed_rational)
+from .series import _substitute
+
+
+def _integer_forms(values) -> tuple:
+    """(den, vectors) with values[i] == PolyQ(vectors[i]) / den, den and vectors integral.
+
+    ``values`` are rational functions; ``den`` is the lcm of the primitive
+    parts of their denominators times the integer that clears every
+    numerator, and a zero value has the empty vector.
+    """
+    parts = {}
+    for x in values:
+        d = x.den._c
+        if len(d) > 1 and d not in parts:
+            parts[d] = _primitive(d)
+    polys, common = [x.num._c for x in values], [1]
+    if parts:
+        for p in parts.values():
+            common = _kronecker_mul(common, _cofactors(common, p)[2])
+        # num / (p / p[-1]) is num p[-1] (common / p) over common
+        for d, p in parts.items():
+            parts[d] = PolyQ._raw(_quotient(common, p)) * p[-1]
+        whole = PolyQ._raw(common)
+        polys = [(x.num * parts.get(x.den._c, whole))._c for x in values]
+    scale = 1
+    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(polys))):
+        for c in polys:
+            scale = lcm(scale, _integer_vector(c)[0])
+    if scale != 1:
+        polys = [[x.numerator * (scale // x.denominator) for x in c] for c in polys]
+    return _P_ONE if scale == 1 and not parts else PolyQ._raw(common) * scale, polys
+
+
+def _from_integer(v, dv=(1,)) -> RatFuncQ:
+    """The rational function v / dv of two integer vectors without trailing zeros."""
+    return RatFuncQ._raw(*_canonical(v, dv))
+
+
+# how many bits values a symbolic context keeps packed q-binomial rows for
+_PACKED_BITS = 16
+
+
+def _binomials_at(ctx, bits: int, shift: int = 0):
+    """The q-binomial row forms at q = 2^bits, one at a time, for a symbolic context.
+
+    The q-binomials have nonnegative coefficients, so at bits = 0 (q = 1)
+    the rows hold each binomial's |.|_1 norm: Pascal's rows, which the
+    norm pass of every kernel call reads, so they are the context's
+    binomial table, read through index n once the tables are grown to n.
+    At bits > 0 the rows are kept per bits value, in the context's
+    ``_packed``, and grown append-only as they are read; the closed form
+    F(n, k) = q^k makes the recurrence a shift and an add.  The store holds
+    the rows of the ``_PACKED_BITS`` bits values read last.  A nonzero
+    ``shift`` = bits * P yields C(n, k) q^(P k) instead, each entry shifted
+    left by shift * k.
+    """
+    if not bits:
+        yield from ctx._binom
+        return
+    store = ctx._packed
+    rows = store.pop(bits, None) or [[1]]
+    store[bits] = rows
+    if len(store) > _PACKED_BITS:
+        del store[next(iter(store))]
+    for n in count():
+        if n == len(rows):
+            row = rows[-1]
+            rows.append([1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, n)] + [1])
+        row = rows[n]
+        yield 1, [x << shift * k for k, x in enumerate(row)] if shift else row
+
+
+def q_binomial(ctx, n: int, k: int) -> RatFuncQ:
+    """C(n, k) over symbolic q, for a context grown through n.
+
+    The entry is unpacked from row n of the packed rows at the bits of its
+    largest coefficient (``_binomials_at``), so the rows read are kept and
+    a whole table costs one recurrence step per row and bits value.
+    """
+    # a q-binomial's coefficients are at most its value at q = 1
+    bits = _digit_bits(comb(n, n // 2))
+    row = next(islice(_binomials_at(ctx, bits), n, None))[1]
+    return _from_integer(_unpack(row[k], bits))
+
+
+def convolve(ctx, a: tuple, b: tuple, terms: list, m: int) -> list:
+    """The m result coefficients of ``series._convolve`` over symbolic q.
+
+    ``a`` and ``b`` are the operand coefficients the terms read.  The
+    scalars and the weight rows, c folded in, are cleared together over
+    one denominator, and every integer polynomial is evaluated at q =
+    2^bits (Kronecker substitution), so c_n is one packed big-int sum
+    unpacked once; the bits come from the same sums run on |.|_1 norms, an
+    exact bound on every coefficient.  A twist is a shift of each binomial
+    entry by bits P k and of the term's packed scalar by bits J, as
+    |q^s p|_1 = |p|_1.
+    """
+    (da, va), (db, vb) = _integer_forms(a), _integer_forms(b)
+    # a symbolic row form has denominator 1 and rational-function entries
+    dc, vc = _integer_forms([x for _, _, wt, c in terms for x in (
+        [c] if type(wt) is tuple else [c * y for _, row in islice(wt, m) for y in row])])
+
+    def sums(bits, pa, pb, pc):
+        # every term's sums at q = 2^bits, added up, from the vectors evaluated there
+        out, pc = None, iter(pc)
+        for i, j, wt, _ in terms:
+            a, b, c, s = pa[i : i + m], pb[j : j + m], 1, 0
+            if type(wt) is tuple:
+                p, s, star = wt
+                if star:
+                    a, b = b, a
+                rows, c, s = _binomials_at(ctx, bits, bits * p), next(pc), bits * s
+            else:
+                rows = map(_form_mul, _binomials_at(ctx, bits),
+                           [(1, list(islice(pc, n + 1))) for n in range(m)])
+            part = [sum(map(mul, v, map(mul, a, b[n::-1]))) * c << s
+                    for n, (_, v) in zip(range(m), rows)]
+            out = part if out is None else list(map(add, out, part))
+        return out or [0] * m
+
+    # |.|_1 norms at q = 1 bound every coefficient
+    norms = [[_norm(v) for v in x] for x in (va, vb, vc)]
+    bits, den = _digit_bits(max(sum(norms, []) + sums(0, *norms))), (da * db * dc)._c
+    packed = ([_pack(v, bits) for v in x] for x in (va, vb, vc))
+    return [_from_integer(_unpack(x, bits), den) for x in sums(bits, *packed)]
+
+
+def divide(ctx, a: tuple, b: tuple) -> list:
+    """The coefficients of ``WardSeries.divide`` over symbolic q, for a and b of one length.
+
+    The recurrence runs on A and B evaluated at q = 2^bits; the bits come
+    from the recurrence run on |.|_1 norms with the divisor's higher terms
+    negated, which turns every subtraction into an addition of bounds.
+    """
+    m = len(a)
+    ab = _integer_forms(a + b)[1]
+    va, vb = ab[:m], ab[m:]
+    na, nb = [_norm(v) for v in va], [_norm(v) for v in vb]
+    ones = [1] * m
+    dn, pn = _substitute(_binomials_at(ctx, 0), na, nb[:1] + [-x for x in nb[1:]], ones)
+    bits = _digit_bits(max(na + nb + dn + pn))
+    d, power = _substitute(_binomials_at(ctx, bits), [_pack(v, bits) for v in va],
+                           [_pack(v, bits) for v in vb], ones)
+    return [_from_integer(_unpack(x, bits), _unpack(p, bits)) for x, p in zip(d, power[1:])]

@@ -29,7 +29,8 @@ term adds into one numerator per result coefficient, and each result
 coefficient is divided once.  Plain rationals read cleared binomial
 rows, an integer vector over one denominator per row, and division
 scales row n by the least G_n that keeps every step integral.  Over
-symbolic q every polynomial is evaluated at q = 2^bits (Kronecker
+symbolic q both loops hand over to the context's ``qkernels``,
+where every polynomial is evaluated at q = 2^bits (Kronecker
 substitution), so a result coefficient is one packed big-int sum that is
 unpacked once, and bits comes from running the same loop on |.|_1 norms.
 
@@ -42,22 +43,16 @@ from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .coefficients import (
     Scalar,
-    _digit_bits,
-    _from_integer,
     _int_ratio,
-    _integer_forms,
     _integer_vector,
-    _norm,
     _norm_rat,
-    _pack,
-    _unpack,
     scalar_from_json,
     scalar_to_json,
 )
@@ -83,7 +78,8 @@ def check_pair(pair) -> Pair:
         i, j = pair
     except (TypeError, ValueError) as exc:
         raise BadIndices(f"index pair must be (i, j), got {echo(pair)}") from exc
-    if not (isinstance(i, int) and isinstance(j, int)):
+    # bool is an int subclass, and True would read as the index 1
+    if not (type(i) is int and type(j) is int):
         raise BadIndices(f"index pair must be integers, got {echo(pair)}")
     if not 0 <= j < i:
         raise BadIndices(f"index pair needs 0 <= j < i, got ({i}, {j})")
@@ -106,78 +102,46 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     the terms meet over the lcm of their row denominators.  For
     q = u/w a twist multiplies the operand slices by u^(P k + J) and
     w^(P k), and w^(P n + J) joins the row denominator.  Over symbolic q
-    the scalars and the weight rows, c folded in, are cleared together
-    over one denominator, and every integer polynomial is evaluated at
-    q = 2^bits (Kronecker substitution), so c_n is one packed big-int sum
-    unpacked once; the bits come from the same sums run on |.|_1 norms, an
-    exact bound on every coefficient.  There a twist is a shift of each
-    binomial entry by bits P k and of the term's packed scalar by bits J,
-    as |q^s p|_1 = |p|_1.  Row n of a term is one dot product in C,
+    the context's ``qkernels.convolve`` sums the same terms on packed
+    big ints.  Row n of a term is one dot product in C,
     sum_k v[k] (a_k b_{n-k}) with b_n down to b_0 a reversed slice, so a big
     binomial takes one multiplication per term.
     """
     ctx = f.ctx
     i, j = map(max, zip((0, 0), *terms))
     m = min(len(f._c) - i, len(g._c) - j)
-    clear = _integer_forms if ctx.symbolic else _integer_vector
-    (da, va), (db, vb) = clear(f._c[: m + i]), clear(g._c[: m + j])
-    if not ctx.symbolic:
-        # lists: b_n down to b_0 is a reversed slice, and CPython 3.11 files
-        # freed 20-tuples in a free list it never draws from
-        va, vb = list(va), list(vb)
-        dc, vc = _integer_vector([c for *_, c in terms])
-        den, (u, w) = da * db * dc, _parts(ctx.q_scalar)
-        nums, dens = [0] * m, [1] * m
-        for (i, j, wt, _), c in zip(terms, vc):
-            a, b, rows = va[i : i + m], vb[j : j + m], ctx._binom
-            if type(wt) is tuple:
-                p, s, star = wt
-                if star:
-                    a, b = b, a
-                if (p or s) and u * w != 1:
-                    a = [x * u ** (p * k + s) for k, x in enumerate(a)]
-                    b = [x * w ** (p * k) for k, x in enumerate(b)]
-                    rows = ((d * w ** (p * n + s), v) for n, (d, v) in enumerate(rows))
+    if ctx.symbolic:
+        return WardSeries(ctx, ctx._qkernels.convolve(ctx, f._c[: m + i], g._c[: m + j], terms, m))
+    (da, va), (db, vb) = _integer_vector(f._c[: m + i]), _integer_vector(g._c[: m + j])
+    # lists: b_n down to b_0 is a reversed slice, and CPython 3.11 files
+    # freed 20-tuples in a free list it never draws from
+    va, vb = list(va), list(vb)
+    dc, vc = _integer_vector([c for *_, c in terms])
+    den, (u, w) = da * db * dc, _parts(ctx)
+    nums, dens = [0] * m, [1] * m
+    for (i, j, wt, _), c in zip(terms, vc):
+        a, b, rows = va[i : i + m], vb[j : j + m], ctx._binom
+        if type(wt) is tuple:
+            p, s, star = wt
+            if star:
+                a, b = b, a
+            if (p or s) and u * w != 1:
+                a = [x * u ** (p * k + s) for k, x in enumerate(a)]
+                b = [x * w ** (p * k) for k, x in enumerate(b)]
+                rows = ((d * w ** (p * n + s), v) for n, (d, v) in enumerate(rows))
+        else:
+            rows = map(_form_mul, rows, wt)
+        # the terms meet over the lcm of their row denominators
+        for r, (d, v) in zip(range(m), rows):
+            x, e = sum(map(mul, v, map(mul, a, b[r::-1]))) * c, dens[r]
+            if d == e:
+                nums[r] += x
+            elif not nums[r]:
+                nums[r], dens[r] = x, d
             else:
-                rows = map(_form_mul, rows, wt)
-            # the terms meet over the lcm of their row denominators
-            for r, (d, v) in zip(range(m), rows):
-                x, e = sum(map(mul, v, map(mul, a, b[r::-1]))) * c, dens[r]
-                if d == e:
-                    nums[r] += x
-                elif not nums[r]:
-                    nums[r], dens[r] = x, d
-                else:
-                    dens[r] = l = lcm(d, e)
-                    nums[r] = nums[r] * (l // e) + x * (l // d)
-        return WardSeries(ctx, [_int_ratio(x, d * den) for x, d in zip(nums, dens)])
-    # a symbolic row form has denominator 1 and rational-function entries
-    dc, vc = _integer_forms([x for _, _, wt, c in terms for x in (
-        [c] if type(wt) is tuple else [c * y for _, row in islice(wt, m) for y in row])])
-
-    def sums(bits, pa, pb, pc):
-        # every term's sums at q = 2^bits, added up, from the vectors evaluated there
-        out, pc = None, iter(pc)
-        for i, j, wt, _ in terms:
-            a, b, c, s = pa[i : i + m], pb[j : j + m], 1, 0
-            if type(wt) is tuple:
-                p, s, star = wt
-                if star:
-                    a, b = b, a
-                rows, c, s = ctx._binomials_at(bits, bits * p), next(pc), bits * s
-            else:
-                rows = map(_form_mul, ctx._binomials_at(bits),
-                           [(1, list(islice(pc, n + 1))) for n in range(m)])
-            part = [sum(map(mul, v, map(mul, a, b[n::-1]))) * c << s
-                    for n, (_, v) in zip(range(m), rows)]
-            out = part if out is None else list(map(add, out, part))
-        return out or [0] * m
-
-    # |.|_1 norms at q = 1 bound every coefficient
-    norms = [[_norm(v) for v in x] for x in (va, vb, vc)]
-    bits, den = _digit_bits(max(sum(norms, []) + sums(0, *norms))), (da * db * dc)._c
-    packed = ([_pack(v, bits) for v in x] for x in (va, vb, vc))
-    return WardSeries(ctx, [_from_integer(_unpack(x, bits), den) for x in sums(bits, *packed)])
+                dens[r] = l = lcm(d, e)
+                nums[r] = nums[r] * (l // e) + x * (l // d)
+    return WardSeries(ctx, [_int_ratio(x, d * den) for x, d in zip(nums, dens)])
 
 
 def _substitute(binom, a, b, scale) -> tuple[list, list]:
@@ -355,31 +319,21 @@ class WardSeries:
         integer that makes every C(n, k) G_n / G_k integral (G_n =
         v^(n(n-1)/2) for q = u/v), so each step stays in int, with one exact
         division by its binomial row's denominator.  Over symbolic q the
-        recurrence runs on A and B evaluated at q = 2^bits; the bits come
-        from the recurrence run on |.|_1 norms with the divisor's higher
-        terms negated, which turns every subtraction into an addition of
-        bounds.
+        recurrence runs in the context's ``qkernels.divide``, on A and B
+        evaluated at q = 2^bits.
         """
         o = self._peer(other)
         if not o._c[0]:
             raise NonInvertible("divisor has zero constant term")
         ctx = self.ctx
         m = min(len(self._c), len(o._c))
-        clear = _integer_forms if ctx.symbolic else _integer_vector
-        ab = clear(self._c[:m] + o._c[:m])[1]
+        if ctx.symbolic:
+            return WardSeries(ctx, ctx._qkernels.divide(ctx, self._c[:m], o._c[:m]))
+        ab = _integer_vector(self._c[:m] + o._c[:m])[1]
         va, vb = ab[:m], ab[m:]
-        if not ctx.symbolic:
-            scale = ctx._scales(m)
-            e, power = _substitute(ctx._binom, va, vb, scale)
-            return WardSeries(ctx, [_int_ratio(x, g * p) for x, g, p in zip(e, scale, power[1:])])
-        na, nb = [_norm(v) for v in va], [_norm(v) for v in vb]
-        ones = [1] * m
-        dn, pn = _substitute(ctx._binomials_at(0), na, nb[:1] + [-x for x in nb[1:]], ones)
-        bits = _digit_bits(max(na + nb + dn + pn))
-        d, power = _substitute(ctx._binomials_at(bits), [_pack(v, bits) for v in va],
-                               [_pack(v, bits) for v in vb], ones)
-        return WardSeries(ctx, [_from_integer(_unpack(x, bits), _unpack(p, bits))
-                                for x, p in zip(d, power[1:])])
+        scale = ctx._scales(m)
+        e, power = _substitute(ctx._binom, va, vb, scale)
+        return WardSeries(ctx, [_int_ratio(x, g * p) for x, g, p in zip(e, scale, power[1:])])
 
     # -- substitutions ----------------------------------------------------------------
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psicalc import calculus, operator_algebra, series
+from psicalc import calculus, operator_algebra, qkernels, series
 from psicalc.calculus import (
     RuleReport,
     compare,
@@ -25,7 +25,7 @@ from psicalc.calculus import (
 )
 from psicalc.coefficients import Q, scalar_eval
 from psicalc.errors import BadIndices, ContextMismatch, PsiCalcError
-from psicalc.operator_algebra import binomial_operator
+from psicalc.operator_algebra import ORDINARY, OperatorSum, binomial_operator, rho, sigma
 from psicalc.psi_context import get_context
 from psicalc.series import _convolve, constant, cos_psi, e_psi, make_series, monomial, sin_psi
 from psicalc.verify import random_series
@@ -106,6 +106,53 @@ def test_boxplus_rule(star, fib, qsym):
         g = random_series(ctx, 8, rng)
         r = product_rule_boxplus(f, g, (1, 0), (2, 1), star=star)
         assert r.ok, (ctx.kind, star, r.first_diff)
+
+
+def two_call_right_side(a, f, g, star):
+    """rho(A)(Df, g) + sigma(A)(f, Dg) (mirrored for star) as two applications and a sum."""
+    r, s = calculus._flavored(rho(a), star), calculus._flavored(sigma(a), star)
+    if star:
+        r, s = s, r
+    return r.apply(f.derivative(), g) + s.apply(f, g.derivative())
+
+
+RULE_SUMS = (
+    ORDINARY,
+    OperatorSum.single(((2, 1),)),
+    OperatorSum.single(((1, 0), (3, 2))),
+    OperatorSum.single(((1, 0),)) + OperatorSum.single(((2, 1),), coefficient=Fraction(-3, 2)),
+)
+
+
+@pytest.mark.parametrize("spec", SPECS + ("custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13,2,5]",))
+@pytest.mark.parametrize("star", [False, True])
+def test_product_rule_right_side_is_the_two_call_form(monkeypatch, spec, star):
+    ctx = get_context(spec)
+    rng = random.Random(23)
+    calls = []
+    monkeypatch.setattr(calculus, "_convolve",
+                        lambda *args: calls.append(1) or series._convolve(*args))
+    for a in RULE_SUMS:
+        # operands of unequal orders: the rows end at the smaller order less one
+        for fo, go in ((7, 5), (4, 6)):
+            f, g = random_series(ctx, fo, rng), random_series(ctx, go, rng)
+            report = calculus._product_rule("rule", a, f, g, star)
+            want = two_call_right_side(a, f, g, star)
+            assert repr(report.rhs) == repr(want)
+            assert report.ok
+    assert len(calls) == 2 * len(RULE_SUMS)
+
+
+@pytest.mark.parametrize("spec", ("fib", "q"))
+def test_product_rule_with_swapped_shift_maps_fails(monkeypatch, spec):
+    # the one-call right side is not the left side by construction: a broken
+    # rule is caught
+    ctx = get_context(spec)
+    rng = random.Random(5)
+    f, g = random_series(ctx, 6, rng), random_series(ctx, 6, rng)
+    monkeypatch.setattr(calculus, "rho", sigma)
+    report = product_rule_asterisk(f, g, 2, 1)
+    assert not report.equal and not report.ok and report.first_diff is not None
 
 
 def test_rule_example_fib_monomials(fib):
@@ -256,10 +303,11 @@ def test_leibniz_over_plain_sequences_is_one_sum(monkeypatch, spec):
         return wrapped
 
     monkeypatch.setattr(calculus, "_convolve", counted("kernel", calculus._convolve))
-    finish = "_unpack" if ctx.symbolic else "_int_ratio"
-    monkeypatch.setattr(series, finish, counted("finish", getattr(series, finish)))
+    module, finish = (qkernels, "_unpack") if ctx.symbolic else (series, "_int_ratio")
+    monkeypatch.setattr(module, finish, counted("finish", getattr(module, finish)))
     assert general_leibniz(f, g, 3) == want
-    assert calls == {"kernel": 1, "finish": 9 - 3 + 1}
+    # over symbolic q each of the weights C(3, k) is read by one unpack more
+    assert calls == {"kernel": 1, "finish": 9 - 3 + 1 + (3 + 1 if ctx.symbolic else 0)}
 
 
 def refuse_weight_tables(monkeypatch):
@@ -404,6 +452,27 @@ def test_report_json_shape(fib):
     assert data["equal"] is True and data["ok"] is True
     assert data["first_diff"] is None
     json.dumps(data)  # serializable as-is
+
+
+def test_report_is_an_immutable_value(fib):
+    f, g = make_series(fib, [1, 2, 3]), make_series(fib, [0, 1, 1])
+    r = RuleReport(rule="r", psi="fib", order=2, lhs=f, rhs=g, equal=False, first_diff=0)
+    assert r == RuleReport("r", "fib", 2, f, g, False, 0, True) and r.expected_equal
+    assert r != RuleReport("r", "fib", 2, f, g, False, 0, False) and r != "r"
+    assert repr(r) == ("RuleReport(rule='r', psi='fib', order=2, "
+                       "lhs=WardSeries('fib', ['1', '2', '3']), "
+                       "rhs=WardSeries('fib', ['0', '1', '1']), equal=False, first_diff=0, "
+                       "expected_equal=True)")
+    with pytest.raises(TypeError):  # WardSeries is unhashable, so is a report of two, as before
+        hash(r)
+    assert hash(RuleReport("r", "fib", 2, None, None, True, None)) == hash(
+        RuleReport("r", "fib", 2, None, None, True, None))
+    for name in ("ok", "rule", "equal", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, True)
+    with pytest.raises(AttributeError):
+        del r.rule
+    assert not hasattr(r, "__dict__")
 
 
 def test_report_polarity_for_expected_inequality(fib):

@@ -149,9 +149,10 @@ def test_op_bad_chain_text(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("chain", ("[(1.5,0)]", "[(1e400,0)]"))
+@pytest.mark.parametrize("chain", ("[(1.5,0)]", "[(1e400,0)]", "[(True,False)]", "[(2,True)]"))
 def test_op_non_integer_chain_index_is_usage_error(capsys, chain):
-    # neither is rounded to an int: 1.5 is not (1, 0), and 1e400 is inf
+    # none is read as an int: 1.5 is not (1, 0), 1e400 is inf, and True,
+    # an int subclass, is not the index 1
     code, out, err = run_cli(capsys, "op", "chain", "[1,2]", "[3,4]", "--psi", "fib",
                              "--chain", chain)
     assert code == 2
@@ -485,6 +486,45 @@ def test_each_command_loads_only_the_layers_it_runs(argv, loaded):
                     f"    assert {argv is None} or main({argv!r}) == 0\n"
                     f"print(sorted(m for m in {LAYERS!r} if m in sys.modules))\n")
     assert out.strip() == repr(sorted(loaded))
+
+
+Q_LAYER = ("psicalc.qfield", "psicalc.qkernels")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["op", "mul", "[1,2]", "[3,4]", "--psi", "natural"], ()),
+    (["pascal", "--n", "3"], ()),
+    (["check", "rules", "--psi", "natural", "--trials", "1"], ()),
+    (["op", "mul", "[1,2]", "[3,4]", "--psi", "q"], Q_LAYER),
+])
+def test_plain_commands_compile_neither_the_q_field_nor_dataclasses(argv, loaded):
+    out = run_fresh("import sys, contextlib, io\n"
+                    "from psicalc.cli import main\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    assert main({argv!r}) == 0\n"
+                    f"print(sorted(m for m in {Q_LAYER + ('dataclasses',)!r} if m in sys.modules))\n")
+    assert out.strip() == repr(sorted(loaded))
+
+
+def test_q_field_names_resolve_lazily_to_one_object():
+    out = run_fresh(
+        "import sys\n"
+        "import psicalc\n"
+        "from psicalc import coefficients\n"
+        "assert 'psicalc.qfield' not in sys.modules and 'psicalc.qkernels' not in sys.modules\n"
+        "from psicalc import qfield\n"
+        "for name in ('Q', 'PolyQ', 'RatFuncQ', 'embed_rational'):\n"
+        "    value = getattr(qfield, name)\n"
+        "    assert getattr(psicalc, name) is value and getattr(coefficients, name) is value\n"
+        "assert not hasattr(coefficients, '_pack') and not hasattr(coefficients, 'no_such_name')\n"
+        "assert 'psicalc.qkernels' not in sys.modules\n"
+        "ctx = psicalc.get_context('q')\n"
+        "f = psicalc.make_series(ctx, [1, 2, 3])\n"
+        "results = [f * f, f.divide(f + f), f.fontane(f, 2, 1), psicalc.general_leibniz(f, f, 1)]\n"
+        "assert all(isinstance(x, psicalc.RatFuncQ) for r in results for x in r.coeffs)\n"
+        "assert isinstance(psicalc.parse_scalar('1/2', True), psicalc.RatFuncQ)\n"
+        "print('ok')\n")
+    assert out.strip() == "ok"
 
 
 def test_cli_suite_names_are_the_verify_suites():

@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psicalc import coefficients
+from psicalc import qfield
 from psicalc.coefficients import (
-    Q,
-    PolyQ,
-    RatFuncQ,
-    _digit_bits,
-    _pack,
-    _unpack,
-    embed_rational,
     format_scalar,
     parse_rational,
     parse_scalar,
@@ -20,6 +13,7 @@ from psicalc.coefficients import (
     scalar_from_json,
     scalar_to_json,
 )
+from psicalc.qfield import Q, PolyQ, RatFuncQ, _digit_bits, _pack, _unpack, embed_rational
 from psicalc.errors import DivisionByZero, ParseError, VariantMismatch
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
@@ -93,8 +87,8 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
         a = b = a or b
         if not a:
             return a
-    h = coefficients._cofactors(coefficients._primitive(a._c), coefficients._primitive(b._c))[0]
-    return coefficients._canonical(h, h[-1:])[0]
+    h = qfield._cofactors(qfield._primitive(a._c), qfield._primitive(b._c))[0]
+    return qfield._canonical(h, h[-1:])[0]
 
 
 def test_poly_gcd_is_monic_common_divisor():
@@ -263,7 +257,7 @@ def test_poly_gcd_matches_euclid_over_fractions(a, b, c):
 def test_poly_gcd_fallback_matches_euclid_over_fractions(a, b, c):
     # no GCDHEU try: every gcd comes from the pseudo-remainder fallback
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coefficients, "_HEU_TRIES", 0)
+        mp.setattr(qfield, "_HEU_TRIES", 0)
         for x, y in ((a * c, b * c), (a, b)):
             assert repr(poly_gcd(x, y)) == repr(euclid_gcd(x, y))
 
@@ -277,7 +271,7 @@ def test_gcdheu_rejects_a_false_candidate():
 
 
 def test_gcd_fallback_reduces_when_the_heuristic_gives_up(monkeypatch):
-    monkeypatch.setattr(coefficients, "_HEU_TRIES", 0)
+    monkeypatch.setattr(qfield, "_HEU_TRIES", 0)
     p = PolyQ([1, 1])
     num, den = p**5 * PolyQ([3, 0, -1]), p**7 * PolyQ([Fraction(1, 2), 5])
     r = RatFuncQ(num, den)

@@ -47,9 +47,32 @@ def test_chain_validates_pairs_and_flavor():
         ProductChain(pairs=((1, 1),))
     with pytest.raises(BadIndices):
         ProductChain(pairs=((0, 0),))
+    with pytest.raises(BadIndices):  # True is not the index 1
+        ProductChain(pairs=((True, False),))
     with pytest.raises(FlavorMismatch):
         ProductChain(flavor="star", pairs=((1, 0),))
     ProductChain(pairs=())  # empty chain is the ordinary product
+
+
+def test_chains_and_sums_are_immutable_values():
+    a = ProductChain(coefficient=2, flavor=Flavor.STAR, pairs=[(2, 1), (1, 0)])
+    b = ProductChain(2, Flavor.STAR, ((2, 1), (1, 0)))
+    assert a == b and hash(a) == hash(b) and a.pairs == ((2, 1), (1, 0))
+    assert a != ProductChain(2, Flavor.ASTERISK, ((2, 1), (1, 0))) and a != (2, Flavor.STAR)
+    star = "coefficient=2, flavor=<Flavor.STAR: 'star'>"
+    assert repr(a) == f"ProductChain({star}, pairs=((2, 1), (1, 0)))"
+    s = OperatorSum(terms=(a,))
+    assert s == OperatorSum.of(b) and hash(s) == hash(OperatorSum.of(b))
+    assert {s, OperatorSum.of(b)} == {s}
+    # the sum keeps its chains canonical: pairs sorted
+    assert repr(s) == f"OperatorSum(terms=(ProductChain({star}, pairs=((1, 0), (2, 1))),))"
+    assert OperatorSum() == ZERO_OPERATOR and repr(ZERO_OPERATOR) == "OperatorSum(terms=())"
+    for value, name in ((a, "pairs"), (a, "coefficient"), (s, "terms"), (s, "other")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert not hasattr(a, "__dict__") and not hasattr(s, "__dict__")
 
 
 def test_chain_rendering():

@@ -10,7 +10,9 @@ from psicalc.errors import (
     KernelUndefined,
     KOutOfRange,
 )
-from psicalc.psi_context import _PACKED_BITS, PsiContext, get_context
+from psicalc import psi_context
+from psicalc.psi_context import PsiContext, get_context
+from psicalc.qkernels import _PACKED_BITS, _binomials_at
 from psicalc.series import make_series
 from psicalc.verify import custom_spec
 
@@ -151,10 +153,10 @@ def test_packed_rows_read_in_any_order_match_the_recurrence():
     reads = [(16, 0, 4), (24, 0, 12), (16, 32, 9), (40, 0, 2), (24, 48, 20), (16, 0, 25),
              (40, 120, 18), (24, 0, 3), (8, 8, 30), (16, 16, 30)]
     for bits, shift, m in reads:
-        assert list(islice(ctx._binomials_at(bits, shift), m + 1)) == packed_rows(bits, shift, m)
+        assert list(islice(_binomials_at(ctx, bits, shift), m + 1)) == packed_rows(bits, shift, m)
         assert len(ctx._packed) <= _PACKED_BITS
     # two readers of one bits value, each growing the rows the other reads
-    first, second = ctx._binomials_at(56), ctx._binomials_at(56, 112)
+    first, second = _binomials_at(ctx, 56), _binomials_at(ctx, 56, 112)
     got = [list(islice(first, 6)), list(islice(second, 11)), list(islice(first, 10))]
     assert got[0] + got[2] == packed_rows(56, 0, 15)
     assert got[1] == packed_rows(56, 112, 10)
@@ -164,17 +166,17 @@ def test_packed_row_store_keeps_the_bits_values_read_last():
     ctx = PsiContext.from_spec("q")
     every = [8 * (b + 1) for b in range(_PACKED_BITS + 4)]
     for bits in every:
-        next(islice(ctx._binomials_at(bits), 5, None))
+        next(islice(_binomials_at(ctx, bits), 5, None))
         assert len(ctx._packed) <= _PACKED_BITS
     assert list(ctx._packed) == every[-_PACKED_BITS:]
     # a read keeps its bits value; the least recently read one goes
     kept, evicted = every[-_PACKED_BITS], every[-_PACKED_BITS + 1]
-    next(ctx._binomials_at(kept))
-    next(ctx._binomials_at(8 * 100))
+    next(_binomials_at(ctx, kept))
+    next(_binomials_at(ctx, 8 * 100))
     assert kept in ctx._packed and evicted not in ctx._packed
     assert len(ctx._packed) == _PACKED_BITS
     # evicted rows come back from the recurrence
-    assert list(islice(ctx._binomials_at(evicted, evicted), 9)) == packed_rows(evicted, evicted, 8)
+    assert list(islice(_binomials_at(ctx, evicted, evicted), 9)) == packed_rows(evicted, evicted, 8)
     assert len(ctx._packed) == _PACKED_BITS
 
 
@@ -283,6 +285,18 @@ def test_bound_and_range_errors(fib):
 def test_get_context_is_shared(fib):
     assert get_context("fib", 16) is fib
     assert get_context("fib", 15) is fib
+
+
+def test_get_context_spelling_cache_is_bounded():
+    # every spelling q=2k/k is one entry; past the bound the oldest go, and
+    # each spelling still gives the one shared context
+    shared = get_context("q=2")
+    for k in range(1, psi_context._SPELLINGS + 40):
+        assert get_context(f"q={2 * k}/{k}") is shared
+        assert get_context.cache_info().currsize <= psi_context._SPELLINGS
+    info = get_context.cache_info()
+    assert info.maxsize == psi_context._SPELLINGS and info.currsize == psi_context._SPELLINGS
+    assert get_context("q=2/1") is shared and get_context("q=4/2") is shared
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psicalc.coefficients import Q, PolyQ, RatFuncQ, _digit_bits, embed_rational
+from psicalc.qfield import Q, PolyQ, RatFuncQ, _digit_bits, embed_rational
 from psicalc.errors import (
     BadIndices,
     BadSpec,
@@ -22,6 +22,7 @@ from psicalc.psi_context import _form_value, get_context
 from psicalc.series import (
     WardSeries,
     chain_mul,
+    check_pair,
     constant,
     cos_psi,
     divide,
@@ -69,6 +70,21 @@ def test_series_requires_some_coefficient(fib):
         WardSeries(fib, [])
     with pytest.raises(BoundExceeded):
         WardSeries(get_context("custom:[0,1,2,3]"), [0, 0, 0, 0, 0])
+
+
+def test_index_pairs_refuse_bools(fib):
+    # bool is an int subclass, so True would otherwise read as the index 1
+    f = fib_series([1, 2, 3])
+    for pair in ((True, False), (2, True), (True, 0)):
+        with pytest.raises(BadIndices):
+            check_pair(pair)
+        with pytest.raises(BadIndices):
+            f.fontane(f, *pair)
+        with pytest.raises(BadIndices):
+            f.star(f, *pair)
+        with pytest.raises(BadIndices):
+            f.chain(f, (pair,))
+    assert check_pair((2, 1)) == (2, 1)
 
 
 def typed_coeffs(f):
