@@ -32,7 +32,7 @@ from .errors import (
     echo,
 )
 from .psi_context import get_context
-from .series import WardSeries, check_pair, make_series, series_header
+from .series import WardSeries, check_pair, series_header
 
 _USAGE_ERRORS = (BadSpec, ParseError, BadIndices, KOutOfRange,
                  KernelUndefined, IndexOutOfBound, BoundExceeded)
@@ -137,14 +137,13 @@ def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:
     All operands end up on one shared context so binary operations see the
     same sequence object.
     """
-    dicts = []
+    operands = []  # (spec, coefficients), spec None for an inline list
     for arg in args_list:
         if arg.lstrip().startswith("["):
             try:
-                coeffs = json.loads(arg)
+                operands.append((None, json.loads(arg)))
             except _JSON_ERRORS as exc:
                 raise ParseError(f"cannot parse inline series {echo(arg)}") from exc
-            dicts.append({"psi": None, "order": len(coeffs) - 1, "coeffs": coeffs})
         else:
             try:
                 with open(arg, encoding="utf-8") as fh:
@@ -152,12 +151,12 @@ def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:
             except _JSON_ERRORS as exc:
                 raise ParseError(f"{arg}: not a JSON series file ({exc})") from exc
             try:
-                series_header(data)
+                spec, _, coeffs = series_header(data)
             except ParseError as exc:
                 raise ParseError(f"{arg}: {exc}") from exc
-            dicts.append(data)
+            operands.append((spec, coeffs))
 
-    specs = [d["psi"] for d in dicts if d.get("psi") is not None]
+    specs = [spec for spec, _ in operands if spec is not None]
     if psi_flag is not None:
         specs.append(psi_flag)
     if not specs:
@@ -170,15 +169,8 @@ def _load_operands(args_list, psi_flag: str | None) -> list[WardSeries]:
             + echo(sorted(c.spec_string() for c in contexts))
         )
     ctx = contexts.pop()
-
-    out = []
-    for d in dicts:
-        if d.get("psi") is None:
-            coeffs = [scalar_from_json(c, symbolic=ctx.symbolic) for c in d["coeffs"]]
-            out.append(make_series(ctx, coeffs))
-        else:
-            out.append(WardSeries.from_json_dict(d, ctx=ctx))
-    return out
+    return [WardSeries(ctx, [scalar_from_json(c, ctx.symbolic) for c in coeffs])
+            for _, coeffs in operands]
 
 
 def cmd_op(kind: str, operands, psi: str | None, i: int, j: int,

@@ -17,11 +17,12 @@ class PsiCalcError(Exception):
 
 
 class VariantMismatch(PsiCalcError, TypeError):
-    """Arithmetic mixed a plain rational with a rational function of q.
+    """A scalar of the other variant: a plain rational against a rational function of q.
 
-    The two scalar variants never auto-promote: embedding has to be asked
-    for explicitly (see qfield.embed_rational), otherwise a symbolic
-    q could silently collapse to a number.
+    Series arithmetic (``WardSeries(...)``, ``scale``, ``dilate``, ``/``) is
+    strict; constructors, JSON readers and operator coefficients embed a plain
+    rational (qfield.embed_rational).  A rational function of q is never
+    reduced to a plain rational, so a symbolic q cannot collapse to a number.
     """
 
 

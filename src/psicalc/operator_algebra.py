@@ -47,9 +47,9 @@ from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .coefficients import Scalar
-from .errors import FlavorMismatch, KOutOfRange, VariantMismatch, echo
+from .errors import FlavorMismatch, KOutOfRange
 from .psi_context import (PsiContext, _chain_rows, _form, _form_add, _form_eq, _form_mul,
-                          _form_scale, _weighting)
+                          _form_scale, _lift, _weighting)
 from .series import Pair, WardSeries, _convolve, check_pair
 
 
@@ -58,16 +58,15 @@ class Flavor(Enum):
     STAR = "star"
 
 
-def _lift_coefficient(ctx: PsiContext, c: Scalar) -> Scalar:
-    # rational operator coefficients embed canonically into the q-field;
-    # the reverse direction would lose the symbol and is refused
-    if ctx.symbolic:
-        return ctx._qkernels.embed_rational(c)
-    if not isinstance(c, numbers.Rational):
-        raise VariantMismatch(
-            f"a plain rational context needs plain rational operator coefficients, got {echo(c)}"
-        )
-    return c
+def _meet(a: Scalar, b: Scalar) -> tuple:
+    """a and b in one variant: a plain rational that meets a rational function of q is embedded."""
+    if type(a) is type(b) or isinstance(a, numbers.Rational) is isinstance(b, numbers.Rational):
+        return a, b
+    # one side is a rational function of q, so qfield is loaded already, or
+    # no scalar at all, which embed_rational refuses
+    from .qfield import embed_rational
+
+    return embed_rational(a), embed_rational(b)
 
 
 class Frozen:
@@ -122,12 +121,7 @@ class ProductChain(Frozen):
         return ProductChain(-self.coefficient, self.flavor, self.pairs)
 
     def scaled(self, alpha: Scalar) -> "ProductChain":
-        c = self.coefficient
-        if not isinstance(alpha, numbers.Rational) and isinstance(c, numbers.Rational):
-            # a rational function of q scales: qfield is loaded already
-            from .qfield import embed_rational
-
-            c = embed_rational(c)
+        alpha, c = _meet(alpha, self.coefficient)
         return ProductChain(alpha * c, self.flavor, self.pairs)
 
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
@@ -153,7 +147,8 @@ def _canonical_terms(terms: Iterable[ProductChain]) -> tuple[ProductChain, ...]:
         flavor = t.flavor if t.pairs else Flavor.ASTERISK
         key = (flavor.value, tuple(sorted(t.pairs)))
         if key in merged:
-            merged[key] = merged[key] + t.coefficient
+            a, b = _meet(merged[key], t.coefficient)
+            merged[key] = a + b
         else:
             merged[key] = t.coefficient
     out = [
@@ -210,9 +205,8 @@ class OperatorSum(Frozen):
                         f"cannot concatenate {a.render()} with {b.render()}"
                     )
                 flavor = a.flavor if a.pairs else b.flavor
-                out.append(
-                    ProductChain(a.coefficient * b.coefficient, flavor, a.pairs + b.pairs)
-                )
+                x, y = _meet(a.coefficient, b.coefficient)
+                out.append(ProductChain(x * y, flavor, a.pairs + b.pairs))
         return OperatorSum(tuple(out))
 
     def _weight_rows(self, ctx: PsiContext, m: int) -> Iterator:
@@ -223,7 +217,7 @@ class OperatorSum(Frozen):
         table = None
         for t in self.terms:
             w = _chain_rows(ctx, t.pairs, t.flavor is Flavor.STAR, m)
-            c = _lift_coefficient(ctx, t.coefficient)
+            c = _lift(ctx, t.coefficient)
             if c != 1:
                 w = map(_form_scale, w, repeat(c))
             table = w if table is None else map(_form_add, table, w)
@@ -236,7 +230,7 @@ class OperatorSum(Frozen):
         ``_weighting`` decides, its coefficient in the context's variant.
         """
         return [(i, j, _weighting(ctx, t.pairs, t.flavor is Flavor.STAR, m),
-                 _lift_coefficient(ctx, t.coefficient)) for t in self.terms]
+                 _lift(ctx, t.coefficient)) for t in self.terms]
 
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
         """One kernel call with one term per chain."""

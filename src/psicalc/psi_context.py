@@ -60,6 +60,9 @@ Built-in sequence kinds:
 All scalars in one context share a single variant; see coefficients.  A
 symbolic context holds the ``qkernels`` module as ``_qkernels``: the q-field
 kernels it dispatches to, one attribute read away; it is None otherwise.
+The rule for where the variants meet lives here alone (errors.VariantMismatch
+states it): ``_check_scalar`` is the strict door, ``_lift`` the one that
+embeds a plain rational, and ``_power`` takes powers in either variant.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
+from weakref import WeakValueDictionary
 from .coefficients import (_INT_ONLY, Scalar, _int_ratio, _integer_vector, _norm_rat,
                            parse_rational)
 from .errors import (BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange,
@@ -150,7 +154,7 @@ class PsiContext:
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
                  "_scale", "_packed", "_weights", "zero", "one", "_spec", "_values", "_step",
-                 "is_classical", "power_kernel", "_qkernels")
+                 "is_classical", "power_kernel", "_qkernels", "__weakref__")
 
     def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None,
                  qkernels=None):
@@ -342,14 +346,13 @@ class PsiContext:
 
     # -- scalar helpers --------------------------------------------------------
 
-    def from_int(self, value: int) -> Scalar:
-        return self._qkernels.embed_rational(value) if self.symbolic else value
-
     def from_rational(self, value) -> Scalar:
         # an int is already canonical; a bool, float or string goes through Fraction
         if type(value) is not int:
             value = _norm_rat(Fraction(value))
         return self._qkernels.embed_rational(value) if self.symbolic else value
+
+    from_int = from_rational
 
 
 _RATIONAL_ONLY = frozenset((int, Fraction))
@@ -367,7 +370,18 @@ def _check_scalar(ctx: PsiContext, s) -> Scalar:
         raise VariantMismatch(
             f"context {echo(ctx.spec_string())} needs plain rational scalars, got {echo(s)}"
         )
-    return _norm_rat(s)
+    # a bool is an int subclass, which JSON would write as "True"
+    return int(s) if type(s) is bool else _norm_rat(s)
+
+
+def _lift(ctx: PsiContext, x) -> Scalar:
+    """x as a scalar of the context's variant, a plain rational embedded; else ``_check_scalar``."""
+    return ctx.from_rational(x) if isinstance(x, numbers.Rational) else _check_scalar(ctx, x)
+
+
+def _power(ctx: PsiContext, x: Scalar, n: int) -> Scalar:
+    """x ** n for a scalar of the context's variant; n < 0 needs x != 0."""
+    return x**n if ctx.symbolic else _norm_rat(Fraction(x) ** n)
 
 
 def _check_scalars(ctx: PsiContext, values) -> tuple:
@@ -427,9 +441,10 @@ def _weighting(ctx: PsiContext, pairs, star: bool, m: int):
     return rows
 
 
-_CONTEXTS: dict[str, PsiContext] = {}
+# one context per canonical spec while the spelling cache or a series holds it
+_CONTEXTS: WeakValueDictionary[str, PsiContext] = WeakValueDictionary()
 # how many spellings get_context keeps; a spelling read again after it has
-# been dropped parses its spec again and still finds the one shared context
+# been dropped parses its spec again and finds the shared context if it lives
 _SPELLINGS = 256
 
 

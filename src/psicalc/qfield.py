@@ -524,7 +524,10 @@ class RatFuncQ:
         if not isinstance(data, dict) or set(data) != {"num", "den"}:
             raise ParseError(
                 f"rational function must be {{'num': .., 'den': ..}}, got {echo(data)}")
-        return cls(PolyQ.from_json(data["num"]), PolyQ.from_json(data["den"]))
+        num, den = PolyQ.from_json(data["num"]), PolyQ.from_json(data["den"])
+        if not den:
+            raise ParseError(f"rational function with zero denominator: {echo(data)}")
+        return cls(num, den)
 
 
 Q = RatFuncQ._raw(Q_POLY, _P_ONE)

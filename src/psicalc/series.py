@@ -41,8 +41,6 @@ shift down), dropping the order by one.
 
 from __future__ import annotations
 
-import numbers
-from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
 from operator import add, mul, sub
@@ -52,7 +50,6 @@ from .coefficients import (
     Scalar,
     _int_ratio,
     _integer_vector,
-    _norm_rat,
     scalar_from_json,
     scalar_to_json,
 )
@@ -68,7 +65,7 @@ from .errors import (
     echo,
 )
 from .psi_context import (PsiContext, _check_scalar, _check_scalars, _form_mul, _form_value,
-                          _parts, _weighting, get_context)
+                          _lift, _parts, _power, _weighting, get_context)
 
 Pair = tuple[int, int]
 
@@ -252,8 +249,7 @@ class WardSeries:
         alpha = _check_scalar(self.ctx, other)
         if not alpha:
             raise DivisionByZero("series divided by the zero scalar")
-        inv = self.ctx.one / alpha if self.ctx.symbolic else _norm_rat(Fraction(1) / alpha)
-        return self.scale(inv)
+        return self.scale(_power(self.ctx, alpha, -1))
 
     def truncate(self, order: int) -> "WardSeries":
         if order < 0 or order > self.order:
@@ -350,8 +346,7 @@ class WardSeries:
             raise PsiCalcError(
                 f"q dilation needs a q-analog context, not {echo(self.ctx.spec_string())}"
             )
-        factor = q**times if self.ctx.symbolic else _norm_rat(Fraction(q) ** times)
-        return self.dilate(factor)
+        return self.dilate(_power(self.ctx, q, times))
 
     # -- serialization -----------------------------------------------------------------
 
@@ -400,8 +395,7 @@ def series_header(data) -> tuple[str, int, list]:
 
 def make_series(ctx: PsiContext, values: Iterable) -> WardSeries:
     """Build a series, lifting plain rationals into the context's variant."""
-    return WardSeries(ctx, [ctx.from_rational(v) if isinstance(v, numbers.Rational) else v
-                            for v in values])
+    return WardSeries(ctx, [_lift(ctx, v) for v in values])
 
 
 def zeros(ctx: PsiContext, order: int) -> WardSeries:
@@ -409,11 +403,7 @@ def zeros(ctx: PsiContext, order: int) -> WardSeries:
 
 
 def constant(ctx: PsiContext, value, order: int) -> WardSeries:
-    if isinstance(value, numbers.Rational):
-        value = ctx.from_rational(value)
-    out = [ctx.zero] * (order + 1)
-    out[0] = value
-    return WardSeries(ctx, out)
+    return make_series(ctx, [value] + [ctx.zero] * order)
 
 
 def monomial(ctx: PsiContext, n: int, order: int) -> WardSeries:

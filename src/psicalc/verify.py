@@ -29,7 +29,7 @@ from . import calculus
 from .calculus import RuleReport, compare
 from .coefficients import scalar_eval
 from .errors import BadSpec, echo
-from .psi_context import PsiContext, get_context
+from .psi_context import PsiContext, _power, get_context
 from .series import (
     WardSeries,
     constant,
@@ -147,8 +147,7 @@ def _triples(ctx, order, rng):
 def _unit_law(rule, f, i, j, left):
     """e *_{i,j} f = e diag_l f and f *_{i,j} e = e diag_m f, for e the constant 1/F(i, j)."""
     ctx = f.ctx
-    kernel = ctx.fontane_kernel(i, j)
-    e = ctx.one / kernel if ctx.symbolic else Fraction(1) / kernel
+    e = _power(ctx, ctx.fontane_kernel(i, j), -1)
     unit = constant(ctx, e, f.order)
     if left:
         return compare(rule, unit.fontane(f, i, j), f.diag_l(i, j).scale(e))

@@ -223,6 +223,20 @@ def test_op_undecodable_file_is_usage_error(capsys, tmp_path):
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("den", (["0"], []))
+@pytest.mark.parametrize("where", ("file", "inline"))
+def test_op_zero_denominator_is_usage_error(capsys, tmp_path, where, den):
+    coeffs = [{"num": ["1"], "den": den}, "2"]
+    operand = json.dumps(coeffs)
+    if where == "file":
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"psi": "q", "order": 1, "coeffs": coeffs}))
+        operand = str(path)
+    code, out, err = run_cli(capsys, "op", "mul", operand, "[3,4]", "--psi", "q")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 DEEP = "[" * 5000 + "]" * 5000
 LONG_INT = "[" + "7" * 5000 + "]"  # past Python's int-string digit limit
 

@@ -353,6 +353,10 @@ def test_ratfunc_zero_denominator_raises():
         RatFuncQ(PolyQ([1]), PolyQ([]))
     with pytest.raises(DivisionByZero):
         embed_rational(1) / embed_rational(0)
+    # the same denominator read from JSON is malformed input
+    for den in (["0"], []):
+        with pytest.raises(ParseError):
+            RatFuncQ.from_json({"num": ["1"], "den": den})
 
 
 @given(ratfuncs, ratfuncs, ratfuncs)

@@ -378,6 +378,22 @@ def test_apply_respects_chain_coefficient_variants(qsym):
                        make_series(get_context("fib", 8), [1]))
 
 
+def test_mixed_variant_sums_over_symbolic_q(qsym):
+    f = make_series(qsym, [1, 2, 0, 1])
+    g = make_series(qsym, [3, 1, 1, 2])
+    # on the shared chain (1, 0) a holds a rational and b a rational function of q
+    a = A10 + OperatorSum.single(((2, 0),), coefficient=Fraction(1, 2))
+    b = A10.scale(Q) + OperatorSum.single(((2, 1),), coefficient=Q + embed_rational(1))
+    assert (a + b).terms[0].coefficient == Q + embed_rational(1)
+    assert (a + b).apply(f, g) == a.apply(f, g) + b.apply(f, g)
+    assert a - a == ZERO_OPERATOR and (a + b) - (a + b) == ZERO_OPERATOR
+    assert (a + b) - b == a
+    ab = a * b
+    assert ab.apply(f, g) == sum((t.apply(f, g) for t in ab.terms[1:]), ab.terms[0].apply(f, g))
+    with pytest.raises(VariantMismatch):  # a float is a coefficient of neither variant
+        OperatorSum.single(coefficient=1.5) + ORDINARY
+
+
 def test_action_invariant_under_pair_reordering(fib):
     f = e_psi(fib, 5)
     g = make_series(fib, [1, 2, 1, 0, 1, 1])

@@ -299,6 +299,22 @@ def test_get_context_spelling_cache_is_bounded():
     assert get_context("q=2/1") is shared and get_context("q=4/2") is shared
 
 
+def test_shared_contexts_are_bounded_by_the_spelling_cache():
+    # a context that only the spelling cache held leaves with its spelling
+    before = len(psi_context._CONTEXTS)
+    for k in range(1, 2 * psi_context._SPELLINGS + 1):
+        f = make_series(get_context(f"q={k}/7919"), [1, 2, 3])
+        f * f
+    assert len(psi_context._CONTEXTS) <= before + psi_context._SPELLINGS
+
+
+def test_a_context_held_by_a_series_outlives_its_spelling():
+    f = make_series(get_context("q=10/14"), [1, 2, 3])
+    for k in range(1, psi_context._SPELLINGS + 1):
+        get_context(f"q={k}/7907")
+    assert get_context("q=10/14") is f.ctx and get_context("q=5/7") is f.ctx
+
+
 @pytest.mark.parametrize(
     "spelling, canonical",
     [

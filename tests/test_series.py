@@ -65,6 +65,41 @@ def test_make_series_lifts_rationals(qsym):
         make_series(get_context("natural", 4), [Q])
 
 
+# each door of a scalar into a series, applied to x: the series it builds
+DOORS = {
+    "make_series": lambda ctx, x: make_series(ctx, [x]),
+    "constant": lambda ctx, x: constant(ctx, x, 0),
+    "WardSeries": lambda ctx, x: WardSeries(ctx, [x]),
+    "scale": lambda ctx, x: e_psi(ctx, 0).scale(x),
+    "operator": lambda ctx, x: OperatorSum.single(coefficient=x).apply(e_psi(ctx, 0),
+                                                                       e_psi(ctx, 0)),
+}
+# the doors that embed a plain rational into the q-field
+LENIENT = ("make_series", "constant", "operator")
+
+
+@pytest.mark.parametrize("door", DOORS)
+@pytest.mark.parametrize("x, natural, lenient_q, strict_q", [
+    (3, ("3", int), ("3", RatFuncQ), VariantMismatch),
+    (True, ("1", int), ("1", RatFuncQ), VariantMismatch),
+    (Fraction(4, 2), ("2", int), ("2", RatFuncQ), VariantMismatch),
+    (Fraction(1, 3), ("1/3", Fraction), ("(1/3)", RatFuncQ), VariantMismatch),
+    (embed_rational(2), VariantMismatch, ("2", RatFuncQ), ("2", RatFuncQ)),
+    (Q, VariantMismatch, ("q", RatFuncQ), ("q", RatFuncQ)),
+    (1.5, VariantMismatch, VariantMismatch, VariantMismatch),
+    ("1", VariantMismatch, VariantMismatch, VariantMismatch),
+], ids=["3", "True", "4/2", "1/3", "embed(2)", "Q", "1.5", "str"])
+def test_every_door_takes_a_scalar_by_one_rule(nat, qsym, door, x, natural, lenient_q,
+                                               strict_q):
+    for ctx, want in ((nat, natural), (qsym, lenient_q if door in LENIENT else strict_q)):
+        if want is VariantMismatch:
+            with pytest.raises(VariantMismatch):
+                DOORS[door](ctx, x)
+        else:
+            (c,) = DOORS[door](ctx, x).coeffs
+            assert (str(c), type(c)) == want
+
+
 def test_series_requires_some_coefficient(fib):
     with pytest.raises(BadIndices):
         WardSeries(fib, [])
@@ -96,11 +131,13 @@ def typed_coeffs(f):
                                     [Fraction(4, 2), Fraction(1, 3)],
                                     [Fraction(-6, 3), True, Fraction(5, 7)]])
 def test_plain_series_keep_the_scalars_that_pass_the_type_check(nat, values):
-    # a bool stays a bool (it is an int subclass), a whole Fraction becomes an int
-    want = [(repr(x), type(x)) for x in (int(v) if type(v) is Fraction and v.denominator == 1
-                                        else v for v in values)]
-    assert typed_coeffs(WardSeries(nat, values)) == want
+    # a bool and a whole Fraction become ints, and the fast and slow type paths agree
+    want = [(repr(x), type(x)) for x in (int(v) if v.denominator == 1 else v for v in values)]
+    f = WardSeries(nat, values)
+    assert typed_coeffs(f) == want
     assert typed_coeffs(WardSeries(nat, tuple(values))) == want
+    # so JSON writes "1", not "True", and reads the series back
+    assert WardSeries.from_json_dict(f.to_json_dict()) == f
 
 
 @pytest.mark.parametrize("values", [[Fraction(1, 2), 2.0], [3, Fraction(2, 3), 0.5]])
