@@ -7,14 +7,18 @@ Two scalar variants are supported, and they are kept deliberately separate:
   denominator 1, and we normalize whole-valued fractions back to int so
   the common paths stay in fast integer arithmetic);
 * rational functions of a formal symbol q, represented by ``RatFuncQ``,
-  a reduced ratio of two ``PolyQ`` polynomials with monic denominator.
+  a reduced pair of integer vectors in the canonical form of FLINT's
+  ``fmpz_poly_q``; its ``num`` and ``den`` are ``PolyQ`` polynomials with
+  monic denominator, and reading them is the one step that makes a
+  ``Fraction``.
 
 This module holds the plain-rational layer and the helpers both variants
 share.  The q-field scalars (``PolyQ``, ``RatFuncQ``, ``Q``,
 ``embed_rational``) live in ``qfield``, which loads on first use: from a
 symbolic value parsed here, or from its names read off this module (PEP
-562); the symbolic kernels live in ``qkernels``, which a symbolic context
-loads.  A process over plain rationals compiles neither.
+562); their integer polynomial arithmetic lives in ``intpoly``, and the
+symbolic kernels live in ``qkernels``, which a symbolic context loads.  A
+process over plain rationals compiles none of them.
 
 Mixing the two variants in arithmetic raises ``VariantMismatch`` instead of
 auto-promoting; callers that really mean the canonical embedding of a

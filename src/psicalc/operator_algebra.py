@@ -47,7 +47,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .coefficients import Scalar
-from .errors import FlavorMismatch, KOutOfRange
+from .errors import FlavorMismatch, KOutOfRange, VariantMismatch, echo
 from .psi_context import (PsiContext, _chain_rows, _form, _form_add, _form_eq, _form_mul,
                           _form_scale, _lift, _weighting)
 from .series import Pair, WardSeries, _convolve, check_pair
@@ -67,6 +67,19 @@ def _meet(a: Scalar, b: Scalar) -> tuple:
     from .qfield import embed_rational
 
     return embed_rational(a), embed_rational(b)
+
+
+def _check_coefficient(c) -> Scalar:
+    """c as a chain coefficient: a plain rational (a bool as int) or a rational function of q."""
+    if isinstance(c, numbers.Rational):
+        return int(c) if type(c) is bool else c
+    # loaded only here, so that chains over plain rationals never compile the q-field
+    from .qfield import RatFuncQ
+
+    if not isinstance(c, RatFuncQ):
+        raise VariantMismatch(
+            f"a chain coefficient must be a rational or a rational function of q, got {echo(c)}")
+    return c
 
 
 class Frozen:
@@ -111,7 +124,7 @@ class ProductChain(Frozen):
         pairs = tuple([check_pair(p) for p in pairs])
         if not isinstance(flavor, Flavor):
             raise FlavorMismatch(f"bad flavor {flavor!r}")
-        self._init(coefficient, flavor, pairs)
+        self._init(_check_coefficient(coefficient), flavor, pairs)
 
     @property
     def is_ordinary(self) -> bool:

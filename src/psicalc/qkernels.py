@@ -8,60 +8,51 @@ q-binomial rows they read, kept per bits value in the context's
 ``_packed`` store, and ``q_binomial`` the context's ``psi_binomial``.
 The context reads its scalar type and embedding here too.  The kernels
 clear rational functions over one denominator (``_integer_forms``) and
-make results from integer vectors (``_from_integer``).
+make results from integer vectors (``qfield._from_integer``), reading and
+building ``RatFuncQ``'s integer pair directly, so no kernel makes a
+``Fraction``.
 
 The scalars live apart, in ``qfield``, so that a process which only reads
-``PolyQ`` or parses a symbolic value compiles no kernel code, and neither
+``PolyQ`` or parses a symbolic value compiles no kernel code, and the
+integer polynomial arithmetic both use lives in ``intpoly``, so that no
 module passes the 4096 parser tokens past which CPython's parser doubles
 its token array.
 """
 
 from __future__ import annotations
 
-from itertools import chain, count, islice
-from math import comb, lcm
+from itertools import count, islice
+from math import comb, gcd, lcm
 from operator import add, mul
 
-from .coefficients import _INT_ONLY, _integer_vector
+from .intpoly import _ONE, _cofactors, _digit_bits, _kronecker_mul, _norm, _pack, _quotient, _unpack
 from .psi_context import _form_mul
-from .qfield import (_P_ONE, _RATFUNC_ONLY, PolyQ, RatFuncQ, _canonical, _cofactors, _digit_bits,
-                     _kronecker_mul, _norm, _pack, _primitive, _quotient, _unpack, embed_rational)
+from .qfield import _RATFUNC_ONLY, RatFuncQ, _from_integer, _product, embed_rational
 from .series import _substitute
 
 
 def _integer_forms(values) -> tuple:
-    """(den, vectors) with values[i] == PolyQ(vectors[i]) / den, den and vectors integral.
+    """(den, vectors) with values[i] == vectors[i] / den for integer vectors den and vectors[i].
 
     ``values`` are rational functions; ``den`` is the lcm of the primitive
-    parts of their denominators times the integer that clears every
-    numerator, and a zero value has the empty vector.
+    parts of their denominators times the lcm of their contents, and a zero
+    value has the empty vector.  When every denominator is 1 the vectors
+    are the numerators as they are.
     """
-    parts = {}
-    for x in values:
-        d = x.den._c
-        if len(d) > 1 and d not in parts:
-            parts[d] = _primitive(d)
-    polys, common = [x.num._c for x in values], [1]
-    if parts:
-        for p in parts.values():
-            common = _kronecker_mul(common, _cofactors(common, p)[2])
-        # num / (p / p[-1]) is num p[-1] (common / p) over common
-        for d, p in parts.items():
-            parts[d] = PolyQ._raw(_quotient(common, p)) * p[-1]
-        whole = PolyQ._raw(common)
-        polys = [(x.num * parts.get(x.den._c, whole))._c for x in values]
-    scale = 1
-    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(polys))):
-        for c in polys:
-            scale = lcm(scale, _integer_vector(c)[0])
-    if scale != 1:
-        polys = [[x.numerator * (scale // x.denominator) for x in c] for c in polys]
-    return _P_ONE if scale == 1 and not parts else PolyQ._raw(common) * scale, polys
-
-
-def _from_integer(v, dv=(1,)) -> RatFuncQ:
-    """The rational function v / dv of two integer vectors without trailing zeros."""
-    return RatFuncQ._raw(*_canonical(v, dv))
+    dens = {x._d for x in values}
+    if dens <= {_ONE}:
+        return _ONE, [x._n for x in values]
+    common, scale, parts = [1], 1, {}
+    for d in dens:
+        g = gcd(*d)
+        p = [y // g for y in d]
+        common = _kronecker_mul(common, _cofactors(common, p)[2])
+        scale = lcm(scale, g)
+        parts[d] = g, p
+    # n / (g p) is n (common / p) (scale / g) over common * scale
+    for d, (g, p) in parts.items():
+        parts[d] = [y * (scale // g) for y in _quotient(common, p)]
+    return [y * scale for y in common], [_product(x._n, parts[x._d]) for x in values]
 
 
 # how many bits values a symbolic context keeps packed q-binomial rows for
@@ -148,7 +139,7 @@ def convolve(ctx, a: tuple, b: tuple, terms: list, m: int) -> list:
 
     # |.|_1 norms at q = 1 bound every coefficient
     norms = [[_norm(v) for v in x] for x in (va, vb, vc)]
-    bits, den = _digit_bits(max(sum(norms, []) + sums(0, *norms))), (da * db * dc)._c
+    bits, den = _digit_bits(max(sum(norms, []) + sums(0, *norms))), _product(_product(da, db), dc)
     packed = ([_pack(v, bits) for v in x] for x in (va, vb, vc))
     return [_from_integer(_unpack(x, bits), den) for x in sums(bits, *packed)]
 

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psicalc import qfield
+from psicalc import intpoly
 from psicalc.coefficients import (
+    _norm_rat,
     format_scalar,
     parse_rational,
     parse_scalar,
@@ -13,7 +15,8 @@ from psicalc.coefficients import (
     scalar_from_json,
     scalar_to_json,
 )
-from psicalc.qfield import Q, PolyQ, RatFuncQ, _digit_bits, _pack, _unpack, embed_rational
+from psicalc.intpoly import _digit_bits, _pack, _unpack
+from psicalc.qfield import Q, PolyQ, RatFuncQ, embed_rational
 from psicalc.errors import DivisionByZero, ParseError, VariantMismatch
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
@@ -87,8 +90,9 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
         a = b = a or b
         if not a:
             return a
-    h = qfield._cofactors(qfield._primitive(a._c), qfield._primitive(b._c))[0]
-    return qfield._canonical(h, h[-1:])[0]
+    h = intpoly._cofactors(intpoly._primitive(a._c), intpoly._primitive(b._c))[0]
+    n, d = intpoly._canonical(h, h[-1:])
+    return PolyQ([Fraction(x, d[0]) for x in n])
 
 
 def test_poly_gcd_is_monic_common_divisor():
@@ -257,7 +261,7 @@ def test_poly_gcd_matches_euclid_over_fractions(a, b, c):
 def test_poly_gcd_fallback_matches_euclid_over_fractions(a, b, c):
     # no GCDHEU try: every gcd comes from the pseudo-remainder fallback
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qfield, "_HEU_TRIES", 0)
+        mp.setattr(intpoly, "_HEU_TRIES", 0)
         for x, y in ((a * c, b * c), (a, b)):
             assert repr(poly_gcd(x, y)) == repr(euclid_gcd(x, y))
 
@@ -271,7 +275,7 @@ def test_gcdheu_rejects_a_false_candidate():
 
 
 def test_gcd_fallback_reduces_when_the_heuristic_gives_up(monkeypatch):
-    monkeypatch.setattr(qfield, "_HEU_TRIES", 0)
+    monkeypatch.setattr(intpoly, "_HEU_TRIES", 0)
     p = PolyQ([1, 1])
     num, den = p**5 * PolyQ([3, 0, -1]), p**7 * PolyQ([Fraction(1, 2), 5])
     r = RatFuncQ(num, den)
@@ -342,8 +346,10 @@ def test_ratfunc_matches_the_euclid_reduction(a, b, c, k):
 
 
 def test_ratfunc_monomial_denominator_cancels_powers_of_q():
-    assert repr(RatFuncQ(PolyQ([0, 0, 3, 1]), PolyQ([0, 0, 0, 0, 2]))) == repr(
-        RatFuncQ._raw(PolyQ([Fraction(3, 2), Fraction(1, 2)]), PolyQ([0, 0, 1])))
+    r = RatFuncQ(PolyQ([0, 0, 3, 1]), PolyQ([0, 0, 0, 0, 2]))
+    assert (repr(r.num), repr(r.den)) == (
+        repr(PolyQ([Fraction(3, 2), Fraction(1, 2)])), repr(PolyQ([0, 0, 1])))
+    assert repr(r) == "RatFuncQ(((3/2)+(1/2)q)/(q^2))"
     assert is_polynomial(RatFuncQ(PolyQ([0, 0, 3, 1]), PolyQ([0, 2])))
     assert embed_rational(1) / Q**3 * Q**5 == Q * Q
 
@@ -385,6 +391,110 @@ def test_ratfunc_constant_compares_and_hashes_like_rational():
     assert c == Fraction(3, 2)
     assert hash(c) == hash(Fraction(3, 2))
     assert embed_rational(4) == 4
+
+
+class MonicRatFunc:
+    """A rational function as the pair (num, den) of PolyQ with monic denominator.
+
+    This is the form ``RatFuncQ`` stored before it kept integer pairs,
+    reduced by Euclid over Fraction coefficients, with that form's
+    arithmetic, hash, text and JSON; the oracle for ``RatFuncQ``.
+    """
+
+    def __init__(self, num: PolyQ, den: PolyQ = PolyQ([1])):
+        if not den:
+            raise DivisionByZero("zero denominator")
+        self.num, self.den = euclid_reduced(num, den)
+
+    def __add__(self, o):
+        return MonicRatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __neg__(self):
+        return MonicRatFunc(-self.num, self.den)
+
+    def __mul__(self, o):
+        return MonicRatFunc(self.num * o.num, self.den * o.den)
+
+    def __truediv__(self, o):
+        return MonicRatFunc(self.num * o.den, self.den * o.num)
+
+    def __pow__(self, n):
+        if n < 0:
+            return MonicRatFunc(self.den, self.num) ** -n
+        return MonicRatFunc(self.num**n, self.den**n)
+
+    def is_constant(self):
+        return self.den == PolyQ([1]) and self.num.degree <= 0
+
+    def __hash__(self):
+        if self.is_constant():
+            return hash(Fraction(self.num.eval(0)))
+        return hash((self.num.coeffs, self.den.coeffs))
+
+    def __str__(self):
+        if self.den == PolyQ([1]):
+            return str(self.num)
+        num_s, den_s = str(self.num), str(self.den)
+        if self.num.degree > 0 or self.num.coeffs[0] < 0:
+            num_s = f"({num_s})"
+        if self.den.degree > 0:
+            den_s = f"({den_s})"
+        return f"{num_s}/{den_s}"
+
+    def to_json(self):
+        return {"num": self.num.to_json(), "den": self.den.to_json()}
+
+    def eval_at(self, point):
+        dv = self.den.eval(point)
+        if not dv:
+            raise DivisionByZero("denominator vanishes")
+        return Fraction(self.num.eval(point)) / dv
+
+
+pair_coeffs = st.one_of(st.integers(min_value=-12, max_value=12),
+                        st.fractions(min_value=-12, max_value=12, max_denominator=6))
+# non-monic leading coefficients, negative ones and constant denominators such as 3/2
+pair_leads = st.one_of(st.integers(min_value=-9, max_value=9).filter(bool),
+                       st.sampled_from([Fraction(3, 2), Fraction(-3, 2), Fraction(2, 5)]))
+pair_inputs = st.tuples(
+    st.lists(pair_coeffs, max_size=4), st.lists(pair_coeffs, max_size=3), pair_leads,
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=2),
+).map(lambda t: (PolyQ(t[0]) * PolyQ(t[3] + [1]), PolyQ(t[1] + [t[2]]) * PolyQ(t[3] + [1])))
+
+
+def assert_same(got: RatFuncQ, want: MonicRatFunc):
+    # repr tells an int coefficient from a whole-valued Fraction
+    assert (repr(got.num), repr(got.den)) == (repr(want.num), repr(want.den))
+    assert (str(got), repr(got)) == (str(want), f"RatFuncQ({want})")
+    assert got.to_json() == want.to_json() and hash(got) == hash(want)
+    back = RatFuncQ.from_json(want.to_json())
+    assert back == got and (back._n, back._d) == (got._n, got._d)
+    for point in (0, 1, -1, Fraction(3, 2), Fraction(-2, 3)):
+        try:
+            value = want.eval_at(point)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                got.eval_at(point)
+            continue
+        assert repr(got.eval_at(point)) == repr(_norm_rat(value))
+    for c in (0, 1, Fraction(3, 2), want.num.eval(0)):
+        assert (got == c) == (want.is_constant() and want.num.eval(0) == c)
+
+
+@given(pair_inputs, pair_inputs, st.integers(min_value=-3, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_integer_pairs_match_the_monic_fraction_form(x, y, n):
+    a, b, ra, rb = RatFuncQ(*x), RatFuncQ(*y), MonicRatFunc(*x), MonicRatFunc(*y)
+    assert a._d[-1] > 0 and gcd(*a._n, *a._d) == 1
+    for got, want in ((a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                      (a * b, ra * rb), (a**n, ra**n) if a or n >= 0 else (b, rb)):
+        assert_same(got, want)
+    if b:
+        assert_same(a / b, ra / rb)
+    assert (a == b) == ((ra.num, ra.den) == (rb.num, rb.den))
 
 
 def test_variant_mixing_raises():

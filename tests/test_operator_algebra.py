@@ -83,6 +83,27 @@ def test_chain_rendering():
     assert ProductChain(coefficient=3, pairs=((1, 0),)).render() == "3·*(1,0)"
 
 
+@pytest.mark.parametrize("bad", ["x", 1.5, None, 2j, [1]])
+def test_chain_refuses_a_coefficient_of_neither_variant(bad):
+    # the refusal comes at construction, before a render or a sum could show the value
+    with pytest.raises(VariantMismatch):
+        ProductChain(coefficient=bad)
+    with pytest.raises(VariantMismatch):
+        OperatorSum.single(coefficient=bad)
+    with pytest.raises(VariantMismatch):
+        A10.scale(bad)
+
+
+def test_chain_takes_rationals_and_rational_functions_of_q():
+    flag = ProductChain(coefficient=True)
+    assert type(flag.coefficient) is int and flag.render() == "*inf"
+    assert ProductChain(coefficient=Fraction(1, 2)).render() == "1/2·*inf"
+    assert ProductChain(coefficient=Q).render() == "q·*inf"
+    total = OperatorSum.single(coefficient=Fraction(3, 2)) + OperatorSum.single(
+        coefficient=Fraction(5, 2))
+    assert total.render() == "4·*inf"
+
+
 def test_sum_rendering():
     assert binomial_operator(2, 1).render() == "*(1,0) [+] *(2,1)"
     assert ZERO_OPERATOR.render() == "*0"

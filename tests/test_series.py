@@ -1,10 +1,15 @@
+import fractions
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psicalc.qfield import Q, PolyQ, RatFuncQ, _digit_bits, embed_rational
+from psicalc import intpoly, qkernels
+from psicalc.intpoly import _digit_bits
+from psicalc.qfield import Q, PolyQ, RatFuncQ, embed_rational
 from psicalc.errors import (
     BadIndices,
     BadSpec,
@@ -496,6 +501,60 @@ def test_symbolic_sums_at_the_digit_edge(qsym, bits, sign):
         f = WardSeries(qsym, [embed_rational(c) for c in (top, -top, top)])
         g = WardSeries(qsym, [RatFuncQ(PolyQ([sign * top, -sign * top, sign]))] + [ONE] * 2)
         assert reprs((f * g).coeffs) == reprs(reference_chain(f, g))
+
+
+def fractions_made_under(codes, run) -> list:
+    """The functions among ``codes`` under which ``run()`` made a Fraction, one name per Fraction.
+
+    A profile hook sees every construction, including the ones Fraction
+    arithmetic makes through ``_from_coprime_ints`` on Python 3.12+.
+    """
+    made = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
+                "__new__", "_from_coprime_ints"):
+            caller = frame.f_back
+            while caller is not None and caller.f_code not in codes:
+                caller = caller.f_back
+            if caller is not None:
+                made.append(caller.f_code.co_name)
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(old)
+    return made
+
+
+def test_symbolic_kernels_make_no_fraction():
+    # the benchmark's series-q inputs: nonzero digits, a bound-28 context, and
+    # divisors with constant terms 1, 2, 3 and 1 + q
+    ctx, rng = get_context("q", 28), random.Random(1)
+    digits = [v for v in range(-9, 10) if v]
+
+    def series(order, c0=None):
+        coeffs = [rng.choice(digits) for _ in range(order + 1)]
+        return make_series(ctx, coeffs if c0 is None else [c0] + coeffs[1:])
+
+    codes = {intpoly._canonical.__code__, qkernels._integer_forms.__code__,
+             qkernels.convolve.__code__, qkernels.divide.__code__}
+    for order in (8, 12):
+        f, g = series(order), series(order)
+        by2, by1q = f.divide(series(order, 2)), g.divide(series(order, Q + ONE))
+        ops = [lambda: f * g, lambda: f.chain(g, ((2, 0), (3, 1), (1, 0))),
+               lambda: f.star(g, 2, 1), lambda: f.fontane(g, 4, 2),
+               # quotients carry denominators 2^k and (1 + q)^k into the kernels
+               lambda: by2 * by1q, lambda: by2.star(by1q, 3, 1), lambda: by1q.divide(by2)]
+        ops += [lambda c0=c0: f.divide(series(order, c0)) for c0 in (1, 2, 3, Q + ONE)]
+        for op in ops:
+            assert fractions_made_under(codes, op) == []
+    # reading num or den may make one, and the hook sees it
+    halves = next(c for c in by2.coeffs if c._d[-1] != 1)
+    assert fractions_made_under({RatFuncQ.num.fget.__code__}, lambda: halves.num)
 
 
 # -- the plain-rational integer kernel against the Fraction loops -----------------
