@@ -46,7 +46,7 @@ from functools import cache
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
-from .coefficients import Scalar
+from .coefficients import Scalar, _norm_rat
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch, echo
 from .psi_context import (PsiContext, _chain_rows, _form, _form_add, _form_eq, _form_mul,
                           _form_scale, _lift, _weighting)
@@ -70,9 +70,9 @@ def _meet(a: Scalar, b: Scalar) -> tuple:
 
 
 def _check_coefficient(c) -> Scalar:
-    """c as a chain coefficient: a plain rational (a bool as int) or a rational function of q."""
+    """c as a chain coefficient: a plain rational (whole, or a bool, as int) or a rational function of q."""
     if isinstance(c, numbers.Rational):
-        return int(c) if type(c) is bool else c
+        return int(c) if type(c) is bool else _norm_rat(c)
     # loaded only here, so that chains over plain rationals never compile the q-field
     from .qfield import RatFuncQ
 

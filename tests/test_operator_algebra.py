@@ -104,6 +104,20 @@ def test_chain_takes_rationals_and_rational_functions_of_q():
     assert total.render() == "4·*inf"
 
 
+def test_whole_coefficients_are_stored_as_int():
+    # every door (construction, the merge of equal chains, scale) keeps a whole value an int
+    sums = [OperatorSum.single(coefficient=Fraction(4, 2)),
+            OperatorSum.single(coefficient=Fraction(3, 2)) + OperatorSum.single(
+                coefficient=Fraction(5, 2)),
+            OperatorSum.single(((1, 0),), coefficient=3).scale(Fraction(2, 3)),
+            OperatorSum.single(coefficient=Fraction(3, 2)) * OperatorSum.single(
+                ((1, 0),), coefficient=Fraction(2, 3))]
+    for total in sums:
+        assert [type(t.coefficient) for t in total.terms] == [int]
+    assert repr(sums[1]).startswith("OperatorSum(terms=(ProductChain(coefficient=4, ")
+    assert type(ProductChain(coefficient=Fraction(1, 2)).coefficient) is Fraction
+
+
 def test_sum_rendering():
     assert binomial_operator(2, 1).render() == "*(1,0) [+] *(2,1)"
     assert ZERO_OPERATOR.render() == "*0"

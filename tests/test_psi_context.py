@@ -3,7 +3,8 @@ from itertools import islice, zip_longest
 
 import pytest
 
-from psicalc.coefficients import Q, PolyQ, RatFuncQ, _norm_rat, embed_rational, scalar_eval
+from psicalc.coefficients import (Q, PolyQ, RatFuncQ, _integer_vector, _norm_rat, embed_rational,
+                                  scalar_eval)
 from psicalc.errors import (
     BadSpec,
     IndexOutOfBound,
@@ -111,6 +112,94 @@ def test_tables_grown_in_steps_match_one_build(spec):
     assert tables(stepped) == tables(whole)
     assert len(whole.psi) == 21
     assert get_context("fib", 8) is get_context("fib", 12) is get_context("fib")
+
+
+# -- the integer table builder against the Fraction builder it replaced --------------
+
+
+def fraction_tables(ctx, n: int) -> tuple:
+    """Kernel and binomial rows 0..n of ``ctx`` as the Fraction and Pascal-type builder made them.
+
+    Each kernel entry F(m, k) = (s_m - s_k) / s_{m-k} is a Fraction, the row
+    cleared by the lcm of its denominators (q^k over a q-analog, as the
+    context builds it); each binomial row is
+    C(m, k) = C(m-1, k-1) + F(m, k) C(m-1, k), Pascal's rule over symbolic
+    q, reduced by a gcd over the row.
+    """
+    psi, q = ctx.psi, ctx.q_scalar
+    kern, binom = [(1, [])], [(1, [1])]
+    for m in range(1, n + 1):
+        if q is None:
+            krow = _integer_vector([_norm_rat(Fraction(psi[m] - psi[k]) / psi[m - k])
+                                    for k in range(m)])
+        elif m > 1:
+            (d, v), (u, w) = kern[-1], psi_context._parts(ctx)
+            krow = d * w, (v if w == 1 else [x * w for x in v]) + [v[-1] * u]
+        else:
+            krow = 1, [ctx.one]
+        kern.append(krow)
+        d, v = binom[-1]
+        e, w = (d, v) if ctx.symbolic else psi_context._form_mul(krow, (d, v))
+        binom.append(psi_context._form(*psi_context._form_add((d, [0] + v), (e, w + [0]))))
+    return kern, binom
+
+
+def custom_list(values) -> str:
+    return "custom:[" + ",".join(map(str, values)) + "]"
+
+
+TABLE_SPECS = [
+    "natural", "fib", "q=3/2", "q=-2/5", "q=2", "q=1", "q",
+    custom_spec(40),
+    "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13]",
+    custom_list([0, 1] + [Fraction((-1) ** n * (3 * n + 1), n % 5 + 1) for n in range(2, 41)]),
+    custom_list([0, 1] + [(-1) ** n * (n // 3 + 1) for n in range(2, 41)]),
+    custom_list(range(13)),
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_tables_equal_the_fraction_builder(spec):
+    # one build, and growth in uneven steps, give the old builder's rows exactly,
+    # every denominator, vector and entry type alike
+    ctx = PsiContext.from_spec(spec)
+    n = 40 if ctx.bound is None else ctx.bound
+    steps = [n] if ctx.bound is not None else [2, 3, 7, 8, 21, n]
+    stepped = PsiContext.from_spec(spec)
+    for m in steps:
+        stepped._grow(m)
+    ctx._grow(n)
+    want = repr(fraction_tables(ctx, n))
+    assert repr((ctx._kernel, ctx._binom)) == want
+    assert repr((stepped._kernel, stepped._binom)) == want
+
+
+@pytest.mark.parametrize("spec, index", [
+    ("q=-1", 2), ("custom:[0,1,2,0,3]", 3), ("custom:[0,1,-1/2,3,0]", 4)])
+def test_a_zero_value_is_refused_at_its_index(spec, index):
+    with pytest.raises(BadSpec, match=f"^sequence value at index {index} is zero$"):
+        get_context(spec, 6)
+    if spec.startswith("q="):
+        # the tables stop at the last good row, every table alike
+        ctx = PsiContext.from_spec(spec)
+        with pytest.raises(BadSpec):
+            ctx._grow(6)
+        assert len(ctx.psi) == len(ctx._ints) == len(ctx._kernel) == len(ctx._binom) == index
+
+
+def test_tables_make_no_fraction(fractions_made_under):
+    # a Fraction is made only as a sequence value: a custom value as from_spec
+    # parses it, a q = u/w value by the step; the tables are built on ints
+    for spec in TABLE_SPECS:
+        ctx = PsiContext.from_spec(spec)
+        codes = {PsiContext._grow.__code__, PsiContext.from_spec.__func__.__code__}
+        if hasattr(ctx._step, "__code__"):
+            codes.add(ctx._step.__code__)
+        made = fractions_made_under(
+            codes, lambda: PsiContext.from_spec(spec, None if ctx.bound else 40))
+        assert "_grow" not in made, spec
+        if spec == "q=3/2":  # the hook sees the values the step makes
+            assert "<lambda>" in made
 
 
 @pytest.mark.parametrize("order", [(20, 5), (5, 20), (20, 5, 20), tuple(range(21))])

@@ -1,6 +1,4 @@
-import fractions
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -503,34 +501,7 @@ def test_symbolic_sums_at_the_digit_edge(qsym, bits, sign):
         assert reprs((f * g).coeffs) == reprs(reference_chain(f, g))
 
 
-def fractions_made_under(codes, run) -> list:
-    """The functions among ``codes`` under which ``run()`` made a Fraction, one name per Fraction.
-
-    A profile hook sees every construction, including the ones Fraction
-    arithmetic makes through ``_from_coprime_ints`` on Python 3.12+.
-    """
-    made = []
-
-    def hook(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
-                "__new__", "_from_coprime_ints"):
-            caller = frame.f_back
-            while caller is not None and caller.f_code not in codes:
-                caller = caller.f_back
-            if caller is not None:
-                made.append(caller.f_code.co_name)
-
-    old = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        run()
-    finally:
-        sys.setprofile(old)
-    return made
-
-
-def test_symbolic_kernels_make_no_fraction():
+def test_symbolic_kernels_make_no_fraction(fractions_made_under):
     # the benchmark's series-q inputs: nonzero digits, a bound-28 context, and
     # divisors with constant terms 1, 2, 3 and 1 + q
     ctx, rng = get_context("q", 28), random.Random(1)
