@@ -70,7 +70,7 @@ def _meet(a: Scalar, b: Scalar) -> tuple:
 
 
 def _check_coefficient(c) -> Scalar:
-    """c as a chain coefficient: a plain rational (whole, or a bool, as int) or a rational function of q."""
+    """c as a chain coefficient: a rational (an int when whole) or a rational function of q."""
     if isinstance(c, numbers.Rational):
         return int(c) if type(c) is bool else _norm_rat(c)
     # loaded only here, so that chains over plain rationals never compile the q-field

@@ -177,8 +177,8 @@ def _binomial_row(prev: tuple, ints: list, w: int, integral: bool) -> tuple:
     h = (m + 1) // 2
     if integral:
         # entry k is N(m, k) w^(floor(m^2/4) - k(m-k)): entry k-1 of row m-1 times
-        # S_m w^(k-h) / S_k, a whole number; with w = 1 there is no power to take
-        # (a multiply by 1 still copies each big int: fib's rows to 68 took 1.4 ms so, 0.9 ms without)
+        # S_m w^(k-h) / S_k, a whole number; with w = 1 there is no power to take (a
+        # multiply by 1 still copies each big int: fib's rows to 68 took 1.4 ms so, 0.9 without)
         if w == 1:
             half = [v[k - 1] * sm // ints[k] for k in range(h, m + 1)]
         else:
