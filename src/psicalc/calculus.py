@@ -24,7 +24,8 @@ Iterating the ordinary rule gives the higher product rule
 
     D^n(f g) = sum_k  <n k>(D^(n-k) f, D^k g),
 
-with the binomial operators acting through their weight tables.  Division
+with each <n k> weighed as ``operator_algebra.binomial_terms`` decides:
+a twist over a power kernel, its stored weight table otherwise.  Division
 closes the family: with h = f / g,
 
     D(f / g) = (Df - h *_{1,0} Dg) / g,
@@ -45,7 +46,7 @@ from .operator_algebra import (
     Frozen,
     OperatorSum,
     ProductChain,
-    binomial_weights,
+    binomial_terms,
     rho,
     sigma,
 )
@@ -82,16 +83,8 @@ class RuleReport(Frozen):
 def compare(rule: str, lhs: WardSeries, rhs: WardSeries,
             expected_equal: bool = True) -> RuleReport:
     diff = first_difference(lhs, rhs)
-    return RuleReport(
-        rule=rule,
-        psi=lhs.ctx.spec_string(),
-        order=min(lhs.order, rhs.order),
-        lhs=lhs,
-        rhs=rhs,
-        equal=diff is None,
-        first_diff=diff,
-        expected_equal=expected_equal,
-    )
+    return RuleReport(rule, lhs.ctx.spec_string(), min(lhs.order, rhs.order), lhs, rhs,
+                      diff is None, diff, expected_equal)
 
 
 # -- product rules ---------------------------------------------------------------
@@ -162,26 +155,17 @@ def product_rule_boxplus(f: WardSeries, g: WardSeries, first: Pair, second: Pair
 def general_leibniz(f: WardSeries, g: WardSeries, n: int) -> WardSeries:
     """sum_k <n k>(D^(n-k) f, D^k g), truncated to min(order) - n.
 
-    One kernel call of n + 1 terms: term k reads D^(n-k) f and D^k g as
-    the operands at offsets (n-k, k) and weighs by <n k>.  Over a power
-    kernel F(n, k) = q^k (``PsiContext.power_kernel``: the q-analogs, and
-    q = 1 over 0, 1, 2, ...), <n k> is C(n, k) times the twist (k, 0), and
-    no weight table is built; otherwise it is the weight table of <n k>
-    the context stores (``binomial_weights``), and <n 0> the ordinary
-    product.
+    One kernel call of the n + 1 terms of ``binomial_terms``: term k reads
+    D^(n-k) f and D^k g as the operands at offsets (n-k, k) and weighs by
+    <n k>.
     """
     if n < 0:
         raise BadIndices("derivative count must be nonnegative")
     g = f._peer(g)
-    if min(f.order, g.order) < n:
+    m = min(f.order, g.order) - n
+    if m < 0:
         raise PsiCalcError(f"series orders too small for {n} derivatives")
-    ctx, m = f.ctx, min(f.order, g.order) - n
-    if ctx.power_kernel:
-        return _convolve(f, g, [(n - k, k, (k, 0, False), ctx.psi_binomial(n, k))
-                                for k in range(n + 1)])
-    tables = binomial_weights(ctx, n, m)
-    return _convolve(f, g, [(n - k, k, tables[k] if k else (0, 0, False), ctx.one)
-                            for k in range(n + 1)])
+    return _convolve(f, g, binomial_terms(f.ctx, n, m))
 
 
 def general_leibniz_report(f: WardSeries, g: WardSeries, n: int) -> RuleReport:

@@ -32,10 +32,12 @@ W_rho(A)(n, k) = W_A(n+1, k+1) and W_sigma(A)(n, k) = F(n+1, k) W_A(n+1, k),
 which builds the tables of a whole triangle row without expanding <n k>
 into its C(n, k) chains.  A context keeps the tables of the triangle
 once built and grows them on demand (``binomial_weights``); over a power
-kernel W_<n k>(r, c) = C(n, k) q^(k c), which callers use without reading
-a table.  Syntactic equality is equality of canonical forms;
-``extensional_eq`` compares weight tables, which is equality of actions
-because A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
+kernel W_<n k>(r, c) = C(n, k) q^(k c), a twist with no table to read.
+``binomial_terms`` makes that choice and gives the kernel terms of the
+higher product rule, which ``calculus.general_leibniz`` sums.  Syntactic
+equality is equality of canonical forms; ``extensional_eq`` compares
+weight tables, which is equality of actions because
+A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
 """
 
 from __future__ import annotations
@@ -164,13 +166,9 @@ def _canonical_terms(terms: Iterable[ProductChain]) -> tuple[ProductChain, ...]:
             merged[key] = a + b
         else:
             merged[key] = t.coefficient
-    out = [
-        ProductChain(c, Flavor(fv), pairs)
-        for (fv, pairs), c in merged.items()
-        if c
-    ]
-    out.sort(key=lambda t: (t.flavor.value, t.pairs))
-    return tuple(out)
+    # ordered by flavor, then pair list: the keys, which are distinct
+    return tuple([ProductChain(c, Flavor(fv), pairs)
+                  for (fv, pairs), c in sorted(merged.items()) if c])
 
 
 class OperatorSum(Frozen):
@@ -198,7 +196,7 @@ class OperatorSum(Frozen):
     def __sub__(self, other) -> "OperatorSum":
         if not isinstance(other, OperatorSum):
             return NotImplemented
-        return OperatorSum(self.terms + tuple([t.negated() for t in other.terms]))
+        return self + -other
 
     def __neg__(self) -> "OperatorSum":
         return OperatorSum(tuple([t.negated() for t in self.terms]))
@@ -326,6 +324,20 @@ def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
                     d, v = _form_add((d, v), (e, w[1:]))
                 table.append(_form(d, v))
     return tri[n]
+
+
+def binomial_terms(ctx: PsiContext, n: int, m: int) -> list:
+    """sum_k <n k>(D^(n-k) f, D^k g) as n + 1 ``series._convolve`` terms through row m.
+
+    Term k reads the operands at offsets (n-k, k).  Over a power kernel
+    <n k> weighs by C(n, k) q^(k c), so the term is the twist (k, 0) times
+    C(n, k) and no table is built; otherwise it is the stored table of
+    <n k> (``binomial_weights``), and <n 0> the ordinary product.
+    """
+    if ctx.power_kernel:
+        return [(n - k, k, (k, 0, False), ctx.psi_binomial(n, k)) for k in range(n + 1)]
+    tables = binomial_weights(ctx, n, m)
+    return [(n - k, k, tables[k] if k else (0, 0, False), ctx.one) for k in range(n + 1)]
 
 
 def extensional_eq(a: OperatorSum, b: OperatorSum, ctx: PsiContext, order: int) -> bool:

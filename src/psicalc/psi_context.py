@@ -85,9 +85,9 @@ from .errors import (BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, K
                      VariantMismatch, echo)
 
 
-def _q_analog(q, one):
-    # s_n = q * s_{n-1} + 1
-    return lambda psi: _norm_rat(psi[-1] * q + one)
+def _q_ratio(u, w):
+    # the step of q = u/w: s_m = S_m / w^(m-1) with S_m = u S_{m-1} + w^(m-1), one ratio
+    return lambda ints: _int_ratio(u * ints[-1] + w ** (len(ints) - 1), w ** (len(ints) - 1))
 
 
 # -- row forms ----------------------------------------------------------------
@@ -201,8 +201,11 @@ class PsiContext:
     """One base sequence and its append-only tables.
 
     ``is_classical``: the sequence is 0, 1, 2, 3, ... (to the bound, if
-    any).  ``power_kernel``: every F(n, k) is q^k, which holds for the
-    q-analogs and, with q = 1, for the classical sequence.
+    any), a fact of the spec, not of the products: *_{1,0} is associative
+    over q = 0 too, so ``check`` reads its ring laws off kernel values.
+    ``power_kernel``: every F(n, k) is q^k, which holds for the q-analogs
+    and, with q = 1, for the classical sequence; ``_weighting`` and
+    ``operator_algebra.binomial_terms`` read it to weigh by a twist.
     """
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
@@ -211,10 +214,12 @@ class PsiContext:
 
     def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None,
                  qkernels=None):
-        """``values`` starts the sequence; ``step(psi)`` gives each next value.
+        """``values`` starts the sequence; ``step(ints)`` gives each next value.
 
-        Without a step the sequence is exactly ``values``.  ``qkernels`` is
-        the ``qkernels`` module for a sequence of rational functions of q.
+        The step reads the integers S_k that the values before it clear to
+        (``_ints``).  Without a step the sequence is exactly ``values``.
+        ``qkernels`` is the ``qkernels`` module for a sequence of rational
+        functions of q.
         """
         if values[0] != 0:
             raise BadSpec("sequence must start at 0")
@@ -266,7 +271,7 @@ class PsiContext:
         clear = 1 if self.symbolic else lcm(*[x.denominator for x in self._values])
         try:
             for m in range(len(psi), n + 1):
-                s = self._values[m] if m < len(self._values) else self._step(psi)
+                s = self._values[m] if m < len(self._values) else self._step(ints)
                 if not s:
                     raise BadSpec(f"sequence value at index {m} is zero")
                 psi.append(s)
@@ -325,19 +330,21 @@ class PsiContext:
         if s == "natural":
             ctx = cls("natural", "natural", (0, 1), len)
         elif s == "fib":
-            ctx = cls("fib", "fib", (0, 1), lambda psi: psi[-1] + psi[-2])
+            ctx = cls("fib", "fib", (0, 1), lambda ints: ints[-1] + ints[-2])
         elif s == "q":
             from . import qkernels
             from .qfield import Q
 
             zero, one = map(qkernels.embed_rational, (0, 1))
-            ctx = cls("q", "q", (zero, one), _q_analog(Q, one), q_scalar=Q, qkernels=qkernels)
+            # s_m = 1 + q + ... + q^(m-1), m ones
+            ctx = cls("q", "q", (zero, one), lambda ints: qkernels._from_integer([1] * len(ints)),
+                      q_scalar=Q, qkernels=qkernels)
         elif s.startswith("q="):
             try:
                 q0 = parse_rational(s[2:])
             except Exception as exc:
                 raise BadSpec(f"bad q value in spec {echo(spec)}") from exc
-            ctx = cls("q", f"q={q0}", (0, 1), _q_analog(q0, 1), q_scalar=q0)
+            ctx = cls("q", f"q={q0}", (0, 1), _q_ratio(q0.numerator, q0.denominator), q_scalar=q0)
         elif s.startswith("custom:"):
             body = s[len("custom:") :].strip()
             if not (body.startswith("[") and body.endswith("]")):

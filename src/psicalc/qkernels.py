@@ -3,7 +3,8 @@
 A context over symbolic q (``PsiContext.from_spec("q")``) loads this
 module, keeps it as ``ctx._qkernels`` and dispatches to it through that
 one attribute: ``convolve`` and ``divide`` are the symbolic halves of
-``series._convolve`` and ``WardSeries.divide``, ``_binomials_at`` the
+``series._convolve`` and ``WardSeries.divide`` (every symbolic context is
+a power kernel, so ``convolve`` takes twists only), ``_binomials_at`` the
 q-binomial rows they read, kept per bits value in the context's
 ``_packed`` store, and ``q_binomial`` the context's ``psi_binomial``.
 The context reads its scalar type and embedding here too.  The kernels
@@ -23,10 +24,9 @@ from __future__ import annotations
 
 from itertools import count, islice
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .intpoly import _ONE, _cofactors, _digit_bits, _kronecker_mul, _norm, _pack, _quotient, _unpack
-from .psi_context import _form_mul
 from .qfield import _RATFUNC_ONLY, RatFuncQ, _from_integer, _product, embed_rational
 from .series import _substitute
 
@@ -105,37 +105,27 @@ def q_binomial(ctx, n: int, k: int) -> RatFuncQ:
 def convolve(ctx, a: tuple, b: tuple, terms: list, m: int) -> list:
     """The m result coefficients of ``series._convolve`` over symbolic q.
 
-    ``a`` and ``b`` are the operand coefficients the terms read.  The
-    scalars and the weight rows, c folded in, are cleared together over
-    one denominator, and every integer polynomial is evaluated at q =
-    2^bits (Kronecker substitution), so c_n is one packed big-int sum
-    unpacked once; the bits come from the same sums run on |.|_1 norms, an
-    exact bound on every coefficient.  A twist is a shift of each binomial
-    entry by bits P k and of the term's packed scalar by bits J, as
-    |q^s p|_1 = |p|_1.
+    ``a`` and ``b`` are the operand coefficients the terms read.  Every
+    symbolic context is a power kernel, so every term is weighed by a twist
+    (P, J, star).  The term scalars are cleared over one denominator, and
+    every integer polynomial is evaluated at q = 2^bits (Kronecker
+    substitution), so c_n is one packed big-int sum unpacked once; the bits
+    come from the same sums run on |.|_1 norms, an exact bound on every
+    coefficient.  A twist is a shift of each binomial entry by bits P k and
+    of the term's packed scalar by bits J, as |q^s p|_1 = |p|_1.
     """
-    (da, va), (db, vb) = _integer_forms(a), _integer_forms(b)
-    # a symbolic row form has denominator 1 and rational-function entries
-    dc, vc = _integer_forms([x for _, _, wt, c in terms for x in (
-        [c] if type(wt) is tuple else [c * y for _, row in islice(wt, m) for y in row])])
+    (da, va), (db, vb), (dc, vc) = map(_integer_forms, (a, b, [c for *_, c in terms]))
 
     def sums(bits, pa, pb, pc):
         # every term's sums at q = 2^bits, added up, from the vectors evaluated there
-        out, pc = None, iter(pc)
-        for i, j, wt, _ in terms:
-            a, b, c, s = pa[i : i + m], pb[j : j + m], 1, 0
-            if type(wt) is tuple:
-                p, s, star = wt
-                if star:
-                    a, b = b, a
-                rows, c, s = _binomials_at(ctx, bits, bits * p), next(pc), bits * s
-            else:
-                rows = map(_form_mul, _binomials_at(ctx, bits),
-                           [(1, list(islice(pc, n + 1))) for n in range(m)])
-            part = [sum(map(mul, v, map(mul, a, b[n::-1]))) * c << s
-                    for n, (_, v) in zip(range(m), rows)]
-            out = part if out is None else list(map(add, out, part))
-        return out or [0] * m
+        out = [0] * m
+        for (i, j, (p, s, star), _), c in zip(terms, pc):
+            a, b = pa[i : i + m], pb[j : j + m]
+            if star:
+                a, b = b, a
+            out = [x + (sum(map(mul, v, map(mul, a, b[n::-1]))) * c << bits * s)
+                   for x, n, (_, v) in zip(out, range(m), _binomials_at(ctx, bits, bits * p))]
+        return out
 
     # |.|_1 norms at q = 1 bound every coefficient
     norms = [[_norm(v) for v in x] for x in (va, vb, vc)]
@@ -153,11 +143,10 @@ def divide(ctx, a: tuple, b: tuple) -> list:
     """
     m = len(a)
     ab = _integer_forms(a + b)[1]
-    va, vb = ab[:m], ab[m:]
-    na, nb = [_norm(v) for v in va], [_norm(v) for v in vb]
-    ones = [1] * m
-    dn, pn = _substitute(_binomials_at(ctx, 0), na, nb[:1] + [-x for x in nb[1:]], ones)
-    bits = _digit_bits(max(na + nb + dn + pn))
-    d, power = _substitute(_binomials_at(ctx, bits), [_pack(v, bits) for v in va],
-                           [_pack(v, bits) for v in vb], ones)
+    norms, ones = [_norm(v) for v in ab], [1] * m
+    dn, pn = _substitute(_binomials_at(ctx, 0), norms[:m],
+                         norms[m : m + 1] + [-x for x in norms[m + 1 :]], ones)
+    bits = _digit_bits(max(norms + dn + pn))
+    packed = [_pack(v, bits) for v in ab]
+    d, power = _substitute(_binomials_at(ctx, bits), packed[:m], packed[m:], ones)
     return [_from_integer(_unpack(x, bits), _unpack(p, bits)) for x, p in zip(d, power[1:])]

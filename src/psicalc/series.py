@@ -22,7 +22,8 @@ terms, each an operand offset pair, a weighting and a scalar, and
 division through one forward-substitution loop.  A weighting is weight
 rows, or, over a power kernel F(n, k) = q^k (``PsiContext.power_kernel``,
 which ``psi_context._weighting`` reads), a twist: an ordinary product
-with powers of q folded into the loop.  Both
+with powers of q folded into the loop.  Every symbolic context is a power
+kernel, so over symbolic q every weighting is a twist.  Both
 loops run on Python ints for both scalar variants, fraction-free:
 denominators are cleared once, the sums are integer dot products, every
 term adds into one numerator per result coefficient, and each result
@@ -98,11 +99,12 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     context stores cleared (times its weight rows), are scaled by c, and
     the terms meet over the lcm of their row denominators.  For
     q = u/w a twist multiplies the operand slices by u^(P k + J) and
-    w^(P k), and w^(P n + J) joins the row denominator.  Over symbolic q
-    the context's ``qkernels.convolve`` sums the same terms on packed
-    big ints.  Row n of a term is one dot product in C,
-    sum_k v[k] (a_k b_{n-k}) with b_n down to b_0 a reversed slice, so a big
-    binomial takes one multiplication per term.
+    w^(P k), and w^(P n + J) joins the row denominator.  Over symbolic q,
+    a power kernel, every term is a twist, and the context's
+    ``qkernels.convolve`` sums the terms on packed big ints.  Row n of a
+    term is one dot product in C, sum_k v[k] (a_k b_{n-k}) with b_n down
+    to b_0 a reversed slice, so a big binomial takes one multiplication
+    per term.
     """
     ctx = f.ctx
     i, j = map(max, zip((0, 0), *terms))

@@ -206,12 +206,28 @@ def _q_analog(ctx, order, *args):
     return ctx.q_scalar is not None
 
 
-def _classical(ctx, order, *args):
-    return ctx.is_classical
+def _laws(ctx, order) -> tuple:
+    """(associative, commutative): the laws *_{1,0} obeys on series of order w = min(order, 4).
+
+    x^a *_{1,0} x^b = F(a+b+1, a) x^(a+b) and the product is bilinear, so a
+    law holds on those series iff it holds on the monomials of degree at
+    most w.  That is a fact of the products, where ``ctx.is_classical`` is
+    one of the spec: over q = 0 the product is associative too.
+    """
+    w = min(order, 4)
+    r = range(w + 1)
+
+    def m(a, b):  # x^a *_{1,0} x^b = m(a, b) x^(a+b)
+        return ctx.fontane_kernel(a + b + 1, a)
+
+    return (all(m(a, b) * m(a + b, c) == m(b, c) * m(a, b + c)
+                for a, b, c in product(r, r, r) if a + b + c <= w),
+            all(m(a, b) == m(b, a) for a, b in product(r, r) if a + b <= w))
 
 
-def _not_classical(ctx, order, *args):
-    return not ctx.is_classical
+def _law(index, holds):
+    # applies where law ``index`` of ``_laws`` holds, or where it fails
+    return lambda ctx, order, *args: _laws(ctx, order)[index] is holds
 
 
 class Rule(NamedTuple):
@@ -247,15 +263,15 @@ RULES = (
                                        f.fontane(g, 2, 1).scale(a))),
     Rule("rings", "ring.monomial_product", _always, _monomials,
          lambda rule, xa, xb, xab: compare(rule, mul_ordinary(xa, xb), xab)),
-    # associativity and commutativity of *_{1,0}: identities in the classical
-    # case, inequalities (witness demanded) otherwise
-    Rule("rings", "ring.associative", _classical, _triples, _search, (_associator, True),
+    # associativity and commutativity of *_{1,0}: identities where the
+    # products obey them (``_laws``), inequalities (witness demanded) otherwise
+    Rule("rings", "ring.associative", _law(0, True), _triples, _search, (_associator, True),
          once=True),
-    Rule("rings", "ring.commutative", _classical, _fixed,
+    Rule("rings", "ring.commutative", _law(1, True), _fixed,
          lambda rule, f, g, h: compare(rule, *_commutator(f, g, h)), once=True),
-    Rule("rings", "ring.non_associative_witness", _not_classical, _triples, _search,
+    Rule("rings", "ring.non_associative_witness", _law(0, False), _triples, _search,
          (_associator, False), once=True),
-    Rule("rings", "ring.non_commutative_witness", _not_classical, _triples, _search,
+    Rule("rings", "ring.non_commutative_witness", _law(1, False), _triples, _search,
          (_commutator, False), once=True),
     *(Rule("rings", f"ring.opposite.{_label(chain)}", _always, _pair,
            lambda rule, f, g, chain: compare(rule, f.chain(g, chain),

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from psicalc.psi_context import get_context
+from psicalc.psi_context import _form_value, get_context
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -69,3 +69,43 @@ def _fractions_made_under(codes, run) -> list:
 @pytest.fixture(scope="session")
 def fractions_made_under():
     return _fractions_made_under
+
+
+# -- reference sums ----------------------------------------------------------------
+#
+# The arithmetic the kernels ran before they summed on cleared integers: every
+# term one scalar product, every sum one scalar addition, the tables read
+# through the public accessors.  Imported by the test modules that compare a
+# kernel against it.
+
+
+def fraction_sums(ctx, a, b, weight=None) -> list:
+    """sum_k C(n,k) a_k b_{n-k} W(n,k), one scalar term at a time.
+
+    Each sum starts from ``ctx.zero``, so it serves both variants: Fractions
+    over plain rationals, rational functions over symbolic q.
+    """
+    out = []
+    for n in range(min(len(a), len(b))):
+        row = [ctx.psi_binomial(n, k) for k in range(n + 1)]
+        wrow = None if weight is None else weight[n]
+        acc = ctx.zero
+        for k in range(n + 1):
+            x = a[k]
+            if not x:
+                continue
+            y = b[n - k]
+            if not y:
+                continue
+            if wrow is None:
+                acc = acc + row[k] * x * y
+            elif wrow[k]:
+                acc = acc + row[k] * x * y * wrow[k]
+        out.append(acc)
+    return out
+
+
+def weight_table(op, ctx, m: int) -> list:
+    """The weight table W(n, k) of an operator sum for n <= m, as canonical scalars."""
+    return [[_form_value(row, k) for k in range(n + 1)]
+            for n, row in enumerate(op._weight_rows(ctx, m))]

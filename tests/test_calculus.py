@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import fraction_sums, weight_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from psicalc.coefficients import Q, scalar_eval
 from psicalc.errors import BadIndices, ContextMismatch, PsiCalcError
 from psicalc.operator_algebra import ORDINARY, OperatorSum, binomial_operator, rho, sigma
 from psicalc.psi_context import get_context
-from psicalc.series import _convolve, constant, cos_psi, e_psi, make_series, monomial, sin_psi
+from psicalc.series import WardSeries, constant, cos_psi, e_psi, make_series, monomial, sin_psi
 from psicalc.verify import random_series
 
 SPECS = ("natural", "q", "q=3/2", "fib")
@@ -235,16 +236,18 @@ def test_leibniz_rejects_bad_counts_and_mixed_contexts(fib, nat):
 
 
 def leibniz_per_term(f, g, n):
-    """The reference: n + 1 separate weighted products, then summed.
+    """The reference: n + 1 separate weighted sums, one scalar term at a time, then summed.
 
     Each weighs by the rows of the chain expansion of <n k>, not by the
-    context's stored tables.
+    context's stored tables, and sums in the scalars through the public
+    accessors (``fraction_sums``), not in a kernel.
     """
-    m = min(f.order, g.order) - n
+    ctx, m = f.ctx, min(f.order, g.order) - n
     acc = None
     for k in range(n + 1):
-        term = _convolve(f.derivative(n - k).truncate(m), g.derivative(k).truncate(m),
-                         [(0, 0, binomial_operator(n, k)._weight_rows(f.ctx, m), f.ctx.one)])
+        a, b = f.derivative(n - k).truncate(m), g.derivative(k).truncate(m)
+        weight = weight_table(binomial_operator(n, k), ctx, m)
+        term = WardSeries(ctx, fraction_sums(ctx, a.coeffs, b.coeffs, weight))
         acc = term if acc is None else acc + term
     return acc
 
@@ -315,7 +318,6 @@ def refuse_weight_tables(monkeypatch):
         raise AssertionError("weight tables built")
 
     monkeypatch.setattr(operator_algebra, "binomial_weights", refuse)
-    monkeypatch.setattr(calculus, "binomial_weights", refuse)
 
 
 @pytest.mark.parametrize("spec", ("q", "q=3/2"))

@@ -433,6 +433,26 @@ def test_check_corrupted_rule_fails_with_first_diff(capsys, monkeypatch):
     assert all(r["first_diff"] == 0 for r in broken)
 
 
+@pytest.mark.parametrize("argv, laws", [
+    # s_n = 1 for n >= 1: associative, not commutative
+    (("rings", "--psi", "q=0"), ("ring.associative", "ring.non_commutative_witness")),
+    (("all", "--psi", "custom:[0,1,1,1,1,1,1,1,1,1,1,1,1]"),
+     ("ring.associative", "ring.non_commutative_witness")),
+    # 0, 1, 2, ... up to the last value: the classical products through order 8
+    (("rings", "--psi", "custom:[0,1,2,3,4,5,6,7,8,9,10,11,12,13,99]", "--order", "8"),
+     ("ring.associative", "ring.commutative")),
+])
+def test_check_ring_laws_follow_the_products_not_the_spec(capsys, argv, laws):
+    # none of these sequences is 0, 1, 2, ..., yet *_{1,0} obeys a law there
+    code, out, _ = run_cli(capsys, "check", *argv, "--trials", "1", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True
+    rings = [r["rule"] for r in data["reports"]
+             if "associative" in r["rule"] or "commutative" in r["rule"]]
+    assert tuple(rings) == laws
+
+
 def test_check_rejects_short_custom_spec(capsys):
     code, _, err = run_cli(
         capsys, "check", "rings", "--psi", "custom:[0,1,2]", "--order", "8",

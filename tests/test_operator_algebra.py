@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from conftest import fraction_sums, weight_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +18,14 @@ from psicalc.operator_algebra import (
     OperatorSum,
     ProductChain,
     binomial_operator,
+    binomial_terms,
     binomial_weights,
     extensional_eq,
     rho,
     sigma,
 )
 from psicalc.psi_context import PsiContext, _form, _form_eq, _form_value, get_context
-from psicalc.series import _convolve, e_psi, make_series, monomial, zeros
+from psicalc.series import WardSeries, _convolve, e_psi, make_series, monomial, zeros
 from psicalc.verify import custom_spec, default_specs
 
 A10 = OperatorSum.single(((1, 0),))
@@ -368,6 +371,26 @@ def test_binomial_weights_grow_only_the_levels_a_request_reaches():
     assert [len(t) for t in ctx._weights[1]] == [61, 61]
 
 
+@pytest.mark.parametrize("spec", default_specs(8))
+def test_binomial_terms_equal_the_binomial_operators_term_by_term(spec):
+    # one kernel call over binomial_terms against every chain of every <n k>
+    # applied alone at offsets (n-k, k), the results added up
+    ctx = get_context(spec)
+    rng = random.Random(spec)
+    f, g = (make_series(ctx, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(9)])
+            for _ in range(2))
+    for n in range(5):
+        m = 8 - n
+        terms = binomial_terms(ctx, n, m)
+        assert [t[:2] for t in terms] == [(n - k, k) for k in range(n + 1)]
+        want = None
+        for k in range(n + 1):
+            for term in binomial_operator(n, k).kernel_terms(ctx, m, n - k, k):
+                part = _convolve(f, g, [term])
+                want = part if want is None else want + part
+        assert repr(_convolve(f, g, terms)) == repr(want)
+
+
 # -- action on series -----------------------------------------------------------------
 
 
@@ -586,7 +609,8 @@ def test_q_analog_apply_matches_weight_rows(spec, data):
     ctx = get_context(spec)
     a = data.draw(twisted_sums(ctx.symbolic))
     f, g = data.draw(series_pairs(spec))
-    want = _convolve(f, g, [(0, 0, a._weight_rows(ctx, min(f.order, g.order)), ctx.one)])
+    m = min(f.order, g.order)
+    want = WardSeries(ctx, fraction_sums(ctx, f.coeffs, g.coeffs, weight_table(a, ctx, m)))
     got = a.apply(f, g)
     assert repr(got) == repr(want)
     assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
@@ -628,5 +652,5 @@ def test_apply_is_one_kernel_call_with_one_term_per_chain(spec, monkeypatch):
         calls.clear()
         got = a.apply(f, g)
         assert calls == [len(a.terms)]
-        want = _convolve(f, g, [(0, 0, a._weight_rows(ctx, 3), ctx.one)])
+        want = WardSeries(ctx, fraction_sums(ctx, f.coeffs, g.coeffs, weight_table(a, ctx, 3)))
         assert repr(got) == repr(want)

@@ -198,6 +198,8 @@ def test_tables_make_no_fraction(fractions_made_under):
         made = fractions_made_under(
             codes, lambda: PsiContext.from_spec(spec, None if ctx.bound else 40))
         assert "_grow" not in made, spec
+        # the step makes at most one Fraction per value, s_2 .. s_40
+        assert made.count("<lambda>") <= 39, spec
         if spec == "q=3/2":  # the hook sees the values the step makes
             assert "<lambda>" in made
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import fraction_sums, weight_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from psicalc.errors import (
     VariantMismatch,
 )
 from psicalc.operator_algebra import Flavor, OperatorSum, ProductChain
-from psicalc.psi_context import _form_value, get_context
+from psicalc.psi_context import get_context
 from psicalc.series import (
     WardSeries,
     chain_mul,
@@ -530,32 +531,10 @@ def test_symbolic_kernels_make_no_fraction(fractions_made_under):
 
 # -- the plain-rational integer kernel against the Fraction loops -----------------
 #
-# The loops below are the Fraction arithmetic the plain-rational variant ran
-# before its kernels moved to cleared integer tables: every term a Fraction
-# product, every sum a Fraction addition.  They read the tables through the
-# public accessors only.
-
-
-def fraction_sums(ctx, a, b, weight=None) -> list:
-    """sum_k C(n,k) a_k b_{n-k} W(n,k), one Fraction term at a time."""
-    out = []
-    for n in range(min(len(a), len(b))):
-        row = [ctx.psi_binomial(n, k) for k in range(n + 1)]
-        wrow = None if weight is None else weight[n]
-        acc = 0
-        for k in range(n + 1):
-            x = a[k]
-            if not x:
-                continue
-            y = b[n - k]
-            if not y:
-                continue
-            if wrow is None:
-                acc = acc + row[k] * x * y
-            elif wrow[k]:
-                acc = acc + row[k] * x * y * wrow[k]
-        out.append(acc)
-    return out
+# The loops below and ``conftest.fraction_sums`` are the Fraction arithmetic
+# the plain-rational variant ran before its kernels moved to cleared integer
+# tables: every term a Fraction product, every sum a Fraction addition.  They
+# read the tables through the public accessors only.
 
 
 def fraction_substitute(ctx, a, b) -> list:
@@ -616,12 +595,6 @@ def test_rational_products_match_fraction_loop(spec, a, b, pairs, star):
     m = min(f.order, g.order)
     want = fraction_sums(ctx, f.coeffs, g.coeffs, fraction_weights(ctx, pairs, star, m))
     assert typed(f.chain(g, pairs, star=star)) == typed(WardSeries(ctx, want))
-
-
-def weight_table(op: OperatorSum, ctx, m: int) -> list:
-    """The weight table W(n, k) of an operator sum for n <= m, as canonical scalars."""
-    return [[_form_value(row, k) for k in range(n + 1)]
-            for n, row in enumerate(op._weight_rows(ctx, m))]
 
 
 @given(spec=st.sampled_from(RATIONAL_SPECS), a=plain_lists, b=plain_lists, terms=st.lists(

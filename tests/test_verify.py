@@ -4,8 +4,10 @@ import pytest
 
 from psicalc.errors import BadSpec
 from psicalc.psi_context import get_context
+from psicalc.series import monomial
 from psicalc.verify import (
     SUITE_NAMES,
+    _laws,
     context_for,
     custom_spec,
     custom_values,
@@ -57,6 +59,30 @@ def test_witness_polarity_tracks_classical_kind():
     assert "ring.associative" in natural and "ring.commutative" in natural
     assert "ring.non_associative_witness" in fib
     assert "ring.non_commutative_witness" in fib
+
+
+@pytest.mark.parametrize("order", (2, 3, 4, 8))
+def test_ring_laws_agree_with_the_classical_kind_on_the_default_specs(order):
+    # where the spec says 0, 1, 2, ..., *_{1,0} is associative and
+    # commutative, and on the other default sequences it is neither
+    for spec in default_specs(order):
+        ctx = context_for(spec, order)
+        assert _laws(ctx, order) == (ctx.is_classical, ctx.is_classical), spec
+
+
+@pytest.mark.parametrize("spec, laws", [
+    ("q=0", (True, False)), ("q=1", (True, True)), ("q=2", (False, False)),
+    ("custom:[0,1,1,1,1,1,1,1]", (True, False)), ("custom:[0,1,2,3,4,5,99,7]", (True, True)),
+    ("custom:[0,1,2,3,99,5,6,7]", (False, False)),
+])
+def test_ring_laws_read_off_the_kernel(spec, laws):
+    # the monomial test against the products themselves, on every triple of monomials
+    ctx = context_for(spec, 3)
+    assert _laws(ctx, 3) == laws
+    xs = [monomial(ctx, a, 3) for a in range(4)]
+    assert all(a.fontane(b, 1, 0).fontane(c, 1, 0) == a.fontane(b.fontane(c, 1, 0), 1, 0)
+               for a in xs for b in xs for c in xs) is laws[0]
+    assert all(a.fontane(b, 1, 0) == b.fontane(a, 1, 0) for a in xs for b in xs) is laws[1]
 
 
 def test_two_report_rules_take_both_reports_from_one_trial():
