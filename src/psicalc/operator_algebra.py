@@ -306,9 +306,7 @@ def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
     Nothing is rebuilt.  The stored tables are returned, so they may hold
     rows past m, and they must not be changed.
     """
-    ctx._grow(m + n)
     tri = ctx._weights
-    kern = ctx._kernel
     for j in range(n + 1):
         if j == len(tri):
             tri.append([[] for _ in range(j + 1)])
@@ -318,7 +316,7 @@ def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
                 if k == 0:  # <j 0> is the ordinary product; level 0 holds the rows of ones
                     table.append(prev[0][r] if j else (1, [ctx.one] * (r + 1)))
                     continue
-                d, v = _form_mul(kern[r + 1], prev[k - 1][r + 1])  # sigma(<j-1 k-1>)
+                d, v = _form_mul(ctx._kernel_row(r + 1), prev[k - 1][r + 1])  # sigma(<j-1 k-1>)
                 if k < j:  # rho(<j-1 k>)
                     e, w = prev[k][r + 1]
                     d, v = _form_add((d, v), (e, w[1:]))

@@ -1,46 +1,56 @@
-"""Sequence contexts: the base sequence and every derived table.
+"""Sequence contexts: the base sequence and the tables derived from it.
 
 A context fixes one base sequence s_0, s_1, ... and keeps append-only
-tables for the indices it has been asked about.  ``_grow(n)`` extends
-them row by row the first time a caller needs index n, so one context
-serves every order and ``get_context`` hands out one context per spec.
-Row n holds:
+tables for the indices it has been asked about, so one context serves every
+order and ``get_context`` hands out one context per spec.  Each table is
+grown by its own accessor, and only as far as its readers read; no other
+module grows a table or reads one's layout.
 
-* the sequence value s_n (s_0 = 0, s_1 = 1; s_n != 0 is checked as the
-  row is added),
-* the sequence cleared to integers, S_n = s_n c_n, with c_n the lcm of a
-  custom list's denominators, w^(n-1) over q = u/w, and 1 otherwise;
-  over symbolic q, S_n = n, the value at q = 1,
-* the weight kernel  F(n, k) = (s_n - s_k) / s_{n-k}  for 0 <= k < n:
-  the closed form q^k over a power kernel, otherwise (S_n - S_k) / S_{n-k},
-  each entry in lowest terms by one small gcd,
-* the generalized binomials C(n, k) = s_n! / (s_k! * s_{n-k}!), built
-  from row n-1 by the multiplicative identity
+* ``_grow(n)`` extends the sequence through index n: the values s_n
+  (``psi``; s_0 = 0, s_1 = 1, and s_n != 0 is checked as each value is
+  added) and the same values cleared to integers (``_ints``),
+  S_n = s_n c_n, with c_n the lcm of a custom list's denominators, w^(n-1)
+  over q = u/w, and 1 otherwise; over symbolic q, S_n = n, the value at
+  q = 1.  Every accessor below grows the sequence as far as it needs.
+* ``_binomials(n)`` extends the generalized binomials
+  C(n, k) = s_n! / (s_k! * s_{n-k}!) through row n (``_binom``) and returns
+  the stored rows.  Row n comes from row n-1 by the multiplicative identity
   C(n, k) = C(n-1, k-1) * s_n / s_k, half a row and its mirror
   (``_binomial_row``); over symbolic q, the same identity at q = 1,
   Pascal's rows, which bound the digits of every q-binomial the kernels
-  use.
+  use.  A series grows them through its order as it is made, so the series
+  kernels read them as they are stored.
+* ``_kernel_row(n)`` gives row n of the weight kernel
+  F(n, k) = (s_n - s_k) / s_{n-k}, 0 <= k < n.  Whether every entry is a
+  power F(n, k) = q^k (the q-analogs, and q = 1 over the sequence
+  0, 1, 2, ...) is one fact of a context, ``power_kernel``, fixed on
+  construction.  Over a power kernel the row is its closed form q^k over
+  w^(n-1), made as it is read and kept nowhere; otherwise each entry is
+  (S_n - S_k) / S_{n-k} in lowest terms by one small gcd, and the row is
+  kept per index in ``_kernel``.
 
-The kernel and binomial rows are kept as row forms (d, v), one
-denominator and a vector with row[k] == v[k] / d.  Over plain rationals d
-is a positive int, v holds ints and gcd(d, *v) == 1, which makes the form
-canonical; the series kernels then sum on ints and divide once per result
-coefficient.  Every row is built on ints in that form with no gcd over the
-row: over the lcm of entries in lowest terms, or, for the integral
-binomials of the built-in kinds, over a known power of w.  Over symbolic
-q every kernel entry carries its own denominator, so d is 1 and v holds
-the rational functions themselves; the binomial rows there are Pascal's,
-with d = 1 and int entries.  The accessors give the canonical scalars (an
-int when whole).  Whether every kernel entry is a power F(n, k) = q^k
-(the q-analogs, and q = 1 over the sequence 0, 1, 2, ...) is one fact of
-a context, ``power_kernel``, fixed on construction.  ``_weighting`` reads
-it to weigh a product by a chain of index pairs: over a power kernel by a
-twist, a power of q per term, with no rows built; otherwise by the chain's
-weight rows (``_chain_rows``), products of kernel-row slices in the same
-form, made only as a product reads them.
+The kernel and binomial rows are row forms (d, v), one denominator and a
+vector with row[k] == v[k] / d.  Over plain rationals d is a positive int,
+v holds ints and gcd(d, *v) == 1, which makes the form canonical; the
+series kernels then sum on ints and divide once per result coefficient.
+Every row is built on ints in that form with no gcd over the row: over the
+lcm of entries in lowest terms, or, for the integral binomials of the
+built-in kinds and the powers of q = u/w, over a known power of w.  Over
+symbolic q every kernel entry carries its own denominator, so d is 1 and v
+holds the rational functions themselves; the binomial rows there are
+Pascal's, with d = 1 and int entries.  The accessors give the canonical
+scalars (an int when whole); ``fontane_kernel`` gives q^k over a power
+kernel without a row.
 
-Three tables are built only as they are read: ``psi_factorial`` extends
-the running product s_n! = s_1 * ... * s_n (s_0! = 1); over symbolic q
+``_weighting`` weighs a product by a chain of index pairs: over a power
+kernel by a twist, a power of q per term, with no row read; otherwise by
+the chain's weight rows (``_chain_rows``), products of kernel-row slices
+in the same form, made only as a product reads them.  Either way it first
+refuses what the chain's reach would (``PsiContext._reach``).
+
+Four more tables keep only what was read: ``psi_factorial`` extends the
+running product s_n! = s_1 * ... * s_n (s_0! = 1); ``_scales`` the least
+integers that keep a plain-rational division integral; over symbolic q
 ``_packed`` keeps the q-binomial rows at q = 2^bits, the one form the
 kernels use (``qkernels._binomials_at``), per bits value, for the few bits
 values read last, and ``psi_binomial`` unpacks a q-binomial from them; and
@@ -61,8 +71,9 @@ Built-in sequence kinds:
 * ``q=<value>``  same sequence with q specialized to an exact rational.
 * ``fib``        s_n = n-th Fibonacci number.
 * ``custom:[..]`` explicit rational values.  The list length is a hard
-                 limit, ``ctx.bound``, and the tables are built in full on
-                 construction; every other kind has ``bound`` None.
+                 limit, ``ctx.bound``, and the sequence is read in full,
+                 each value checked, on construction; every other kind has
+                 ``bound`` None.
 
 All scalars in one context share a single variant; see coefficients.  A
 symbolic context holds the ``qkernels`` module as ``_qkernels``: the q-field
@@ -77,6 +88,7 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import add, mul
 from weakref import WeakValueDictionary
@@ -163,7 +175,7 @@ def _ratio_form(ratios: list) -> tuple:
 def _binomial_row(prev: tuple, ints: list, w: int, integral: bool) -> tuple:
     """Binomial row m from row m - 1, by C(m, k) = C(m-1, k-1) s_m / s_k.
 
-    ``ints`` holds S_0..S_m, the sequence as integers S_k = s_k c_k, with
+    ``ints`` holds S_0..S_m and maybe more, the sequence as integers S_k = s_k c_k, with
     c_k = w^(k-1) over q = u/w and a constant otherwise.  ``integral``: the
     N(m, k) = N(m-1, k-1) S_m / S_k are whole, as for every built-in kind
     (over q = u/w, the Gaussian binomials made homogeneous in u and w), and
@@ -173,7 +185,8 @@ def _binomial_row(prev: tuple, ints: list, w: int, integral: bool) -> tuple:
     lowest terms.  Half the row is built, k >= ceil(m/2), and mirrored.
     """
     d, v = prev
-    m, sm = len(v), ints[-1]
+    m = len(v)
+    sm = ints[m]
     h = (m + 1) // 2
     if integral:
         # entry k is N(m, k) w^(floor(m^2/4) - k(m-k)): entry k-1 of row m-1 times
@@ -200,17 +213,17 @@ def _parts(ctx: PsiContext) -> tuple:
 class PsiContext:
     """One base sequence and its append-only tables.
 
-    ``is_classical``: the sequence is 0, 1, 2, 3, ... (to the bound, if
-    any), a fact of the spec, not of the products: *_{1,0} is associative
-    over q = 0 too, so ``check`` reads its ring laws off kernel values.
     ``power_kernel``: every F(n, k) is q^k, which holds for the q-analogs
-    and, with q = 1, for the classical sequence; ``_weighting`` and
-    ``operator_algebra.binomial_terms`` read it to weigh by a twist.
+    and, with q = 1, for the sequence 0, 1, 2, ...; ``fontane_kernel``,
+    ``_kernel_row``, ``_weighting`` and ``operator_algebra.binomial_terms``
+    read it to use that closed form.  ``_kernel`` holds the rows of any
+    other kernel, keyed by index, as they are read; ``_binom`` the binomial
+    rows 0..n that some reader needed.
     """
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
                  "_scale", "_packed", "_weights", "zero", "one", "_spec", "_values", "_step",
-                 "_ints", "is_classical", "power_kernel", "_qkernels", "__weakref__")
+                 "_ints", "power_kernel", "_qkernels", "__weakref__")
 
     def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None,
                  qkernels=None):
@@ -241,15 +254,13 @@ class PsiContext:
         init(self, "psi", (values[0],))
         init(self, "_fact", [one])
         init(self, "_binom", [(1, [1])])
-        init(self, "_kernel", [(1, [])])
+        init(self, "_kernel", {})
         init(self, "_scale", [])
         init(self, "_packed", {})
         init(self, "_weights", [])
         init(self, "_ints", [0])
-        classical = kind == "natural" or q_scalar == 1 or (
-            step is None and values == tuple(range(len(values))))
-        init(self, "is_classical", classical)
-        init(self, "power_kernel", classical or q_scalar is not None)
+        init(self, "power_kernel", kind == "natural" or q_scalar is not None or (
+            step is None and values == tuple(range(len(values)))))
         self._grow(1 if step else self.bound)
 
     def __setattr__(self, name, value):
@@ -259,14 +270,13 @@ class PsiContext:
         return f"PsiContext({self._spec!r}, bound={self.bound})"
 
     def _grow(self, n: int) -> None:
-        """Extend every table through index n; past a custom list's end, BoundExceeded."""
+        """Extend the sequence through index n; past a custom list's end, BoundExceeded."""
         if n < len(self.psi):
             return
         if self.bound is not None and n > self.bound:
             raise BoundExceeded(
                 f"sequence {echo(self._spec)} ends at index {self.bound}, needs {n}")
-        psi, ints = list(self.psi), self._ints
-        binom, kern, (u, w) = self._binom, self._kernel, _parts(self)
+        psi, ints, w = list(self.psi), self._ints, _parts(self)[1]
         # a custom list is cleared once by the lcm of its denominators
         clear = 1 if self.symbolic else lcm(*[x.denominator for x in self._values])
         try:
@@ -278,29 +288,57 @@ class PsiContext:
                 # S_m = s_m c_m; over symbolic q, S_m = m, the value at q = 1
                 c = clear * w ** (m - 1)
                 ints.append(m if self.symbolic else s.numerator * (c // s.denominator))
-                if not self.power_kernel:
-                    # F(m, k) = (S_m - S_k) / S_{m-k}, each in lowest terms
-                    krow = _ratio_form([_lowest(ints[m] - ints[k], ints[m - k])
-                                        for k in range(m)])
-                elif m > 1:
-                    # F(m, k) = q^k, q = u/w, over w^(m-1): the row before times w, one power more
-                    d, v = kern[-1]
-                    krow = d * w, (v if w == 1 else [x * w for x in v]) + [v[-1] * u]
-                else:
-                    krow = 1, [self.one]
-                kern.append(krow)
-                binom.append(_binomial_row(binom[-1], ints, w, self.kind != "custom"))
         finally:
             object.__setattr__(self, "psi", tuple(psi))
 
+    def _reach(self, n: int) -> None:
+        """Refuse what a read through index n refuses: past a custom list's end, or a zero value.
+
+        The sequence grows through n, but over an unbounded power kernel only
+        through min(n, 2): q = -1 makes s_2 = 0, the one zero value a power
+        kernel can have, and its rows need no sequence value.
+        """
+        self._grow(n if self.bound is not None or not self.power_kernel else min(n, 2))
+
+    def _binomials(self, n: int) -> list:
+        """The binomial row forms, extended through row n: the stored list, not to be changed."""
+        binom = self._binom
+        if n >= len(binom):
+            self._grow(n)
+            w, integral = _parts(self)[1], self.kind != "custom"
+            for m in range(len(binom), n + 1):
+                binom.append(_binomial_row(binom[-1], self._ints, w, integral))
+        return binom
+
+    def _kernel_row(self, n: int) -> tuple:
+        """Row n >= 1 of the kernel, F(n, k) for 0 <= k < n, as a row form.
+
+        Over a power kernel the closed form q^k, q = u/w, over w^(n-1), made
+        as it is read and kept nowhere; otherwise (S_n - S_k) / S_{n-k}, each
+        entry in lowest terms, kept in ``_kernel``.
+        """
+        row = self._kernel.get(n)
+        if row is None:
+            self._reach(n)
+            if self.power_kernel:
+                u, w = _parts(self)
+                v = list(accumulate(repeat(u, n - 1), mul, initial=self.one))
+                if w != 1:
+                    v = [x * w ** (n - 1 - k) for k, x in enumerate(v)]
+                return w ** (n - 1), v
+            ints = self._ints
+            row = self._kernel[n] = _ratio_form([_lowest(ints[n] - ints[k], ints[n - k])
+                                                 for k in range(n)])
+        return row
+
     def _serve(self, bound: int | None) -> "PsiContext":
-        # build the tables through ``bound`` now; a custom list must reach it
+        # build the binomial rows through ``bound`` now; a custom list must reach it
         if bound is not None:
             if self.bound is not None and bound > self.bound:
                 raise BadSpec(
                     f"custom sequence has bound {self.bound}, cannot serve bound {bound}"
                 )
-            self._grow(bound)
+            self._binomials(bound)
         return self
 
     def _scales(self, m: int) -> list:
@@ -310,10 +348,9 @@ class PsiContext:
         den C(n, k) * G_k, so each G_{n-1} divides G_n; for q = u/v,
         G_n = v^(n(n-1)/2).  Kept as they are found.
         """
-        self._grow(m - 1)
-        scale = self._scale
+        binom, scale = self._binomials(m - 1), self._scale
         for n in range(len(scale), m):
-            d, v = self._binom[n]
+            d, v = binom[n]
             g = scale[-1] if scale else 1
             if d != 1:
                 for k in range(n):
@@ -325,7 +362,7 @@ class PsiContext:
 
     @classmethod
     def from_spec(cls, spec: str, bound: int | None = None) -> "PsiContext":
-        """A new context for ``spec``; with ``bound``, tables built through it."""
+        """A new context for ``spec``; with ``bound``, its binomial rows built through it."""
         s = spec.strip()
         if s == "natural":
             ctx = cls("natural", "natural", (0, 1), len)
@@ -397,7 +434,7 @@ class PsiContext:
         if not 0 <= k <= n:
             raise KOutOfRange(f"k={k} outside 0..{n}")
         if not self.symbolic:
-            return _form_value(self._binom[n], k)
+            return _form_value(self._binomials(n)[n], k)
         return self._qkernels.q_binomial(self, n, k)
 
     def fontane_kernel(self, n: int, k: int) -> Scalar:
@@ -405,7 +442,9 @@ class PsiContext:
         self._check_index(n)
         if not 0 <= k < n:
             raise KernelUndefined(f"F({n}, {k}) undefined; need 0 <= k < n")
-        return _form_value(self._kernel[n], k)
+        if self.power_kernel:
+            return _power(self, 1 if self.q_scalar is None else self.q_scalar, k)
+        return _form_value(self._kernel_row(n), k)
 
     # -- scalar helpers --------------------------------------------------------
 
@@ -414,8 +453,6 @@ class PsiContext:
         if type(value) is not int:
             value = _norm_rat(Fraction(value))
         return self._qkernels.embed_rational(value) if self.symbolic else value
-
-    from_int = from_rational
 
 
 _RATIONAL_ONLY = frozenset((int, Fraction))
@@ -468,18 +505,19 @@ def _chain_rows(ctx: PsiContext, pairs, star: bool, m: int):
     The weight is W(n, k) = prod F(n+i, base+j) over the pairs, ``base``
     k for the asterisk flavor and n-k for the star flavor; the empty chain
     weighs by one everywhere.  The rows are made as they are read, so a
-    product holds one at a time.  The tables are grown first, so a zero
-    sequence value (q = -1 has s_2 = 0) is refused.
+    product holds one at a time.  A kernel row stored in ``_kernel`` is read
+    there, any other through ``_kernel_row``, which refuses a zero sequence
+    value (q = -1 has s_2 = 0) or an index past a custom list's end as the
+    row that needs it is read.
     """
-    ctx._grow(m + max(pairs, default=(0, 0))[0])
-    kern, one = ctx._kernel, ctx.one
+    kern, kernel_row, one = ctx._kernel, ctx._kernel_row, ctx.one
 
     def rows():
         for n in range(m + 1):
             row = None
             for i, j in pairs:
                 # F(n+i, k+j) for k = 0..n is one slice of a kernel row
-                d, v = kern[n + i]
+                d, v = kern.get(n + i) or kernel_row(n + i)
                 s = v[j : j + n + 1]
                 if star:
                     s.reverse()
@@ -494,14 +532,15 @@ def _weighting(ctx: PsiContext, pairs, star: bool, m: int):
 
     Over a power kernel (``ctx.power_kernel``) the weight of
     ``_chain_rows`` is W(n, k) = q^(P base + J) with P pairs and J the sum
-    of the j, and the chain is the twist (P, J, star); so is the empty
-    chain.  Otherwise the chain is its weight rows.  The tables are grown
-    either way.
+    of the j, and the chain is the twist (P, J, star), which reads no row;
+    so is the empty chain.  Otherwise the chain is its weight rows.  Either
+    way a chain that reaches past a custom list's end or a zero sequence
+    value is refused here (``PsiContext._reach``).
     """
-    rows = _chain_rows(ctx, pairs, star, m)
+    ctx._reach(m + max(pairs, default=(0, 0))[0])
     if ctx.power_kernel or not pairs:
         return len(pairs), sum([j for _, j in pairs]), star
-    return rows
+    return _chain_rows(ctx, pairs, star, m)
 
 
 # one context per canonical spec while the spelling cache or a series holds it

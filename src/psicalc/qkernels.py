@@ -65,7 +65,8 @@ def _binomials_at(ctx, bits: int, shift: int = 0):
     The q-binomials have nonnegative coefficients, so at bits = 0 (q = 1)
     the rows hold each binomial's |.|_1 norm: Pascal's rows, which the
     norm pass of every kernel call reads, so they are the context's
-    binomial table, read through index n once the tables are grown to n.
+    binomial rows (``ctx._binomials``) as stored: every series has grown
+    them through its order.
     At bits > 0 the rows are kept per bits value, in the context's
     ``_packed``, and grown append-only as they are read; the closed form
     F(n, k) = q^k makes the recurrence a shift and an add.  The store holds
@@ -74,7 +75,7 @@ def _binomials_at(ctx, bits: int, shift: int = 0):
     left by shift * k.
     """
     if not bits:
-        yield from ctx._binom
+        yield from ctx._binomials(0)
         return
     store = ctx._packed
     rows = store.pop(bits, None) or [[1]]

@@ -94,11 +94,13 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     weighs by q^(P k + J), or by q^(P (n-k) + J) for star, with no weight
     rows; C(n, k) = C(n, n-k) makes star the asterisk twist with the
     operand slices swapped.  c_n runs to the largest n that every term
-    reaches.  The operands' denominators are cleared once.  Plain
-    rationals sum on ints: a term's row sums, over the binomial rows the
-    context stores cleared (times its weight rows), are scaled by c, and
-    the terms meet over the lcm of their row denominators.  For
-    q = u/w a twist multiplies the operand slices by u^(P k + J) and
+    reaches, and weight rows that end before that row are refused
+    (IndexOutOfBound), not read as zero.  The operands' denominators are
+    cleared once.  Plain rationals sum on ints: a term's row sums, over the
+    binomial rows the context stores cleared (``PsiContext._binomials``,
+    which every series grows through its order) times its weight rows, are
+    scaled by c, and the terms meet over the lcm of their row denominators.
+    For q = u/w a twist multiplies the operand slices by u^(P k + J) and
     w^(P k), and w^(P n + J) joins the row denominator.  Over symbolic q,
     a power kernel, every term is a twist, and the context's
     ``qkernels.convolve`` sums the terms on packed big ints.  Row n of a
@@ -116,10 +118,10 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     # freed 20-tuples in a free list it never draws from
     va, vb = list(va), list(vb)
     dc, vc = _integer_vector([c for *_, c in terms])
-    den, (u, w) = da * db * dc, _parts(ctx)
+    den, (u, w), binom = da * db * dc, _parts(ctx), ctx._binomials(m - 1)
     nums, dens = [0] * m, [1] * m
     for (i, j, wt, _), c in zip(terms, vc):
-        a, b, rows = va[i : i + m], vb[j : j + m], ctx._binom
+        a, b, rows = va[i : i + m], vb[j : j + m], binom
         if type(wt) is tuple:
             p, s, star = wt
             if star:
@@ -131,6 +133,7 @@ def _convolve(f, g, terms: list) -> "WardSeries":
         else:
             rows = map(_form_mul, rows, wt)
         # the terms meet over the lcm of their row denominators
+        r = -1
         for r, (d, v) in zip(range(m), rows):
             x, e = sum(map(mul, v, map(mul, a, b[r::-1]))) * c, dens[r]
             if d == e:
@@ -140,6 +143,8 @@ def _convolve(f, g, terms: list) -> "WardSeries":
             else:
                 dens[r] = l = lcm(d, e)
                 nums[r] = nums[r] * (l // e) + x * (l // d)
+        if r < m - 1:
+            raise IndexOutOfBound(f"weight rows end at row {r}, the product needs row {m - 1}")
     return WardSeries(ctx, [_int_ratio(x, d * den) for x, d in zip(nums, dens)])
 
 
@@ -184,7 +189,7 @@ class WardSeries:
         c = _check_scalars(ctx, coeffs)
         if not c:
             raise BadIndices("a series needs at least the constant coefficient")
-        ctx._grow(len(c) - 1)
+        ctx._binomials(len(c) - 1)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_c", c)
 
@@ -292,9 +297,7 @@ class WardSeries:
         # a_n times F(n+i, step n + j)
         i, j = check_pair((i, j))
         ctx = self.ctx
-        ctx._grow(self.order + i)
-        kern = ctx._kernel
-        return WardSeries(ctx, [x * _form_value(kern[n + i], step * n + j)
+        return WardSeries(ctx, [x * _form_value(ctx._kernel_row(n + i), step * n + j)
                                 for n, x in enumerate(self._c)])
 
     # -- derivative and division ---------------------------------------------------
@@ -330,7 +333,7 @@ class WardSeries:
         ab = _integer_vector(self._c[:m] + o._c[:m])[1]
         va, vb = ab[:m], ab[m:]
         scale = ctx._scales(m)
-        e, power = _substitute(ctx._binom, va, vb, scale)
+        e, power = _substitute(ctx._binomials(m - 1), va, vb, scale)
         return WardSeries(ctx, [_int_ratio(x, g * p) for x, g, p in zip(e, scale, power[1:])])
 
     # -- substitutions ----------------------------------------------------------------
@@ -424,13 +427,13 @@ def e_psi(ctx: PsiContext, order: int) -> WardSeries:
 
 def sin_psi(ctx: PsiContext, order: int) -> WardSeries:
     """a_{2m+1} = (-1)^m, even coefficients zero."""
-    return WardSeries(ctx, [ctx.from_int(-1 if n // 2 % 2 else 1) if n % 2 else ctx.zero
+    return WardSeries(ctx, [ctx.from_rational(-1 if n // 2 % 2 else 1) if n % 2 else ctx.zero
                             for n in range(order + 1)])
 
 
 def cos_psi(ctx: PsiContext, order: int) -> WardSeries:
     """a_{2m} = (-1)^m, odd coefficients zero."""
-    return WardSeries(ctx, [ctx.zero if n % 2 else ctx.from_int(-1 if n // 2 % 2 else 1)
+    return WardSeries(ctx, [ctx.zero if n % 2 else ctx.from_rational(-1 if n // 2 % 2 else 1)
                             for n in range(order + 1)])
 
 

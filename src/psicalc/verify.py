@@ -106,7 +106,7 @@ def _triple(ctx, order, rng):
 
 def _scaled_pair(ctx, order, rng):
     """f, g and an integer scalar 2..5."""
-    return _pair(ctx, order, rng) + (ctx.from_int(rng.randint(2, 5)),)
+    return _pair(ctx, order, rng) + (ctx.from_rational(rng.randint(2, 5)),)
 
 
 def _invertible(ctx, order, rng):
@@ -211,8 +211,9 @@ def _laws(ctx, order) -> tuple:
 
     x^a *_{1,0} x^b = F(a+b+1, a) x^(a+b) and the product is bilinear, so a
     law holds on those series iff it holds on the monomials of degree at
-    most w.  That is a fact of the products, where ``ctx.is_classical`` is
-    one of the spec: over q = 0 the product is associative too.
+    most w.  That is a fact of the products, where whether the sequence is
+    0, 1, 2, ... is one of the spec: over q = 0 the product is associative
+    too.
     """
     w = min(order, 4)
     r = range(w + 1)

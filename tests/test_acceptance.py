@@ -268,7 +268,7 @@ def test_criterion_09_quotient_and_reciprocal():
     inv = constant(qc, 1, 11).divide(eq)
     d = calculus.reciprocal_derivative(eq)
     # D(1/e_q) = -(1/e_q)(qx): each index-n coefficient is -q^n times 1/e_q's
-    ok = ok and d == inv.q_dilate().scale(qc.from_int(-1)).truncate(10)
+    ok = ok and d == inv.q_dilate().scale(qc.from_rational(-1)).truncate(10)
     for n in range(11):
         ok = ok and d.coeffs[n] == -(Q ** n) * inv.coeffs[n]
     record(9, ok, "quotient rule 50 pairs x 5 specs, both q displays, D(1/e_q) dilation")

@@ -48,7 +48,7 @@ def test_natural_tables_are_classical(nat):
             assert nat.psi_binomial(n, k) == comb(n, k)
         for k in range(n):
             assert nat.fontane_kernel(n, k) == 1
-    assert nat.is_classical
+    assert all(nat.psi_value(n) == n for n in range(13))
 
 
 def test_q_symbolic_tables(qsym):
@@ -75,7 +75,7 @@ def test_q_at_one_collapses_to_classical(qsym):
     ctx = get_context("q=1", 10)
     nat = get_context("natural", 10)
     assert ctx.psi[:11] == nat.psi[:11]
-    assert ctx.is_classical
+    assert all(ctx.psi_value(n) == n for n in range(13))
     # symbolic tables evaluated at q=1 give the classical tables entry-wise
     for n in range(11):
         assert scalar_eval(qsym.psi_factorial(n), 1) == nat.psi_factorial(n)
@@ -158,6 +158,11 @@ TABLE_SPECS = [
 ]
 
 
+def table_rows(ctx, n: int) -> tuple:
+    """Kernel rows 0..n of ``ctx``, read through ``_kernel_row``, and its binomial rows 0..n."""
+    return [(1, [])] + [ctx._kernel_row(m) for m in range(1, n + 1)], ctx._binomials(n)[: n + 1]
+
+
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_tables_equal_the_fraction_builder(spec):
     # one build, and growth in uneven steps, give the old builder's rows exactly,
@@ -167,11 +172,11 @@ def test_tables_equal_the_fraction_builder(spec):
     steps = [n] if ctx.bound is not None else [2, 3, 7, 8, 21, n]
     stepped = PsiContext.from_spec(spec)
     for m in steps:
-        stepped._grow(m)
-    ctx._grow(n)
-    want = repr(fraction_tables(ctx, n))
-    assert repr((ctx._kernel, ctx._binom)) == want
-    assert repr((stepped._kernel, stepped._binom)) == want
+        stepped._binomials(m)
+        stepped._kernel_row(m)
+    got = repr(table_rows(ctx, n))
+    assert got == repr(fraction_tables(ctx, n))
+    assert repr(table_rows(stepped, n)) == got
 
 
 @pytest.mark.parametrize("spec, index", [
@@ -180,11 +185,14 @@ def test_a_zero_value_is_refused_at_its_index(spec, index):
     with pytest.raises(BadSpec, match=f"^sequence value at index {index} is zero$"):
         get_context(spec, 6)
     if spec.startswith("q="):
-        # the tables stop at the last good row, every table alike
+        # the sequence stops at the last good value, and every row before it still reads
         ctx = PsiContext.from_spec(spec)
-        with pytest.raises(BadSpec):
-            ctx._grow(6)
-        assert len(ctx.psi) == len(ctx._ints) == len(ctx._kernel) == len(ctx._binom) == index
+        for read in (ctx._binomials, ctx._kernel_row):
+            with pytest.raises(BadSpec):
+                read(6)
+        assert len(ctx.psi) == len(ctx._ints) == index
+        kern, binom = table_rows(ctx, index - 1)
+        assert len(kern) == len(binom) == len(ctx._binom) == index
 
 
 def test_tables_make_no_fraction(fractions_made_under):
@@ -192,12 +200,13 @@ def test_tables_make_no_fraction(fractions_made_under):
     # parses it, a q = u/w value by the step; the tables are built on ints
     for spec in TABLE_SPECS:
         ctx = PsiContext.from_spec(spec)
-        codes = {PsiContext._grow.__code__, PsiContext.from_spec.__func__.__code__}
+        codes = {PsiContext._grow.__code__, PsiContext.from_spec.__func__.__code__,
+                 PsiContext._binomials.__code__, PsiContext._kernel_row.__code__}
         if hasattr(ctx._step, "__code__"):
             codes.add(ctx._step.__code__)
         made = fractions_made_under(
-            codes, lambda: PsiContext.from_spec(spec, None if ctx.bound else 40))
-        assert "_grow" not in made, spec
+            codes, lambda: table_rows(PsiContext.from_spec(spec), ctx.bound or 40))
+        assert not {"_grow", "_binomials", "_kernel_row"} & set(made), spec
         # the step makes at most one Fraction per value, s_2 .. s_40
         assert made.count("<lambda>") <= 39, spec
         if spec == "q=3/2":  # the hook sees the values the step makes
@@ -425,8 +434,8 @@ def test_get_context_is_keyed_on_the_canonical_spec(spelling, canonical):
 
 
 def test_scalar_promotion_helpers(qsym, nat):
-    assert isinstance(qsym.from_int(3), RatFuncQ)
-    assert nat.from_int(3) == 3
+    assert isinstance(qsym.from_rational(3), RatFuncQ)
+    assert nat.from_rational(3) == 3
     assert nat.from_rational(Fraction(4, 2)) == 2
     assert isinstance(nat.from_rational(Fraction(4, 2)), int)
 
@@ -451,7 +460,7 @@ def test_from_rational_gives_canonical_scalars(qsym, nat, value, plain):
 ])
 def test_classical_and_power_kernel_facts(spec, classical, power):
     ctx = PsiContext.from_spec(spec)
-    assert (ctx.is_classical, ctx.power_kernel) == (classical, power)
+    assert ctx.power_kernel == power
     # both facts against the tables: s_n = n, and F(n, k) = q^k
     q = 1 if ctx.q_scalar is None else ctx.q_scalar
     assert all(ctx.psi_value(n) == n for n in range(13)) == classical

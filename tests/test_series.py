@@ -21,10 +21,11 @@ from psicalc.errors import (
     ParseError,
     VariantMismatch,
 )
-from psicalc.operator_algebra import Flavor, OperatorSum, ProductChain
-from psicalc.psi_context import get_context
+from psicalc.operator_algebra import Flavor, OperatorSum, ProductChain, binomial_operator
+from psicalc.psi_context import PsiContext, get_context
 from psicalc.series import (
     WardSeries,
+    _convolve,
     chain_mul,
     check_pair,
     constant,
@@ -333,7 +334,7 @@ def test_derivative_special_series(nat, qsym):
     e = e_psi(nat, 6)
     assert e.derivative() == e.truncate(5)
     assert sin_psi(qsym, 6).derivative() == cos_psi(qsym, 5)
-    assert cos_psi(qsym, 6).derivative() == sin_psi(qsym, 5).scale(qsym.from_int(-1))
+    assert cos_psi(qsym, 6).derivative() == sin_psi(qsym, 5).scale(qsym.from_rational(-1))
 
 
 def test_derivative_is_linear(fib):
@@ -655,6 +656,36 @@ def test_weighted_products_refuse_a_zero_or_missing_sequence_value(spec, error):
                     lambda: f.chain(f, ((1, 0), (3, 1))), lambda: f.chain(f, ((3, 2),), True)):
         with pytest.raises(error):
             product()
+
+
+@pytest.mark.parametrize("spec", ["natural", "q=3/2", "q"])
+def test_a_power_kernel_product_reads_no_row_of_its_reach(spec):
+    # F(n + 3000, k) = q^k whatever the reach, so the product is that of reach 1,
+    # and neither the sequence, the binomials nor the kernel grow past the operands
+    ctx = PsiContext.from_spec(spec)
+    f, g = make_series(ctx, [1, 2]), make_series(ctx, [3, 4])
+    assert f.fontane(g, 3000, 0) == f.fontane(g, 1, 0)
+    assert len(ctx.psi) <= 3 and len(ctx._binom) <= 2 and ctx._kernel == {}
+
+
+def test_a_plain_kernel_product_keeps_only_the_rows_it_reads():
+    # over fib the product of order-1 operands at reach 600 reads kernel rows 600 and 601
+    ctx = PsiContext.from_spec("fib")
+    f, g = make_series(ctx, [1, 2]), make_series(ctx, [3, 4])
+    assert f.fontane(g, 600, 0) == WardSeries(ctx, reference_chain(f, g, ((600, 0),)))
+    assert set(ctx._kernel) <= {600, 601} and len(ctx._binom) <= 2
+
+
+def test_convolve_refuses_weight_rows_that_end_before_the_product():
+    # weight rows built for m = 2 cannot weigh rows 3 and 4 of order-5 operands
+    ctx = get_context("fib")
+    f, g = make_series(ctx, [1, 2, 3, 4, 5, 6]), make_series(ctx, [2, 1, 3, 1, 2, 5])
+    op = binomial_operator(2, 1)
+    with pytest.raises(IndexOutOfBound,
+                       match="^weight rows end at row 2, the product needs row 4$"):
+        _convolve(f, g, op.kernel_terms(ctx, 2, 1, 1))
+    assert [str(x) for x in _convolve(f, g, op.kernel_terms(ctx, 4, 1, 1)).coeffs] == [
+        "2", "15", "39", "487/3", "600"]
 
 
 @given(spec=st.sampled_from(RATIONAL_SPECS), a=plain_lists, b=plain_lists,
