@@ -27,18 +27,13 @@ from .errors import (
 from .psi_context import PsiContext, get_context
 from .series import (
     WardSeries,
-    chain_mul,
     constant,
     cos_psi,
-    divide,
     e_psi,
     first_difference,
-    fontane_mul,
     make_series,
     monomial,
-    mul_ordinary,
     sin_psi,
-    star_mul,
     zeros,
 )
 
@@ -51,10 +46,9 @@ _LAZY = {
                      "ProductChain", "binomial_operator", "extensional_eq", "rho", "sigma"),
                     "operator_algebra"),
     **dict.fromkeys(("calculus", "RuleReport", "general_leibniz", "general_leibniz_report",
-                     "product_rule_asterisk", "product_rule_boxplus", "product_rule_chain",
-                     "product_rule_ordinary", "product_rule_star", "quotient_derivative",
-                     "quotient_q_display_reports", "quotient_rule_report",
-                     "reciprocal_derivative", "reciprocal_rule_report"), "calculus"),
+                     "product_rule", "quotient_derivative", "quotient_q_display_reports",
+                     "quotient_rule_report", "reciprocal_derivative", "reciprocal_rule_report"),
+                    "calculus"),
 }
 
 
@@ -110,11 +104,6 @@ __all__ = [
     "e_psi",
     "sin_psi",
     "cos_psi",
-    "mul_ordinary",
-    "fontane_mul",
-    "star_mul",
-    "chain_mul",
-    "divide",
     "first_difference",
     "Flavor",
     "ProductChain",
@@ -126,11 +115,7 @@ __all__ = [
     "binomial_operator",
     "extensional_eq",
     "RuleReport",
-    "product_rule_asterisk",
-    "product_rule_star",
-    "product_rule_ordinary",
-    "product_rule_chain",
-    "product_rule_boxplus",
+    "product_rule",
     "general_leibniz",
     "general_leibniz_report",
     "quotient_derivative",

@@ -37,20 +37,9 @@ displays with dilated numerators over g(x) g(qx).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import BadIndices, PsiCalcError
-from .operator_algebra import (
-    ORDINARY,
-    Flavor,
-    Frozen,
-    OperatorSum,
-    ProductChain,
-    binomial_terms,
-    rho,
-    sigma,
-)
-from .series import Pair, WardSeries, _convolve, check_pair, constant, first_difference
+from .operator_algebra import Flavor, Frozen, OperatorSum, ProductChain, binomial_terms, rho, sigma
+from .series import WardSeries, _convolve, constant, first_difference
 
 
 class RuleReport(Frozen):
@@ -91,17 +80,22 @@ def compare(rule: str, lhs: WardSeries, rhs: WardSeries,
 
 
 def _flavored(a: OperatorSum, star: bool) -> OperatorSum:
+    # the star mirror of a sum; the empty chain has no flavor, so it stays the ordinary product
     if not star:
         return a
     return OperatorSum(tuple([ProductChain(t.coefficient, Flavor.STAR, t.pairs) for t in a.terms]))
 
 
-def _product_rule(rule: str, a: OperatorSum, f: WardSeries, g: WardSeries,
-                  star: bool) -> RuleReport:
-    """Check D(A(f, g)) against the one rule, for A or its star mirror.
+def product_rule(rule: str, a: OperatorSum, f: WardSeries, g: WardSeries,
+                 star: bool = False) -> RuleReport:
+    """The report ``rule`` on D(A(f, g)) = rho(A)(Df, g) + sigma(A)(f, Dg), A an asterisk sum.
 
-    The right side r(Df, g) + s(f, Dg) is one kernel call: the terms of r
-    read the operands at offsets (1, 0), those of s at (0, 1), through row
+    With ``star`` every chain of A acts in the star flavor, and then sigma(A)
+    acts on (Df, g) and rho(A) on (f, Dg).  A = ``ORDINARY`` gives the two
+    forms of the ordinary rule, a single pair or chain the rule of its
+    weighted product, and a formal sum the rule of the sum.  The right side
+    is one kernel call: the terms of the map on (Df, g) read the operands at
+    offsets (1, 0), those on (f, Dg) at (0, 1), through row
     min(f.order, g.order) - 1.
     """
     lhs = _flavored(a, star).apply(f, g).derivative()
@@ -111,42 +105,6 @@ def _product_rule(rule: str, a: OperatorSum, f: WardSeries, g: WardSeries,
     ctx, m = f.ctx, min(f.order, g.order) - 1
     return compare(rule, lhs, _convolve(f, g, r.kernel_terms(ctx, m, 1, 0)
                                         + s.kernel_terms(ctx, m, 0, 1)))
-
-
-def product_rule_asterisk(f: WardSeries, g: WardSeries, i: int, j: int) -> RuleReport:
-    return _product_rule(f"product.asterisk({i},{j})", OperatorSum.single(((i, j),)), f, g,
-                         star=False)
-
-
-def product_rule_star(f: WardSeries, g: WardSeries, i: int, j: int) -> RuleReport:
-    return _product_rule(f"product.star({i},{j})", OperatorSum.single(((i, j),)), f, g,
-                         star=True)
-
-
-def product_rule_ordinary(f: WardSeries, g: WardSeries) -> tuple[RuleReport, RuleReport]:
-    """Both one-sided forms of the ordinary product rule."""
-    return (
-        _product_rule("product.ordinary.asterisk_form", ORDINARY, f, g, star=False),
-        _product_rule("product.ordinary.star_form", ORDINARY, f, g, star=True),
-    )
-
-
-def product_rule_chain(f: WardSeries, g: WardSeries, pairs: Sequence[Pair],
-                       star: bool = False) -> RuleReport:
-    pairs = tuple([check_pair(p) for p in pairs])
-    flavor = "star" if star else "asterisk"
-    label = "".join(f"({i},{j})" for i, j in pairs) or "empty"
-    return _product_rule(f"product.chain.{flavor}.{label}", OperatorSum.single(pairs), f, g,
-                         star)
-
-
-def product_rule_boxplus(f: WardSeries, g: WardSeries, first: Pair, second: Pair,
-                         star: bool = False) -> RuleReport:
-    """The rule for a two-term formal sum of weighted products."""
-    p1, p2 = check_pair(first), check_pair(second)
-    flavor = "star" if star else "asterisk"
-    return _product_rule(f"product.boxplus.{flavor}.{p1}+{p2}",
-                         OperatorSum.single((p1,)) + OperatorSum.single((p2,)), f, g, star)
 
 
 # -- higher product rule ------------------------------------------------------------

@@ -128,10 +128,6 @@ class ProductChain(Frozen):
             raise FlavorMismatch(f"bad flavor {flavor!r}")
         self._init(_check_coefficient(coefficient), flavor, pairs)
 
-    @property
-    def is_ordinary(self) -> bool:
-        return not self.pairs
-
     def negated(self) -> "ProductChain":
         return ProductChain(-self.coefficient, self.flavor, self.pairs)
 
@@ -178,10 +174,6 @@ class OperatorSum(Frozen):
 
     def __init__(self, terms: tuple[ProductChain, ...] = ()):
         self._init(_canonical_terms(terms))
-
-    @classmethod
-    def of(cls, *chains: ProductChain) -> "OperatorSum":
-        return cls(tuple(chains))
 
     @classmethod
     def single(cls, pairs: Sequence[Pair] = (), flavor: Flavor = Flavor.ASTERISK,

@@ -406,12 +406,14 @@ class PsiContext:
     def spec_string(self) -> str:
         return self._spec
 
-    def _check_index(self, n: int) -> None:
+    def _check_index(self, n: int, reach: bool = False) -> None:
+        # refuse an index outside the sequence, then grow it through n, or
+        # with ``reach`` only as far as ``_reach`` does
         if n < 0:
             raise IndexOutOfBound(f"index {n} is negative")
         if self.bound is not None and n > self.bound:
             raise IndexOutOfBound(f"index {n} outside 0..{self.bound}")
-        self._grow(n)
+        (self._reach if reach else self._grow)(n)
 
     def psi_value(self, n: int) -> Scalar:
         self._check_index(n)
@@ -438,8 +440,12 @@ class PsiContext:
         return self._qkernels.q_binomial(self, n, k)
 
     def fontane_kernel(self, n: int, k: int) -> Scalar:
-        """F(n, k) with s_n - s_k = F(n, k) * s_{n-k}; needs 0 <= k < n."""
-        self._check_index(n)
+        """F(n, k) with s_n - s_k = F(n, k) * s_{n-k}; needs 0 <= k < n.
+
+        Over a power kernel the closed form q^k, for which the sequence
+        grows no further than ``_reach`` takes it.
+        """
+        self._check_index(n, reach=True)
         if not 0 <= k < n:
             raise KernelUndefined(f"F({n}, {k}) undefined; need 0 <= k < n")
         if self.power_kernel:

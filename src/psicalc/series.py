@@ -65,8 +65,8 @@ from .errors import (
     PsiCalcError,
     echo,
 )
-from .psi_context import (PsiContext, _check_scalar, _check_scalars, _form_mul, _form_value,
-                          _lift, _parts, _power, _weighting, get_context)
+from .psi_context import (PsiContext, _check_scalar, _check_scalars, _form_mul, _lift, _parts,
+                          _power, _weighting, get_context)
 
 Pair = tuple[int, int]
 
@@ -294,10 +294,12 @@ class WardSeries:
         return self._diag(i, j, 0)
 
     def _diag(self, i: int, j: int, step: int) -> "WardSeries":
-        # a_n times F(n+i, step n + j)
+        # a_n times F(n+i, step n + j), each entry read alone; reaching through
+        # order + i first refuses a custom list's end as BoundExceeded
         i, j = check_pair((i, j))
         ctx = self.ctx
-        return WardSeries(ctx, [x * _form_value(ctx._kernel_row(n + i), step * n + j)
+        ctx._reach(self.order + i)
+        return WardSeries(ctx, [x * ctx.fontane_kernel(n + i, step * n + j)
                                 for n, x in enumerate(self._c)])
 
     # -- derivative and division ---------------------------------------------------
@@ -435,39 +437,6 @@ def cos_psi(ctx: PsiContext, order: int) -> WardSeries:
     """a_{2m} = (-1)^m, odd coefficients zero."""
     return WardSeries(ctx, [ctx.zero if n % 2 else ctx.from_rational(-1 if n // 2 % 2 else 1)
                             for n in range(order + 1)])
-
-
-# -- functional aliases --------------------------------------------------------
-#
-# The method spellings above are what the rest of the package uses; these
-# names give the same operations as plain functions.
-
-
-def mul_ordinary(f: WardSeries, g: WardSeries) -> WardSeries:
-    return f.chain(g, ())
-
-
-def fontane_mul(f: WardSeries, g: WardSeries, i: int, j: int) -> WardSeries:
-    return f.fontane(g, i, j)
-
-
-def star_mul(f: WardSeries, g: WardSeries, i: int, j: int) -> WardSeries:
-    return f.star(g, i, j)
-
-
-def chain_mul(f: WardSeries, g: WardSeries, chain, star: bool = False) -> WardSeries:
-    """Apply a chain given as a pair list or as an operator-algebra chain.
-
-    A chain object acts through its own ``apply`` (flavor and coefficient
-    included); for a bare pair list the ``star`` flag picks the flavor.
-    """
-    if hasattr(chain, "apply"):
-        return chain.apply(f, g)
-    return f.chain(g, tuple(chain), star=star)
-
-
-def divide(f: WardSeries, g: WardSeries) -> WardSeries:
-    return f.divide(g)
 
 
 def first_difference(f: WardSeries, g: WardSeries) -> int | None:

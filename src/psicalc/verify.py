@@ -3,9 +3,15 @@
 Every check is one row of ``RULES``: the suite it belongs to, its name, a
 test of whether it applies to a context, a draw of operands, and a check
 that turns the operands into one report or a fixed tuple of reports.
-``run_suites`` runs each applicable rule's trials and keeps the reports of
-its first failing trial, otherwise its last trial's.  The CLI surfaces
-these as its ``check`` command; the test suite reuses them directly.
+The ``rules`` suite is one family over the table ``PRODUCT_RULES``: each
+product rule is a rule name and its forms (report label, operator sum A,
+star), and its check gives ``calculus.product_rule`` of every form on one
+draw (f, g).  The ordinary rule has two forms, asterisk and star, and every
+other rule one, labelled with its rule name; the sums are built once, as
+the module loads.  ``run_suites`` runs each applicable rule's trials and
+keeps the reports of its first failing trial, otherwise its last trial's.
+The CLI surfaces these as its ``check`` command; the test suite reuses
+them directly.
 
 Determinism contract: each rule draws from its own generator, seeded with
 the string ``"<seed>:<rule>:<kind>"`` (``random`` hashes a string seed
@@ -29,15 +35,9 @@ from . import calculus
 from .calculus import RuleReport, compare
 from .coefficients import scalar_eval
 from .errors import BadSpec, echo
+from .operator_algebra import ORDINARY, OperatorSum
 from .psi_context import PsiContext, _power, get_context
-from .series import (
-    WardSeries,
-    constant,
-    e_psi,
-    make_series,
-    monomial,
-    mul_ordinary,
-)
+from .series import WardSeries, constant, e_psi, make_series, monomial
 
 SUITE_NAMES = ("rings", "rules", "leibniz", "quotient")
 
@@ -87,6 +87,32 @@ BOXPLUS_COMBOS = (((1, 0), (2, 1)), ((2, 0), (3, 1)))
 # how far past the series order a check may read kernel rows: one shift
 # past the largest pair index
 RULE_REACH = 1 + max(i for i, _ in RULE_PAIRS)
+
+
+def _label(chain) -> str:
+    return "".join(f"({i},{j})" for i, j in chain)
+
+
+def _one_form(name, a, star):
+    # a rule with one form, labelled with the rule's name
+    return name, ((name, a, star),)
+
+
+_FLAVORS = (("asterisk", False), ("star", True))
+# The rules suite's product rules in report order, as (rule name, forms): each
+# form (report label, asterisk operator sum A, star) is checked by
+# ``calculus.product_rule`` on the rule's one draw (f, g).
+PRODUCT_RULES = (
+    *(_one_form(f"product.{flavor}({i},{j})", OperatorSum.single(((i, j),)), star)
+      for i, j in RULE_PAIRS for flavor, star in _FLAVORS),
+    ("product.ordinary", (("product.ordinary.asterisk_form", ORDINARY, False),
+                          ("product.ordinary.star_form", ORDINARY, True))),
+    *(_one_form(f"product.chain.{flavor}.{_label(chain)}", OperatorSum.single(chain), star)
+      for chain in RULE_CHAINS for flavor, star in _FLAVORS),
+    *(_one_form(f"product.boxplus.{flavor}.{p}+{r}",
+                OperatorSum.single((p,)) + OperatorSum.single((r,)), star)
+      for p, r in BOXPLUS_COMBOS for flavor, star in _FLAVORS),
+)
 
 
 # -- draws: (ctx, order, rng) -> operands ------------------------------------------
@@ -194,8 +220,8 @@ def _roundtrip(rule, f, g):
     return compare(rule, f.derivative(), h.chain(g.derivative(), ((1, 0),)) + h.derivative() * g)
 
 
-def _label(chain) -> str:
-    return "".join(f"({i},{j})" for i, j in chain)
+def _product_rules(rule, f, g, forms):
+    return tuple([calculus.product_rule(label, a, f, g, star) for label, a, star in forms])
 
 
 def _always(ctx, order, *args):
@@ -263,7 +289,7 @@ RULES = (
          lambda rule, f, g, a: compare(rule, f.fontane(g.scale(a), 2, 1),
                                        f.fontane(g, 2, 1).scale(a))),
     Rule("rings", "ring.monomial_product", _always, _monomials,
-         lambda rule, xa, xb, xab: compare(rule, mul_ordinary(xa, xb), xab)),
+         lambda rule, xa, xb, xab: compare(rule, xa * xb, xab)),
     # associativity and commutativity of *_{1,0}: identities where the
     # products obey them (``_laws``), inequalities (witness demanded) otherwise
     Rule("rings", "ring.associative", _law(0, True), _triples, _search, (_associator, True),
@@ -282,22 +308,9 @@ RULES = (
       for j in (0, 1)),
     Rule("rings", "ring.truncation.fontane", _always, _pair, _truncation),
     Rule("rings", "ring.divide_roundtrip", _always, _over_invertible,
-         lambda rule, f, g: compare(rule, mul_ordinary(f.divide(g), g), f)),
-    *(Rule("rules", f"product.{flavor}({i},{j})", _always, _pair,
-           lambda rule, f, g, i, j, star: (calculus.product_rule_star if star else
-                                           calculus.product_rule_asterisk)(f, g, i, j),
-           (i, j, flavor == "star"))
-      for i, j in RULE_PAIRS for flavor in ("asterisk", "star")),
-    Rule("rules", "product.ordinary", _always, _pair,
-         lambda rule, f, g: calculus.product_rule_ordinary(f, g)),
-    *(Rule("rules", f"product.chain.{flavor}.{_label(chain)}", _always, _pair,
-           lambda rule, f, g, chain, star: calculus.product_rule_chain(f, g, chain, star=star),
-           (chain, flavor == "star"))
-      for chain in RULE_CHAINS for flavor in ("asterisk", "star")),
-    *(Rule("rules", f"product.boxplus.{flavor}.{p}+{r}", _always, _pair,
-           lambda rule, f, g, p, r, star: calculus.product_rule_boxplus(f, g, p, r, star=star),
-           (p, r, flavor == "star"))
-      for p, r in BOXPLUS_COMBOS for flavor in ("asterisk", "star")),
+         lambda rule, f, g: compare(rule, f.divide(g) * g, f)),
+    *(Rule("rules", name, _always, _pair, _product_rules, (forms,))
+      for name, forms in PRODUCT_RULES),
     *(Rule("leibniz", f"leibniz.n={n}", lambda ctx, order, n: n < order, _pair,
            lambda rule, f, g, n: calculus.general_leibniz_report(f, g, n), (n,))
       for n in range(1, 5)),

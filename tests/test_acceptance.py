@@ -22,10 +22,8 @@ from psicalc.series import (
     constant,
     e_psi,
     first_difference,
-    fontane_mul,
     make_series,
     monomial,
-    star_mul,
 )
 from psicalc.verify import (
     custom_spec,
@@ -88,8 +86,8 @@ def test_criterion_02_q_closed_form():
         gq = g.q_dilate()
         for i, j in pairs:
             want = (fq * g).scale(Q ** j)
-            assert fontane_mul(f, g, i, j) == want, (i, j)
-            assert star_mul(f, g, i, j) == (gq * f).scale(Q ** j), (i, j)
+            assert f.fontane(g, i, j) == want, (i, j)
+            assert f.star(g, i, j) == (gq * f).scale(Q ** j), (i, j)
     dt = time.perf_counter() - t0
     record(2, dt < 5.0, f"fontane = q^j f(qx) g(x) and mirrored star, order 10, {dt:.2f}s < 5s")
 
@@ -109,8 +107,8 @@ def test_criterion_03_left_units_fib():
         for _ in range(25):
             f = random_series(ctx, 10, rng)
             e_series = constant(ctx, e, 10)
-            assert fontane_mul(e_series, f, i, j) == f.diag_l(i, j).scale(e), (i, j)
-            assert fontane_mul(f, e_series, i, j) == f.diag_m(i, j).scale(e), (i, j)
+            assert e_series.fontane(f, i, j) == f.diag_l(i, j).scale(e), (i, j)
+            assert f.fontane(e_series, i, j) == f.diag_m(i, j).scale(e), (i, j)
     record(3, skipped == [(2, 1)],
            f"unit laws hold for all invertible kernels; vanishing kernel skipped at {skipped}")
 
@@ -118,8 +116,8 @@ def test_criterion_03_left_units_fib():
 def test_criterion_04_non_associativity_witness():
     ctx = get_context("fib", 8)
     e = e_psi(ctx, 4)
-    left = fontane_mul(fontane_mul(e, e, 1, 0), e, 1, 0)
-    right = fontane_mul(e, fontane_mul(e, e, 1, 0), 1, 0)
+    left = e.fontane(e, 1, 0).fontane(e, 1, 0)
+    right = e.fontane(e.fontane(e, 1, 0), 1, 0)
     ok = (
         left.coeffs == (1, 1, 5, 23, 169)
         and right.coeffs == (1, 1, 5, 19, 107)
@@ -133,6 +131,12 @@ def test_criterion_05_product_rules():
     pair_set = [(i, j) for i in range(1, 4) for j in range(i)]
     chain_set = (((1, 0),), ((2, 1),), ((1, 0), (2, 0)), ((2, 1), (3, 2)),
                  ((1, 0), (2, 1), (3, 2)))
+    # every rule as (operator sum, star) for calculus.product_rule, built once
+    rules = [*((OperatorSum.single((p,)), star) for p in pair_set for star in (False, True)),
+             (ORDINARY, False), (ORDINARY, True),
+             *((OperatorSum.single(pairs), star) for pairs in chain_set for star in (False, True)),
+             (OperatorSum.single(((1, 0),)) + OperatorSum.single(((2, 1),)), False),
+             (OperatorSum.single(((2, 0),)) + OperatorSum.single(((3, 1),)), True)]
     orders = (10, 9, 7, 5)
     specs = ("natural", "q", "q=3/2", "fib", custom_spec(13))
     failures = 0
@@ -144,22 +148,13 @@ def test_criterion_05_product_rules():
             order = orders[trial % len(orders)]
             f = random_series(ctx, order, rng)
             g = random_series(ctx, order, rng)
-            reports = []
-            for i, j in pair_set:
-                reports.append(calculus.product_rule_asterisk(f, g, i, j))
-                reports.append(calculus.product_rule_star(f, g, i, j))
-            reports.extend(calculus.product_rule_ordinary(f, g))
-            for pairs in chain_set:
-                reports.append(calculus.product_rule_chain(f, g, pairs))
-                reports.append(calculus.product_rule_chain(f, g, pairs, star=True))
-            reports.append(calculus.product_rule_boxplus(f, g, (1, 0), (2, 1)))
-            reports.append(calculus.product_rule_boxplus(f, g, (2, 0), (3, 1), star=True))
+            reports = [calculus.product_rule("product", a, f, g, star) for a, star in rules]
             checks += len(reports)
             failures += sum(not r.ok for r in reports)
     # the worked monomial example: the ordinary rule yields D(x^5) = 5 x^4
     fib = get_context("fib", 13)
     x2, x3 = monomial(fib, 2, 9), monomial(fib, 3, 9)
-    first, _ = calculus.product_rule_ordinary(x2, x3)
+    first = calculus.product_rule("product.ordinary.asterisk_form", ORDINARY, x2, x3)
     example_ok = first.ok and first.lhs == monomial(fib, 4, 8).scale(5)
     dt = time.perf_counter() - t0
     record(5, failures == 0 and example_ok and dt < 60.0,

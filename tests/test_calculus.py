@@ -13,11 +13,7 @@ from psicalc.calculus import (
     compare,
     general_leibniz,
     general_leibniz_report,
-    product_rule_asterisk,
-    product_rule_boxplus,
-    product_rule_chain,
-    product_rule_ordinary,
-    product_rule_star,
+    product_rule,
     quotient_derivative,
     quotient_q_display_reports,
     quotient_rule_report,
@@ -43,13 +39,14 @@ def ctx_for(spec):
 def test_asterisk_and_star_rules(spec, pair):
     rng = random.Random(hash((spec, pair)) & 0xFFFF)
     ctx = ctx_for(spec)
+    a = OperatorSum.single((pair,))
     for _ in range(5):
         f = random_series(ctx, 8, rng)
         g = random_series(ctx, 8, rng)
-        r = product_rule_asterisk(f, g, *pair)
+        r = product_rule("asterisk", a, f, g)
         assert r.ok and r.equal, (r.rule, r.first_diff)
         assert r.order == 7
-        s = product_rule_star(f, g, *pair)
+        s = product_rule("star", a, f, g, star=True)
         assert s.ok, (s.rule, s.first_diff)
 
 
@@ -57,8 +54,9 @@ def test_star_rule_mirrors_asterisk_on_swapped_arguments(fib):
     rng = random.Random(3)
     f = random_series(fib, 8, rng)
     g = random_series(fib, 8, rng)
-    r_ast = product_rule_asterisk(f, g, 2, 1)
-    r_star = product_rule_star(g, f, 2, 1)
+    a = OperatorSum.single(((2, 1),))
+    r_ast = product_rule("asterisk", a, f, g)
+    r_star = product_rule("star", a, g, f, star=True)
     assert r_ast.lhs == r_star.lhs
     assert r_ast.rhs == r_star.rhs
 
@@ -69,7 +67,8 @@ def test_ordinary_rule_has_two_faithful_forms(spec):
     ctx = ctx_for(spec)
     f = random_series(ctx, 9, rng)
     g = random_series(ctx, 9, rng)
-    first, second = product_rule_ordinary(f, g)
+    first = product_rule("asterisk_form", ORDINARY, f, g)
+    second = product_rule("star_form", ORDINARY, f, g, star=True)
     assert first.ok and second.ok
     assert first.rule != second.rule
     assert first.lhs == second.lhs  # same derivative, two decompositions
@@ -85,18 +84,8 @@ def test_chain_rule(pairs, star, fib):
     for _ in range(5):
         f = random_series(fib, 9, rng)
         g = random_series(fib, 9, rng)
-        r = product_rule_chain(f, g, pairs, star=star)
+        r = product_rule("chain", OperatorSum.single(pairs), f, g, star)
         assert r.ok, (pairs, star, r.first_diff)
-
-
-def test_chain_rule_with_singleton_matches_fontane_rule(qsym):
-    rng = random.Random(5)
-    f = random_series(qsym, 7, rng)
-    g = random_series(qsym, 7, rng)
-    via_chain = product_rule_chain(f, g, ((2, 1),))
-    via_pair = product_rule_asterisk(f, g, 2, 1)
-    assert via_chain.lhs == via_pair.lhs
-    assert via_chain.rhs == via_pair.rhs
 
 
 @pytest.mark.parametrize("star", [False, True])
@@ -105,7 +94,8 @@ def test_boxplus_rule(star, fib, qsym):
     for ctx in (fib, qsym):
         f = random_series(ctx, 8, rng)
         g = random_series(ctx, 8, rng)
-        r = product_rule_boxplus(f, g, (1, 0), (2, 1), star=star)
+        a = OperatorSum.single(((1, 0),)) + OperatorSum.single(((2, 1),))
+        r = product_rule("boxplus", a, f, g, star)
         assert r.ok, (ctx.kind, star, r.first_diff)
 
 
@@ -137,7 +127,7 @@ def test_product_rule_right_side_is_the_two_call_form(monkeypatch, spec, star):
         # operands of unequal orders: the rows end at the smaller order less one
         for fo, go in ((7, 5), (4, 6)):
             f, g = random_series(ctx, fo, rng), random_series(ctx, go, rng)
-            report = calculus._product_rule("rule", a, f, g, star)
+            report = calculus.product_rule("rule", a, f, g, star)
             want = two_call_right_side(a, f, g, star)
             assert repr(report.rhs) == repr(want)
             assert report.ok
@@ -152,14 +142,15 @@ def test_product_rule_with_swapped_shift_maps_fails(monkeypatch, spec):
     rng = random.Random(5)
     f, g = random_series(ctx, 6, rng), random_series(ctx, 6, rng)
     monkeypatch.setattr(calculus, "rho", sigma)
-    report = product_rule_asterisk(f, g, 2, 1)
+    report = product_rule("rule", OperatorSum.single(((2, 1),)), f, g)
     assert not report.equal and not report.ok and report.first_diff is not None
 
 
 def test_rule_example_fib_monomials(fib):
     # x^2 x^3 = x^5 under the ordinary product, and D x^5 = s_5 x^4 = 5 x^4
     x2, x3 = monomial(fib, 2, 9), monomial(fib, 3, 9)
-    first, second = product_rule_ordinary(x2, x3)
+    first = product_rule("asterisk_form", ORDINARY, x2, x3)
+    second = product_rule("star_form", ORDINARY, x2, x3, star=True)
     assert first.ok and second.ok
     x5 = monomial(fib, 5, 9)
     assert x2 * x3 == x5
@@ -171,7 +162,7 @@ def test_rule_with_constant_g_collapses_to_scaling(fib):
     rng = random.Random(23)
     f = random_series(fib, 8, rng)
     one = constant(fib, 1, 8)
-    r = product_rule_asterisk(f, one, 1, 0)
+    r = product_rule("rule", OperatorSum.single(((1, 0),)), f, one)
     assert r.ok
     prod = f.fontane(one, 1, 0)
     assert prod == f.diag_m(1, 0)
@@ -443,7 +434,7 @@ def test_report_json_shape(fib):
     rng = random.Random(59)
     f = random_series(fib, 6, rng)
     g = random_series(fib, 6, rng)
-    r = product_rule_asterisk(f, g, 1, 0)
+    r = product_rule("product.asterisk(1,0)", OperatorSum.single(((1, 0),)), f, g)
     data = r.to_json_dict()
     assert set(data) == {
         "rule", "psi", "order", "equal", "first_diff", "lhs", "rhs",
@@ -502,8 +493,9 @@ def test_symbolic_reports_specialize(qsym, qnum):
     coeffs_g = [rng.randint(-4, 4) for _ in range(9)]
     f_s, g_s = make_series(qsym, coeffs_f), make_series(qsym, coeffs_g)
     f_n, g_n = make_series(qnum, coeffs_f), make_series(qnum, coeffs_g)
-    r_s = product_rule_asterisk(f_s, g_s, 2, 1)
-    r_n = product_rule_asterisk(f_n, g_n, 2, 1)
+    a = OperatorSum.single(((2, 1),))
+    r_s = product_rule("rule", a, f_s, g_s)
+    r_n = product_rule("rule", a, f_n, g_n)
     point = Fraction(3, 2)
     assert [scalar_eval(c, point) for c in r_s.lhs.coeffs] == list(r_n.lhs.coeffs)
     assert [scalar_eval(c, point) for c in r_s.rhs.coeffs] == list(r_n.rhs.coeffs)

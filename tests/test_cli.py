@@ -415,12 +415,14 @@ def test_check_is_deterministic(capsys):
 
 
 def test_check_corrupted_rule_fails_with_first_diff(capsys, monkeypatch):
-    def corrupted(f, g):
-        bad = compare("product.ordinary.asterisk_form", f,
-                      f + constant(f.ctx, 1, f.order))
-        return bad, bad
+    rule = calculus.product_rule
 
-    monkeypatch.setattr(calculus, "product_rule_ordinary", corrupted)
+    def corrupted(label, a, f, g, star=False):
+        if label.startswith("product.ordinary"):
+            return compare(label, f, f + constant(f.ctx, 1, f.order))
+        return rule(label, a, f, g, star)
+
+    monkeypatch.setattr(calculus, "product_rule", corrupted)
     code, out, _ = run_cli(
         capsys, "check", "rules", "--psi", "natural", "--order", "5",
         "--trials", "2", "--seed", "3", "--format", "json",
@@ -429,7 +431,8 @@ def test_check_corrupted_rule_fails_with_first_diff(capsys, monkeypatch):
     data = json.loads(out)
     assert data["ok"] is False
     broken = [r for r in data["reports"] if not r["ok"]]
-    assert broken
+    assert [r["rule"] for r in broken] == ["product.ordinary.asterisk_form",
+                                           "product.ordinary.star_form"]
     assert all(r["first_diff"] == 0 for r in broken)
 
 

@@ -65,8 +65,8 @@ def test_chains_and_sums_are_immutable_values():
     star = "coefficient=2, flavor=<Flavor.STAR: 'star'>"
     assert repr(a) == f"ProductChain({star}, pairs=((2, 1), (1, 0)))"
     s = OperatorSum(terms=(a,))
-    assert s == OperatorSum.of(b) and hash(s) == hash(OperatorSum.of(b))
-    assert {s, OperatorSum.of(b)} == {s}
+    assert s == OperatorSum((b,)) and hash(s) == hash(OperatorSum((b,)))
+    assert {s, OperatorSum((b,))} == {s}
     # the sum keeps its chains canonical: pairs sorted
     assert repr(s) == f"OperatorSum(terms=(ProductChain({star}, pairs=((1, 0), (2, 1))),))"
     assert OperatorSum() == ZERO_OPERATOR and repr(ZERO_OPERATOR) == "OperatorSum(terms=())"

@@ -342,6 +342,26 @@ def test_kernel_step_identities(fib):
         assert fib.fontane_kernel(n + 1, n) == fib.psi_value(n - 1)
 
 
+@pytest.mark.parametrize("spec", ["natural", "q=3/2", "q"])
+def test_a_power_kernel_entry_grows_the_sequence_no_further_than_index_2(spec):
+    # F(n, 1) = q for every n >= 2, so F(3000, 1) reads no sequence value past s_2
+    ctx = PsiContext.from_spec(spec)
+    assert ctx.fontane_kernel(3000, 1) == ctx.fontane_kernel(2, 1)
+    assert len(ctx.psi) <= 3
+
+
+@pytest.mark.parametrize("spec, n, k, error", [
+    ("q=-1", 5, 7, BadSpec),  # s_2 = 0 is refused before k is looked at
+    ("custom:[0,1,2,3]", 5, 1, IndexOutOfBound),
+    ("natural", -1, 0, IndexOutOfBound),
+    ("q", -1, 0, IndexOutOfBound),
+    ("q", 4, 4, KernelUndefined),
+])
+def test_kernel_entry_refusals(spec, n, k, error):
+    with pytest.raises(error):
+        PsiContext.from_spec(spec).fontane_kernel(n, k)
+
+
 def test_custom_context_parses_rationals():
     ctx = get_context("custom:[0,1,3/2,5]", 0)
     assert ctx.psi_value(2) == Fraction(3, 2)
