@@ -35,8 +35,9 @@ once built and grows them on demand (``binomial_weights``); over a power
 kernel W_<n k>(r, c) = C(n, k) q^(k c), a twist with no table to read.
 ``binomial_terms`` makes that choice and gives the kernel terms of the
 higher product rule, which ``calculus.general_leibniz`` sums.  Syntactic
-equality is equality of canonical forms; ``extensional_eq`` compares
-weight tables, which is equality of actions because
+equality is equality of canonical forms; ``extensional_eq`` compares the
+weight tables as values, each entry a canonical scalar summed from kernel
+values (``fontane_kernel``), which is equality of actions because
 A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
 """
 
@@ -45,13 +46,13 @@ from __future__ import annotations
 import numbers
 from enum import Enum
 from functools import cache
-from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from math import gcd, lcm, prod
+from operator import add
+from typing import Iterable, Sequence
 
 from .coefficients import Scalar, _norm_rat
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch, echo
-from .psi_context import (PsiContext, _chain_rows, _form, _form_add, _form_eq, _form_mul,
-                          _form_scale, _lift, _weighting)
+from .psi_context import PsiContext, _form_mul, _lift, _weighting
 from .series import Pair, WardSeries, _convolve, check_pair
 
 
@@ -212,19 +213,23 @@ class OperatorSum(Frozen):
                 out.append(ProductChain(x * y, flavor, a.pairs + b.pairs))
         return OperatorSum(tuple(out))
 
-    def _weight_rows(self, ctx: PsiContext, m: int) -> Iterator:
-        """The weight table W(n, k) of this sum for n <= m, one row form per n.
+    def _weight_rows(self, ctx: PsiContext, m: int) -> list:
+        """The weight table W(n, k) of this sum for n <= m, one list of canonical scalars per n.
 
-        The rows are made as they are read, those of every term side by side.
+        W(n, k) is the sum over the chains of coefficient * prod F(n+i, base+j),
+        ``base`` k, or n-k for a star chain, each F read through
+        ``fontane_kernel``.  The reach of the longest pair is refused first, as
+        ``_weighting`` refuses it (``PsiContext._reach``).
         """
-        table = None
-        for t in self.terms:
-            w = _chain_rows(ctx, t.pairs, t.flavor is Flavor.STAR, m)
-            c = _lift(ctx, t.coefficient)
-            if c != 1:
-                w = map(_form_scale, w, repeat(c))
-            table = w if table is None else map(_form_add, table, w)
-        return iter([(1, [ctx.zero] * (n + 1)) for n in range(m + 1)]) if table is None else table
+        terms = [(_lift(ctx, t.coefficient), t.pairs, t.flavor is Flavor.STAR) for t in self.terms]
+        ctx._reach(m + max([i for t in self.terms for i, _ in t.pairs], default=0))
+        F = ctx.fontane_kernel
+
+        def entry(n: int, k: int) -> Scalar:
+            return _norm_rat(sum([prod([F(n + i, (n - k if star else k) + j) for i, j in pairs],
+                                       start=c) for c, pairs, star in terms], ctx.zero))
+
+        return [[entry(n, k) for k in range(n + 1)] for n in range(m + 1)]
 
     def kernel_terms(self, ctx: PsiContext, m: int, i: int = 0, j: int = 0) -> list:
         """The sum as ``series._convolve`` terms for rows n <= m, one per chain.
@@ -284,6 +289,22 @@ def binomial_operator(n: int, k: int) -> OperatorSum:
     return rho(binomial_operator(n - 1, k)) + sigma(binomial_operator(n - 1, k - 1))
 
 
+def _form(d: int, v: list) -> tuple:
+    """The canonical form of the row v / d."""
+    g = gcd(d, *v)
+    return (d, v) if g == 1 else (d // g, [x // g for x in v])
+
+
+def _form_add(f: tuple, g: tuple) -> tuple:
+    """The entrywise sum of two row forms, as long as the shorter."""
+    (d, v), (e, w) = f, g
+    if d == e:
+        return d, list(map(add, v, w))
+    m = lcm(d, e)
+    s, t = m // d, m // e
+    return m, [x * s + y * t for x, y in zip(v, w)]
+
+
 def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
     """Weight tables of <n 0>, ..., <n n> through row m, from the context's triangle.
 
@@ -331,8 +352,5 @@ def binomial_terms(ctx: PsiContext, n: int, m: int) -> list:
 
 
 def extensional_eq(a: OperatorSum, b: OperatorSum, ctx: PsiContext, order: int) -> bool:
-    """Equality of the actions on series up to ``order``, by weight tables.
-
-    The rows are compared by value, denominators cross-multiplied.
-    """
-    return a == b or all(map(_form_eq, a._weight_rows(ctx, order), b._weight_rows(ctx, order)))
+    """Equality of the actions on series up to ``order``: the weight tables compared as values."""
+    return a == b or a._weight_rows(ctx, order) == b._weight_rows(ctx, order)

@@ -3,8 +3,12 @@
 A context fixes one base sequence s_0, s_1, ... and keeps append-only
 tables for the indices it has been asked about, so one context serves every
 order and ``get_context`` hands out one context per spec.  Each table is
-grown by its own accessor, and only as far as its readers read; no other
-module grows a table or reads one's layout.
+grown only as far as its readers read, by its own accessor here but for
+two: ``operator_algebra.binomial_weights`` grows ``_weights`` and
+``qkernels._binomials_at`` grows ``_packed``.  The row forms below are
+read in their layout by the kernels of ``series`` (the binomial rows and
+the weight rows of ``_weighting``) and ``qkernels`` (the binomial rows),
+and by ``binomial_weights`` (the kernel rows).
 
 * ``_grow(n)`` extends the sequence through index n: the values s_n
   (``psi``; s_0 = 0, s_1 = 1, and s_n != 0 is checked as each value is
@@ -90,7 +94,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from weakref import WeakValueDictionary
 from .coefficients import _INT_ONLY, Scalar, _int_ratio, _norm_rat, parse_rational
 from .errors import (BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange,
@@ -104,19 +108,11 @@ def _q_ratio(u, w):
 
 # -- row forms ----------------------------------------------------------------
 #
-# Only the context's own rows are kept canonical: they are built once and
-# read often.  The sequence tables are built canonical (``_ratio_form``,
-# ``_binomial_row``) and the weight tables reduced by ``_form``.  Products
-# and sums of forms leave the gcd to the one division per result
-# coefficient that every kernel ends in.
-
-
-def _form(d: int, v: list) -> tuple:
-    """The canonical form of the row v / d."""
-    if d == 1:
-        return 1, v
-    g = gcd(d, *v)
-    return (d, v) if g == 1 else (d // g, [x // g for x in v])
+# Only the stored rows are kept canonical: they are built once and read
+# often.  The sequence tables are built canonical (``_ratio_form``,
+# ``_binomial_row``), and ``operator_algebra.binomial_weights`` reduces each
+# weight row it stores.  Products of forms leave the gcd to the one
+# division per result coefficient that every kernel ends in.
 
 
 def _form_value(form: tuple, k: int) -> Scalar:
@@ -125,35 +121,9 @@ def _form_value(form: tuple, k: int) -> Scalar:
     return _int_ratio(v[k], d)
 
 
-def _form_eq(f: tuple, g: tuple) -> bool:
-    """Whether two row forms hold the same values."""
-    (d, v), (e, w) = f, g
-    if d == e:
-        return v == w
-    return [x * e for x in v] == [y * d for y in w]
-
-
 def _form_mul(f: tuple, g: tuple) -> tuple:
     """The entrywise product of two row forms, as long as the shorter."""
     return f[0] * g[0], list(map(mul, f[1], g[1]))
-
-
-def _form_add(f: tuple, g: tuple) -> tuple:
-    """The entrywise sum of two row forms, as long as the shorter."""
-    (d, v), (e, w) = f, g
-    if d == e:
-        return d, list(map(add, v, w))
-    m = lcm(d, e)
-    s, t = m // d, m // e
-    return m, [x * s + y * t for x, y in zip(v, w)]
-
-
-def _form_scale(f: tuple, c: Scalar) -> tuple:
-    """The row form times the scalar c."""
-    d, v = f
-    if isinstance(c, numbers.Rational):
-        return d * c.denominator, [c.numerator * x for x in v]
-    return d, [c * x for x in v]
 
 
 def _lowest(x: int, y: int) -> tuple:
@@ -506,17 +476,16 @@ def _check_scalars(ctx: PsiContext, values) -> tuple:
 
 
 def _chain_rows(ctx: PsiContext, pairs, star: bool, m: int):
-    """The weight rows of a chain of index pairs, one row form per n <= m.
+    """The weight rows of a chain of one or more index pairs, one row form per n <= m.
 
     The weight is W(n, k) = prod F(n+i, base+j) over the pairs, ``base``
-    k for the asterisk flavor and n-k for the star flavor; the empty chain
-    weighs by one everywhere.  The rows are made as they are read, so a
-    product holds one at a time.  A kernel row stored in ``_kernel`` is read
-    there, any other through ``_kernel_row``, which refuses a zero sequence
-    value (q = -1 has s_2 = 0) or an index past a custom list's end as the
-    row that needs it is read.
+    k for the asterisk flavor and n-k for the star flavor.  The rows are
+    made as they are read, so a product holds one at a time.  A kernel row
+    stored in ``_kernel`` is read there, any other through ``_kernel_row``,
+    which refuses a zero sequence value (q = -1 has s_2 = 0) or an index
+    past a custom list's end as the row that needs it is read.
     """
-    kern, kernel_row, one = ctx._kernel, ctx._kernel_row, ctx.one
+    kern, kernel_row = ctx._kernel, ctx._kernel_row
 
     def rows():
         for n in range(m + 1):
@@ -528,7 +497,7 @@ def _chain_rows(ctx: PsiContext, pairs, star: bool, m: int):
                 if star:
                     s.reverse()
                 row = (d, s) if row is None else _form_mul(row, (d, s))
-            yield row or (1, [one] * (n + 1))
+            yield row
 
     return rows()
 

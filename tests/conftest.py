@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from psicalc.psi_context import _form_value, get_context
+from psicalc.psi_context import get_context
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -103,9 +103,3 @@ def fraction_sums(ctx, a, b, weight=None) -> list:
                 acc = acc + row[k] * x * y * wrow[k]
         out.append(acc)
     return out
-
-
-def weight_table(op, ctx, m: int) -> list:
-    """The weight table W(n, k) of an operator sum for n <= m, as canonical scalars."""
-    return [[_form_value(row, k) for k in range(n + 1)]
-            for n, row in enumerate(op._weight_rows(ctx, m))]

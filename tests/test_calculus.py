@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import fraction_sums, weight_table
+from conftest import fraction_sums
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -229,15 +229,16 @@ def test_leibniz_rejects_bad_counts_and_mixed_contexts(fib, nat):
 def leibniz_per_term(f, g, n):
     """The reference: n + 1 separate weighted sums, one scalar term at a time, then summed.
 
-    Each weighs by the rows of the chain expansion of <n k>, not by the
-    context's stored tables, and sums in the scalars through the public
-    accessors (``fraction_sums``), not in a kernel.
+    Each weighs by the table of the chain expansion of <n k>, its entries
+    read through ``fontane_kernel``, not by the context's stored tables, and
+    sums in the scalars through the public accessors (``fraction_sums``),
+    not in a kernel.
     """
     ctx, m = f.ctx, min(f.order, g.order) - n
     acc = None
     for k in range(n + 1):
         a, b = f.derivative(n - k).truncate(m), g.derivative(k).truncate(m)
-        weight = weight_table(binomial_operator(n, k), ctx, m)
+        weight = binomial_operator(n, k)._weight_rows(ctx, m)
         term = WardSeries(ctx, fraction_sums(ctx, a.coeffs, b.coeffs, weight))
         acc = term if acc is None else acc + term
     return acc

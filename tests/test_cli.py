@@ -3,11 +3,14 @@ import io
 import json
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psicalc
 from psicalc import calculus
 from psicalc.calculus import compare
 from psicalc.cli import PASCAL_MAX_N, CliConfig, main
@@ -541,6 +544,25 @@ def test_plain_commands_compile_neither_the_q_field_nor_dataclasses(argv, loaded
                     f"    assert main({argv!r}) == 0\n"
                     f"print(sorted(m for m in {Q_LAYER + ('dataclasses',)!r} if m in sys.modules))\n")
     assert out.strip() == repr(sorted(loaded))
+
+
+# CPython's parser grows its token array by doubling, so a module past 4,096
+# parser tokens costs about 0.22 MB more memory to compile, in one step; a
+# process compiles every module it imports when no bytecode is cached
+PARSER_TOKEN_STEP = 4096
+
+
+def parser_tokens(path: Path) -> int:
+    """The tokens of a source file as the parser reads them: no comment, NL or encoding token."""
+    with path.open("rb") as fh:
+        return sum(tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                   for tok in tokenize.tokenize(fh.readline))
+
+
+def test_every_module_stays_below_the_parser_token_step():
+    counts = {path.name: parser_tokens(path)
+              for path in sorted(Path(psicalc.__file__).parent.glob("*.py"))}
+    assert max(counts.values()) < PARSER_TOKEN_STEP, counts
 
 
 def test_q_field_names_resolve_lazily_to_one_object():

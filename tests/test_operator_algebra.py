@@ -3,20 +3,22 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from conftest import fraction_sums, weight_table
+from conftest import fraction_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psicalc import operator_algebra
+from psicalc import operator_algebra, psi_context
 from psicalc.calculus import general_leibniz
 from psicalc.coefficients import Q, embed_rational
-from psicalc.errors import BadIndices, BadSpec, FlavorMismatch, KOutOfRange, VariantMismatch
+from psicalc.errors import (BadIndices, BadSpec, BoundExceeded, FlavorMismatch, KOutOfRange,
+                            VariantMismatch)
 from psicalc.operator_algebra import (
     ORDINARY,
     ZERO_OPERATOR,
     Flavor,
     OperatorSum,
     ProductChain,
+    _form,
     binomial_operator,
     binomial_terms,
     binomial_weights,
@@ -24,7 +26,7 @@ from psicalc.operator_algebra import (
     rho,
     sigma,
 )
-from psicalc.psi_context import PsiContext, _form, _form_eq, _form_value, get_context
+from psicalc.psi_context import PsiContext, _form_value, get_context
 from psicalc.series import WardSeries, _convolve, e_psi, make_series, monomial, zeros
 from psicalc.verify import custom_spec, default_specs
 
@@ -349,7 +351,8 @@ def test_binomial_weights_grow_in_any_order(spec):
         assert len(tables) == n + 1
         for k, table in enumerate(tables):
             assert len(table) > m
-            assert all(map(_form_eq, table, binomial_operator(n, k)._weight_rows(ctx, m)))
+            assert [[_form_value(row, c) for c in range(r + 1)] for r, row in enumerate(
+                table[: m + 1])] == binomial_operator(n, k)._weight_rows(ctx, m)
         # a request reaches levels 0..n and needs rows 0..m+n-j of level j;
         # a level holds what its largest request needed, each row canonical
         for j in range(n + 1):
@@ -493,6 +496,34 @@ def test_extensional_eq_compares_weight_rows_by_value(nat, fib):
     assert not extensional_eq(A10.scale(Fraction(2, 3)), A20.scale(Fraction(2, 3)), fib, 8)
 
 
+def test_weight_tables_are_read_from_kernel_values_not_chain_rows(monkeypatch, qsym, fib):
+    # the table is the sum of F(n+1, k) and the star chain's F(n+2, n-k+1), read
+    # as values; the kernel path's chain rows are no oracle for it
+    want = [[fib.fontane_kernel(n + 1, k) + fib.fontane_kernel(n + 2, n - k + 1)
+             for k in range(n + 1)] for n in range(6)]
+
+    def refuse(*args):
+        raise AssertionError("weight rows read through _chain_rows")
+
+    monkeypatch.setattr(psi_context, "_chain_rows", refuse)
+    monkeypatch.setattr(operator_algebra, "_chain_rows", refuse, raising=False)
+    assert extensional_eq(A10, A20, qsym, 6)
+    assert not extensional_eq(A10, A20, fib, 6)
+    table = (A10 + S21)._weight_rows(fib, 5)
+    assert table == want
+    assert all(type(x) is int or x.denominator != 1 for row in table for x in row)
+
+
+def test_extensional_eq_refuses_what_applying_refuses():
+    # (3, 0) at order 2 reads index 5 of a list that ends at index 3
+    with pytest.raises(BoundExceeded):
+        extensional_eq(OperatorSum.single(((3, 0),)), A10, get_context("custom:[0,1,2,5]"), 2)
+    with pytest.raises(BadSpec):  # q = -1 has s_2 = 0
+        extensional_eq(A10, A20, get_context("q=-1"), 3)
+    with pytest.raises(VariantMismatch):
+        extensional_eq(OperatorSum.single(((1, 0),), coefficient=Q), A10, get_context("q=3/2"), 3)
+
+
 # -- weight tables against term-by-term oracles -----------------------------------------
 
 ORACLE_SPECS = ("natural", "fib", "q", "q=3/2", custom_spec(16))
@@ -613,7 +644,7 @@ def test_q_analog_apply_matches_weight_rows(spec, data):
     a = data.draw(twisted_sums(ctx.symbolic))
     f, g = data.draw(series_pairs(spec))
     m = min(f.order, g.order)
-    want = WardSeries(ctx, fraction_sums(ctx, f.coeffs, g.coeffs, weight_table(a, ctx, m)))
+    want = WardSeries(ctx, fraction_sums(ctx, f.coeffs, g.coeffs, a._weight_rows(ctx, m)))
     got = a.apply(f, g)
     assert repr(got) == repr(want)
     assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
@@ -655,5 +686,5 @@ def test_apply_is_one_kernel_call_with_one_term_per_chain(spec, monkeypatch):
         calls.clear()
         got = a.apply(f, g)
         assert calls == [len(a.terms)]
-        want = WardSeries(ctx, fraction_sums(ctx, f.coeffs, g.coeffs, weight_table(a, ctx, 3)))
+        want = WardSeries(ctx, fraction_sums(ctx, f.coeffs, g.coeffs, a._weight_rows(ctx, 3)))
         assert repr(got) == repr(want)

@@ -12,6 +12,7 @@ from psicalc.errors import (
     KOutOfRange,
 )
 from psicalc import psi_context
+from psicalc.operator_algebra import _form, _form_add
 from psicalc.psi_context import PsiContext, get_context
 from psicalc.qkernels import _PACKED_BITS, _binomials_at
 from psicalc.series import make_series
@@ -140,7 +141,7 @@ def fraction_tables(ctx, n: int) -> tuple:
         kern.append(krow)
         d, v = binom[-1]
         e, w = (d, v) if ctx.symbolic else psi_context._form_mul(krow, (d, v))
-        binom.append(psi_context._form(*psi_context._form_add((d, [0] + v), (e, w + [0]))))
+        binom.append(_form(*_form_add((d, [0] + v), (e, w + [0]))))
     return kern, binom
 
 
