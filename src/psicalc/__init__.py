@@ -42,7 +42,7 @@ from .series import (
 # tabulates sequences or multiplies series never compiles the other two.
 _LAZY = {
     **dict.fromkeys(("qfield", "Q", "PolyQ", "RatFuncQ", "embed_rational"), "qfield"),
-    **dict.fromkeys(("operator_algebra", "ORDINARY", "ZERO_OPERATOR", "Flavor", "OperatorSum",
+    **dict.fromkeys(("operator_algebra", "ORDINARY", "ZERO_OPERATOR", "OperatorSum",
                      "ProductChain", "binomial_operator", "extensional_eq", "rho", "sigma"),
                     "operator_algebra"),
     **dict.fromkeys(("calculus", "RuleReport", "general_leibniz", "general_leibniz_report",
@@ -105,7 +105,6 @@ __all__ = [
     "sin_psi",
     "cos_psi",
     "first_difference",
-    "Flavor",
     "ProductChain",
     "OperatorSum",
     "ORDINARY",

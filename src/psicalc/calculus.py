@@ -38,7 +38,7 @@ displays with dilated numerators over g(x) g(qx).
 from __future__ import annotations
 
 from .errors import BadIndices, PsiCalcError
-from .operator_algebra import Flavor, Frozen, OperatorSum, ProductChain, binomial_terms, rho, sigma
+from .operator_algebra import Frozen, OperatorSum, ProductChain, binomial_terms, rho, sigma
 from .series import WardSeries, _convolve, constant, first_difference
 
 
@@ -83,7 +83,7 @@ def _flavored(a: OperatorSum, star: bool) -> OperatorSum:
     # the star mirror of a sum; the empty chain has no flavor, so it stays the ordinary product
     if not star:
         return a
-    return OperatorSum(tuple([ProductChain(t.coefficient, Flavor.STAR, t.pairs) for t in a.terms]))
+    return OperatorSum(tuple([ProductChain(t.coefficient, True, t.pairs) for t in a.terms]))
 
 
 def product_rule(rule: str, a: OperatorSum, f: WardSeries, g: WardSeries,

@@ -51,19 +51,6 @@ PASCAL_MAX_N = 12
 _SUITES = ("rings", "rules", "leibniz", "quotient")
 
 
-class CliConfig:
-    """The settings of one ``check`` run."""
-
-    __slots__ = ("psi", "order", "fmt", "seed", "trials")
-
-    def __init__(self, psi: str | None, order: int, fmt: str, seed: int, trials: int):
-        if order < 2:
-            raise BadSpec("order must be at least 2")
-        if trials < 1:
-            raise BadSpec("trial count must be at least 1")
-        self.psi, self.order, self.fmt, self.seed, self.trials = psi, order, fmt, seed, trials
-
-
 @contextmanager
 def _exact_output():
     """Lift Python's int-to-str digit limit while results are written out.
@@ -222,21 +209,22 @@ def cmd_pascal(n_max: int, fmt: str) -> str:
     return "\n".join(" | ".join(row) for row in rows)
 
 
-def cmd_check(suite: str, config: CliConfig) -> tuple[str, bool]:
+def cmd_check(suite: str, psi: str | None, order: int, trials: int, seed: int,
+              fmt: str) -> tuple[str, bool]:
     from . import verify
 
     suites = verify.SUITE_NAMES if suite == "all" else (suite,)
-    specs = (config.psi,) if config.psi else verify.default_specs(config.order)
-    reports = verify.run_suites(suites, specs, config.order, config.trials, config.seed)
+    specs = (psi,) if psi else verify.default_specs(order)
+    reports = verify.run_suites(suites, specs, order, trials, seed)
     ok = all(r.ok for r in reports)
-    if config.fmt == "json":
+    if fmt == "json":
         with _exact_output():
             payload = {
                 "suites": list(suites),
                 "specs": list(specs),
-                "order": config.order,
-                "trials": config.trials,
-                "seed": config.seed,
+                "order": order,
+                "trials": trials,
+                "seed": seed,
                 "ok": ok,
                 "reports": [r.to_json_dict() for r in reports],
             }
@@ -310,15 +298,15 @@ def main(argv=None) -> int:
                 raise BadSpec(f"--n is at most {PASCAL_MAX_N}: the output doubles with each row")
             print(cmd_pascal(args.n, args.format))
             return 0
-        config = CliConfig(psi=args.psi, order=args.order, fmt=args.format,
-                           seed=args.seed, trials=args.trials)
-        text, ok = cmd_check(args.suite, config)
+        if args.order < 2:
+            raise BadSpec("order must be at least 2")
+        if args.trials < 1:
+            raise BadSpec("trial count must be at least 1")
+        text, ok = cmd_check(args.suite, args.psi, args.order, args.trials, args.seed,
+                             args.format)
         print(text)
         return 0 if ok else 1
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (*_USAGE_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PsiCalcError, ZeroDivisionError) as exc:

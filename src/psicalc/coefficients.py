@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numbers
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Union
@@ -43,7 +44,12 @@ def parse_rational(text: str) -> Union[int, Fraction]:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"not a rational literal: {echo(text)}")
-    return _norm_rat(Fraction(s))
+    try:
+        value = Fraction(s)
+    except ValueError as exc:  # the literal matched, so only the digit limit refuses it
+        raise ParseError(f"rational literal {echo(text)} has a part longer than Python's "
+                         f"{sys.get_int_max_str_digits()}-digit int-string limit") from exc
+    return _norm_rat(value)
 
 
 def _norm_rat(x):

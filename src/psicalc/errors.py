@@ -67,7 +67,7 @@ class NonInvertible(PsiCalcError, ZeroDivisionError):
 
 
 class FlavorMismatch(PsiCalcError, ValueError):
-    """Operator combination across the two product flavors."""
+    """A chain flavor that is not the bool ``star``, or an operator combination across flavors."""
 
 
 class ParseError(PsiCalcError, ValueError):

@@ -1,13 +1,14 @@
 """Formal algebra of weighted-product operators.
 
-A ``ProductChain`` is one formal word: a scalar coefficient, a flavor
-(asterisk or star), and a tuple of index pairs, each pair contributing one
-kernel factor when the chain acts on a pair of series.  The empty chain is
-the ordinary product and is flavor-neutral.  An ``OperatorSum`` is a formal
-sum of chains and is kept canonical: pairs inside a chain are sorted
-(kernel factors commute, so sorting never changes the action; a regression
-test pins that down), equal chains are merged by adding coefficients, zero
-terms are dropped, and terms are ordered by flavor then pair list.
+A ``ProductChain`` is one formal word: a scalar coefficient, a flavor bit
+``star`` (False for the asterisk flavor), and a tuple of index pairs, each
+pair contributing one kernel factor when the chain acts on a pair of
+series.  The empty chain is the ordinary product and is flavor-neutral.
+An ``OperatorSum`` is a formal sum of chains and is kept canonical: pairs
+inside a chain are sorted (kernel factors commute, so sorting never
+changes the action; a regression test pins that down), equal chains are
+merged by adding coefficients, zero terms are dropped, and terms are
+ordered by flavor, asterisk first, then pair list.
 
 Two shift maps act on asterisk sums and generate the whole family:
 
@@ -23,10 +24,11 @@ The binomial operators follow the Pascal-style recurrence
 and are memoized per (n, k).
 
 A sum A acts on a series pair through one call of the series module's
-weighted-sum kernel, with one term per chain, weighed as
-``psi_context._weighting`` decides; the kernel adds the terms into one
-numerator per result coefficient.  The weight table of A is
-W_A(n, k) = sum of coefficient * prod F(n+i, k+j) over its chains (star
+weighted-sum kernel, with one term (i, j, star, W, c) per chain, weighed
+as ``psi_context._weighting`` decides; a star chain is weighed as its
+asterisk twin and its term swaps the operands, and the kernel adds the
+terms into one numerator per result coefficient.  The weight table of A
+is W_A(n, k) = sum of coefficient * prod F(n+i, k+j) over its chains (star
 chains mirrored to W(n, n-k)).  The shift maps act on weights as well,
 W_rho(A)(n, k) = W_A(n+1, k+1) and W_sigma(A)(n, k) = F(n+1, k) W_A(n+1, k),
 which builds the tables of a whole triangle row without expanding <n k>
@@ -44,7 +46,6 @@ A(x^u, x^v) = s_{u+v}! W_A(u+v, u) x^(u+v) and s_n! != 0.
 from __future__ import annotations
 
 import numbers
-from enum import Enum
 from functools import cache
 from math import gcd, lcm, prod
 from operator import add
@@ -54,11 +55,6 @@ from .coefficients import Scalar, _norm_rat
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch, echo
 from .psi_context import PsiContext, _form_mul, _lift, _weighting
 from .series import Pair, WardSeries, _convolve, check_pair
-
-
-class Flavor(Enum):
-    ASTERISK = "asterisk"
-    STAR = "star"
 
 
 def _meet(a: Scalar, b: Scalar) -> tuple:
@@ -120,21 +116,21 @@ class Frozen:
 class ProductChain(Frozen):
     """One weighted-product word; pairs kept in construction order."""
 
-    __slots__ = ("coefficient", "flavor", "pairs")
+    __slots__ = ("coefficient", "star", "pairs")
 
-    def __init__(self, coefficient: Scalar = 1, flavor: Flavor = Flavor.ASTERISK,
+    def __init__(self, coefficient: Scalar = 1, star: bool = False,
                  pairs: tuple[Pair, ...] = ()):
         pairs = tuple([check_pair(p) for p in pairs])
-        if not isinstance(flavor, Flavor):
-            raise FlavorMismatch(f"bad flavor {flavor!r}")
-        self._init(_check_coefficient(coefficient), flavor, pairs)
+        if type(star) is not bool:
+            raise FlavorMismatch(f"bad flavor {star!r}: star must be a bool")
+        self._init(_check_coefficient(coefficient), star, pairs)
 
     def negated(self) -> "ProductChain":
-        return ProductChain(-self.coefficient, self.flavor, self.pairs)
+        return ProductChain(-self.coefficient, self.star, self.pairs)
 
     def scaled(self, alpha: Scalar) -> "ProductChain":
         alpha, c = _meet(alpha, self.coefficient)
-        return ProductChain(alpha * c, self.flavor, self.pairs)
+        return ProductChain(alpha * c, self.star, self.pairs)
 
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
         return OperatorSum((self,)).apply(f, g)
@@ -143,7 +139,7 @@ class ProductChain(Frozen):
         if not self.pairs:
             body = "*inf"
         else:
-            mark = "#" if self.flavor is Flavor.STAR else "*"
+            mark = "#" if self.star else "*"
             body = "".join(f"{mark}({i},{j})" for i, j in self.pairs)
         if self.coefficient == 1:
             return body
@@ -156,16 +152,15 @@ class ProductChain(Frozen):
 def _canonical_terms(terms: Iterable[ProductChain]) -> tuple[ProductChain, ...]:
     merged: dict = {}
     for t in terms:
-        flavor = t.flavor if t.pairs else Flavor.ASTERISK
-        key = (flavor.value, tuple(sorted(t.pairs)))
+        key = (t.star and bool(t.pairs), tuple(sorted(t.pairs)))
         if key in merged:
             a, b = _meet(merged[key], t.coefficient)
             merged[key] = a + b
         else:
             merged[key] = t.coefficient
-    # ordered by flavor, then pair list: the keys, which are distinct
-    return tuple([ProductChain(c, Flavor(fv), pairs)
-                  for (fv, pairs), c in sorted(merged.items()) if c])
+    # ordered by flavor, asterisk (False) first, then pair list: the keys, which are distinct
+    return tuple([ProductChain(c, star, pairs)
+                  for (star, pairs), c in sorted(merged.items()) if c])
 
 
 class OperatorSum(Frozen):
@@ -177,9 +172,9 @@ class OperatorSum(Frozen):
         self._init(_canonical_terms(terms))
 
     @classmethod
-    def single(cls, pairs: Sequence[Pair] = (), flavor: Flavor = Flavor.ASTERISK,
+    def single(cls, pairs: Sequence[Pair] = (), star: bool = False,
                coefficient: Scalar = 1) -> "OperatorSum":
-        return cls((ProductChain(coefficient, flavor, tuple(pairs)),))
+        return cls((ProductChain(coefficient, star, tuple(pairs)),))
 
     def __add__(self, other) -> "OperatorSum":
         if not isinstance(other, OperatorSum):
@@ -204,13 +199,12 @@ class OperatorSum(Frozen):
         out = []
         for a in self.terms:
             for b in other.terms:
-                if a.pairs and b.pairs and a.flavor is not b.flavor:
+                if a.pairs and b.pairs and a.star != b.star:
                     raise FlavorMismatch(
                         f"cannot concatenate {a.render()} with {b.render()}"
                     )
-                flavor = a.flavor if a.pairs else b.flavor
                 x, y = _meet(a.coefficient, b.coefficient)
-                out.append(ProductChain(x * y, flavor, a.pairs + b.pairs))
+                out.append(ProductChain(x * y, a.star if a.pairs else b.star, a.pairs + b.pairs))
         return OperatorSum(tuple(out))
 
     def _weight_rows(self, ctx: PsiContext, m: int) -> list:
@@ -221,7 +215,7 @@ class OperatorSum(Frozen):
         ``fontane_kernel``.  The reach of the longest pair is refused first, as
         ``_weighting`` refuses it (``PsiContext._reach``).
         """
-        terms = [(_lift(ctx, t.coefficient), t.pairs, t.flavor is Flavor.STAR) for t in self.terms]
+        terms = [(_lift(ctx, t.coefficient), t.pairs, t.star) for t in self.terms]
         ctx._reach(m + max([i for t in self.terms for i, _ in t.pairs], default=0))
         F = ctx.fontane_kernel
 
@@ -232,13 +226,14 @@ class OperatorSum(Frozen):
         return [[entry(n, k) for k in range(n + 1)] for n in range(m + 1)]
 
     def kernel_terms(self, ctx: PsiContext, m: int, i: int = 0, j: int = 0) -> list:
-        """The sum as ``series._convolve`` terms for rows n <= m, one per chain.
+        """The sum as ``series._convolve`` terms (i, j, star, W, c) for rows n <= m, one per chain.
 
-        Each term reads the operands at offsets (i, j) and is weighed as
-        ``_weighting`` decides, its coefficient in the context's variant.
+        Each term reads the operands at offsets (i, j), swapped for a star
+        chain, and is weighed as ``_weighting`` decides, its coefficient c
+        in the context's variant.
         """
-        return [(i, j, _weighting(ctx, t.pairs, t.flavor is Flavor.STAR, m),
-                 _lift(ctx, t.coefficient)) for t in self.terms]
+        return [(i, j, t.star, _weighting(ctx, t.pairs, m), _lift(ctx, t.coefficient))
+                for t in self.terms]
 
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
         """One kernel call with one term per chain."""
@@ -259,12 +254,12 @@ ORDINARY = OperatorSum.single()
 
 
 def _shift_chain(t: ProductChain, di: int, dj: int, append: bool) -> ProductChain:
-    if t.pairs and t.flavor is not Flavor.ASTERISK:
+    if t.pairs and t.star:
         raise FlavorMismatch("shift maps are defined on asterisk chains only")
     pairs = tuple([(i + di, j + dj) for i, j in t.pairs])
     if append:
         pairs = pairs + ((1, 0),)
-    return ProductChain(t.coefficient, Flavor.ASTERISK, pairs)
+    return ProductChain(t.coefficient, False, pairs)
 
 
 def rho(a: OperatorSum) -> OperatorSum:
@@ -346,9 +341,9 @@ def binomial_terms(ctx: PsiContext, n: int, m: int) -> list:
     <n k> (``binomial_weights``), and <n 0> the ordinary product.
     """
     if ctx.power_kernel:
-        return [(n - k, k, (k, 0, False), ctx.psi_binomial(n, k)) for k in range(n + 1)]
+        return [(n - k, k, False, (k, 0), ctx.psi_binomial(n, k)) for k in range(n + 1)]
     tables = binomial_weights(ctx, n, m)
-    return [(n - k, k, tables[k] if k else (0, 0, False), ctx.one) for k in range(n + 1)]
+    return [(n - k, k, False, tables[k] if k else (0, 0), ctx.one) for k in range(n + 1)]
 
 
 def extensional_eq(a: OperatorSum, b: OperatorSum, ctx: PsiContext, order: int) -> bool:

@@ -50,7 +50,9 @@ kernel without a row.
 kernel by a twist, a power of q per term, with no row read; otherwise by
 the chain's weight rows (``_chain_rows``), products of kernel-row slices
 in the same form, made only as a product reads them.  Either way it first
-refuses what the chain's reach would (``PsiContext._reach``).
+refuses what the chain's reach would (``PsiContext._reach``).  It takes no
+flavor: a star chain is weighed as its asterisk twin, and the series
+kernels swap its operands.
 
 Four more tables keep only what was read: ``psi_factorial`` extends the
 running product s_n! = s_1 * ... * s_n (s_0! = 1); ``_scales`` the least
@@ -82,9 +84,13 @@ Built-in sequence kinds:
 All scalars in one context share a single variant; see coefficients.  A
 symbolic context holds the ``qkernels`` module as ``_qkernels``: the q-field
 kernels it dispatches to, one attribute read away; it is None otherwise.
-The rule for where the variants meet lives here alone (errors.VariantMismatch
-states it): ``_check_scalar`` is the strict door, ``_lift`` the one that
-embeds a plain rational, and ``_power`` takes powers in either variant.
+The rule for where the variants meet (errors.VariantMismatch states it) is
+applied here for scalars read against a context: ``_check_scalar`` is the
+strict door, ``_lift`` the one that embeds a plain rational, and ``_power``
+takes powers in either variant.  Two places apply it with no context at
+hand: chain coefficients meet in ``operator_algebra._meet`` and
+``_check_coefficient``, and JSON scalars are embedded by
+``coefficients.scalar_from_json``.
 """
 
 from __future__ import annotations
@@ -475,15 +481,16 @@ def _check_scalars(ctx: PsiContext, values) -> tuple:
     return tuple([_check_scalar(ctx, x) for x in c])
 
 
-def _chain_rows(ctx: PsiContext, pairs, star: bool, m: int):
+def _chain_rows(ctx: PsiContext, pairs, m: int):
     """The weight rows of a chain of one or more index pairs, one row form per n <= m.
 
-    The weight is W(n, k) = prod F(n+i, base+j) over the pairs, ``base``
-    k for the asterisk flavor and n-k for the star flavor.  The rows are
-    made as they are read, so a product holds one at a time.  A kernel row
-    stored in ``_kernel`` is read there, any other through ``_kernel_row``,
-    which refuses a zero sequence value (q = -1 has s_2 = 0) or an index
-    past a custom list's end as the row that needs it is read.
+    The weight is W(n, k) = prod F(n+i, k+j) over the pairs; a star chain
+    reads the same rows with the operands swapped (``series._convolve``).
+    The rows are made as they are read, so a product holds one at a time.
+    A kernel row stored in ``_kernel`` is read there, any other through
+    ``_kernel_row``, which refuses a zero sequence value (q = -1 has
+    s_2 = 0) or an index past a custom list's end as the row that needs it
+    is read.
     """
     kern, kernel_row = ctx._kernel, ctx._kernel_row
 
@@ -494,28 +501,26 @@ def _chain_rows(ctx: PsiContext, pairs, star: bool, m: int):
                 # F(n+i, k+j) for k = 0..n is one slice of a kernel row
                 d, v = kern.get(n + i) or kernel_row(n + i)
                 s = v[j : j + n + 1]
-                if star:
-                    s.reverse()
                 row = (d, s) if row is None else _form_mul(row, (d, s))
             yield row
 
     return rows()
 
 
-def _weighting(ctx: PsiContext, pairs, star: bool, m: int):
+def _weighting(ctx: PsiContext, pairs, m: int):
     """How a chain of index pairs weighs the (n, k) term for n <= m.
 
     Over a power kernel (``ctx.power_kernel``) the weight of
-    ``_chain_rows`` is W(n, k) = q^(P base + J) with P pairs and J the sum
-    of the j, and the chain is the twist (P, J, star), which reads no row;
-    so is the empty chain.  Otherwise the chain is its weight rows.  Either
-    way a chain that reaches past a custom list's end or a zero sequence
-    value is refused here (``PsiContext._reach``).
+    ``_chain_rows`` is W(n, k) = q^(P k + J) with P pairs and J the sum of
+    the j, and the chain is the twist (P, J), which reads no row; so is the
+    empty chain.  Otherwise the chain is its weight rows.  Either way a
+    chain that reaches past a custom list's end or a zero sequence value is
+    refused here (``PsiContext._reach``).
     """
     ctx._reach(m + max(pairs, default=(0, 0))[0])
     if ctx.power_kernel or not pairs:
-        return len(pairs), sum([j for _, j in pairs]), star
-    return _chain_rows(ctx, pairs, star, m)
+        return len(pairs), sum([j for _, j in pairs])
+    return _chain_rows(ctx, pairs, m)
 
 
 # one context per canonical spec while the spelling cache or a series holds it

@@ -107,8 +107,9 @@ def convolve(ctx, a: tuple, b: tuple, terms: list, m: int) -> list:
     """The m result coefficients of ``series._convolve`` over symbolic q.
 
     ``a`` and ``b`` are the operand coefficients the terms read.  Every
-    symbolic context is a power kernel, so every term is weighed by a twist
-    (P, J, star).  The term scalars are cleared over one denominator, and
+    symbolic context is a power kernel, so every term (i, j, star, (P, J), c)
+    is weighed by a twist, after a ``star`` term swaps its operand slices.
+    The term scalars are cleared over one denominator, and
     every integer polynomial is evaluated at q = 2^bits (Kronecker
     substitution), so c_n is one packed big-int sum unpacked once; the bits
     come from the same sums run on |.|_1 norms, an exact bound on every
@@ -120,7 +121,7 @@ def convolve(ctx, a: tuple, b: tuple, terms: list, m: int) -> list:
     def sums(bits, pa, pb, pc):
         # every term's sums at q = 2^bits, added up, from the vectors evaluated there
         out = [0] * m
-        for (i, j, (p, s, star), _), c in zip(terms, pc):
+        for (i, j, star, (p, s), _), c in zip(terms, pc):
             a, b = pa[i : i + m], pb[j : j + m]
             if star:
                 a, b = b, a

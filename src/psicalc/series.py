@@ -18,8 +18,9 @@ Index pairs (i, j) always satisfy 0 <= j < i, which keeps every kernel
 lookup inside its domain.  The empty chain is the ordinary product.
 Every product, every operator sum and the general Leibniz rule runs
 through one weighted-sum kernel (``_convolve``), which takes a list of
-terms, each an operand offset pair, a weighting and a scalar, and
-division through one forward-substitution loop.  A weighting is weight
+terms, each an operand offset pair, a star flag that swaps the operands,
+a weighting and a scalar, and division through one forward-substitution
+loop.  A weighting is weight
 rows, or, over a power kernel F(n, k) = q^k (``PsiContext.power_kernel``,
 which ``psi_context._weighting`` reads), a twist: an ordinary product
 with powers of q folded into the loop.  Every symbolic context is a power
@@ -85,28 +86,29 @@ def check_pair(pair) -> Pair:
 
 
 def _convolve(f, g, terms: list) -> "WardSeries":
-    """c_n = sum over terms (i, j, W, c) of c sum_k C(n,k) W(n,k) a_{k+i} b_{n-k+j}.
+    """c_n = sum over terms (i, j, star, W, c) of c sum_k C(n,k) W(n,k) a_{k+i} b_{n-k+j}.
 
     The package's one weighted-sum kernel: every product, operator sum and
     Leibniz rule is a list of terms, summed into one integer numerator per
     c_n and divided once.  A weighting W is weight rows, one row form per
-    n, or a twist (P, J, star) for a power kernel F(n, k) = q^k, which
-    weighs by q^(P k + J), or by q^(P (n-k) + J) for star, with no weight
-    rows; C(n, k) = C(n, n-k) makes star the asterisk twist with the
-    operand slices swapped.  c_n runs to the largest n that every term
-    reaches, and weight rows that end before that row are refused
-    (IndexOutOfBound), not read as zero.  The operands' denominators are
-    cleared once.  Plain rationals sum on ints: a term's row sums, over the
-    binomial rows the context stores cleared (``PsiContext._binomials``,
-    which every series grows through its order) times its weight rows, are
-    scaled by c, and the terms meet over the lcm of their row denominators.
-    For q = u/w a twist multiplies the operand slices by u^(P k + J) and
-    w^(P k), and w^(P n + J) joins the row denominator.  Over symbolic q,
-    a power kernel, every term is a twist, and the context's
-    ``qkernels.convolve`` sums the terms on packed big ints.  Row n of a
-    term is one dot product in C, sum_k v[k] (a_k b_{n-k}) with b_n down
-    to b_0 a reversed slice, so a big binomial takes one multiplication
-    per term.
+    n, or a twist (P, J) for a power kernel F(n, k) = q^k, which weighs by
+    q^(P k + J) with no weight rows.  A ``star`` term swaps the two
+    operand slices first, whatever its weighting, and so sums
+    W(n,k) b_{k+j} a_{n-k+i}: C(n, k) = C(n, n-k) makes that the weight
+    W(n, n-k) on a_{k+i} b_{n-k+j}, the star flavor.  c_n runs to the
+    largest n that every term reaches, and weight rows that end before
+    that row are refused (IndexOutOfBound), not read as zero.  The
+    operands' denominators are cleared once.  Plain rationals sum on ints:
+    a term's row sums, over the binomial rows the context stores cleared
+    (``PsiContext._binomials``, which every series grows through its
+    order) times its weight rows, are scaled by c, and the terms meet over
+    the lcm of their row denominators.  For q = u/w a twist multiplies the
+    operand slices by u^(P k + J) and w^(P k), and w^(P n + J) joins the
+    row denominator.  Over symbolic q, a power kernel, every term is a
+    twist, and the context's ``qkernels.convolve`` sums the terms on
+    packed big ints.  Row n of a term is one dot product in C,
+    sum_k v[k] (a_k b_{n-k}) with b_n down to b_0 a reversed slice, so a
+    big binomial takes one multiplication per term.
     """
     ctx = f.ctx
     i, j = map(max, zip((0, 0), *terms))
@@ -120,12 +122,12 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     dc, vc = _integer_vector([c for *_, c in terms])
     den, (u, w), binom = da * db * dc, _parts(ctx), ctx._binomials(m - 1)
     nums, dens = [0] * m, [1] * m
-    for (i, j, wt, _), c in zip(terms, vc):
+    for (i, j, star, wt, _), c in zip(terms, vc):
         a, b, rows = va[i : i + m], vb[j : j + m], binom
+        if star:
+            a, b = b, a
         if type(wt) is tuple:
-            p, s, star = wt
-            if star:
-                a, b = b, a
+            p, s = wt
             if (p or s) and u * w != 1:
                 a = [x * u ** (p * k + s) for k, x in enumerate(a)]
                 b = [x * w ** (p * k) for k, x in enumerate(b)]
@@ -275,7 +277,7 @@ class WardSeries:
         o = self._peer(other)
         chain = tuple([check_pair(p) for p in pairs])
         m = min(len(self._c), len(o._c)) - 1
-        return _convolve(self, o, [(0, 0, _weighting(self.ctx, chain, star, m), self.ctx.one)])
+        return _convolve(self, o, [(0, 0, star, _weighting(self.ctx, chain, m), self.ctx.one)])
 
     def fontane(self, other, i: int, j: int) -> "WardSeries":
         return self.chain(other, ((i, j),))

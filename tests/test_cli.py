@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import psicalc
 from psicalc import calculus
 from psicalc.calculus import compare
-from psicalc.cli import PASCAL_MAX_N, CliConfig, main
-from psicalc.errors import ECHO_LIMIT, BadSpec
+from psicalc.cli import PASCAL_MAX_N, main
+from psicalc.errors import ECHO_LIMIT
 from psicalc.psi_context import get_context
 from psicalc.series import WardSeries, constant, make_series
 
@@ -321,6 +321,30 @@ def test_error_lines_print_a_file_path_as_given(capsys, tmp_path):
     assert err.startswith(f"error: {path}: not a JSON series file")
 
 
+@pytest.mark.parametrize("where", ("inline", "file", "symbolic"))
+def test_a_value_past_the_int_digit_limit_is_a_usage_error(capsys, tmp_path, where):
+    # Python refuses to convert an int string of more than 4300 digits; a
+    # coefficient string that long is malformed input, not a crash
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("an interpreter without the int-string digit limit")
+    limit = sys.get_int_max_str_digits()
+    for digits, code_wanted in ((limit, 0), (limit + 1, 2)):
+        value = "1" + "0" * (digits - 1)
+        coeff = {"num": [value], "den": ["1"]} if where == "symbolic" else value
+        operand, psi = json.dumps([coeff]), ("q" if where == "symbolic" else "natural")
+        if where == "file":
+            operand = str(tmp_path / "f.json")
+            Path(operand).write_text(json.dumps({"psi": psi, "order": 0, "coeffs": [coeff]}))
+        code, out, err = run_cli(capsys, "op", "mul", operand, "[1]", "--psi", psi)
+        assert code == code_wanted, err
+        if code:
+            assert out == "" and "Traceback" not in err
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert f"{limit}-digit" in err
+        else:
+            assert value in out and err == ""
+
+
 def test_op_output_roundtrips(capsys):
     code, out, _ = run_cli(capsys, "op", "mul", "[1,2,3]", "[1,1,1]", "--psi", "q=3/2")
     assert code == 0
@@ -477,11 +501,18 @@ def test_check_order_below_two_is_usage_error(capsys, suite, order):
     assert err.strip().splitlines() == ["error: order must be at least 2"]
 
 
-def test_cli_config_validates():
-    with pytest.raises(BadSpec):
-        CliConfig(psi=None, order=-1, fmt="plain", seed=0, trials=5)
-    with pytest.raises(BadSpec):
-        CliConfig(psi=None, order=3, fmt="plain", seed=0, trials=0)
+@pytest.mark.parametrize("order, trials, message", (
+    ("3", "0", "trial count must be at least 1"),
+    ("3", "-2", "trial count must be at least 1"),
+    ("-1", "5", "order must be at least 2"),
+    ("1", "0", "order must be at least 2"),  # the order is checked first
+))
+def test_check_trial_count_below_one_is_usage_error(capsys, order, trials, message):
+    code, out, err = run_cli(capsys, "check", "rules", "--psi", "natural",
+                             "--order", order, "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -635,7 +666,8 @@ json_scalars = st.one_of(
     st.booleans(),
     st.none(),
     st.floats(),
-    st.sampled_from(["1/2", "-3", "0", "x", "1/0", "", "2/4"]),
+    # the last is one digit past Python's int-string limit
+    st.sampled_from(["1/2", "-3", "0", "x", "1/0", "", "2/4", "1" + "0" * 4300]),
     st.fixed_dictionaries({
         "num": st.lists(st.integers(min_value=-5, max_value=5), max_size=3),
         "den": st.lists(st.integers(min_value=-5, max_value=5), max_size=3),

@@ -15,7 +15,6 @@ from psicalc.errors import (BadIndices, BadSpec, BoundExceeded, FlavorMismatch, 
 from psicalc.operator_algebra import (
     ORDINARY,
     ZERO_OPERATOR,
-    Flavor,
     OperatorSum,
     ProductChain,
     _form,
@@ -33,7 +32,7 @@ from psicalc.verify import custom_spec, default_specs
 A10 = OperatorSum.single(((1, 0),))
 A20 = OperatorSum.single(((2, 0),))
 A21 = OperatorSum.single(((2, 1),))
-S21 = OperatorSum.single(((2, 1),), flavor=Flavor.STAR)
+S21 = OperatorSum.single(((2, 1),), star=True)
 
 
 def op(*pair_lists):
@@ -54,17 +53,18 @@ def test_chain_validates_pairs_and_flavor():
         ProductChain(pairs=((0, 0),))
     with pytest.raises(BadIndices):  # True is not the index 1
         ProductChain(pairs=((True, False),))
-    with pytest.raises(FlavorMismatch):
-        ProductChain(flavor="star", pairs=((1, 0),))
+    for bad in ("star", 1, None):  # the flavor is a bool: neither a name nor an int
+        with pytest.raises(FlavorMismatch):
+            ProductChain(star=bad, pairs=((1, 0),))
     ProductChain(pairs=())  # empty chain is the ordinary product
 
 
 def test_chains_and_sums_are_immutable_values():
-    a = ProductChain(coefficient=2, flavor=Flavor.STAR, pairs=[(2, 1), (1, 0)])
-    b = ProductChain(2, Flavor.STAR, ((2, 1), (1, 0)))
+    a = ProductChain(coefficient=2, star=True, pairs=[(2, 1), (1, 0)])
+    b = ProductChain(2, True, ((2, 1), (1, 0)))
     assert a == b and hash(a) == hash(b) and a.pairs == ((2, 1), (1, 0))
-    assert a != ProductChain(2, Flavor.ASTERISK, ((2, 1), (1, 0))) and a != (2, Flavor.STAR)
-    star = "coefficient=2, flavor=<Flavor.STAR: 'star'>"
+    assert a != ProductChain(2, False, ((2, 1), (1, 0))) and a != (2, True)
+    star = "coefficient=2, star=True"
     assert repr(a) == f"ProductChain({star}, pairs=((2, 1), (1, 0)))"
     s = OperatorSum(terms=(a,))
     assert s == OperatorSum((b,)) and hash(s) == hash(OperatorSum((b,)))
@@ -84,7 +84,7 @@ def test_chain_rendering():
     assert ProductChain(pairs=()).render() == "*inf"
     assert ProductChain(pairs=((1, 0),)).render() == "*(1,0)"
     assert ProductChain(pairs=((1, 0), (2, 0))).render() == "*(1,0)*(2,0)"
-    assert ProductChain(flavor=Flavor.STAR, pairs=((2, 1),)).render() == "#(2,1)"
+    assert ProductChain(star=True, pairs=((2, 1),)).render() == "#(2,1)"
     assert ProductChain(coefficient=3, pairs=((1, 0),)).render() == "3·*(1,0)"
 
 
@@ -148,8 +148,8 @@ def test_merge_ignores_pair_order_inside_chain():
 
 
 def test_empty_chain_flavors_collapse():
-    plain = OperatorSum.single((), flavor=Flavor.ASTERISK)
-    starred = OperatorSum.single((), flavor=Flavor.STAR)
+    plain = OperatorSum.single((), star=False)
+    starred = OperatorSum.single((), star=True)
     assert plain == starred == ORDINARY
 
 
@@ -397,6 +397,23 @@ def test_binomial_terms_equal_the_binomial_operators_term_by_term(spec):
         assert repr(_convolve(f, g, terms)) == repr(want)
 
 
+@pytest.mark.parametrize("spec", ("fib", "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13]",
+                                  "natural", "q", "q=3/2"))
+@pytest.mark.parametrize("pairs", (((2, 1),), ((1, 0), (3, 2))))
+def test_star_terms_are_their_asterisk_twins_with_the_flag_set(spec, pairs):
+    # the flavor is read by the kernel alone, as swapped operands: a star chain
+    # is weighed by the rows or twist of its asterisk twin
+    ctx = get_context(spec)
+    (i, j, star, w, c), = OperatorSum.single(pairs, True).kernel_terms(ctx, 6)
+    (i0, j0, star0, w0, c0), = OperatorSum.single(pairs, False).kernel_terms(ctx, 6)
+    assert (star, star0) == (True, False) and (i, j, c) == (i0, j0, c0)
+    if ctx.power_kernel:
+        assert w == w0 == (len(pairs), sum(p[1] for p in pairs))
+    else:
+        rows = list(w)
+        assert len(rows) == 7 and rows == list(w0)
+
+
 # -- action on series -----------------------------------------------------------------
 
 
@@ -534,7 +551,7 @@ def termwise(a, f, g):
     acc = zeros(f.ctx, min(f.order, g.order))
     for t in a.terms:
         c = embed_rational(t.coefficient) if f.ctx.symbolic else t.coefficient
-        acc = acc + f.chain(g, t.pairs, star=t.flavor is Flavor.STAR).scale(c)
+        acc = acc + f.chain(g, t.pairs, star=t.star).scale(c)
     return acc
 
 
@@ -548,8 +565,8 @@ def operator_sums(draw, max_i=3):
     terms = []
     for _ in range(draw(st.integers(0, 4))):
         coeff = draw(st.fractions(-3, 3, max_denominator=4))
-        flavor = draw(st.sampled_from(Flavor))
-        terms.append(ProductChain(coeff, flavor, random_pairs(draw, max_i)))
+        star = draw(st.booleans())
+        terms.append(ProductChain(coeff, star, random_pairs(draw, max_i)))
     return OperatorSum(tuple(terms))
 
 
@@ -627,10 +644,10 @@ def twisted_sums(draw, symbolic):
     a = draw(st.one_of(operator_sums(), st.just(ZERO_OPERATOR), st.just(ORDINARY)))
     if draw(st.booleans()):
         first, second = draw(st.sampled_from(((((1, 0),), ((2, 0),)), (((2, 1),), ((3, 1),)))))
-        flavor = draw(st.sampled_from(Flavor))
+        star = draw(st.booleans())
         c = draw(st.fractions(-2, 2, max_denominator=3))
         d = -c if draw(st.booleans()) else draw(st.fractions(-2, 2, max_denominator=3))
-        a = a + OperatorSum.single(first, flavor, c) + OperatorSum.single(second, flavor, d)
+        a = a + OperatorSum.single(first, star, c) + OperatorSum.single(second, star, d)
     if symbolic and draw(st.booleans()):
         a = a.scale(Q + embed_rational(1))  # rational-function coefficients
     return a
@@ -679,8 +696,8 @@ def test_apply_is_one_kernel_call_with_one_term_per_chain(spec, monkeypatch):
     ctx = get_context(spec)
     f, g = make_series(ctx, [1, 2, -3, 4]), make_series(ctx, [2, -1, 0, 5])
     # (1,0) and (2,0) share a twist over a power kernel, and so do (2,1) and (3,1)
-    shared = (A10 + A20.scale(3) + OperatorSum.single(((2, 1),), Flavor.STAR, -2)
-              + OperatorSum.single(((3, 1),), Flavor.STAR))
+    shared = (A10 + A20.scale(3) + OperatorSum.single(((2, 1),), True, -2)
+              + OperatorSum.single(((3, 1),), True))
     for a in (ZERO_OPERATOR, ORDINARY, A10, shared, shared - A20.scale(3) + S21,
               binomial_operator(4, 2)):
         calls.clear()

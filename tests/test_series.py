@@ -21,7 +21,7 @@ from psicalc.errors import (
     ParseError,
     VariantMismatch,
 )
-from psicalc.operator_algebra import Flavor, OperatorSum, ProductChain, binomial_operator
+from psicalc.operator_algebra import OperatorSum, ProductChain, binomial_operator
 from psicalc.psi_context import PsiContext, get_context
 from psicalc.series import (
     WardSeries,
@@ -198,7 +198,7 @@ def test_chain_accepts_product_chain_object(fib):
     g = fib_series([0, 1, 1, 1, 1])
     chain = ProductChain(coefficient=3, pairs=((2, 1), (1, 0)))
     assert chain.apply(f, g) == f.chain(g, ((2, 1), (1, 0))).scale(3)
-    star_chain = ProductChain(flavor=Flavor.STAR, pairs=((1, 0),))
+    star_chain = ProductChain(star=True, pairs=((1, 0),))
     assert star_chain.apply(f, g) == f.star(g, 1, 0)
 
 
@@ -456,15 +456,15 @@ def test_symbolic_products_match_per_term_oracle(qsym, a, b, pairs, star):
 
 
 @given(a=q_lists, b=q_lists, terms=st.lists(
-    st.tuples(q_scalars, st.sampled_from(Flavor), chains), min_size=1, max_size=3))
+    st.tuples(q_scalars, st.booleans(), chains), min_size=1, max_size=3))
 @settings(max_examples=80, deadline=None)
 def test_symbolic_operator_sums_match_per_term_oracle(qsym, a, b, terms):
     # rational-function coefficients give weight rows with denominators
     f, g = WardSeries(qsym, a), WardSeries(qsym, b)
-    op = OperatorSum(tuple([ProductChain(c, flavor, tuple(pairs)) for c, flavor, pairs in terms]))
+    op = OperatorSum(tuple([ProductChain(c, star, tuple(pairs)) for c, star, pairs in terms]))
     expected = [qsym.zero] * min(len(a), len(b))
     for t in op.terms:
-        part = reference_chain(f, g, t.pairs, t.flavor is Flavor.STAR)
+        part = reference_chain(f, g, t.pairs, t.star)
         expected = [x + t.coefficient * y for x, y in zip(expected, part)]
     assert reprs(op.apply(f, g).coeffs) == reprs(expected)
 
@@ -594,16 +594,16 @@ def test_rational_products_match_fraction_loop(spec, a, b, pairs, star):
 
 
 @given(spec=st.sampled_from(RATIONAL_SPECS), a=plain_lists, b=plain_lists, terms=st.lists(
-    st.tuples(plain_scalars, st.sampled_from(Flavor), chains), min_size=1, max_size=3))
+    st.tuples(plain_scalars, st.booleans(), chains), min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_rational_operator_sums_match_fraction_loop(spec, a, b, terms):
     ctx = get_context(spec)
     f, g = make_series(ctx, a), make_series(ctx, b)
-    op = OperatorSum(tuple([ProductChain(c, flavor, tuple(pairs)) for c, flavor, pairs in terms]))
+    op = OperatorSum(tuple([ProductChain(c, star, tuple(pairs)) for c, star, pairs in terms]))
     m = min(f.order, g.order)
     weight = [[0] * (n + 1) for n in range(m + 1)]
     for t in op.terms:
-        w = fraction_weights(ctx, t.pairs, t.flavor is Flavor.STAR, m)
+        w = fraction_weights(ctx, t.pairs, t.star, m)
         weight = [[x + t.coefficient * y for x, y in zip(r, s)] for r, s in zip(weight, w)]
     want = fraction_sums(ctx, f.coeffs, g.coeffs, weight)
     assert typed(op.apply(f, g)) == typed(WardSeries(ctx, want))

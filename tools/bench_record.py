@@ -15,8 +15,22 @@ the last line of its output is kept; then each side runs once traced
 (``--trace 1``) at the workload's first seed.
 The file holds every run's six end-to-end metrics and, per workload and
 metric, the median of each side, their ratio, the parent's interquartile
-range and in how many pairs the change was better, followed by the
-per-layer metrics of the traced runs.  Progress goes to stderr.
+range, in how many pairs the change was better and a verdict, followed by
+the per-layer metrics of the traced runs.  Progress goes to stderr, and so
+does one verdict line per workload and metric at the end.
+
+A verdict reads the metric's bound in ``BENCHMARK.json``, a fraction of
+the parent's median, and is the first of these that holds:
+
+* ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+* ``unresolved``: the parent's interquartile range exceeds the bound times
+  its median, so the runs cannot tell a change within the bound, unless
+  every run of the change is better than every run of the parent;
+* ``better``: the change is better in at least nine tenths of the pairs,
+  ties counting for neither, and its median is better than the parent's
+  by more than the parent's interquartile range;
+* ``within bound``: anything else.
 """
 
 from __future__ import annotations
@@ -67,8 +81,24 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def verdict(par: list, chg: list, lower: bool, bound: float) -> str:
+    """The verdict on one metric from the paired parent and change values; see the module doc."""
+    # negated where higher is better, so that below is better throughout
+    par, chg = ([x if lower else -x for x in v] for v in (par, chg))
+    q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
+    mp, mc, iqr = statistics.median(par), statistics.median(chg), q[2] - q[0]
+    if mc - mp > bound * abs(mp):
+        return "worse"
+    if iqr > bound * abs(mp) and max(chg) >= min(par):
+        return "unresolved"
+    won = sum(c < p for p, c in zip(par, chg))
+    if 10 * won >= 9 * len(par) and mp - mc > iqr:
+        return "better"
+    return "within bound"
+
+
 def summarize(runs: list, end_to_end: list) -> dict:
-    """Per workload and metric: medians, ratio, parent IQR, pairs the change won."""
+    """Per workload and metric: medians, ratio, parent IQR, pairs the change won, verdict."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict = {}
@@ -91,6 +121,7 @@ def summarize(runs: list, end_to_end: list) -> dict:
                 "change_over_parent": mc / mp if mp else None,
                 "parent_iqr": q[2] - q[0],
                 "change_better_pairs": f"{won}/{len(pairs)}",
+                "verdict": verdict(par, chg, lower, metric["bound"]),
             }
         out[workload] = table
     return out
@@ -142,6 +173,11 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
+    for workload, table in record["summary"].items():
+        for name, row in table.items():
+            print(f"{workload} {name}: {row['verdict']} (median {row['parent_median']:.4g} -> "
+                  f"{row['change_median']:.4g} {row['unit']}, parent IQR {row['parent_iqr']:.3g}, "
+                  f"change better in {row['change_better_pairs']} pairs)", file=sys.stderr)
     return 0
 
 
