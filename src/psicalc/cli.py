@@ -238,6 +238,15 @@ def cmd_check(suite: str, psi: str | None, order: int, trials: int, seed: int,
     return "\n".join(lines), ok
 
 
+def _int(text: str) -> int:
+    # argparse's own int message quotes the value whole; this one cuts it as
+    # every error of the package does
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psicalc",
@@ -247,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", help="tabulate a sequence with factorials, binomials, kernels")
     p_seq.add_argument("--psi", required=True)
-    p_seq.add_argument("--n", type=int, default=6)
+    p_seq.add_argument("--n", type=_int, default=6)
     p_seq.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p_op = sub.add_parser("op", help="apply a series operation")
@@ -255,20 +264,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("operands", nargs="+",
                       help="series JSON files or inline [a0,a1,...] lists")
     p_op.add_argument("--psi")
-    p_op.add_argument("--i", type=int, default=1)
-    p_op.add_argument("--j", type=int, default=0)
+    p_op.add_argument("--i", type=_int, default=1)
+    p_op.add_argument("--j", type=_int, default=0)
     p_op.add_argument("--chain", dest="chain_text")
 
     p_pascal = sub.add_parser("pascal", help="render the operator triangle")
-    p_pascal.add_argument("--n", type=int, default=4)
+    p_pascal.add_argument("--n", type=_int, default=4)
     p_pascal.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p_check = sub.add_parser("check", help="run verification suites")
     p_check.add_argument("suite", choices=_SUITES + ("all",))
     p_check.add_argument("--psi")
-    p_check.add_argument("--order", type=int, default=8)
-    p_check.add_argument("--trials", type=int, default=25)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--order", type=_int, default=8)
+    p_check.add_argument("--trials", type=_int, default=25)
+    p_check.add_argument("--seed", type=_int, default=0)
     p_check.add_argument("--format", choices=("plain", "json"), default="plain")
 
     return parser

@@ -29,14 +29,18 @@ as ``psi_context._weighting`` decides; a star chain is weighed as its
 asterisk twin and its term swaps the operands, and the kernel adds the
 terms into one numerator per result coefficient.  The weight table of A
 is W_A(n, k) = sum of coefficient * prod F(n+i, k+j) over its chains (star
-chains mirrored to W(n, n-k)).  The shift maps act on weights as well,
+chains mirrored to W(n, n-k)), and a kernel reads it as product rows
+C(n, k) W_A(n, k).  The shift maps act on weights as well,
 W_rho(A)(n, k) = W_A(n+1, k+1) and W_sigma(A)(n, k) = F(n+1, k) W_A(n+1, k),
-which builds the tables of a whole triangle row without expanding <n k>
-into its C(n, k) chains.  A context keeps the tables of the triangle
-once built and grows them on demand (``binomial_weights``); over a power
-kernel W_<n k>(r, c) = C(n, k) q^(k c), a twist with no table to read.
-``binomial_terms`` makes that choice and gives the kernel terms of the
-higher product rule, which ``calculus.general_leibniz`` sums.  Syntactic
+and so on product rows, where C(n, k) F(n+1, k) / C(n+1, k) and
+C(n, k) / C(n+1, k+1) are ratios of sequence values; that builds the
+tables of a whole triangle row from the sequence alone, without expanding
+<n k> into its C(n, k) chains or reading a kernel row.  A context keeps
+the tables of the triangle once built and grows them on demand
+(``binomial_weights``); over a power kernel W_<n k>(r, c) = C(n, k) q^(k c),
+a twist with no table to read.  ``binomial_terms`` makes that choice and
+gives the kernel terms of the higher product rule, which
+``calculus.general_leibniz`` sums.  Syntactic
 equality is equality of canonical forms; ``extensional_eq`` compares the
 weight tables as values, each entry a canonical scalar summed from kernel
 values (``fontane_kernel``), which is equality of actions because
@@ -47,13 +51,14 @@ from __future__ import annotations
 
 import numbers
 from functools import cache
-from math import gcd, lcm, prod
-from operator import add
+from itertools import chain
+from math import gcd, prod
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .coefficients import Scalar, _norm_rat
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch, echo
-from .psi_context import PsiContext, _form_mul, _lift, _weighting
+from .psi_context import PsiContext, _lift, _parts, _weighting
 from .series import Pair, WardSeries, _convolve, check_pair
 
 
@@ -284,51 +289,56 @@ def binomial_operator(n: int, k: int) -> OperatorSum:
     return rho(binomial_operator(n - 1, k)) + sigma(binomial_operator(n - 1, k - 1))
 
 
-def _form(d: int, v: list) -> tuple:
-    """The canonical form of the row v / d."""
-    g = gcd(d, *v)
-    return (d, v) if g == 1 else (d // g, [x // g for x in v])
-
-
-def _form_add(f: tuple, g: tuple) -> tuple:
-    """The entrywise sum of two row forms, as long as the shorter."""
-    (d, v), (e, w) = f, g
-    if d == e:
-        return d, list(map(add, v, w))
-    m = lcm(d, e)
-    s, t = m // d, m // e
-    return m, [x * s + y * t for x, y in zip(v, w)]
-
-
 def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
-    """Weight tables of <n 0>, ..., <n n> through row m, from the context's triangle.
+    """Product tables of <n 0>, ..., <n n> through row m, from the context's triangle.
 
-    The context keeps the tables of <j k> for j <= J in canonical row forms
-    (``PsiContext._weights``).  A request appends levels up to J >= n and
+    Table k holds the rows P<n k>(r, c) = C(r, c) W<n k>(r, c), the weight
+    of <n k> times the binomial, which a kernel reads as they are.  The
+    context keeps the tables of <j k> for j <= J (``PsiContext._weights``),
+    level 0 the binomial rows.  A request appends levels up to J >= n and
     grows only levels 0..n, level j to rows 0..m+n-j, each as far as the
-    level after it reads; a level's new rows come from the rows of the
-    level before, just appended, by the shift maps
+    level after it reads.  Row r of level j comes from row r + 1 of level
+    j - 1 by the shift maps, which read the integers S of the sequence
+    alone (q = u/w, and w = 1 off the q-analogs):
 
-        W<j k>(r, c) = W<j-1 k>(r+1, c+1) + F(r+1, c) W<j-1 k-1>(r+1, c).
+        P<j k>(r, c) = [S_{c+1} w^(r-c) P<j-1 k>(r+1, c+1)
+                        + (S_{r+1} - S_c w^(r+1-c)) P<j-1 k-1>(r+1, c)] / S_{r+1}.
 
+    So row r of every table of a level has one denominator, the level
+    before's times S_{r+1}, reduced by one gcd over the row of all k.
     Nothing is rebuilt.  The stored tables are returned, so they may hold
-    rows past m, and they must not be changed.
+    rows past m, and they must not be changed.  Over symbolic q, where the
+    S_n are the values at q = 1, there is no such table: VariantMismatch.
     """
-    tri = ctx._weights
+    if ctx.symbolic:
+        raise VariantMismatch(
+            f"binomial_weights needs a plain-rational context, not {echo(ctx.spec_string())}")
+    tri, ints, w = ctx._weights, ctx._ints, _parts(ctx)[1]
     for j in range(n + 1):
         if j == len(tri):
             tri.append([[] for _ in range(j + 1)])
-        level, prev = tri[j], tri[j - 1]
-        for k, table in enumerate(level):
-            for r in range(len(table), m + n - j + 1):
-                if k == 0:  # <j 0> is the ordinary product; level 0 holds the rows of ones
-                    table.append(prev[0][r] if j else (1, [ctx.one] * (r + 1)))
-                    continue
-                d, v = _form_mul(ctx._kernel_row(r + 1), prev[k - 1][r + 1])  # sigma(<j-1 k-1>)
-                if k < j:  # rho(<j-1 k>)
-                    e, w = prev[k][r + 1]
-                    d, v = _form_add((d, v), (e, w[1:]))
-                table.append(_form(d, v))
+        level, prev, top = tri[j], tri[j - 1], m + n - j + 1
+        if not j:
+            level[0] += ctx._binomials(top - 1)[len(level[0]) : top]
+            continue
+        for r in range(len(level[0]), top):
+            s = ints[r + 1]
+            d = prev[0][r + 1][0] * s
+            up = [ints[c + 1] * w ** (r - c) for c in range(r + 1)]
+            down = [s - ints[c] * w ** (r + 1 - c) for c in range(r + 1)]
+            rows = [t[r + 1][1] for t in prev]
+            # rho(<j-1 k>) reads entry c+1 of its row, sigma(<j-1 k-1>) entry c
+            vs = ([list(map(mul, up, rows[0][1:]))]
+                  + [list(map(add, map(mul, up, a[1:]), map(mul, down, b)))
+                     for a, b in zip(rows[1:], rows)]
+                  + [list(map(mul, down, rows[-1]))])
+            g = gcd(d, *chain.from_iterable(vs))
+            if d < 0:
+                g = -g
+            if g != 1:
+                d, vs = d // g, [[x // g for x in v] for v in vs]
+            for table, v in zip(level, vs):
+                table.append((d, v))
     return tri[n]
 
 
@@ -337,13 +347,14 @@ def binomial_terms(ctx: PsiContext, n: int, m: int) -> list:
 
     Term k reads the operands at offsets (n-k, k).  Over a power kernel
     <n k> weighs by C(n, k) q^(k c), so the term is the twist (k, 0) times
-    C(n, k) and no table is built; otherwise it is the stored table of
-    <n k> (``binomial_weights``), and <n 0> the ordinary product.
+    C(n, k) and no table is built; otherwise every term, <n 0> included,
+    is the stored product table of <n k> (``binomial_weights``), whose
+    rows share one denominator per row over all k.
     """
     if ctx.power_kernel:
         return [(n - k, k, False, (k, 0), ctx.psi_binomial(n, k)) for k in range(n + 1)]
-    tables = binomial_weights(ctx, n, m)
-    return [(n - k, k, False, tables[k] if k else (0, 0), ctx.one) for k in range(n + 1)]
+    return [(n - k, k, False, table, ctx.one)
+            for k, table in enumerate(binomial_weights(ctx, n, m))]
 
 
 def extensional_eq(a: OperatorSum, b: OperatorSum, ctx: PsiContext, order: int) -> bool:

@@ -7,8 +7,8 @@ grown only as far as its readers read, by its own accessor here but for
 two: ``operator_algebra.binomial_weights`` grows ``_weights`` and
 ``qkernels._binomials_at`` grows ``_packed``.  The row forms below are
 read in their layout by the kernels of ``series`` (the binomial rows and
-the weight rows of ``_weighting``) and ``qkernels`` (the binomial rows),
-and by ``binomial_weights`` (the kernel rows).
+the product rows of ``_weighting``) and ``qkernels`` (the binomial rows),
+and by ``binomial_weights`` (the binomial rows and the integers S_n).
 
 * ``_grow(n)`` extends the sequence through index n: the values s_n
   (``psi``; s_0 = 0, s_1 = 1, and s_n != 0 is checked as each value is
@@ -48,11 +48,11 @@ kernel without a row.
 
 ``_weighting`` weighs a product by a chain of index pairs: over a power
 kernel by a twist, a power of q per term, with no row read; otherwise by
-the chain's weight rows (``_chain_rows``), products of kernel-row slices
-in the same form, made only as a product reads them.  Either way it first
-refuses what the chain's reach would (``PsiContext._reach``).  It takes no
-flavor: a star chain is weighed as its asterisk twin, and the series
-kernels swap its operands.
+the chain's product rows (``_chain_rows``), C(n, k) W(n, k) with W the
+product of kernel-row slices, in the same form and made only as a product
+reads them.  Either way it first refuses what the chain's reach would
+(``PsiContext._reach``).  It takes no flavor: a star chain is weighed as
+its asterisk twin, and the series kernels swap its operands.
 
 Four more tables keep only what was read: ``psi_factorial`` extends the
 running product s_n! = s_1 * ... * s_n (s_0! = 1); ``_scales`` the least
@@ -60,10 +60,13 @@ integers that keep a plain-rational division integral; over symbolic q
 ``_packed`` keeps the q-binomial rows at q = 2^bits, the one form the
 kernels use (``qkernels._binomials_at``), per bits value, for the few bits
 values read last, and ``psi_binomial`` unpacks a q-binomial from them; and
-``_weights`` holds the weight tables of the binomial operators <j k>,
-level j for j <= J in canonical row forms, which
-``operator_algebra.binomial_weights`` grows append-only as requests for
-larger n or orders arrive, each level only as far as some request read.
+over plain rationals ``_weights`` holds the product tables of the binomial
+operators <j k>, P<j k>(r, c) = C(r, c) W<j k>(r, c), level j for j <= J,
+which ``operator_algebra.binomial_weights`` grows append-only from the
+binomial rows and the integers S_n as requests for larger n or orders
+arrive, each level only as far as some request read.  Row r of a level has
+one denominator for every k, and the level's row forms are canonical
+together: no prime of it divides every entry of the row over all k.
 
 F(n, n) is deliberately left undefined: the defining relation
 s_n - s_k = F(n, k) * s_{n-k} says nothing at k = n, and every consumer in
@@ -87,10 +90,10 @@ kernels it dispatches to, one attribute read away; it is None otherwise.
 The rule for where the variants meet (errors.VariantMismatch states it) is
 applied here for scalars read against a context: ``_check_scalar`` is the
 strict door, ``_lift`` the one that embeds a plain rational, and ``_power``
-takes powers in either variant.  Two places apply it with no context at
-hand: chain coefficients meet in ``operator_algebra._meet`` and
-``_check_coefficient``, and JSON scalars are embedded by
-``coefficients.scalar_from_json``.
+takes powers in either variant (``_q_power`` the powers of q, a monomial
+over symbolic q).  Two places apply it with no context at hand: chain
+coefficients meet in ``operator_algebra._meet`` and ``_check_coefficient``,
+and JSON scalars are embedded by ``coefficients.scalar_from_json``.
 """
 
 from __future__ import annotations
@@ -117,8 +120,8 @@ def _q_ratio(u, w):
 # Only the stored rows are kept canonical: they are built once and read
 # often.  The sequence tables are built canonical (``_ratio_form``,
 # ``_binomial_row``), and ``operator_algebra.binomial_weights`` reduces each
-# weight row it stores.  Products of forms leave the gcd to the one
-# division per result coefficient that every kernel ends in.
+# level row it stores by one gcd.  Products of forms leave the gcd to the
+# one division per result coefficient that every kernel ends in.
 
 
 def _form_value(form: tuple, k: int) -> Scalar:
@@ -425,7 +428,7 @@ class PsiContext:
         if not 0 <= k < n:
             raise KernelUndefined(f"F({n}, {k}) undefined; need 0 <= k < n")
         if self.power_kernel:
-            return _power(self, 1 if self.q_scalar is None else self.q_scalar, k)
+            return _q_power(self, k)
         return _form_value(self._kernel_row(n), k)
 
     # -- scalar helpers --------------------------------------------------------
@@ -466,6 +469,14 @@ def _power(ctx: PsiContext, x: Scalar, n: int) -> Scalar:
     return x**n if ctx.symbolic else _norm_rat(Fraction(x) ** n)
 
 
+def _q_power(ctx: PsiContext, n: int) -> Scalar:
+    """q^n for the context's q, 1 where it has none; over symbolic q a canonical monomial."""
+    if ctx.symbolic:
+        mono = (0,) * abs(n) + (1,)
+        return ctx._qkernels.RatFuncQ._raw(*((mono, (1,)) if n >= 0 else ((1,), mono)))
+    return _power(ctx, 1 if ctx.q_scalar is None else ctx.q_scalar, n)
+
+
 def _check_scalars(ctx: PsiContext, values) -> tuple:
     """The values through ``_check_scalar``, as a tuple.
 
@@ -482,26 +493,25 @@ def _check_scalars(ctx: PsiContext, values) -> tuple:
 
 
 def _chain_rows(ctx: PsiContext, pairs, m: int):
-    """The weight rows of a chain of one or more index pairs, one row form per n <= m.
+    """The product rows of a chain of one or more index pairs, one row form per n <= m.
 
-    The weight is W(n, k) = prod F(n+i, k+j) over the pairs; a star chain
-    reads the same rows with the operands swapped (``series._convolve``).
-    The rows are made as they are read, so a product holds one at a time.
-    A kernel row stored in ``_kernel`` is read there, any other through
-    ``_kernel_row``, which refuses a zero sequence value (q = -1 has
-    s_2 = 0) or an index past a custom list's end as the row that needs it
-    is read.
+    Row n is C(n, k) W(n, k), the binomial row times the weight
+    W(n, k) = prod F(n+i, k+j) over the pairs; a star chain reads the same
+    rows with the operands swapped (``series._convolve``).  The rows are
+    made as they are read, so a product holds one at a time.  A kernel row
+    stored in ``_kernel`` is read there, any other through ``_kernel_row``,
+    which refuses a zero sequence value (q = -1 has s_2 = 0) or an index
+    past a custom list's end as the row that needs it is read.
     """
-    kern, kernel_row = ctx._kernel, ctx._kernel_row
+    kern, kernel_row, binom = ctx._kernel, ctx._kernel_row, ctx._binomials(m)
 
     def rows():
         for n in range(m + 1):
-            row = None
+            row = binom[n]
             for i, j in pairs:
                 # F(n+i, k+j) for k = 0..n is one slice of a kernel row
                 d, v = kern.get(n + i) or kernel_row(n + i)
-                s = v[j : j + n + 1]
-                row = (d, s) if row is None else _form_mul(row, (d, s))
+                row = _form_mul(row, (d, v[j : j + n + 1]))
             yield row
 
     return rows()
@@ -513,7 +523,7 @@ def _weighting(ctx: PsiContext, pairs, m: int):
     Over a power kernel (``ctx.power_kernel``) the weight of
     ``_chain_rows`` is W(n, k) = q^(P k + J) with P pairs and J the sum of
     the j, and the chain is the twist (P, J), which reads no row; so is the
-    empty chain.  Otherwise the chain is its weight rows.  Either way a
+    empty chain.  Otherwise the chain is its product rows.  Either way a
     chain that reaches past a custom list's end or a zero sequence value is
     refused here (``PsiContext._reach``).
     """

@@ -20,21 +20,22 @@ Every product, every operator sum and the general Leibniz rule runs
 through one weighted-sum kernel (``_convolve``), which takes a list of
 terms, each an operand offset pair, a star flag that swaps the operands,
 a weighting and a scalar, and division through one forward-substitution
-loop.  A weighting is weight
-rows, or, over a power kernel F(n, k) = q^k (``PsiContext.power_kernel``,
-which ``psi_context._weighting`` reads), a twist: an ordinary product
-with powers of q folded into the loop.  Every symbolic context is a power
-kernel, so over symbolic q every weighting is a twist.  Both
-loops run on Python ints for both scalar variants, fraction-free:
-denominators are cleared once, the sums are integer dot products, every
-term adds into one numerator per result coefficient, and each result
-coefficient is divided once.  Plain rationals read cleared binomial
-rows, an integer vector over one denominator per row, and division
-scales row n by the least G_n that keeps every step integral.  Over
-symbolic q both loops hand over to the context's ``qkernels``,
-where every polynomial is evaluated at q = 2^bits (Kronecker
-substitution), so a result coefficient is one packed big-int sum that is
-unpacked once, and bits comes from running the same loop on |.|_1 norms.
+loop.  A weighting is product rows, the binomial C(n, k) times the weight
+of the (n, k) term, or, over a power kernel F(n, k) = q^k
+(``PsiContext.power_kernel``, which ``psi_context._weighting`` reads), a
+twist: an ordinary product with powers of q folded into the loop.
+Every symbolic context is a power kernel, so over symbolic q every
+weighting is a twist.  Both loops run on Python ints for both scalar
+variants, fraction-free: denominators are cleared once, the sums are
+integer dot products, every term adds into one numerator per result
+coefficient, and each result coefficient is divided once.  Plain
+rationals read cleared rows, an integer vector over one denominator per
+row, and division scales row n by the least G_n that keeps every step
+integral.  Over symbolic q both loops hand over to the context's
+``qkernels``, where every polynomial is evaluated at q = 2^bits
+(Kronecker substitution), so a result coefficient is one packed big-int
+sum that is unpacked once, and bits comes from running the same loop on
+|.|_1 norms.
 
 Binary operations demand the *same context object* on both sides and
 truncate to the smaller order.  The derivative maps a_n to a_{n+1} (one
@@ -66,8 +67,8 @@ from .errors import (
     PsiCalcError,
     echo,
 )
-from .psi_context import (PsiContext, _check_scalar, _check_scalars, _form_mul, _lift, _parts,
-                          _power, _weighting, get_context)
+from .psi_context import (PsiContext, _check_scalar, _check_scalars, _lift, _parts, _power,
+                          _q_power, _weighting, get_context)
 
 Pair = tuple[int, int]
 
@@ -90,23 +91,25 @@ def _convolve(f, g, terms: list) -> "WardSeries":
 
     The package's one weighted-sum kernel: every product, operator sum and
     Leibniz rule is a list of terms, summed into one integer numerator per
-    c_n and divided once.  A weighting W is weight rows, one row form per
-    n, or a twist (P, J) for a power kernel F(n, k) = q^k, which weighs by
-    q^(P k + J) with no weight rows.  A ``star`` term swaps the two
-    operand slices first, whatever its weighting, and so sums
-    W(n,k) b_{k+j} a_{n-k+i}: C(n, k) = C(n, n-k) makes that the weight
-    W(n, n-k) on a_{k+i} b_{n-k+j}, the star flavor.  c_n runs to the
-    largest n that every term reaches, and weight rows that end before
-    that row are refused (IndexOutOfBound), not read as zero.  The
-    operands' denominators are cleared once.  Plain rationals sum on ints:
-    a term's row sums, over the binomial rows the context stores cleared
-    (``PsiContext._binomials``, which every series grows through its
-    order) times its weight rows, are scaled by c, and the terms meet over
-    the lcm of their row denominators.  For q = u/w a twist multiplies the
-    operand slices by u^(P k + J) and w^(P k), and w^(P n + J) joins the
-    row denominator.  Over symbolic q, a power kernel, every term is a
-    twist, and the context's ``qkernels.convolve`` sums the terms on
-    packed big ints.  Row n of a term is one dot product in C,
+    c_n and divided once.  A weighting W is product rows, one row form per
+    n holding C(n,k) W(n,k), or a twist (P, J) for a power kernel
+    F(n, k) = q^k, which weighs by q^(P k + J) with no rows of its own.  A
+    ``star`` term swaps the two operand slices first, whatever its
+    weighting, and so sums C(n,k) W(n,k) b_{k+j} a_{n-k+i}:
+    C(n, k) = C(n, n-k) makes that the weight W(n, n-k) on
+    a_{k+i} b_{n-k+j}, the star flavor.  c_n runs to the largest n that
+    every term reaches, and product rows that end before that row are
+    refused (IndexOutOfBound), not read as zero.  The operands'
+    denominators are cleared once.  Plain rationals sum on ints: a term's
+    row sums, over its product rows as they are or over the binomial rows
+    the context stores cleared for a twist (``PsiContext._binomials``,
+    which every series grows through its order), are scaled by c, and the
+    terms meet over the lcm of their row denominators, which the terms of
+    one Leibniz level share.  For q = u/w a twist multiplies the operand
+    slices by u^(P k + J) and w^(P k), and w^(P n + J) joins the row
+    denominator.  Over symbolic q, a power kernel, every term is a twist,
+    and the context's ``qkernels.convolve`` sums the terms on packed big
+    ints.  Row n of a term is one dot product in C,
     sum_k v[k] (a_k b_{n-k}) with b_n down to b_0 a reversed slice, so a
     big binomial takes one multiplication per term.
     """
@@ -126,14 +129,13 @@ def _convolve(f, g, terms: list) -> "WardSeries":
         a, b, rows = va[i : i + m], vb[j : j + m], binom
         if star:
             a, b = b, a
-        if type(wt) is tuple:
+        if type(wt) is not tuple:
+            rows = wt
+        elif (wt[0] or wt[1]) and u * w != 1:
             p, s = wt
-            if (p or s) and u * w != 1:
-                a = [x * u ** (p * k + s) for k, x in enumerate(a)]
-                b = [x * w ** (p * k) for k, x in enumerate(b)]
-                rows = ((d * w ** (p * n + s), v) for n, (d, v) in enumerate(rows))
-        else:
-            rows = map(_form_mul, rows, wt)
+            a = [x * u ** (p * k + s) for k, x in enumerate(a)]
+            b = [x * w ** (p * k) for k, x in enumerate(b)]
+            rows = ((d * w ** (p * n + s), v) for n, (d, v) in enumerate(rows))
         # the terms meet over the lcm of their row denominators
         r = -1
         for r, (d, v) in zip(range(m), rows):
@@ -355,7 +357,7 @@ class WardSeries:
             raise PsiCalcError(
                 f"q dilation needs a q-analog context, not {echo(self.ctx.spec_string())}"
             )
-        return self.dilate(_power(self.ctx, q, times))
+        return self.dilate(_q_power(self.ctx, times))
 
     # -- serialization -----------------------------------------------------------------
 

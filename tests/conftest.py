@@ -1,5 +1,7 @@
 import fractions
 import sys
+from math import gcd, lcm
+from operator import add
 
 import pytest
 
@@ -103,3 +105,22 @@ def fraction_sums(ctx, a, b, weight=None) -> list:
                 acc = acc + row[k] * x * y * wrow[k]
         out.append(acc)
     return out
+
+
+# -- row forms (d, v), row[k] == v[k] / d ------------------------------------------
+
+
+def canonical_form(d: int, v: list) -> tuple:
+    """The canonical form of the row v / d: gcd(d, *v) == 1."""
+    g = gcd(d, *v)
+    return (d, v) if g == 1 else (d // g, [x // g for x in v])
+
+
+def form_add(f: tuple, g: tuple) -> tuple:
+    """The entrywise sum of two row forms, as long as the shorter."""
+    (d, v), (e, w) = f, g
+    if d == e:
+        return d, list(map(add, v, w))
+    m = lcm(d, e)
+    s, t = m // d, m // e
+    return m, [x * s + y * t for x, y in zip(v, w)]

@@ -345,6 +345,24 @@ def test_a_value_past_the_int_digit_limit_is_a_usage_error(capsys, tmp_path, whe
             assert value in out and err == ""
 
 
+@pytest.mark.parametrize("argv", (
+    ("op", "fontane", "[1,2]", "[3,4]", "--psi", "fib", "--i"),
+    ("check", "rules", "--psi", "fib", "--order"),
+    ("pascal", "--n"),
+))
+def test_a_bad_int_option_is_echoed_cut(capsys, argv):
+    # argparse quotes a bad option value whole; a 4,301-digit one is cut as
+    # every other refused input is, on one error line that names the option
+    code, out, err = run_cli(capsys, *argv, "1" + "0" * 4300)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {argv[-1]}: invalid int value: '1000" in errors[0]
+    assert len(err.encode()) < 512
+    # a short bad value reads as argparse writes it
+    code, _, err = run_cli(capsys, *argv, "1.5")
+    assert code == 2 and err.endswith(f"error: argument {argv[-1]}: invalid int value: '1.5'\n")
+
+
 def test_op_output_roundtrips(capsys):
     code, out, _ = run_cli(capsys, "op", "mul", "[1,2,3]", "[1,1,1]", "--psi", "q=3/2")
     assert code == 0

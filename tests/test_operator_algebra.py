@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from conftest import fraction_sums
@@ -17,7 +17,6 @@ from psicalc.operator_algebra import (
     ZERO_OPERATOR,
     OperatorSum,
     ProductChain,
-    _form,
     binomial_operator,
     binomial_terms,
     binomial_weights,
@@ -327,20 +326,22 @@ LONG_CUSTOM = "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13,-2,5/7,6,-1/3,8,17]"
 
 @pytest.mark.parametrize("spec", ("fib", LONG_CUSTOM, "q=3/2", "natural"))
 def test_binomial_weights_give_the_rule_on_monomials(spec):
-    # D^n(x^u x^(r+n-u)) at x^r: only c = u-n+k of term k survives, so
-    # sum_k C(r, c) W<n k>(r, c) = C(r+n, u)
+    # D^n(x^u x^(r+n-u)) at x^r: only c = u-n+k of term k survives, so the
+    # product rows P<n k>(r, c) = C(r, c) W<n k>(r, c) give sum_k P<n k>(r, c) = C(r+n, u)
     ctx = get_context(spec)
     for n in range(7):
         tables = binomial_weights(ctx, n, 10)
         for r in range(11):
             for u in range(r + n + 1):
-                got = sum(ctx.psi_binomial(r, c) * _form_value(tables[k][r], c)
+                got = sum(_form_value(tables[k][r], c)
                           for k in range(n + 1) if 0 <= (c := u - n + k) <= r)
                 assert got == ctx.psi_binomial(r + n, u), (n, r, u)
 
 
-@pytest.mark.parametrize("spec", ("fib", LONG_CUSTOM, "q=3/2"))
+@pytest.mark.parametrize("spec", ("fib", "natural", "q=3/2", "q=-2/5", LONG_CUSTOM))
 def test_binomial_weights_grow_in_any_order(spec):
+    # the stored tables are the binomial times the weight of the slow oracle,
+    # whatever order the requests come in
     ctx = PsiContext.from_spec(spec)
     assert ctx._weights == []
     requests = ((2, 5), (6, 3), (3, 12), (8, 0))
@@ -351,18 +352,49 @@ def test_binomial_weights_grow_in_any_order(spec):
         assert len(tables) == n + 1
         for k, table in enumerate(tables):
             assert len(table) > m
+            weight = binomial_operator(n, k)._weight_rows(ctx, m)
             assert [[_form_value(row, c) for c in range(r + 1)] for r, row in enumerate(
-                table[: m + 1])] == binomial_operator(n, k)._weight_rows(ctx, m)
+                table[: m + 1])] == [[ctx.psi_binomial(r, c) * w for c, w in enumerate(row)]
+                                     for r, row in enumerate(weight)]
         # a request reaches levels 0..n and needs rows 0..m+n-j of level j;
-        # a level holds what its largest request needed, each row canonical
+        # a level holds what its largest request needed
         for j in range(n + 1):
             reached[j] = max(reached.get(j, 0), m + n - j + 1)
         for j, level in enumerate(ctx._weights):
             if j <= n:
                 assert all(len(t) >= m + n - j + 1 for t in level)
             assert [len(t) for t in level] == [reached[j]] * (j + 1)
-            assert all(row == _form(*row) for t in level for row in t)
+        assert_level_rows_share_one_canonical_denominator(ctx)
     assert len(ctx._weights[0][0]) == 16 and len(ctx._weights) == 9
+
+
+def assert_level_rows_share_one_canonical_denominator(ctx):
+    # row r of a level is one denominator d > 0 for every k, and no prime of
+    # d divides every entry of the row over all k
+    for j, level in enumerate(ctx._weights):
+        for r, rows in enumerate(zip(*level)):
+            d = rows[0][0]
+            assert d > 0 and all(e == d for e, _ in rows), (j, r)
+            assert gcd(d, *[x for _, v in rows for x in v]) == 1, (j, r)
+
+
+def test_binomial_weights_read_no_kernel_row():
+    # the fib triangle comes from the sequence integers alone
+    ctx = PsiContext.from_spec("fib")
+    rng = random.Random(5)
+    f, g = (make_series(ctx, [rng.randint(-9, 9) for _ in range(17)]) for _ in range(2))
+    for n in range(9):
+        general_leibniz(f, g, n)
+    assert len(ctx._weights) == 9 and ctx._kernel == {}
+    assert_level_rows_share_one_canonical_denominator(ctx)
+
+
+def test_binomial_weights_refuse_symbolic_q(qsym):
+    # the integers S_n of a symbolic context are the values at q = 1, which
+    # weigh nothing; binomial_terms weighs by twists there
+    with pytest.raises(VariantMismatch, match="^binomial_weights needs a plain-rational context"):
+        binomial_weights(qsym, 2, 3)
+    assert qsym._weights == []
 
 
 def test_binomial_weights_grow_only_the_levels_a_request_reaches():

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import islice, zip_longest
 
 import pytest
+from conftest import canonical_form, form_add
 
 from psicalc.coefficients import (Q, PolyQ, RatFuncQ, _integer_vector, _norm_rat, embed_rational,
                                   scalar_eval)
@@ -12,7 +13,6 @@ from psicalc.errors import (
     KOutOfRange,
 )
 from psicalc import psi_context
-from psicalc.operator_algebra import _form, _form_add
 from psicalc.psi_context import PsiContext, get_context
 from psicalc.qkernels import _PACKED_BITS, _binomials_at
 from psicalc.series import make_series
@@ -59,6 +59,20 @@ def test_q_symbolic_tables(qsym):
     for n in range(1, 8):
         for k in range(n):
             assert qsym.fontane_kernel(n, k) == Q ** k
+
+
+def test_symbolic_powers_of_q_are_made_as_monomials(qsym):
+    # q^k is its canonical pair, equal to Q ** k, and it leaves the kernel
+    # entries and q dilations as they were
+    for k in range(-12, 13):
+        power = psi_context._q_power(qsym, k)
+        assert power == Q ** k and (power._n, power._d) == ((Q ** k)._n, (Q ** k)._d)
+    for k in range(13):
+        assert qsym.fontane_kernel(k + 1, k) == qsym.fontane_kernel(20, k) == Q ** k
+    two, five = embed_rational(2), embed_rational(5)
+    f = make_series(qsym, [1, Q + two, Fraction(-3, 4), ONE / (Q + ONE), Q ** 3 - five])
+    for times in range(-4, 13):
+        assert f.q_dilate(times) == f.dilate(Q ** times)
 
 
 def test_q_numeric_matches_symbolic_evaluation(qsym, qnum):
@@ -141,7 +155,7 @@ def fraction_tables(ctx, n: int) -> tuple:
         kern.append(krow)
         d, v = binom[-1]
         e, w = (d, v) if ctx.symbolic else psi_context._form_mul(krow, (d, v))
-        binom.append(_form(*_form_add((d, [0] + v), (e, w + [0]))))
+        binom.append(canonical_form(*form_add((d, [0] + v), (e, w + [0]))))
     return kern, binom
 
 
