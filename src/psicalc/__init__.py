@@ -7,7 +7,7 @@ builds the binomial-operator triangle and the derivative rules that tie
 it all together.
 """
 
-from .coefficients import Scalar, format_scalar, parse_rational, parse_scalar
+from .coefficients import Scalar, parse_rational
 from .errors import (
     BadIndices,
     BadSpec,
@@ -77,9 +77,7 @@ __all__ = [
     "RatFuncQ",
     "Scalar",
     "embed_rational",
-    "format_scalar",
     "parse_rational",
-    "parse_scalar",
     "PsiCalcError",
     "VariantMismatch",
     "DivisionByZero",

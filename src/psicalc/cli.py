@@ -19,8 +19,9 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .coefficients import format_scalar, scalar_from_json, scalar_to_json
+from .coefficients import scalar_from_json, scalar_to_json
 from .errors import (
+    ECHO_LIMIT,
     BadIndices,
     BadSpec,
     BoundExceeded,
@@ -73,7 +74,7 @@ def _exact_output():
 
 
 def _fmt_row(values) -> str:
-    return ", ".join(format_scalar(v) for v in values)
+    return ", ".join(map(str, values))
 
 
 def cmd_seq(spec: str, n_max: int, fmt: str) -> str:
@@ -238,17 +239,24 @@ def cmd_check(suite: str, psi: str | None, order: int, trials: int, seed: int,
     return "\n".join(lines), ok
 
 
-def _int(text: str) -> int:
-    # argparse's own int message quotes the value whole; this one cuts it as
-    # every error of the package does
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are cut, as every error of the package is.
+
+    argparse quotes a bad value whole, or every stray argument.  A message
+    past three echo limits keeps its head and its tail, as ``reprlib`` cuts
+    a string; one that quotes a value within ``ECHO_LIMIT`` is never that
+    long.  Subparsers are made of this class too.
+    """
+
+    def error(self, message):
+        half = (3 * ECHO_LIMIT - 3) // 2
+        if len(message) > 3 * ECHO_LIMIT:
+            message = f"{message[:half]}...{message[-half:]}"
+        super().error(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psicalc",
         description="Exact calculus on factorial-normalized power series.",
     )
@@ -256,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", help="tabulate a sequence with factorials, binomials, kernels")
     p_seq.add_argument("--psi", required=True)
-    p_seq.add_argument("--n", type=_int, default=6)
+    p_seq.add_argument("--n", type=int, default=6)
     p_seq.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p_op = sub.add_parser("op", help="apply a series operation")
@@ -264,20 +272,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("operands", nargs="+",
                       help="series JSON files or inline [a0,a1,...] lists")
     p_op.add_argument("--psi")
-    p_op.add_argument("--i", type=_int, default=1)
-    p_op.add_argument("--j", type=_int, default=0)
+    p_op.add_argument("--i", type=int, default=1)
+    p_op.add_argument("--j", type=int, default=0)
     p_op.add_argument("--chain", dest="chain_text")
 
     p_pascal = sub.add_parser("pascal", help="render the operator triangle")
-    p_pascal.add_argument("--n", type=_int, default=4)
+    p_pascal.add_argument("--n", type=int, default=4)
     p_pascal.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p_check = sub.add_parser("check", help="run verification suites")
     p_check.add_argument("suite", choices=_SUITES + ("all",))
     p_check.add_argument("--psi")
-    p_check.add_argument("--order", type=_int, default=8)
-    p_check.add_argument("--trials", type=_int, default=25)
-    p_check.add_argument("--seed", type=_int, default=0)
+    p_check.add_argument("--order", type=int, default=8)
+    p_check.add_argument("--trials", type=int, default=25)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--format", choices=("plain", "json"), default="plain")
 
     return parser

@@ -14,11 +14,11 @@ Two scalar variants are supported, and they are kept deliberately separate:
 
 This module holds the plain-rational layer and the helpers both variants
 share.  The q-field scalars (``PolyQ``, ``RatFuncQ``, ``Q``,
-``embed_rational``) live in ``qfield``, which loads on first use: from a
-symbolic value parsed here, or from its names read off this module (PEP
-562); their integer polynomial arithmetic lives in ``intpoly``, and the
-symbolic kernels live in ``qkernels``, which a symbolic context loads.  A
-process over plain rationals compiles none of them.
+``embed_rational``) live in ``qfield``, which loads on first use, here when
+a symbolic value is read from JSON; their integer polynomial arithmetic
+lives in ``intpoly``, and the symbolic kernels live in ``qkernels``, which
+a symbolic context loads.  A process over plain rationals compiles none of
+them.
 
 Mixing the two variants in arithmetic raises ``VariantMismatch`` instead of
 auto-promoting; callers that really mean the canonical embedding of a
@@ -87,10 +87,6 @@ def _check_rat(x):
     raise ParseError(f"not a rational value: {echo(x)}")
 
 
-# the q-field's public names, also read off this module
-_QFIELD_NAMES = frozenset(("Q", "PolyQ", "RatFuncQ", "embed_rational"))
-
-
 def _qfield():
     # the symbolic-q layer, compiled by the first caller that needs it
     from . import qfield
@@ -98,18 +94,7 @@ def _qfield():
     return qfield
 
 
-def __getattr__(name: str):
-    if name not in _QFIELD_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_qfield(), name)
-
-
 Scalar = Union[int, Fraction, "RatFuncQ"]
-
-
-def scalar_eval(s: Scalar, point):
-    """Evaluate a scalar at q=point; plain rationals pass through."""
-    return s if isinstance(s, numbers.Rational) else s.eval_at(point)
 
 
 def scalar_to_json(s: Scalar):
@@ -126,12 +111,3 @@ def scalar_from_json(data, symbolic: bool) -> Scalar:
     else:
         value = _norm_rat(_check_rat(data))
     return _qfield().embed_rational(value) if symbolic else value
-
-
-def parse_scalar(text: str, symbolic: bool) -> Scalar:
-    value = parse_rational(text)
-    return _qfield().embed_rational(value) if symbolic else value
-
-
-def format_scalar(s: Scalar) -> str:
-    return str(s)

@@ -58,7 +58,7 @@ from typing import Iterable, Sequence
 
 from .coefficients import Scalar, _norm_rat
 from .errors import FlavorMismatch, KOutOfRange, VariantMismatch, echo
-from .psi_context import PsiContext, _lift, _parts, _weighting
+from .psi_context import PsiContext, _lift, _weighting
 from .series import Pair, WardSeries, _convolve, check_pair
 
 
@@ -299,21 +299,22 @@ def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
     grows only levels 0..n, level j to rows 0..m+n-j, each as far as the
     level after it reads.  Row r of level j comes from row r + 1 of level
     j - 1 by the shift maps, which read the integers S of the sequence
-    alone (q = u/w, and w = 1 off the q-analogs):
+    alone:
 
-        P<j k>(r, c) = [S_{c+1} w^(r-c) P<j-1 k>(r+1, c+1)
-                        + (S_{r+1} - S_c w^(r+1-c)) P<j-1 k-1>(r+1, c)] / S_{r+1}.
+        P<j k>(r, c) = [S_{c+1} P<j-1 k>(r+1, c+1)
+                        + (S_{r+1} - S_c) P<j-1 k-1>(r+1, c)] / S_{r+1}.
 
     So row r of every table of a level has one denominator, the level
     before's times S_{r+1}, reduced by one gcd over the row of all k.
     Nothing is rebuilt.  The stored tables are returned, so they may hold
-    rows past m, and they must not be changed.  Over symbolic q, where the
-    S_n are the values at q = 1, there is no such table: VariantMismatch.
+    rows past m, and they must not be changed.  A power kernel, every
+    symbolic context among them, has no such table, as ``binomial_terms``
+    weighs it by twists: VariantMismatch.
     """
-    if ctx.symbolic:
-        raise VariantMismatch(
-            f"binomial_weights needs a plain-rational context, not {echo(ctx.spec_string())}")
-    tri, ints, w = ctx._weights, ctx._ints, _parts(ctx)[1]
+    if ctx.power_kernel:
+        raise VariantMismatch("binomial_weights needs a kernel that is not a power of q, "
+                              f"not {echo(ctx.spec_string())}")
+    tri, ints = ctx._weights, ctx._ints
     for j in range(n + 1):
         if j == len(tri):
             tri.append([[] for _ in range(j + 1)])
@@ -324,8 +325,8 @@ def binomial_weights(ctx: PsiContext, n: int, m: int) -> list:
         for r in range(len(level[0]), top):
             s = ints[r + 1]
             d = prev[0][r + 1][0] * s
-            up = [ints[c + 1] * w ** (r - c) for c in range(r + 1)]
-            down = [s - ints[c] * w ** (r + 1 - c) for c in range(r + 1)]
+            up = ints[1 : r + 2]
+            down = [s - x for x in ints[: r + 1]]
             rows = [t[r + 1][1] for t in prev]
             # rho(<j-1 k>) reads entry c+1 of its row, sigma(<j-1 k-1>) entry c
             vs = ([list(map(mul, up, rows[0][1:]))]

@@ -25,13 +25,14 @@ and by ``binomial_weights`` (the binomial rows and the integers S_n).
   use.  A series grows them through its order as it is made, so the series
   kernels read them as they are stored.
 * ``_kernel_row(n)`` gives row n of the weight kernel
-  F(n, k) = (s_n - s_k) / s_{n-k}, 0 <= k < n.  Whether every entry is a
-  power F(n, k) = q^k (the q-analogs, and q = 1 over the sequence
-  0, 1, 2, ...) is one fact of a context, ``power_kernel``, fixed on
-  construction.  Over a power kernel the row is its closed form q^k over
-  w^(n-1), made as it is read and kept nowhere; otherwise each entry is
-  (S_n - S_k) / S_{n-k} in lowest terms by one small gcd, and the row is
-  kept per index in ``_kernel``.
+  F(n, k) = (s_n - s_k) / s_{n-k}, 0 <= k < n, for a kernel that is not a
+  power of q.  Whether every entry is a power F(n, k) = q^k (the q-analogs,
+  and q = 1 over the sequence 0, 1, 2, ...) is one fact of a context,
+  ``power_kernel``, fixed on construction; such a kernel has no row, as
+  its readers take the closed form (``fontane_kernel``) or a twist
+  (``_weighting``).  Otherwise each entry is (S_n - S_k) / S_{n-k} in
+  lowest terms by one small gcd, and the row is kept per index in
+  ``_kernel``.
 
 The kernel and binomial rows are row forms (d, v), one denominator and a
 vector with row[k] == v[k] / d.  Over plain rationals d is a positive int,
@@ -39,12 +40,10 @@ v holds ints and gcd(d, *v) == 1, which makes the form canonical; the
 series kernels then sum on ints and divide once per result coefficient.
 Every row is built on ints in that form with no gcd over the row: over the
 lcm of entries in lowest terms, or, for the integral binomials of the
-built-in kinds and the powers of q = u/w, over a known power of w.  Over
-symbolic q every kernel entry carries its own denominator, so d is 1 and v
-holds the rational functions themselves; the binomial rows there are
-Pascal's, with d = 1 and int entries.  The accessors give the canonical
-scalars (an int when whole); ``fontane_kernel`` gives q^k over a power
-kernel without a row.
+built-in kinds, over a known power of w.  The binomial rows over symbolic
+q are Pascal's, with d = 1 and int entries.  The accessors give the
+canonical scalars (an int when whole); ``fontane_kernel`` gives q^k over a
+power kernel without a row.
 
 ``_weighting`` weighs a product by a chain of index pairs: over a power
 kernel by a twist, a power of q per term, with no row read; otherwise by
@@ -101,7 +100,6 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import mul
 from weakref import WeakValueDictionary
@@ -194,10 +192,10 @@ class PsiContext:
 
     ``power_kernel``: every F(n, k) is q^k, which holds for the q-analogs
     and, with q = 1, for the sequence 0, 1, 2, ...; ``fontane_kernel``,
-    ``_kernel_row``, ``_weighting`` and ``operator_algebra.binomial_terms``
-    read it to use that closed form.  ``_kernel`` holds the rows of any
-    other kernel, keyed by index, as they are read; ``_binom`` the binomial
-    rows 0..n that some reader needed.
+    ``_weighting`` and ``operator_algebra.binomial_terms`` read it to use
+    that closed form.  ``_kernel`` holds the rows of any other kernel,
+    keyed by index, as they are read; ``_binom`` the binomial rows 0..n
+    that some reader needed.
     """
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
@@ -290,21 +288,14 @@ class PsiContext:
         return binom
 
     def _kernel_row(self, n: int) -> tuple:
-        """Row n >= 1 of the kernel, F(n, k) for 0 <= k < n, as a row form.
+        """Row n >= 1 of a kernel that is not a power of q, F(n, k) for 0 <= k < n, as a row form.
 
-        Over a power kernel the closed form q^k, q = u/w, over w^(n-1), made
-        as it is read and kept nowhere; otherwise (S_n - S_k) / S_{n-k}, each
-        entry in lowest terms, kept in ``_kernel``.
+        Each entry is (S_n - S_k) / S_{n-k} in lowest terms; the row is kept
+        in ``_kernel``.
         """
         row = self._kernel.get(n)
         if row is None:
-            self._reach(n)
-            if self.power_kernel:
-                u, w = _parts(self)
-                v = list(accumulate(repeat(u, n - 1), mul, initial=self.one))
-                if w != 1:
-                    v = [x * w ** (n - 1 - k) for k, x in enumerate(v)]
-                return w ** (n - 1), v
+            self._grow(n)
             ints = self._ints
             row = self._kernel[n] = _ratio_form([_lowest(ints[n] - ints[k], ints[n - k])
                                                  for k in range(n)])
@@ -499,9 +490,8 @@ def _chain_rows(ctx: PsiContext, pairs, m: int):
     W(n, k) = prod F(n+i, k+j) over the pairs; a star chain reads the same
     rows with the operands swapped (``series._convolve``).  The rows are
     made as they are read, so a product holds one at a time.  A kernel row
-    stored in ``_kernel`` is read there, any other through ``_kernel_row``,
-    which refuses a zero sequence value (q = -1 has s_2 = 0) or an index
-    past a custom list's end as the row that needs it is read.
+    stored in ``_kernel`` is read there, any other through ``_kernel_row``;
+    the chain's reach is refused first, by ``_weighting``.
     """
     kern, kernel_row, binom = ctx._kernel, ctx._kernel_row, ctx._binomials(m)
 

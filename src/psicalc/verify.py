@@ -19,21 +19,19 @@ with SHA-512, whatever ``PYTHONHASHSEED`` is).  So a rule's draws depend
 only on (seed, rule, kind, order, trials), never on computed values or on
 the suites and sequences run before it: any report is reproduced by
 running its suite over its sequence alone with the same flags.  The kind
-is ``"q"`` for symbolic q and for every numeric q, so the two runs consume
-identical draws, which is what makes the specialization comparison in
-``paired_specialization_check`` meaningful.
+is ``"q"`` for symbolic q and for every numeric q, so a run over ``q`` and
+one over ``q=3/2`` consume identical draws, and the first, evaluated at
+q = 3/2, gives the second's reports.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple
 
 from . import calculus
 from .calculus import RuleReport, compare
-from .coefficients import scalar_eval
 from .errors import BadSpec, echo
 from .operator_algebra import ORDINARY, OperatorSum
 from .psi_context import PsiContext, _power, get_context
@@ -345,36 +343,3 @@ def run_suites(suites, specs, order: int, trials: int, seed: int) -> list[RuleRe
                 if rule.suite == suite and rule.applies(ctx, order, *rule.args):
                     reports.extend(_run(rule, ctx, order, trials, seed))
     return reports
-
-
-def evaluate_series_at(f: WardSeries, point, target_ctx: PsiContext) -> WardSeries:
-    """Map a symbolic-q series onto a numeric context by evaluating q."""
-    return WardSeries(target_ctx, [scalar_eval(c, point) for c in f.coeffs])
-
-
-def paired_specialization_check(order: int, trials: int, seed: int,
-                                suites=SUITE_NAMES) -> tuple[bool, list[str]]:
-    """Run every suite symbolically and at q = 3/2; compare after evaluation.
-
-    Returns (ok, mismatch descriptions).  Both runs consume identical random
-    draws, so reports pair up one-to-one.
-    """
-    point = Fraction(3, 2)
-    sym = run_suites(suites, ("q",), order, trials, seed)
-    num = run_suites(suites, ("q=3/2",), order, trials, seed)
-    target = get_context("q=3/2")
-    problems: list[str] = []
-    if len(sym) != len(num):
-        return False, ["suite shapes differ between symbolic and numeric runs"]
-    for rs, rn in zip(sym, num):
-        if rs.rule != rn.rule:
-            problems.append(f"rule order diverged: {rs.rule} vs {rn.rule}")
-            continue
-        if rs.equal != rn.equal or rs.ok != rn.ok:
-            problems.append(f"{rs.rule}: verdicts differ (symbolic vs numeric)")
-            continue
-        for side in ("lhs", "rhs"):
-            spec_side = evaluate_series_at(getattr(rs, side), point, target)
-            if spec_side != getattr(rn, side):
-                problems.append(f"{rs.rule}: {side} does not specialize to the q=3/2 run")
-    return not problems, problems

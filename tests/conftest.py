@@ -1,4 +1,5 @@
 import fractions
+import numbers
 import sys
 from math import gcd, lcm
 from operator import add
@@ -71,6 +72,11 @@ def _fractions_made_under(codes, run) -> list:
 @pytest.fixture(scope="session")
 def fractions_made_under():
     return _fractions_made_under
+
+
+def scalar_eval(s, point):
+    """A scalar at q = point; plain rationals pass through."""
+    return s if isinstance(s, numbers.Rational) else s.eval_at(point)
 
 
 # -- reference sums ----------------------------------------------------------------

@@ -10,14 +10,16 @@ import time
 from fractions import Fraction
 from math import comb
 
+from conftest import scalar_eval
+
 from psicalc import calculus
-from psicalc.coefficients import Q, scalar_eval
 from psicalc.operator_algebra import (
     ORDINARY,
     OperatorSum,
     binomial_operator,
 )
 from psicalc.psi_context import get_context
+from psicalc.qfield import Q
 from psicalc.series import (
     constant,
     e_psi,
@@ -25,11 +27,7 @@ from psicalc.series import (
     make_series,
     monomial,
 )
-from psicalc.verify import (
-    custom_spec,
-    paired_specialization_check,
-    random_series,
-)
+from psicalc.verify import SUITE_NAMES, custom_spec, random_series, run_suites
 
 FIVE_SPECS = ("natural", "q", "q=3/2", "fib", "custom:[0,1,2,1,3,1,4]")
 
@@ -270,8 +268,12 @@ def test_criterion_09_quotient_and_reciprocal():
 
 
 def test_criterion_10_specialization_coherence():
-    ok, problems = paired_specialization_check(order=6, trials=5, seed=1010)
-    detail = "symbolic q run evaluated at 3/2 equals numeric q=3/2 run"
-    if problems:
-        detail += f" ({problems[:2]})"
-    record(10, ok, detail)
+    # both runs consume identical draws, so the symbolic reports evaluated at
+    # q = 3/2 are the numeric ones: rule order, verdicts and both sides
+    def view(r, point=None):
+        return r.rule, r.equal, r.ok, *([scalar_eval(c, point) for c in side.coeffs]
+                                        for side in (r.lhs, r.rhs))
+
+    sym, num = (run_suites(SUITE_NAMES, (spec,), 6, 5, 1010) for spec in ("q", "q=3/2"))
+    ok = [view(r, Fraction(3, 2)) for r in sym] == [view(r) for r in num]
+    record(10, ok, "symbolic q run evaluated at 3/2 equals numeric q=3/2 run")

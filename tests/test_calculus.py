@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import fraction_sums
+from conftest import fraction_sums, scalar_eval
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +20,10 @@ from psicalc.calculus import (
     reciprocal_derivative,
     reciprocal_rule_report,
 )
-from psicalc.coefficients import Q, scalar_eval
 from psicalc.errors import BadIndices, ContextMismatch, PsiCalcError
 from psicalc.operator_algebra import ORDINARY, OperatorSum, binomial_operator, rho, sigma
 from psicalc.psi_context import get_context
+from psicalc.qfield import Q
 from psicalc.series import WardSeries, constant, cos_psi, e_psi, make_series, monomial, sin_psi
 from psicalc.verify import random_series
 

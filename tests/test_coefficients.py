@@ -2,19 +2,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import scalar_eval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psicalc import intpoly
-from psicalc.coefficients import (
-    _norm_rat,
-    format_scalar,
-    parse_rational,
-    parse_scalar,
-    scalar_eval,
-    scalar_from_json,
-    scalar_to_json,
-)
+from psicalc.coefficients import _norm_rat, parse_rational, scalar_from_json, scalar_to_json
 from psicalc.intpoly import _digit_bits, _pack, _unpack
 from psicalc.qfield import Q, PolyQ, RatFuncQ, embed_rational
 from psicalc.errors import DivisionByZero, ParseError, VariantMismatch
@@ -562,6 +555,6 @@ def test_json_booleans_are_not_coefficients():
 
 
 def test_parse_format_scalar():
-    assert parse_scalar("5/3", symbolic=False) == Fraction(5, 3)
-    assert format_scalar(Fraction(5, 3)) == "5/3"
-    assert format_scalar(Q + embed_rational(1)) == "1+q"
+    assert parse_rational("5/3") == Fraction(5, 3)
+    assert str(Fraction(5, 3)) == "5/3"
+    assert str(Q + embed_rational(1)) == "1+q"

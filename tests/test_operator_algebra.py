@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from psicalc import operator_algebra, psi_context
 from psicalc.calculus import general_leibniz
-from psicalc.coefficients import Q, embed_rational
 from psicalc.errors import (BadIndices, BadSpec, BoundExceeded, FlavorMismatch, KOutOfRange,
                             VariantMismatch)
 from psicalc.operator_algebra import (
@@ -24,7 +23,8 @@ from psicalc.operator_algebra import (
     rho,
     sigma,
 )
-from psicalc.psi_context import PsiContext, _form_value, get_context
+from psicalc.psi_context import PsiContext, _form_value, _q_power, get_context
+from psicalc.qfield import Q, embed_rational
 from psicalc.series import WardSeries, _convolve, e_psi, make_series, monomial, zeros
 from psicalc.verify import custom_spec, default_specs
 
@@ -324,38 +324,58 @@ def test_unrolled_recurrence():
 LONG_CUSTOM = "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13,-2,5/7,6,-1/3,8,17]"
 
 
+def product_values(ctx, n, m):
+    """The product rows P<n k>(r, c) = C(r, c) W<n k>(r, c), r <= m, that binomial_terms weighs by.
+
+    A power kernel stores no table: term k is the twist (k, 0) times C(n, k),
+    so W<n k>(r, c) = C(n, k) q^(k c).  Otherwise they are the stored tables
+    of ``binomial_weights``, read as values.
+    """
+    if ctx.power_kernel:
+        return [[[ctx.psi_binomial(r, c) * x * _q_power(ctx, p * c + s) for c in range(r + 1)]
+                 for r in range(m + 1)]
+                for *_, (p, s), x in binomial_terms(ctx, n, m)]
+    return [[[_form_value(row, c) for c in range(r + 1)] for r, row in enumerate(table[: m + 1])]
+            for table in binomial_weights(ctx, n, m)]
+
+
 @pytest.mark.parametrize("spec", ("fib", LONG_CUSTOM, "q=3/2", "natural"))
 def test_binomial_weights_give_the_rule_on_monomials(spec):
     # D^n(x^u x^(r+n-u)) at x^r: only c = u-n+k of term k survives, so the
-    # product rows P<n k>(r, c) = C(r, c) W<n k>(r, c) give sum_k P<n k>(r, c) = C(r+n, u)
+    # product rows P<n k>(r, c) = C(r, c) W<n k>(r, c) give sum_k P<n k>(r, c) = C(r+n, u);
+    # over a power kernel that is q-Vandermonde, read off the twists
     ctx = get_context(spec)
     for n in range(7):
-        tables = binomial_weights(ctx, n, 10)
+        tables = product_values(ctx, n, 10)
         for r in range(11):
             for u in range(r + n + 1):
-                got = sum(_form_value(tables[k][r], c)
+                got = sum(tables[k][r][c]
                           for k in range(n + 1) if 0 <= (c := u - n + k) <= r)
                 assert got == ctx.psi_binomial(r + n, u), (n, r, u)
 
 
 @pytest.mark.parametrize("spec", ("fib", "natural", "q=3/2", "q=-2/5", LONG_CUSTOM))
 def test_binomial_weights_grow_in_any_order(spec):
-    # the stored tables are the binomial times the weight of the slow oracle,
-    # whatever order the requests come in
+    # the product rows are the binomial times the weight of the slow oracle,
+    # whatever order the requests come in; a power kernel, weighed by twists,
+    # stores none
     ctx = PsiContext.from_spec(spec)
     assert ctx._weights == []
     requests = ((2, 5), (6, 3), (3, 12), (8, 0))
     stored, reached = {}, {}
     for n, m in requests + requests[::-1]:
+        values = product_values(ctx, n, m)
+        assert len(values) == n + 1
+        for k, table in enumerate(values):
+            weight = binomial_operator(n, k)._weight_rows(ctx, m)
+            assert table == [[ctx.psi_binomial(r, c) * w for c, w in enumerate(row)]
+                             for r, row in enumerate(weight)]
+        if ctx.power_kernel:
+            assert ctx._weights == []
+            continue
         tables = binomial_weights(ctx, n, m)
         assert stored.setdefault(n, tables) is tables
-        assert len(tables) == n + 1
-        for k, table in enumerate(tables):
-            assert len(table) > m
-            weight = binomial_operator(n, k)._weight_rows(ctx, m)
-            assert [[_form_value(row, c) for c in range(r + 1)] for r, row in enumerate(
-                table[: m + 1])] == [[ctx.psi_binomial(r, c) * w for c, w in enumerate(row)]
-                                     for r, row in enumerate(weight)]
+        assert all(len(table) > m for table in tables)
         # a request reaches levels 0..n and needs rows 0..m+n-j of level j;
         # a level holds what its largest request needed
         for j in range(n + 1):
@@ -365,7 +385,7 @@ def test_binomial_weights_grow_in_any_order(spec):
                 assert all(len(t) >= m + n - j + 1 for t in level)
             assert [len(t) for t in level] == [reached[j]] * (j + 1)
         assert_level_rows_share_one_canonical_denominator(ctx)
-    assert len(ctx._weights[0][0]) == 16 and len(ctx._weights) == 9
+    assert ctx.power_kernel or len(ctx._weights[0][0]) == 16 and len(ctx._weights) == 9
 
 
 def assert_level_rows_share_one_canonical_denominator(ctx):
@@ -390,11 +410,13 @@ def test_binomial_weights_read_no_kernel_row():
 
 
 def test_binomial_weights_refuse_symbolic_q(qsym):
-    # the integers S_n of a symbolic context are the values at q = 1, which
-    # weigh nothing; binomial_terms weighs by twists there
-    with pytest.raises(VariantMismatch, match="^binomial_weights needs a plain-rational context"):
-        binomial_weights(qsym, 2, 3)
-    assert qsym._weights == []
+    # every power kernel, symbolic q among them, is weighed by twists
+    # (binomial_terms), and builds no table
+    for ctx in (qsym, *map(PsiContext.from_spec, ("natural", "q=3/2", "q=-2/5"))):
+        with pytest.raises(VariantMismatch,
+                           match="^binomial_weights needs a kernel that is not a power of q"):
+            binomial_weights(ctx, 2, 3)
+        assert ctx._weights == []
 
 
 def test_binomial_weights_grow_only_the_levels_a_request_reaches():

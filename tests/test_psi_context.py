@@ -2,10 +2,9 @@ from fractions import Fraction
 from itertools import islice, zip_longest
 
 import pytest
-from conftest import canonical_form, form_add
+from conftest import canonical_form, form_add, scalar_eval
 
-from psicalc.coefficients import (Q, PolyQ, RatFuncQ, _integer_vector, _norm_rat, embed_rational,
-                                  scalar_eval)
+from psicalc.coefficients import _integer_vector, _norm_rat
 from psicalc.errors import (
     BadSpec,
     IndexOutOfBound,
@@ -14,6 +13,7 @@ from psicalc.errors import (
 )
 from psicalc import psi_context
 from psicalc.psi_context import PsiContext, get_context
+from psicalc.qfield import Q, PolyQ, RatFuncQ, embed_rational
 from psicalc.qkernels import _PACKED_BITS, _binomials_at
 from psicalc.series import make_series
 from psicalc.verify import custom_spec
@@ -173,9 +173,21 @@ TABLE_SPECS = [
 ]
 
 
+def kernel_row(ctx, m: int) -> tuple:
+    """Kernel row m of ``ctx`` as a row form, read through ``_kernel_row``.
+
+    A power kernel has no row: its entries are read through ``fontane_kernel``,
+    over the lcm of their denominators.
+    """
+    if not ctx.power_kernel:
+        return ctx._kernel_row(m)
+    row = [ctx.fontane_kernel(m, k) for k in range(m)]
+    return (1, row) if ctx.symbolic else _integer_vector(row)
+
+
 def table_rows(ctx, n: int) -> tuple:
-    """Kernel rows 0..n of ``ctx``, read through ``_kernel_row``, and its binomial rows 0..n."""
-    return [(1, [])] + [ctx._kernel_row(m) for m in range(1, n + 1)], ctx._binomials(n)[: n + 1]
+    """Kernel rows 0..n of ``ctx`` (``kernel_row``) and its binomial rows 0..n."""
+    return [(1, [])] + [kernel_row(ctx, m) for m in range(1, n + 1)], ctx._binomials(n)[: n + 1]
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
@@ -188,7 +200,7 @@ def test_tables_equal_the_fraction_builder(spec):
     stepped = PsiContext.from_spec(spec)
     for m in steps:
         stepped._binomials(m)
-        stepped._kernel_row(m)
+        kernel_row(stepped, m)
     got = repr(table_rows(ctx, n))
     assert got == repr(fraction_tables(ctx, n))
     assert repr(table_rows(stepped, n)) == got
