@@ -113,7 +113,10 @@ def _parse_chain(text: str) -> tuple[tuple[int, int], ...]:
     import ast
 
     try:
-        raw = tuple(ast.literal_eval(text))
+        raw = ast.literal_eval(text)
+        if not isinstance(raw, (list, tuple)):
+            # a dict, set or scalar literal is no list of pairs
+            raise TypeError
     except (ValueError, SyntaxError, TypeError) as exc:
         raise ParseError(f"cannot parse chain {echo(text)}") from exc
     return tuple([check_pair(p) for p in raw])

@@ -24,15 +24,17 @@ and by ``binomial_weights`` (the binomial rows and the integers S_n).
   Pascal's rows, which bound the digits of every q-binomial the kernels
   use.  A series grows them through its order as it is made, so the series
   kernels read them as they are stored.
-* ``_kernel_row(n)`` gives row n of the weight kernel
-  F(n, k) = (s_n - s_k) / s_{n-k}, 0 <= k < n, for a kernel that is not a
-  power of q.  Whether every entry is a power F(n, k) = q^k (the q-analogs,
-  and q = 1 over the sequence 0, 1, 2, ...) is one fact of a context,
-  ``power_kernel``, fixed on construction; such a kernel has no row, as
-  its readers take the closed form (``fontane_kernel``) or a twist
+* ``_kernel_row(n, stop)`` gives entries 0..stop-1 of row n of the weight
+  kernel F(n, k) = (s_n - s_k) / s_{n-k}, 0 <= k < n, for a kernel that is
+  not a power of q.  Whether every entry is a power F(n, k) = q^k (the
+  q-analogs, and q = 1 over the sequence 0, 1, 2, ...) is one fact of a
+  context, ``power_kernel``, fixed on construction; such a kernel has no
+  row, as its readers take the closed form (``fontane_kernel``) or a twist
   (``_weighting``).  Otherwise each entry is (S_n - S_k) / S_{n-k} in
-  lowest terms by one small gcd, and the row is kept per index in
-  ``_kernel``.
+  lowest terms by one small gcd.  A row has one reader, a chain
+  (``_chain_rows``), so ``_kernel`` keeps per index only the prefix a chain
+  read, built again when a longer one is asked for; ``fontane_kernel``
+  reads a single entry as one ratio of the S_n, with no row.
 
 The kernel and binomial rows are row forms (d, v), one denominator and a
 vector with row[k] == v[k] / d.  Over plain rationals d is a positive int,
@@ -42,8 +44,7 @@ Every row is built on ints in that form with no gcd over the row: over the
 lcm of entries in lowest terms, or, for the integral binomials of the
 built-in kinds, over a known power of w.  The binomial rows over symbolic
 q are Pascal's, with d = 1 and int entries.  The accessors give the
-canonical scalars (an int when whole); ``fontane_kernel`` gives q^k over a
-power kernel without a row.
+canonical scalars (an int when whole).
 
 ``_weighting`` weighs a product by a chain of index pairs: over a power
 kernel by a twist, a power of q per term, with no row read; otherwise by
@@ -122,12 +123,6 @@ def _q_ratio(u, w):
 # one division per result coefficient that every kernel ends in.
 
 
-def _form_value(form: tuple, k: int) -> Scalar:
-    """Entry k of a row form as a canonical scalar."""
-    d, v = form
-    return _int_ratio(v[k], d)
-
-
 def _form_mul(f: tuple, g: tuple) -> tuple:
     """The entrywise product of two row forms, as long as the shorter."""
     return f[0] * g[0], list(map(mul, f[1], g[1]))
@@ -180,11 +175,9 @@ def _binomial_row(prev: tuple, ints: list, w: int, integral: bool) -> tuple:
 
 
 def _parts(ctx: PsiContext) -> tuple:
-    """(u, w) with the context's q = u / w in lowest terms; over symbolic q, (q, 1); no q is 1."""
+    """(u, w) with the context's q = u / w in lowest terms; (1, 1) with no q or over symbolic q."""
     q = ctx.q_scalar
-    if q is None:
-        return 1, 1
-    return (q, 1) if ctx.symbolic else (q.numerator, q.denominator)
+    return (1, 1) if q is None or ctx.symbolic else (q.numerator, q.denominator)
 
 
 class PsiContext:
@@ -193,8 +186,8 @@ class PsiContext:
     ``power_kernel``: every F(n, k) is q^k, which holds for the q-analogs
     and, with q = 1, for the sequence 0, 1, 2, ...; ``fontane_kernel``,
     ``_weighting`` and ``operator_algebra.binomial_terms`` read it to use
-    that closed form.  ``_kernel`` holds the rows of any other kernel,
-    keyed by index, as they are read; ``_binom`` the binomial rows 0..n
+    that closed form.  ``_kernel`` holds the row prefixes that chains over
+    any other kernel read, keyed by index; ``_binom`` the binomial rows 0..n
     that some reader needed.
     """
 
@@ -287,18 +280,18 @@ class PsiContext:
                 binom.append(_binomial_row(binom[-1], self._ints, w, integral))
         return binom
 
-    def _kernel_row(self, n: int) -> tuple:
-        """Row n >= 1 of a kernel that is not a power of q, F(n, k) for 0 <= k < n, as a row form.
+    def _kernel_row(self, n: int, stop: int) -> tuple:
+        """F(n, k) for 0 <= k < stop <= n of a kernel that is not a power of q, as a row form.
 
-        Each entry is (S_n - S_k) / S_{n-k} in lowest terms; the row is kept
-        in ``_kernel``.
+        Each entry is (S_n - S_k) / S_{n-k} in lowest terms; the prefix is
+        kept in ``_kernel``, and built again when a longer one is asked for.
         """
         row = self._kernel.get(n)
-        if row is None:
+        if row is None or len(row[1]) < stop:
             self._grow(n)
             ints = self._ints
             row = self._kernel[n] = _ratio_form([_lowest(ints[n] - ints[k], ints[n - k])
-                                                 for k in range(n)])
+                                                 for k in range(stop)])
         return row
 
     def _serve(self, bound: int | None) -> "PsiContext":
@@ -406,21 +399,24 @@ class PsiContext:
         if not 0 <= k <= n:
             raise KOutOfRange(f"k={k} outside 0..{n}")
         if not self.symbolic:
-            return _form_value(self._binomials(n)[n], k)
+            d, v = self._binomials(n)[n]
+            return _int_ratio(v[k], d)
         return self._qkernels.q_binomial(self, n, k)
 
     def fontane_kernel(self, n: int, k: int) -> Scalar:
         """F(n, k) with s_n - s_k = F(n, k) * s_{n-k}; needs 0 <= k < n.
 
         Over a power kernel the closed form q^k, for which the sequence
-        grows no further than ``_reach`` takes it.
+        grows no further than ``_reach`` takes it; otherwise one ratio of
+        the integers S_n, with no kernel row built or kept.
         """
         self._check_index(n, reach=True)
         if not 0 <= k < n:
             raise KernelUndefined(f"F({n}, {k}) undefined; need 0 <= k < n")
         if self.power_kernel:
             return _q_power(self, k)
-        return _form_value(self._kernel_row(n), k)
+        ints = self._ints
+        return _int_ratio(ints[n] - ints[k], ints[n - k])
 
     # -- scalar helpers --------------------------------------------------------
 
@@ -489,18 +485,19 @@ def _chain_rows(ctx: PsiContext, pairs, m: int):
     Row n is C(n, k) W(n, k), the binomial row times the weight
     W(n, k) = prod F(n+i, k+j) over the pairs; a star chain reads the same
     rows with the operands swapped (``series._convolve``).  The rows are
-    made as they are read, so a product holds one at a time.  A kernel row
-    stored in ``_kernel`` is read there, any other through ``_kernel_row``;
-    the chain's reach is refused first, by ``_weighting``.
+    made as they are read, so a product holds one at a time.  Each kernel
+    row is read through ``_kernel_row`` as the prefix the slice ends in, so
+    the context keeps no entry past it; the chain's reach is refused first,
+    by ``_weighting``.
     """
-    kern, kernel_row, binom = ctx._kernel, ctx._kernel_row, ctx._binomials(m)
+    kernel_row, binom = ctx._kernel_row, ctx._binomials(m)
 
     def rows():
         for n in range(m + 1):
             row = binom[n]
             for i, j in pairs:
-                # F(n+i, k+j) for k = 0..n is one slice of a kernel row
-                d, v = kern.get(n + i) or kernel_row(n + i)
+                # F(n+i, k+j) for k = 0..n is one slice of a kernel row's prefix
+                d, v = kernel_row(n + i, j + n + 1)
                 row = _form_mul(row, (d, v[j : j + n + 1]))
             yield row
 

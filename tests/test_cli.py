@@ -1,6 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tokenize
@@ -147,9 +150,12 @@ def test_op_missing_file(capsys):
 
 
 def test_op_bad_chain_text(capsys):
-    code, _, err = run_cli(capsys, "op", "chain", "[1]", "[1]", "--psi", "fib",
-                           "--chain", "pairs?")
-    assert code == 2
+    # a chain is a list or tuple literal: a dict's keys or a set are no chain, nor is
+    # an empty dict the empty chain
+    for text in ("pairs?", "{}", "{(2,1): 0}", "{(2,1)}"):
+        code, out, err = run_cli(capsys, "op", "chain", "[1]", "[1]", "--psi", "fib",
+                                 "--chain", text)
+        assert (code, out, err) == (2, "", f"error: cannot parse chain {text!r}\n")
 
 
 @pytest.mark.parametrize("chain", ("[(1.5,0)]", "[(1e400,0)]", "[(True,False)]", "[(2,True)]"))
@@ -160,6 +166,20 @@ def test_op_non_integer_chain_index_is_usage_error(capsys, chain):
                              "--chain", chain)
     assert code == 2
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# a CI output pin: test "$(psicalc <args> | sha256sum | cut -d' ' -f1)" = <sha256>
+CI_PIN = re.compile(r"""\$\((?:timeout \d+ )?psicalc (.+) \| sha256sum \| cut -d' ' -f1\)" = (\w{64})$""")
+
+
+def test_the_ci_output_pins_hold(capsys):
+    # each pin of the workflow's smoke step, run through main: stdout hashes as pinned
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    pins = [m.groups() for m in map(CI_PIN.search, workflow.read_text().splitlines()) if m]
+    assert len(pins) >= 18
+    for args, digest in pins:
+        _, out, _ = run_cli(capsys, *shlex.split(args))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def test_op_wrong_operand_count(capsys):

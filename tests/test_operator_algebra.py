@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from psicalc import operator_algebra, psi_context
 from psicalc.calculus import general_leibniz
+from psicalc.coefficients import _int_ratio
 from psicalc.errors import (BadIndices, BadSpec, BoundExceeded, FlavorMismatch, KOutOfRange,
                             VariantMismatch)
 from psicalc.operator_algebra import (
@@ -23,7 +24,7 @@ from psicalc.operator_algebra import (
     rho,
     sigma,
 )
-from psicalc.psi_context import PsiContext, _form_value, _q_power, get_context
+from psicalc.psi_context import PsiContext, _q_power, get_context
 from psicalc.qfield import Q, embed_rational
 from psicalc.series import WardSeries, _convolve, e_psi, make_series, monomial, zeros
 from psicalc.verify import custom_spec, default_specs
@@ -335,7 +336,7 @@ def product_values(ctx, n, m):
         return [[[ctx.psi_binomial(r, c) * x * _q_power(ctx, p * c + s) for c in range(r + 1)]
                  for r in range(m + 1)]
                 for *_, (p, s), x in binomial_terms(ctx, n, m)]
-    return [[[_form_value(row, c) for c in range(r + 1)] for r, row in enumerate(table[: m + 1])]
+    return [[[_int_ratio(v[c], d) for c in range(r + 1)] for r, (d, v) in enumerate(table[: m + 1])]
             for table in binomial_weights(ctx, n, m)]
 
 

@@ -148,7 +148,8 @@ def fraction_tables(ctx, n: int) -> tuple:
             krow = _integer_vector([_norm_rat(Fraction(psi[m] - psi[k]) / psi[m - k])
                                     for k in range(m)])
         elif m > 1:
-            (d, v), (u, w) = kern[-1], psi_context._parts(ctx)
+            (d, v), w = kern[-1], psi_context._parts(ctx)[1]
+            u = q if ctx.symbolic else q.numerator
             krow = d * w, (v if w == 1 else [x * w for x in v]) + [v[-1] * u]
         else:
             krow = 1, [ctx.one]
@@ -180,7 +181,7 @@ def kernel_row(ctx, m: int) -> tuple:
     over the lcm of their denominators.
     """
     if not ctx.power_kernel:
-        return ctx._kernel_row(m)
+        return ctx._kernel_row(m, m)
     row = [ctx.fontane_kernel(m, k) for k in range(m)]
     return (1, row) if ctx.symbolic else _integer_vector(row)
 
@@ -214,9 +215,9 @@ def test_a_zero_value_is_refused_at_its_index(spec, index):
     if spec.startswith("q="):
         # the sequence stops at the last good value, and every row before it still reads
         ctx = PsiContext.from_spec(spec)
-        for read in (ctx._binomials, ctx._kernel_row):
+        for read in (lambda: ctx._binomials(6), lambda: ctx._kernel_row(6, 6)):
             with pytest.raises(BadSpec):
-                read(6)
+                read()
         assert len(ctx.psi) == len(ctx._ints) == index
         kern, binom = table_rows(ctx, index - 1)
         assert len(kern) == len(binom) == len(ctx._binom) == index

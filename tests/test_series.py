@@ -666,7 +666,7 @@ def test_a_power_kernel_product_reads_no_row_of_its_reach(spec):
 @pytest.mark.parametrize("spec", ["natural", "q=3/2", "q"])
 def test_a_power_kernel_diagonal_reads_no_kernel_row(spec, monkeypatch):
     # F(n + 3000, n) = q^n and F(n + 3000, 2) = q^2 whatever the reach, entry by entry
-    def no_row(self, n):
+    def no_row(self, n, stop):
         raise AssertionError(f"kernel row {n} read")
 
     ctx = PsiContext.from_spec(spec)
@@ -682,6 +682,44 @@ def test_a_plain_kernel_product_keeps_only_the_rows_it_reads():
     f, g = make_series(ctx, [1, 2]), make_series(ctx, [3, 4])
     assert f.fontane(g, 600, 0) == WardSeries(ctx, reference_chain(f, g, ((600, 0),)))
     assert set(ctx._kernel) <= {600, 601} and len(ctx._binom) <= 2
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("j", [0, 2])
+def test_a_far_plain_kernel_product_keeps_only_the_prefixes_it_reads(order, j):
+    # c_n = sum_k C(n,k) a_k b_{n-k} F(n+3000, k+j), from the sequence values in Fractions;
+    # row n + 3000 is read through entry n + j, so no kept row holds more than j + order + 1
+    ctx = PsiContext.from_spec("fib")
+    a, b = [1, 2, 3][: order + 1], [3, 4, 5][: order + 1]
+    got = make_series(ctx, a).fontane(make_series(ctx, b), 3000, j)
+    s = [Fraction(x) for x in ctx.psi]
+    fact = [Fraction(1)]
+    for x in s[1 : order + 1]:
+        fact.append(fact[-1] * x)
+    want = [sum(fact[n] / (fact[k] * fact[n - k]) * a[k] * b[n - k]
+                * (s[n + 3000] - s[k + j]) / s[n + 3000 - k - j] for k in range(n + 1))
+            for n in range(order + 1)]
+    assert list(got.coeffs) == want
+    assert ctx._kernel and all(len(v) <= j + order + 1 for _, v in ctx._kernel.values())
+
+
+# a kernel that is not a power of q, with index 40 in reach
+CUSTOM_40 = "custom:[" + ",".join(map(str, [0, 1] + [
+    Fraction((-1) ** n * (3 * n + 1), n % 5 + 1) for n in range(2, 41)])) + "]"
+
+
+@pytest.mark.parametrize("spec", ["fib", CUSTOM_40])
+def test_kernel_entries_read_alone_keep_no_row(spec):
+    # fontane_kernel and the diagonal maps read each entry as one ratio of the sequence integers
+    ctx = PsiContext.from_spec(spec)
+    assert ctx.fontane_kernel(6, 2) == Fraction(ctx.psi[6] - ctx.psi[2]) / ctx.psi[4]
+    for n in range(1, 41):
+        for k in range(n):
+            ctx.fontane_kernel(n, k)
+    f = make_series(ctx, [1, 2, 3])
+    f.diag_m(30, 2)
+    f.diag_l(30, 2)
+    assert ctx._kernel == {}
 
 
 def test_convolve_refuses_weight_rows_that_end_before_the_product():
