@@ -10,8 +10,9 @@ Every product rule is one rule on asterisk operator sums A,
 
     D(A(f, g)) = rho(A)(Df, g) + sigma(A)(f, Dg),
 
-and its mirror on the star flavor: there sigma(A) acts on (Df, g) and
-rho(A) on (f, Dg).  A single pair gives
+and its mirror on the star flavor, the same rule on the swapped operands
+(A#(f, g) = A(g, f)): there sigma(A) acts on (Df, g) and rho(A) on
+(f, Dg).  A single pair gives
 
     D(f *_{i,j} g) = Df *_{i+1,j+1} g  +  f *_{i+1,j}*_{1,0} Dg
     D(f #_{i,j} g) = Df #_{i+1,j}#_{1,0} g  +  f #_{i+1,j+1} Dg
@@ -38,7 +39,7 @@ displays with dilated numerators over g(x) g(qx).
 from __future__ import annotations
 
 from .errors import BadIndices, PsiCalcError
-from .operator_algebra import Frozen, OperatorSum, ProductChain, binomial_terms, rho, sigma
+from .operator_algebra import Frozen, OperatorSum, binomial_terms, rho, sigma
 from .series import WardSeries, _convolve, constant, first_difference
 
 
@@ -79,32 +80,26 @@ def compare(rule: str, lhs: WardSeries, rhs: WardSeries,
 # -- product rules ---------------------------------------------------------------
 
 
-def _flavored(a: OperatorSum, star: bool) -> OperatorSum:
-    # the star mirror of a sum; the empty chain has no flavor, so it stays the ordinary product
-    if not star:
-        return a
-    return OperatorSum(tuple([ProductChain(t.coefficient, True, t.pairs) for t in a.terms]))
-
-
 def product_rule(rule: str, a: OperatorSum, f: WardSeries, g: WardSeries,
                  star: bool = False) -> RuleReport:
     """The report ``rule`` on D(A(f, g)) = rho(A)(Df, g) + sigma(A)(f, Dg), A an asterisk sum.
 
     With ``star`` every chain of A acts in the star flavor, and then sigma(A)
-    acts on (Df, g) and rho(A) on (f, Dg).  A = ``ORDINARY`` gives the two
-    forms of the ordinary rule, a single pair or chain the rule of its
-    weighted product, and a formal sum the rule of the sum.  The right side
-    is one kernel call: the terms of the map on (Df, g) read the operands at
-    offsets (1, 0), those on (f, Dg) at (0, 1), through row
-    min(f.order, g.order) - 1.
+    acts on (Df, g) and rho(A) on (f, Dg): the rule on the swapped operands
+    (g, f).  A = ``ORDINARY`` gives the two forms of the ordinary rule, a
+    single pair or chain the rule of its weighted product, and a formal sum
+    the rule of the sum.  The right side is one kernel call: the terms of
+    rho(A) read the operands at offsets (1, 0), those of sigma(A) at (0, 1),
+    through row min(f.order, g.order) - 1.
     """
-    lhs = _flavored(a, star).apply(f, g).derivative()
-    r, s = _flavored(rho(a), star), _flavored(sigma(a), star)
+    g = f._peer(g)
     if star:
-        r, s = s, r
+        # a star product is the asterisk product of the swapped operands
+        f, g = g, f
+    lhs = a.apply(f, g).derivative()
     ctx, m = f.ctx, min(f.order, g.order) - 1
-    return compare(rule, lhs, _convolve(f, g, r.kernel_terms(ctx, m, 1, 0)
-                                        + s.kernel_terms(ctx, m, 0, 1)))
+    return compare(rule, lhs, _convolve(f, g, rho(a).kernel_terms(ctx, m, 1, 0)
+                                        + sigma(a).kernel_terms(ctx, m, 0, 1)))
 
 
 # -- higher product rule ------------------------------------------------------------

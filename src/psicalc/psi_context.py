@@ -10,12 +10,13 @@ read in their layout by the kernels of ``series`` (the binomial rows and
 the product rows of ``_weighting``) and ``qkernels`` (the binomial rows),
 and by ``binomial_weights`` (the binomial rows and the integers S_n).
 
-* ``_grow(n)`` extends the sequence through index n: the values s_n
-  (``psi``; s_0 = 0, s_1 = 1, and s_n != 0 is checked as each value is
-  added) and the same values cleared to integers (``_ints``),
-  S_n = s_n c_n, with c_n the lcm of a custom list's denominators, w^(n-1)
-  over q = u/w, and 1 otherwise; over symbolic q, S_n = n, the value at
-  q = 1.  Every accessor below grows the sequence as far as it needs.
+* ``_grow(n)`` extends the sequence through index n.  The sequence is
+  kept once, as the values cleared to integers (``_ints``), S_n = s_n c_n,
+  with c_n the lcm of a custom list's denominators, w^(n-1) over q = u/w,
+  and 1 otherwise; over symbolic q, S_n = n, the value at q = 1.  s_0 = 0,
+  s_1 = 1, and S_n != 0 is checked as each integer is added.  A value s_n
+  (``psi_value``, ``psi``) is derived from S_n when it is read.  Every
+  accessor below grows the sequence as far as it needs.
 * ``_binomials(n)`` extends the generalized binomials
   C(n, k) = s_n! / (s_k! * s_{n-k}!) through row n (``_binom``) and returns
   the stored rows.  Row n comes from row n-1 by the multiplicative identity
@@ -109,11 +110,6 @@ from .errors import (BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, K
                      VariantMismatch, echo)
 
 
-def _q_ratio(u, w):
-    # the step of q = u/w: s_m = S_m / w^(m-1) with S_m = u S_{m-1} + w^(m-1), one ratio
-    return lambda ints: _int_ratio(u * ints[-1] + w ** (len(ints) - 1), w ** (len(ints) - 1))
-
-
 # -- row forms ----------------------------------------------------------------
 #
 # Only the stored rows are kept canonical: they are built once and read
@@ -186,28 +182,35 @@ class PsiContext:
     ``power_kernel``: every F(n, k) is q^k, which holds for the q-analogs
     and, with q = 1, for the sequence 0, 1, 2, ...; ``fontane_kernel``,
     ``_weighting`` and ``operator_algebra.binomial_terms`` read it to use
-    that closed form.  ``_kernel`` holds the row prefixes that chains over
-    any other kernel read, keyed by index; ``_binom`` the binomial rows 0..n
+    that closed form.  ``_ints`` holds the sequence, as the integers S_n;
+    ``_clear`` is the lcm of a custom list's denominators, 1 for every
+    other kind.  ``_kernel`` holds the row prefixes that chains over any
+    other kernel read, keyed by index; ``_binom`` the binomial rows 0..n
     that some reader needed.
     """
 
-    __slots__ = ("kind", "bound", "symbolic", "q_scalar", "psi", "_fact", "_binom", "_kernel",
-                 "_scale", "_packed", "_weights", "zero", "one", "_spec", "_values", "_step",
+    __slots__ = ("kind", "bound", "symbolic", "q_scalar", "_fact", "_binom", "_kernel",
+                 "_scale", "_packed", "_weights", "zero", "one", "_spec", "_clear", "_step",
                  "_ints", "power_kernel", "_qkernels", "__weakref__")
 
     def __init__(self, kind: str, spec: str, values: tuple, step=None, *, q_scalar=None,
                  qkernels=None):
-        """``values`` starts the sequence; ``step(ints)`` gives each next value.
+        """``values`` starts the sequence; ``step(ints)`` gives each next integer S_m.
 
-        The step reads the integers S_k that the values before it clear to
-        (``_ints``).  Without a step the sequence is exactly ``values``.
-        ``qkernels`` is the ``qkernels`` module for a sequence of rational
-        functions of q.
+        ``values`` are rationals, cleared once by the lcm of their
+        denominators into the first integers S_k (``_ints``), and the step
+        reads the S_k before it.  Without a step the sequence is exactly
+        ``values``.  ``qkernels`` is the ``qkernels`` module for a sequence
+        of rational functions of q.
         """
         if values[0] != 0:
             raise BadSpec("sequence must start at 0")
         if values[1] != 1:
             raise BadSpec("sequence must have value 1 at index 1")
+        clear = lcm(*[x.denominator for x in values])
+        ints = [x.numerator * (clear // x.denominator) for x in values]
+        if 0 in ints[1:]:
+            raise BadSpec(f"sequence value at index {ints.index(0, 1)} is zero")
         symbolic = qkernels is not None
         one = qkernels.embed_rational(1) if symbolic else 1
         init = object.__setattr__
@@ -219,19 +222,17 @@ class PsiContext:
         init(self, "zero", qkernels.embed_rational(0) if symbolic else 0)
         init(self, "one", one)
         init(self, "_spec", spec)
-        init(self, "_values", values)
+        init(self, "_clear", clear)
         init(self, "_step", step)
-        init(self, "psi", (values[0],))
         init(self, "_fact", [one])
         init(self, "_binom", [(1, [1])])
         init(self, "_kernel", {})
         init(self, "_scale", [])
         init(self, "_packed", {})
         init(self, "_weights", [])
-        init(self, "_ints", [0])
+        init(self, "_ints", ints)
         init(self, "power_kernel", kind == "natural" or q_scalar is not None or (
             step is None and values == tuple(range(len(values)))))
-        self._grow(1 if step else self.bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("PsiContext is immutable")
@@ -241,25 +242,28 @@ class PsiContext:
 
     def _grow(self, n: int) -> None:
         """Extend the sequence through index n; past a custom list's end, BoundExceeded."""
-        if n < len(self.psi):
+        ints = self._ints
+        if n < len(ints):
             return
         if self.bound is not None and n > self.bound:
             raise BoundExceeded(
                 f"sequence {echo(self._spec)} ends at index {self.bound}, needs {n}")
-        psi, ints, w = list(self.psi), self._ints, _parts(self)[1]
-        # a custom list is cleared once by the lcm of its denominators
-        clear = 1 if self.symbolic else lcm(*[x.denominator for x in self._values])
-        try:
-            for m in range(len(psi), n + 1):
-                s = self._values[m] if m < len(self._values) else self._step(ints)
-                if not s:
-                    raise BadSpec(f"sequence value at index {m} is zero")
-                psi.append(s)
-                # S_m = s_m c_m; over symbolic q, S_m = m, the value at q = 1
-                c = clear * w ** (m - 1)
-                ints.append(m if self.symbolic else s.numerator * (c // s.denominator))
-        finally:
-            object.__setattr__(self, "psi", tuple(psi))
+        for m in range(len(ints), n + 1):
+            s = self._step(ints)
+            if not s:
+                raise BadSpec(f"sequence value at index {m} is zero")
+            ints.append(s)
+
+    def _value(self, n: int) -> Scalar:
+        """s_n, read from S_n: S_n / c_n, or over symbolic q the polynomial [n]_q."""
+        if self.symbolic:
+            return self._qkernels._from_integer([1] * n)
+        return _int_ratio(self._ints[n], self._clear * _parts(self)[1] ** max(n - 1, 0))
+
+    @property
+    def psi(self) -> tuple:
+        """The values s_n grown so far, derived from ``_ints``."""
+        return tuple([self._value(n) for n in range(len(self._ints))])
 
     def _reach(self, n: int) -> None:
         """Refuse what a read through index n refuses: past a custom list's end, or a zero value.
@@ -335,16 +339,17 @@ class PsiContext:
             from . import qkernels
             from .qfield import Q
 
-            zero, one = map(qkernels.embed_rational, (0, 1))
-            # s_m = 1 + q + ... + q^(m-1), m ones
-            ctx = cls("q", "q", (zero, one), lambda ints: qkernels._from_integer([1] * len(ints)),
-                      q_scalar=Q, qkernels=qkernels)
+            # S_m = m, s_m = 1 + q + ... + q^(m-1) at q = 1
+            ctx = cls("q", "q", (0, 1), len, q_scalar=Q, qkernels=qkernels)
         elif s.startswith("q="):
             try:
                 q0 = parse_rational(s[2:])
             except Exception as exc:
                 raise BadSpec(f"bad q value in spec {echo(spec)}") from exc
-            ctx = cls("q", f"q={q0}", (0, 1), _q_ratio(q0.numerator, q0.denominator), q_scalar=q0)
+            u, w = q0.numerator, q0.denominator
+            # S_m = s_m w^(m-1) = u S_{m-1} + w^(m-1)
+            ctx = cls("q", f"q={q0}", (0, 1), lambda ints: u * ints[-1] + w ** (len(ints) - 1),
+                      q_scalar=q0)
         elif s.startswith("custom:"):
             body = s[len("custom:") :].strip()
             if not (body.startswith("[") and body.endswith("]")):
@@ -380,13 +385,13 @@ class PsiContext:
 
     def psi_value(self, n: int) -> Scalar:
         self._check_index(n)
-        return self.psi[n]
+        return self._value(n)
 
     def psi_factorial(self, n: int) -> Scalar:
         self._check_index(n)
         fact = self._fact
         for m in range(len(fact), n + 1):
-            fact.append(_norm_rat(fact[-1] * self.psi[m]))
+            fact.append(_norm_rat(fact[-1] * self._value(m)))
         return fact[n]
 
     def psi_binomial(self, n: int, k: int) -> Scalar:

@@ -21,7 +21,8 @@ from psicalc.calculus import (
     reciprocal_rule_report,
 )
 from psicalc.errors import BadIndices, ContextMismatch, PsiCalcError
-from psicalc.operator_algebra import ORDINARY, OperatorSum, binomial_operator, rho, sigma
+from psicalc.operator_algebra import (ORDINARY, OperatorSum, ProductChain, binomial_operator, rho,
+                                     sigma)
 from psicalc.psi_context import get_context
 from psicalc.qfield import Q
 from psicalc.series import WardSeries, constant, cos_psi, e_psi, make_series, monomial, sin_psi
@@ -99,9 +100,14 @@ def test_boxplus_rule(star, fib, qsym):
         assert r.ok, (ctx.kind, star, r.first_diff)
 
 
+def flavored(b, star):
+    """Every chain of ``b`` in the flavor ``star``."""
+    return OperatorSum(tuple(ProductChain(t.coefficient, star, t.pairs) for t in b.terms))
+
+
 def two_call_right_side(a, f, g, star):
     """rho(A)(Df, g) + sigma(A)(f, Dg) (mirrored for star) as two applications and a sum."""
-    r, s = calculus._flavored(rho(a), star), calculus._flavored(sigma(a), star)
+    r, s = flavored(rho(a), star), flavored(sigma(a), star)
     if star:
         r, s = s, r
     return r.apply(f.derivative(), g) + s.apply(f, g.derivative())
@@ -224,6 +230,16 @@ def test_leibniz_rejects_bad_counts_and_mixed_contexts(fib, nat):
         general_leibniz(f, make_series(nat, [1, 2, 3]), 1)
     with pytest.raises(ContextMismatch):
         general_leibniz(f, [1, 2, 3], 1)
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_product_rule_checks_its_operands_in_order(fib, nat, star):
+    # the star rule swaps the operands only after g is checked against f
+    f = make_series(fib, [1, 2, 3])
+    with pytest.raises(ContextMismatch, match=r"\('fib' vs 'natural'\)"):
+        product_rule("rule", ORDINARY, f, make_series(nat, [1, 2, 3]), star)
+    with pytest.raises(ContextMismatch, match="expected a series"):
+        product_rule("rule", ORDINARY, f, [1, 2, 3], star)
 
 
 def leibniz_per_term(f, g, n):

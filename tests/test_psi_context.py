@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import islice, zip_longest
 
@@ -164,11 +166,14 @@ def custom_list(values) -> str:
     return "custom:[" + ",".join(map(str, values)) + "]"
 
 
+FRACTIONAL_LIST = [0, 1] + [Fraction((-1) ** n * (3 * n + 1), n % 5 + 1) for n in range(2, 41)]
+
+
 TABLE_SPECS = [
     "natural", "fib", "q=3/2", "q=-2/5", "q=2", "q=1", "q",
     custom_spec(40),
     "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13]",
-    custom_list([0, 1] + [Fraction((-1) ** n * (3 * n + 1), n % 5 + 1) for n in range(2, 41)]),
+    custom_list(FRACTIONAL_LIST),
     custom_list([0, 1] + [(-1) ** n * (n // 3 + 1) for n in range(2, 41)]),
     custom_list(range(13)),
 ]
@@ -224,8 +229,8 @@ def test_a_zero_value_is_refused_at_its_index(spec, index):
 
 
 def test_tables_make_no_fraction(fractions_made_under):
-    # a Fraction is made only as a sequence value: a custom value as from_spec
-    # parses it, a q = u/w value by the step; the tables are built on ints
+    # a Fraction is made only as from_spec parses a custom value or q = u/w;
+    # the sequence, each step's integer S_m, and the tables are built on ints
     for spec in TABLE_SPECS:
         ctx = PsiContext.from_spec(spec)
         codes = {PsiContext._grow.__code__, PsiContext.from_spec.__func__.__code__,
@@ -234,11 +239,55 @@ def test_tables_make_no_fraction(fractions_made_under):
             codes.add(ctx._step.__code__)
         made = fractions_made_under(
             codes, lambda: table_rows(PsiContext.from_spec(spec), ctx.bound or 40))
-        assert not {"_grow", "_binomials", "_kernel_row"} & set(made), spec
-        # the step makes at most one Fraction per value, s_2 .. s_40
-        assert made.count("<lambda>") <= 39, spec
-        if spec == "q=3/2":  # the hook sees the values the step makes
-            assert "<lambda>" in made
+        assert not {"_grow", "_binomials", "_kernel_row", "<lambda>"} & set(made), spec
+        if spec == "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13]":
+            # the hook sees the values from_spec parses
+            assert "from_spec" in made
+
+
+@pytest.mark.parametrize("spec, n", [("fib", 4000), ("q=3/2", 2000)])
+def test_the_sequence_is_kept_once_as_integers(fractions_made_under, spec, n):
+    # growing makes no Fraction, and keeps little more than the integers S_n
+    ctx = PsiContext.from_spec(spec)
+    made = fractions_made_under({PsiContext._grow.__code__, ctx._step.__code__},
+                                lambda: ctx._grow(40))
+    assert made == []
+    ctx = PsiContext.from_spec(spec)
+    tracemalloc.start()
+    try:
+        ctx._grow(n)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.25 * sum(map(sys.getsizeof, ctx._ints))
+
+
+def fib_values(n):
+    a, b = 0, 1
+    for _ in range(n):
+        yield a
+        a, b = b, a + b
+
+
+def q_values(q, n):
+    # s_m = q^0 + ... + q^(m-1), summed in the scalars of q
+    zero = q - q
+    return [sum((q ** k for k in range(m)), zero) for m in range(n)]
+
+
+@pytest.mark.parametrize("spec, values", [
+    ("fib", list(fib_values(41))),
+    ("q=3/2", q_values(Fraction(3, 2), 41)),
+    ("q=-2/5", q_values(Fraction(-2, 5), 41)),
+    ("q", q_values(Q, 41)),
+    (custom_list(FRACTIONAL_LIST), FRACTIONAL_LIST),
+])
+def test_values_are_the_sequence_definition(spec, values):
+    # s_n, read one at a time and as ``psi``, from the definition of each kind
+    want = [repr(x if isinstance(x, RatFuncQ) else _norm_rat(Fraction(x))) for x in values]
+    ctx = PsiContext.from_spec(spec)
+    assert [repr(ctx.psi_value(n)) for n in range(41)] == want
+    assert list(map(repr, ctx.psi)) == want
 
 
 @pytest.mark.parametrize("order", [(20, 5), (5, 20), (20, 5, 20), tuple(range(21))])
