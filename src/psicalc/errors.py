@@ -7,9 +7,25 @@ ZeroDivisionError, VariantMismatch is a TypeError, and so on.  Plain
 rational scalars are stdlib numbers, so dividing those by zero raises the
 bare builtin; code that needs the library type catches ZeroDivisionError,
 which covers both.
+
+``Immutable`` is the one base of every value class (contexts, series,
+rational functions of q, operator chains and sums, rule reports): its
+fields are set by the constructors alone, through ``object.__setattr__``.
 """
 
 import reprlib
+
+
+class Immutable:
+    """A value with slots whose fields no one may set or delete once it is built."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class PsiCalcError(Exception):

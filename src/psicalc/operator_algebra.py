@@ -57,7 +57,7 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .coefficients import Scalar, _norm_rat
-from .errors import FlavorMismatch, KOutOfRange, VariantMismatch, echo
+from .errors import FlavorMismatch, Immutable, KOutOfRange, VariantMismatch, echo
 from .psi_context import PsiContext, _lift, _weighting
 from .series import Pair, WardSeries, _convolve, check_pair
 
@@ -86,7 +86,7 @@ def _check_coefficient(c) -> Scalar:
     return c
 
 
-class Frozen:
+class Frozen(Immutable):
     """An immutable value with slots, compared, hashed and shown by the fields in ``__slots__``."""
 
     __slots__ = ()
@@ -110,12 +110,6 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class ProductChain(Frozen):

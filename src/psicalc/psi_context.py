@@ -1,11 +1,29 @@
 """Sequence contexts: the base sequence and the tables derived from it.
 
-A context fixes one base sequence s_0, s_1, ... and keeps append-only
-tables for the indices it has been asked about, so one context serves every
-order and ``get_context`` hands out one context per spec.  Each table is
-grown only as far as its readers read, by its own accessor here but for
-two: ``operator_algebra.binomial_weights`` grows ``_weights`` and
-``qkernels._binomials_at`` grows ``_packed``.  The row forms below are
+A context fixes one base sequence s_0, s_1, ... and its state is that
+sequence, kept once as the integers S_n (``_ints``, below).  Everything
+else it keeps is one of six tables, each a cache of values derived from
+the S_n, grown append-only by the one accessor its readers call and only
+as far as the call reads:
+
+* ``_binom``, the binomial rows, by ``_binomials``, which the series
+  kernels, ``_scales``, ``_chain_rows``, ``psi_binomial``,
+  ``operator_algebra.binomial_weights`` and ``qkernels._binomials_at``
+  call;
+* ``_kernel``, kernel row prefixes, by ``_kernel_row``, which
+  ``_chain_rows`` calls;
+* ``_fact``, the factorials, by ``psi_factorial``;
+* ``_scale``, the division scales, by ``_scales``, which
+  ``WardSeries.divide`` calls;
+* ``_weights``, the Leibniz product rows, by
+  ``operator_algebra.binomial_weights``, which ``binomial_terms`` calls;
+* ``_packed``, the packed q-binomial rows, by ``qkernels._binomials_at``,
+  which the symbolic kernels and ``qkernels.q_binomial`` call.
+
+No reader relies on rows that another call grew, and making a series
+grows the sequence alone, so any table reset to its seed row is rebuilt
+from the S_n on its next read.  One context serves every order, and
+``get_context`` hands out one context per spec.  The row forms below are
 read in their layout by the kernels of ``series`` (the binomial rows and
 the product rows of ``_weighting``) and ``qkernels`` (the binomial rows),
 and by ``binomial_weights`` (the binomial rows and the integers S_n).
@@ -23,8 +41,7 @@ and by ``binomial_weights`` (the binomial rows and the integers S_n).
   C(n, k) = C(n-1, k-1) * s_n / s_k, half a row and its mirror
   (``_binomial_row``); over symbolic q, the same identity at q = 1,
   Pascal's rows, which bound the digits of every q-binomial the kernels
-  use.  A series grows them through its order as it is made, so the series
-  kernels read them as they are stored.
+  use.
 * ``_kernel_row(n, stop)`` gives entries 0..stop-1 of row n of the weight
   kernel F(n, k) = (s_n - s_k) / s_{n-k}, 0 <= k < n, for a kernel that is
   not a power of q.  Whether every entry is a power F(n, k) = q^k (the
@@ -55,19 +72,18 @@ reads them.  Either way it first refuses what the chain's reach would
 (``PsiContext._reach``).  It takes no flavor: a star chain is weighed as
 its asterisk twin, and the series kernels swap its operands.
 
-Four more tables keep only what was read: ``psi_factorial`` extends the
-running product s_n! = s_1 * ... * s_n (s_0! = 1); ``_scales`` the least
-integers that keep a plain-rational division integral; over symbolic q
-``_packed`` keeps the q-binomial rows at q = 2^bits, the one form the
-kernels use (``qkernels._binomials_at``), per bits value, for the few bits
-values read last, and ``psi_binomial`` unpacks a q-binomial from them; and
-over plain rationals ``_weights`` holds the product tables of the binomial
-operators <j k>, P<j k>(r, c) = C(r, c) W<j k>(r, c), level j for j <= J,
-which ``operator_algebra.binomial_weights`` grows append-only from the
-binomial rows and the integers S_n as requests for larger n or orders
-arrive, each level only as far as some request read.  Row r of a level has
-one denominator for every k, and the level's row forms are canonical
-together: no prime of it divides every entry of the row over all k.
+Of the other four tables, ``_fact`` holds the running product
+s_n! = s_1 * ... * s_n (s_0! = 1); ``_scale`` the least integers that keep
+a plain-rational division integral; over symbolic q ``_packed`` the
+q-binomial rows at q = 2^bits, the one form the kernels use, per bits
+value, for the few bits values read last, and ``psi_binomial`` unpacks a
+q-binomial from them; and over plain rationals ``_weights`` the product
+tables of the binomial operators <j k>, P<j k>(r, c) = C(r, c) W<j k>(r, c),
+level j for j <= J, built from the binomial rows and the integers S_n as
+requests for larger n or orders arrive, each level only as far as some
+request read.  Row r of a level has one denominator for every k, and the
+level's row forms are canonical together: no prime of it divides every
+entry of the row over all k.
 
 F(n, n) is deliberately left undefined: the defining relation
 s_n - s_k = F(n, k) * s_{n-k} says nothing at k = n, and every consumer in
@@ -106,8 +122,8 @@ from math import gcd, lcm
 from operator import mul
 from weakref import WeakValueDictionary
 from .coefficients import _INT_ONLY, Scalar, _int_ratio, _norm_rat, parse_rational
-from .errors import (BadSpec, BoundExceeded, IndexOutOfBound, KernelUndefined, KOutOfRange,
-                     VariantMismatch, echo)
+from .errors import (BadSpec, BoundExceeded, Immutable, IndexOutOfBound, KernelUndefined,
+                     KOutOfRange, VariantMismatch, echo)
 
 
 # -- row forms ----------------------------------------------------------------
@@ -176,7 +192,7 @@ def _parts(ctx: PsiContext) -> tuple:
     return (1, 1) if q is None or ctx.symbolic else (q.numerator, q.denominator)
 
 
-class PsiContext:
+class PsiContext(Immutable):
     """One base sequence and its append-only tables.
 
     ``power_kernel``: every F(n, k) is q^k, which holds for the q-analogs
@@ -233,9 +249,6 @@ class PsiContext:
         init(self, "_ints", ints)
         init(self, "power_kernel", kind == "natural" or q_scalar is not None or (
             step is None and values == tuple(range(len(values)))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PsiContext is immutable")
 
     def __repr__(self) -> str:
         return f"PsiContext({self._spec!r}, bound={self.bound})"

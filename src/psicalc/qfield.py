@@ -34,7 +34,7 @@ from typing import Iterable
 
 from .coefficients import (_INT_ONLY, _check_rat, _int_ratio, _integer_vector, _norm_rat,
                            parse_rational)
-from .errors import DivisionByZero, ParseError, VariantMismatch, echo
+from .errors import DivisionByZero, Immutable, ParseError, VariantMismatch, echo
 from .intpoly import _ONE, _canonical, _kronecker_mul
 
 
@@ -72,16 +72,13 @@ def _product(a, b) -> list:
     return [0] * (len(a) - 1) + _normalized([a[-1] * y for y in b])
 
 
-class PolyQ:
+class PolyQ(Immutable):
     """Dense univariate polynomial in q with exact rational coefficients."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable = ()):
         object.__setattr__(self, "_c", _trimmed(list(coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyQ is immutable")
 
     @property
     def coeffs(self) -> tuple:
@@ -202,7 +199,7 @@ def _from_integer(v, dv=_ONE) -> "RatFuncQ":
     return RatFuncQ._raw(*_canonical(v, dv))
 
 
-class RatFuncQ:
+class RatFuncQ(Immutable):
     """A rational function of q in the canonical form of FLINT's ``fmpz_poly_q``.
 
     ``_n`` and ``_d`` are coprime integer vectors with joint content 1 and
@@ -221,9 +218,6 @@ class RatFuncQ:
         n, d = _canonical(v[:k], v[k:])
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFuncQ is immutable")
 
     @classmethod
     def _raw(cls, n: tuple, d: tuple = _ONE) -> "RatFuncQ":

@@ -22,7 +22,7 @@ its token array.
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import islice
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -59,14 +59,13 @@ def _integer_forms(values) -> tuple:
 _PACKED_BITS = 16
 
 
-def _binomials_at(ctx, bits: int, shift: int = 0):
-    """The q-binomial row forms at q = 2^bits, one at a time, for a symbolic context.
+def _binomials_at(ctx, bits: int, m: int, shift: int = 0):
+    """The q-binomial row forms 0..m-1 at q = 2^bits, one at a time, for a symbolic context.
 
     The q-binomials have nonnegative coefficients, so at bits = 0 (q = 1)
     the rows hold each binomial's |.|_1 norm: Pascal's rows, which the
     norm pass of every kernel call reads, so they are the context's
-    binomial rows (``ctx._binomials``) as stored: every series has grown
-    them through its order.
+    binomial rows, grown through row m - 1 by the read (``ctx._binomials``).
     At bits > 0 the rows are kept per bits value, in the context's
     ``_packed``, and grown append-only as they are read; the closed form
     F(n, k) = q^k makes the recurrence a shift and an add.  The store holds
@@ -75,14 +74,14 @@ def _binomials_at(ctx, bits: int, shift: int = 0):
     left by shift * k.
     """
     if not bits:
-        yield from ctx._binomials(0)
+        yield from islice(ctx._binomials(m - 1), m)
         return
     store = ctx._packed
     rows = store.pop(bits, None) or [[1]]
     store[bits] = rows
     if len(store) > _PACKED_BITS:
         del store[next(iter(store))]
-    for n in count():
+    for n in range(m):
         if n == len(rows):
             row = rows[-1]
             rows.append([1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, n)] + [1])
@@ -99,7 +98,7 @@ def q_binomial(ctx, n: int, k: int) -> RatFuncQ:
     """
     # a q-binomial's coefficients are at most its value at q = 1
     bits = _digit_bits(comb(n, n // 2))
-    row = next(islice(_binomials_at(ctx, bits), n, None))[1]
+    row = next(islice(_binomials_at(ctx, bits, n + 1), n, None))[1]
     return _from_integer(_unpack(row[k], bits))
 
 
@@ -126,7 +125,7 @@ def convolve(ctx, a: tuple, b: tuple, terms: list, m: int) -> list:
             if star:
                 a, b = b, a
             out = [x + (sum(map(mul, v, map(mul, a, b[n::-1]))) * c << bits * s)
-                   for x, n, (_, v) in zip(out, range(m), _binomials_at(ctx, bits, bits * p))]
+                   for x, n, (_, v) in zip(out, range(m), _binomials_at(ctx, bits, m, bits * p))]
         return out
 
     # |.|_1 norms at q = 1 bound every coefficient
@@ -146,9 +145,9 @@ def divide(ctx, a: tuple, b: tuple) -> list:
     m = len(a)
     ab = _integer_forms(a + b)[1]
     norms, ones = [_norm(v) for v in ab], [1] * m
-    dn, pn = _substitute(_binomials_at(ctx, 0), norms[:m],
+    dn, pn = _substitute(_binomials_at(ctx, 0, m), norms[:m],
                          norms[m : m + 1] + [-x for x in norms[m + 1 :]], ones)
     bits = _digit_bits(max(norms + dn + pn))
     packed = [_pack(v, bits) for v in ab]
-    d, power = _substitute(_binomials_at(ctx, bits), packed[:m], packed[m:], ones)
+    d, power = _substitute(_binomials_at(ctx, bits, m), packed[:m], packed[m:], ones)
     return [_from_integer(_unpack(x, bits), _unpack(p, bits)) for x, p in zip(d, power[1:])]

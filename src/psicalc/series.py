@@ -60,6 +60,7 @@ from .errors import (
     BadIndices,
     ContextMismatch,
     DivisionByZero,
+    Immutable,
     IndexOutOfBound,
     NonInvertible,
     OrderZero,
@@ -102,8 +103,8 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     refused (IndexOutOfBound), not read as zero.  The operands'
     denominators are cleared once.  Plain rationals sum on ints: a term's
     row sums, over its product rows as they are or over the binomial rows
-    the context stores cleared for a twist (``PsiContext._binomials``,
-    which every series grows through its order), are scaled by c, and the
+    the context keeps cleared for a twist (``PsiContext._binomials``,
+    which this read grows through row m - 1), are scaled by c, and the
     terms meet over the lcm of their row denominators, which the terms of
     one Leibniz level share.  For q = u/w a twist multiplies the operand
     slices by u^(P k + J) and w^(P k), and w^(P n + J) joins the row
@@ -182,7 +183,7 @@ def _substitute(binom, a, b, scale) -> tuple[list, list]:
     return e, power
 
 
-class WardSeries:
+class WardSeries(Immutable):
     """Truncated series over one context; immutable."""
 
     __slots__ = ("ctx", "_c")
@@ -193,12 +194,9 @@ class WardSeries:
         c = _check_scalars(ctx, coeffs)
         if not c:
             raise BadIndices("a series needs at least the constant coefficient")
-        ctx._binomials(len(c) - 1)
+        ctx._grow(len(c) - 1)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WardSeries is immutable")
 
     @property
     def coeffs(self) -> tuple:

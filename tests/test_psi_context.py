@@ -14,6 +14,8 @@ from psicalc.errors import (
     KOutOfRange,
 )
 from psicalc import psi_context
+from psicalc.calculus import general_leibniz
+from psicalc.operator_algebra import OperatorSum
 from psicalc.psi_context import PsiContext, get_context
 from psicalc.qfield import Q, PolyQ, RatFuncQ, embed_rational
 from psicalc.qkernels import _PACKED_BITS, _binomials_at
@@ -327,13 +329,13 @@ def test_packed_rows_read_in_any_order_match_the_recurrence():
     # interleaved bits values, shifts and lengths, some reads growing the
     # kept rows and some reading rows another read grew
     ctx = PsiContext.from_spec("q")
-    reads = [(16, 0, 4), (24, 0, 12), (16, 32, 9), (40, 0, 2), (24, 48, 20), (16, 0, 25),
-             (40, 120, 18), (24, 0, 3), (8, 8, 30), (16, 16, 30)]
+    reads = [(0, 0, 7), (16, 0, 4), (24, 0, 12), (16, 32, 9), (40, 0, 2), (24, 48, 20),
+             (16, 0, 25), (40, 120, 18), (24, 0, 3), (8, 8, 30), (16, 16, 30)]
     for bits, shift, m in reads:
-        assert list(islice(_binomials_at(ctx, bits, shift), m + 1)) == packed_rows(bits, shift, m)
+        assert list(_binomials_at(ctx, bits, m + 1, shift)) == packed_rows(bits, shift, m)
         assert len(ctx._packed) <= _PACKED_BITS
     # two readers of one bits value, each growing the rows the other reads
-    first, second = _binomials_at(ctx, 56), _binomials_at(ctx, 56, 112)
+    first, second = _binomials_at(ctx, 56, 16), _binomials_at(ctx, 56, 11, 112)
     got = [list(islice(first, 6)), list(islice(second, 11)), list(islice(first, 10))]
     assert got[0] + got[2] == packed_rows(56, 0, 15)
     assert got[1] == packed_rows(56, 112, 10)
@@ -343,18 +345,59 @@ def test_packed_row_store_keeps_the_bits_values_read_last():
     ctx = PsiContext.from_spec("q")
     every = [8 * (b + 1) for b in range(_PACKED_BITS + 4)]
     for bits in every:
-        next(islice(_binomials_at(ctx, bits), 5, None))
+        next(islice(_binomials_at(ctx, bits, 6), 5, None))
         assert len(ctx._packed) <= _PACKED_BITS
     assert list(ctx._packed) == every[-_PACKED_BITS:]
     # a read keeps its bits value; the least recently read one goes
     kept, evicted = every[-_PACKED_BITS], every[-_PACKED_BITS + 1]
-    next(_binomials_at(ctx, kept))
-    next(_binomials_at(ctx, 8 * 100))
+    next(_binomials_at(ctx, kept, 1))
+    next(_binomials_at(ctx, 8 * 100, 1))
     assert kept in ctx._packed and evicted not in ctx._packed
     assert len(ctx._packed) == _PACKED_BITS
     # evicted rows come back from the recurrence
-    assert list(islice(_binomials_at(ctx, evicted, evicted), 9)) == packed_rows(evicted, evicted, 8)
+    assert list(_binomials_at(ctx, evicted, 9, evicted)) == packed_rows(evicted, evicted, 8)
     assert len(ctx._packed) == _PACKED_BITS
+
+
+def reset_tables(ctx) -> None:
+    """Every table of ``ctx`` back to its seed row; the sequence integers S_n stay."""
+    del ctx._binom[1:], ctx._fact[1:]
+    for table in (ctx._kernel, ctx._scale, ctx._weights, ctx._packed):
+        table.clear()
+
+
+@pytest.mark.parametrize("order", [6, 14, 20])
+@pytest.mark.parametrize("spec", ["natural", "q", "q=3/2", "q=-2/5", "fib",
+                                  custom_list(FRACTIONAL_LIST)])
+def test_every_table_is_a_cache_its_readers_rebuild(spec, order):
+    # each reader grows the rows it reads, so a context whose tables are all
+    # dropped between two calls gives the same results from its S_n alone
+    ctx = PsiContext.from_spec(spec)
+    f = make_series(ctx, [Fraction(n + 1, n % 3 + 1) for n in range(order + 1)])
+    g = make_series(ctx, [Fraction((-1) ** n * (2 * n + 3), n % 4 + 1) for n in range(order + 1)])
+    op_sum = OperatorSum.single(((1, 0),)) + OperatorSum.single(((2, 1),), star=True)
+    calls = {
+        "*": lambda: f * g,
+        "fontane": lambda: f.fontane(g, 3, 1),
+        "star": lambda: f.star(g, 2, 1),
+        "chain": lambda: f.chain(g, ((2, 1), (3, 2), (4, 0))),
+        "divide": lambda: f.divide(g),
+        "sum": lambda: op_sum.apply(f, g),
+        "leibniz": lambda: general_leibniz(f, g, 3),
+        "binomials": lambda: [ctx.psi_binomial(n, k) for n in range(order + 1)
+                              for k in range(n + 1)],
+        "factorials": lambda: [ctx.psi_factorial(n) for n in range(order + 1)],
+    }
+    before = {name: call() for name, call in calls.items()}
+    for name, call in calls.items():
+        reset_tables(ctx)
+        assert call() == before[name], name
+
+
+def test_a_series_grows_the_sequence_alone():
+    ctx = PsiContext.from_spec("fib")
+    make_series(ctx, range(41))
+    assert len(ctx._ints) == 41 and len(ctx._binom) == 1
 
 
 @pytest.mark.parametrize("spec,v", [("q=3/2", 2), ("q=-2/3", 3), ("q=5", 1), ("natural", 1),

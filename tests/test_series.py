@@ -15,12 +15,14 @@ from psicalc.errors import (
     BoundExceeded,
     ContextMismatch,
     DivisionByZero,
+    Immutable,
     IndexOutOfBound,
     NonInvertible,
     OrderZero,
     ParseError,
     VariantMismatch,
 )
+from psicalc.calculus import RuleReport
 from psicalc.operator_algebra import OperatorSum, ProductChain, binomial_operator
 from psicalc.psi_context import PsiContext, get_context
 from psicalc.series import (
@@ -105,6 +107,25 @@ def test_series_requires_some_coefficient(fib):
         WardSeries(fib, [])
     with pytest.raises(BoundExceeded):
         WardSeries(get_context("custom:[0,1,2,3]"), [0, 0, 0, 0, 0])
+
+
+def test_every_value_refuses_change_through_one_base():
+    # fresh values, so that a field let go would break nothing shared
+    ctx = PsiContext.from_spec("fib")
+    f = make_series(ctx, [1, 2])
+    values = [(ctx, "_ints"), (f, "_c"), (PolyQ([1, 2]), "_c"),
+              (RatFuncQ(PolyQ([1, 2]), PolyQ([3])), "_n"),
+              (ProductChain(2, False, ((1, 0),)), "pairs"),
+              (OperatorSum.single(((1, 0),)), "terms"),
+              (RuleReport("r", "fib", 1, f, f, True, None), "rule")]
+    for value, name in values:
+        kept, message = getattr(value, name), f"^{type(value).__name__} is immutable$"
+        assert isinstance(value, Immutable)
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, name)
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, name, kept)
+        assert getattr(value, name) is kept
 
 
 def test_index_pairs_refuse_bools(fib):

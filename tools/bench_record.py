@@ -81,20 +81,28 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def verdict(par: list, chg: list, lower: bool, bound: float) -> str:
-    """The verdict on one metric from the paired parent and change values; see the module doc."""
-    # negated where higher is better, so that below is better throughout
-    par, chg = ([x if lower else -x for x in v] for v in (par, chg))
+def compare(par: list, chg: list, lower: bool, bound: float) -> dict:
+    """One metric's medians, ratio, parent IQR, pairs the change won and verdict.
+
+    The statistics are computed once, and the verdict (see the module doc)
+    is read from the same numbers the record reports.
+    """
+    sign = 1 if lower else -1  # sign * value is lower when better
     q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
     mp, mc, iqr = statistics.median(par), statistics.median(chg), q[2] - q[0]
-    if mc - mp > bound * abs(mp):
-        return "worse"
-    if iqr > bound * abs(mp) and max(chg) >= min(par):
-        return "unresolved"
-    won = sum(c < p for p, c in zip(par, chg))
-    if 10 * won >= 9 * len(par) and mp - mc > iqr:
-        return "better"
-    return "within bound"
+    gain = sign * (mp - mc)
+    won = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
+    if -gain > bound * abs(mp):
+        verdict = "worse"
+    elif iqr > bound * abs(mp) and max([sign * c for c in chg]) >= min([sign * p for p in par]):
+        verdict = "unresolved"
+    elif 10 * won >= 9 * len(par) and gain > iqr:
+        verdict = "better"
+    else:
+        verdict = "within bound"
+    return {"parent_median": mp, "change_median": mc,
+            "change_over_parent": mc / mp if mp else None, "parent_iqr": iqr,
+            "change_better_pairs": f"{won}/{len(par)}", "verdict": verdict}
 
 
 def summarize(runs: list, end_to_end: list) -> dict:
@@ -108,21 +116,11 @@ def summarize(runs: list, end_to_end: list) -> dict:
         pairs = {s: p for s, p in pairs.items() if len(p) == 2}
         table = {}
         for metric in end_to_end:
-            name, lower = metric["name"], metric["better"] == "lower"
+            name = metric["name"]
             par = [p["parent"][name]["value"] for p in pairs.values()]
             chg = [p["change"][name]["value"] for p in pairs.values()]
-            won = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
-            q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
-            mp, mc = statistics.median(par), statistics.median(chg)
-            table[name] = {
-                "unit": metric["unit"],
-                "parent_median": mp,
-                "change_median": mc,
-                "change_over_parent": mc / mp if mp else None,
-                "parent_iqr": q[2] - q[0],
-                "change_better_pairs": f"{won}/{len(pairs)}",
-                "verdict": verdict(par, chg, lower, metric["bound"]),
-            }
+            table[name] = {"unit": metric["unit"], **compare(par, chg, metric["better"] == "lower",
+                                                             metric["bound"])}
         out[workload] = table
     return out
 
