@@ -24,7 +24,6 @@ from .errors import (
     ECHO_LIMIT,
     BadIndices,
     BadSpec,
-    BoundExceeded,
     IndexOutOfBound,
     KernelUndefined,
     KOutOfRange,
@@ -35,8 +34,8 @@ from .errors import (
 from .psi_context import get_context
 from .series import WardSeries, check_pair, series_header
 
-_USAGE_ERRORS = (BadSpec, ParseError, BadIndices, KOutOfRange,
-                 KernelUndefined, IndexOutOfBound, BoundExceeded)
+# IndexOutOfBound covers BoundExceeded, a read past a custom list's end
+_USAGE_ERRORS = (BadSpec, ParseError, BadIndices, KOutOfRange, KernelUndefined, IndexOutOfBound)
 # ValueError covers malformed JSON, undecodable bytes and integers longer
 # than Python's int-string digit limit; RecursionError, nesting deeper than
 # the decoder's recursion limit

@@ -11,6 +11,8 @@ which covers both.
 ``Immutable`` is the one base of every value class (contexts, series,
 rational functions of q, operator chains and sums, rule reports): its
 fields are set by the constructors alone, through ``object.__setattr__``.
+A copy of such a value is the value itself, and pickle sets the fields
+back the same way.
 """
 
 import reprlib
@@ -26,6 +28,17 @@ class Immutable:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self, memo=None):
+        # a value that cannot change is its own copy, shallow or deep
+        return self
+
+    __deepcopy__ = __copy__
+
+    def __setstate__(self, state):
+        # pickle's state of a value with slots, (None, {field: value}), set as a constructor sets it
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class PsiCalcError(Exception):
@@ -47,7 +60,7 @@ class DivisionByZero(PsiCalcError, ZeroDivisionError):
 
 
 class IndexOutOfBound(PsiCalcError, IndexError):
-    """A table lookup asked for a negative index or one past a custom list."""
+    """An index outside what is there: a negative table index, or one past a list's end."""
 
 
 class KOutOfRange(PsiCalcError, ValueError):
@@ -62,8 +75,13 @@ class BadSpec(PsiCalcError, ValueError):
     """A sequence spec string failed to parse or failed validation."""
 
 
-class BoundExceeded(PsiCalcError, ValueError):
-    """An operation needs table entries past the end of a custom sequence."""
+class BoundExceeded(IndexOutOfBound, ValueError):
+    """A read past the end of a custom sequence, from any reader.
+
+    ``PsiContext._grow`` raises it, the one place an index is compared with
+    ``ctx.bound``: "sequence '<spec>' ends at index B, needs N".  It is an
+    IndexOutOfBound and a ValueError, so either catches it.
+    """
 
 
 class ContextMismatch(PsiCalcError, ValueError):

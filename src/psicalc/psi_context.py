@@ -97,7 +97,8 @@ Built-in sequence kinds:
 * ``q=<value>``  same sequence with q specialized to an exact rational.
 * ``fib``        s_n = n-th Fibonacci number.
 * ``custom:[..]`` explicit rational values.  The list length is a hard
-                 limit, ``ctx.bound``, and the sequence is read in full,
+                 limit, ``ctx.bound``: ``_grow`` refuses every read past it
+                 (BoundExceeded), and the sequence is read in full,
                  each value checked, on construction; every other kind has
                  ``bound`` None.
 
@@ -253,8 +254,17 @@ class PsiContext(Immutable):
     def __repr__(self) -> str:
         return f"PsiContext({self._spec!r}, bound={self.bound})"
 
+    def __reduce__(self):
+        # pickled as its spec, a context comes back as the shared one
+        return get_context, (self._spec,)
+
     def _grow(self, n: int) -> None:
-        """Extend the sequence through index n; past a custom list's end, BoundExceeded."""
+        """Extend the sequence through index n; past a custom list's end, BoundExceeded.
+
+        Every reader of a custom list, ``_reach`` included, grows the
+        sequence through the index it reads, so this is the one refusal of
+        the list's end, whatever the reader.
+        """
         ints = self._ints
         if n < len(ints):
             return
@@ -312,12 +322,8 @@ class PsiContext(Immutable):
         return row
 
     def _serve(self, bound: int | None) -> "PsiContext":
-        # build the binomial rows through ``bound`` now; a custom list must reach it
+        # build the binomial rows through ``bound`` now; past a custom list's end ``_grow`` refuses
         if bound is not None:
-            if self.bound is not None and bound > self.bound:
-                raise BadSpec(
-                    f"custom sequence has bound {self.bound}, cannot serve bound {bound}"
-                )
             self._binomials(bound)
         return self
 
@@ -388,12 +394,10 @@ class PsiContext(Immutable):
         return self._spec
 
     def _check_index(self, n: int, reach: bool = False) -> None:
-        # refuse an index outside the sequence, then grow it through n, or
-        # with ``reach`` only as far as ``_reach`` does
+        # refuse a negative index, then grow the sequence through n, or with
+        # ``reach`` only as far as ``_reach`` does; ``_grow`` refuses a custom list's end
         if n < 0:
             raise IndexOutOfBound(f"index {n} is negative")
-        if self.bound is not None and n > self.bound:
-            raise IndexOutOfBound(f"index {n} outside 0..{self.bound}")
         (self._reach if reach else self._grow)(n)
 
     def psi_value(self, n: int) -> Scalar:

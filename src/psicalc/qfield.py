@@ -269,7 +269,7 @@ class RatFuncQ(Immutable):
         if self.is_constant:
             # the sum of at most one coefficient: 0 for zero
             return hash(Fraction(sum(self._n), self._d[0]))
-        return hash((self.num._c, self.den._c))
+        return hash((self._n, self._d))
 
     def __repr__(self) -> str:
         return f"RatFuncQ({self})"

@@ -368,13 +368,14 @@ class WardSeries(Immutable):
 
     @classmethod
     def from_json_dict(cls, data, ctx: PsiContext | None = None) -> "WardSeries":
-        spec, order, coeffs = series_header(data)
+        """The series of a ``to_json_dict`` object, over ``ctx`` or the shared context of its spec.
+
+        Building it grows the sequence through its order, so an order that a
+        custom list cannot serve is refused there (BoundExceeded).
+        """
+        spec, _, coeffs = series_header(data)
         if ctx is None:
             ctx = get_context(spec)
-            if ctx.bound is not None and ctx.bound < order:
-                raise ParseError(
-                    f"sequence {echo(spec)} is too short for a series of order {order}"
-                )
         elif get_context(spec).spec_string() != ctx.spec_string():
             raise ContextMismatch(
                 f"series carries spec {echo(spec)} but context is {echo(ctx.spec_string())}"
@@ -445,10 +446,10 @@ def first_difference(f: WardSeries, g: WardSeries) -> int | None:
     """Index of the first differing coefficient, or None when equal.
 
     Series of different orders that agree on the shared prefix differ at
-    the first index past it.
+    the first index past it.  g must be a series over f's context
+    (ContextMismatch otherwise).
     """
-    if f.ctx is not g.ctx:
-        raise ContextMismatch("cannot compare series over different contexts")
+    f._peer(g)
     m = min(len(f._c), len(g._c))
     return next((n for n in range(m) if f._c[n] != g._c[n]),
                 None if len(f._c) == len(g._c) else m)

@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple
 
 from . import calculus
 from .calculus import RuleReport, compare
-from .errors import BadSpec, echo
 from .operator_algebra import ORDINARY, OperatorSum
 from .psi_context import PsiContext, _power, get_context
 from .series import WardSeries, constant, e_psi, make_series, monomial
@@ -55,13 +54,14 @@ def default_specs(order: int) -> tuple[str, ...]:
 
 
 def context_for(spec: str, order: int) -> PsiContext:
+    """The shared context of ``spec``, refused before any rule runs if ``order`` reaches too far.
+
+    The checks read the sequence through index order + RULE_REACH, so that
+    reach is refused up front, as any reader refuses it
+    (``PsiContext._reach``): past a custom list's end, BoundExceeded.
+    """
     ctx = get_context(spec)
-    need = order + RULE_REACH
-    if ctx.bound is not None and ctx.bound < need:
-        raise BadSpec(
-            f"sequence {echo(spec)} is too short for order {order} checks "
-            f"(needs bound {need}, has {ctx.bound})"
-        )
+    ctx._reach(order + RULE_REACH)
     return ctx
 
 

@@ -539,6 +539,20 @@ def test_check_ring_laws_follow_the_products_not_the_spec(capsys, argv, laws):
     assert tuple(rings) == laws
 
 
+@pytest.mark.parametrize("command, n", [
+    (("seq", "--psi", "custom:[0,1,2]", "--n", "5"), 5),
+    (("check", "rings", "--psi", "custom:[0,1,2]", "--order", "8", "--trials", "1"), 12),
+    (("op", "mul", "FILE", "FILE"), 3),
+], ids=["seq", "check", "op-file"])
+def test_a_read_past_a_custom_lists_end_is_one_usage_error(capsys, tmp_path, command, n):
+    # the series file has order 3 over a list that ends at index 2
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"psi": "custom:[0,1,2]", "order": 3, "coeffs": [1, 2, 3, 4]}))
+    code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in command])
+    assert (code, out) == (2, "")
+    assert err == f"error: sequence 'custom:[0,1,2]' ends at index 2, needs {n}\n"
+
+
 def test_check_rejects_short_custom_spec(capsys):
     code, _, err = run_cli(
         capsys, "check", "rings", "--psi", "custom:[0,1,2]", "--order", "8",

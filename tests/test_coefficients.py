@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from conftest import scalar_eval
@@ -391,7 +391,9 @@ class MonicRatFunc:
 
     This is the form ``RatFuncQ`` stored before it kept integer pairs,
     reduced by Euclid over Fraction coefficients, with that form's
-    arithmetic, hash, text and JSON; the oracle for ``RatFuncQ``.
+    arithmetic, text and JSON; the oracle for ``RatFuncQ``.  Its hash is
+    that of the integer pair the form clears to (a constant hashes as its
+    rational).
     """
 
     def __init__(self, num: PolyQ, den: PolyQ = PolyQ([1])):
@@ -425,7 +427,12 @@ class MonicRatFunc:
     def __hash__(self):
         if self.is_constant():
             return hash(Fraction(self.num.eval(0)))
-        return hash((self.num.coeffs, self.den.coeffs))
+        # both polynomials over one lcm, then the joint content divided out; den is monic
+        coeffs = self.num.coeffs + self.den.coeffs
+        scale = lcm(*[Fraction(c).denominator for c in coeffs])
+        ints = [int(c * scale) for c in coeffs]
+        g, k = gcd(*ints), len(self.num.coeffs)
+        return hash((tuple([x // g for x in ints[:k]]), tuple([x // g for x in ints[k:]])))
 
     def __str__(self):
         if self.den == PolyQ([1]):
@@ -497,6 +504,27 @@ def test_variant_mixing_raises():
         Fraction(1, 2) * Q
     with pytest.raises(VariantMismatch):
         Q - Fraction(1, 2)
+    with pytest.raises(VariantMismatch):
+        1 - Q
+    with pytest.raises(VariantMismatch):
+        Fraction(1, 2) / Q
+
+
+def test_poly_equality_and_hash():
+    # a polynomial equals only a polynomial, and equal ones hash equal
+    assert PolyQ([1]) != 1 and not PolyQ([1]) == 1
+    assert PolyQ([1, 2, 0]) == PolyQ([1, 2]) and hash(PolyQ([1, 2, 0])) == hash(PolyQ([1, 2]))
+
+
+def test_ratfunc_hash_is_that_of_its_canonical_pair(fractions_made_under):
+    # 1/(2q - 1) built three ways: equal values hash equal, and the hash makes no Fraction
+    one, two = embed_rational(1), embed_rational(2)
+    a = one / (two * Q - one)
+    b = (Q + one) / (two * Q * Q + Q - one)
+    c = RatFuncQ(PolyQ([Fraction(1, 3)]), PolyQ([Fraction(-1, 3), Fraction(2, 3)]))
+    assert a == b == c and (a._n, a._d) == ((1,), (-1, 2))
+    assert hash(a) == hash(b) == hash(c) == hash(((1,), (-1, 2)))
+    assert fractions_made_under({RatFuncQ.__hash__.__code__}, lambda: hash(a)) == []
 
 
 @given(ratfuncs, rationals)

@@ -86,6 +86,16 @@ def test_chain_rendering():
     assert ProductChain(pairs=((1, 0), (2, 0))).render() == "*(1,0)*(2,0)"
     assert ProductChain(star=True, pairs=((2, 1),)).render() == "#(2,1)"
     assert ProductChain(coefficient=3, pairs=((1, 0),)).render() == "3·*(1,0)"
+    # str is the rendering, of a chain and of a sum
+    assert str(ProductChain(2, True, ((2, 1),))) == "2·#(2,1)"
+    assert str(OperatorSum.single(((1, 0),)) + ORDINARY) == "*inf [+] *(1,0)"
+    assert str(ZERO_OPERATOR) == "*0"
+
+
+@pytest.mark.parametrize("combine", [lambda s: s + 1, lambda s: s - 1, lambda s: s * 1])
+def test_operator_sums_combine_only_with_sums(combine):
+    with pytest.raises(TypeError):
+        combine(ORDINARY)
 
 
 @pytest.mark.parametrize("bad", ["x", 1.5, None, 2j, [1]])

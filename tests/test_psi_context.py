@@ -9,18 +9,19 @@ from conftest import canonical_form, form_add, scalar_eval
 from psicalc.coefficients import _integer_vector, _norm_rat
 from psicalc.errors import (
     BadSpec,
+    BoundExceeded,
     IndexOutOfBound,
     KernelUndefined,
     KOutOfRange,
 )
 from psicalc import psi_context
 from psicalc.calculus import general_leibniz
-from psicalc.operator_algebra import OperatorSum
+from psicalc.operator_algebra import OperatorSum, extensional_eq
 from psicalc.psi_context import PsiContext, get_context
 from psicalc.qfield import Q, PolyQ, RatFuncQ, embed_rational
 from psicalc.qkernels import _PACKED_BITS, _binomials_at
-from psicalc.series import make_series
-from psicalc.verify import custom_spec
+from psicalc.series import WardSeries, make_series
+from psicalc.verify import custom_spec, run_suites
 
 ONE, ZERO = RatFuncQ.from_rational(1), RatFuncQ.from_rational(0)
 
@@ -487,6 +488,7 @@ def test_custom_context_parses_rationals():
     assert ctx.psi_value(2) == Fraction(3, 2)
     assert ctx.bound == 3
     assert ctx.spec_string() == "custom:[0,1,3/2,5]"
+    assert repr(ctx) == "PsiContext('custom:[0,1,3/2,5]', bound=3)"
 
 
 @pytest.mark.parametrize(
@@ -497,6 +499,7 @@ def test_custom_context_parses_rationals():
         "custom:[0,2]",  # wrong second value
         "custom:[0]",
         "custom:0,1,2",
+        "custom:[0,1,x]",  # a value that is no rational
         "q=1/0",
         "nonsense",
     ],
@@ -518,8 +521,39 @@ def test_bound_and_range_errors(fib):
         fib.fontane_kernel(4, 4)
     with pytest.raises(KernelUndefined):
         fib.fontane_kernel(4, -1)
-    with pytest.raises(BadSpec):
+    with pytest.raises(BoundExceeded):
         get_context("custom:[0,1,2]", 5)  # too short for requested bound
+
+
+SHORT_LIST = "custom:[0,1,2,3/2]"
+
+
+def _product_past_the_end(ctx):
+    f = make_series(ctx, [1, 2, 3])
+    return f.fontane(f, 2, 0)
+
+
+# every reader of a custom list, each asking for index N past its end at 3
+@pytest.mark.parametrize("read, n", [
+    (lambda ctx: ctx.psi_value(5), 5),
+    (lambda ctx: ctx.psi_factorial(5), 5),
+    (lambda ctx: ctx.psi_binomial(5, 2), 5),
+    (lambda ctx: ctx.fontane_kernel(5, 1), 5),
+    (lambda ctx: get_context(SHORT_LIST, 6), 6),
+    (lambda ctx: PsiContext.from_spec(SHORT_LIST, 6), 6),
+    (lambda ctx: WardSeries.from_json_dict({"psi": SHORT_LIST, "order": 5,
+                                            "coeffs": ["1"] * 6}), 5),
+    (_product_past_the_end, 4),  # reach 2 at order 2
+    (lambda ctx: extensional_eq(OperatorSum.single(((2, 0),)), OperatorSum.single(((2, 1),)),
+                                ctx, 3), 5),
+    (lambda ctx: run_suites(("rings",), (SHORT_LIST,), 2, 1, 0), 6),  # order + RULE_REACH
+], ids=["psi_value", "psi_factorial", "psi_binomial", "fontane_kernel", "get_context",
+        "from_spec", "from_json_dict", "product", "extensional_eq", "run_suites"])
+def test_every_reader_refuses_a_custom_lists_end_alike(read, n):
+    with pytest.raises(BoundExceeded) as refused:
+        read(get_context(SHORT_LIST))
+    assert isinstance(refused.value, IndexOutOfBound) and isinstance(refused.value, ValueError)
+    assert str(refused.value) == f"sequence '{SHORT_LIST}' ends at index 3, needs {n}"
 
 
 def test_get_context_is_shared(fib):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from psicalc.series import (
     first_difference,
     make_series,
     monomial,
+    series_header,
     sin_psi,
     zeros,
 )
@@ -128,6 +131,23 @@ def test_every_value_refuses_change_through_one_base():
         assert getattr(value, name) is kept
 
 
+def test_a_value_copies_as_itself_and_pickles_to_an_equal_one():
+    ctx = get_context("q")
+    f = make_series(ctx, [1, Q, 2])
+    values = [Q, RatFuncQ(PolyQ([1, 2]), PolyQ([3, 0, 1])), PolyQ([1, 2]), f,
+              ProductChain(2, True, ((1, 0),)), OperatorSum.single(((2, 1),)),
+              RuleReport("r", "q", 2, f, f, True, None), ctx]
+    for value in values:
+        assert copy.copy(value) is value and copy.deepcopy(value) is value
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value
+    # a context comes back as the shared context of its spec, so series still combine
+    fresh = PsiContext.from_spec("custom:[0,1,3/2,2]")
+    assert pickle.loads(pickle.dumps(fresh)) is get_context("custom:[0,1,3/2,2]")
+    back = pickle.loads(pickle.dumps(f))
+    assert back.ctx is ctx and back * f == f * f
+
+
 def test_index_pairs_refuse_bools(fib):
     # bool is an int subclass, so True would otherwise read as the index 1
     f = fib_series([1, 2, 3])
@@ -141,6 +161,19 @@ def test_index_pairs_refuse_bools(fib):
         with pytest.raises(BadIndices):
             f.chain(f, (pair,))
     assert check_pair((2, 1)) == (2, 1)
+
+
+@pytest.mark.parametrize("pair", [(1,), 5, (1, 0, 0)])
+def test_check_pair_refuses_what_is_no_pair(pair):
+    with pytest.raises(BadIndices, match="^index pair must be"):
+        check_pair(pair)
+
+
+def test_operator_spellings_of_series(fib):
+    f, g = fib_series([1, 2, 3]), fib_series([2, 1, 1])
+    assert 2 * f == f * 2 == f.scale(2) == fib_series([2, 4, 6])
+    assert f / g == f.divide(g) and (f / g) * g == f
+    assert not zeros(fib, 3) and f
 
 
 def typed_coeffs(f):
@@ -862,7 +895,7 @@ def test_json_fresh_context():
     back = WardSeries.from_json_dict(data)
     assert back.ctx is f.ctx
     assert [int(c) for c in back.coeffs] == [1, 2, 3]
-    with pytest.raises(ParseError):
+    with pytest.raises(BoundExceeded):
         WardSeries.from_json_dict({"psi": "custom:[0,1,2]", "order": 3,
                                    "coeffs": ["1", "0", "0", "0"]})
 
@@ -878,6 +911,8 @@ def test_json_rejects_garbage(fib):
         WardSeries.from_json_dict(
             {"psi": "natural", "order": 0, "coeffs": ["1"]}, ctx=fib
         )
+    with pytest.raises(ParseError, match="^series must be a JSON object"):
+        series_header([1])
 
 
 def test_first_difference(fib):
@@ -886,3 +921,10 @@ def test_first_difference(fib):
     g = fib_series([1, 2, 0, 4, 5])
     assert first_difference(f, g) == 2
     assert first_difference(f, f.truncate(2)) == 3
+
+
+def test_first_difference_checks_its_operands(fib, nat):
+    f = fib_series([1, 2, 3])
+    for other in ([1, 2, 3], make_series(nat, [1, 2, 3])):
+        with pytest.raises(ContextMismatch):
+            first_difference(f, other)

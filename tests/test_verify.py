@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from psicalc.errors import BadSpec
+from psicalc.errors import BoundExceeded
 from psicalc.psi_context import get_context
 from psicalc.series import monomial
 from psicalc.verify import (
@@ -32,7 +32,7 @@ def test_default_specs_cover_all_kinds():
 
 def test_context_for_shares_context():
     assert context_for("fib", 6) is get_context("fib")
-    with pytest.raises(BadSpec):
+    with pytest.raises(BoundExceeded):
         context_for("custom:[0,1,2]", 6)
 
 
