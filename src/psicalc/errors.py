@@ -11,8 +11,8 @@ which covers both.
 ``Immutable`` is the one base of every value class (contexts, series,
 rational functions of q, operator chains and sums, rule reports): its
 fields are set by the constructors alone, through ``object.__setattr__``.
-A copy of such a value is the value itself, and pickle sets the fields
-back the same way.
+A copy of such a value is the value itself, and pickle, at every
+protocol, keeps its fields and sets them back the same way.
 """
 
 import reprlib
@@ -34,6 +34,11 @@ class Immutable:
         return self
 
     __deepcopy__ = __copy__
+
+    def __getstate__(self):
+        # the state pickle keeps at protocols 2-5, (None, {field: value}), and at 0 and 1 too
+        return None, {name: getattr(self, name) for cls in type(self).__mro__
+                      for name in cls.__dict__.get("__slots__", ()) if name != "__weakref__"}
 
     def __setstate__(self, state):
         # pickle's state of a value with slots, (None, {field: value}), set as a constructor sets it

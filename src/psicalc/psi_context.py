@@ -13,7 +13,7 @@ as far as the call reads:
 * ``_kernel``, kernel row prefixes, by ``_kernel_row``, which
   ``_chain_rows`` calls;
 * ``_fact``, the factorials, by ``psi_factorial``;
-* ``_scale``, the division scales, by ``_scales``, which
+* ``_scale``, the division rows, by ``_scales``, which
   ``WardSeries.divide`` calls;
 * ``_weights``, the Leibniz product rows, by
   ``operator_algebra.binomial_weights``, which ``binomial_terms`` calls;
@@ -73,8 +73,11 @@ reads them.  Either way it first refuses what the chain's reach would
 its asterisk twin, and the series kernels swap its operands.
 
 Of the other four tables, ``_fact`` holds the running product
-s_n! = s_1 * ... * s_n (s_0! = 1); ``_scale`` the least integers that keep
-a plain-rational division integral; over symbolic q ``_packed`` the
+s_n! = s_1 * ... * s_n (s_0! = 1); over plain rationals ``_scale`` the
+division rows (G_n, T_n), the integers T_n[k] = C(n, k) G_n / G_k with G_n
+the least that keeps them whole, which are the binomial rows themselves
+where every G_n is 1 and otherwise come from the row before
+(``_division_row``); over symbolic q ``_packed`` the
 q-binomial rows at q = 2^bits, the one form the kernels use, per bits
 value, for the few bits values read last, and ``psi_binomial`` unpacks a
 q-binomial from them; and over plain rationals ``_weights`` the product
@@ -185,6 +188,27 @@ def _binomial_row(prev: tuple, ints: list, w: int, integral: bool) -> tuple:
     else:
         d, half = _ratio_form([_lowest(v[k - 1] * sm, d * ints[k]) for k in range(h, m + 1)])
     return d, half[::-1][:h] + half
+
+
+def _division_row(table: list, ints: list, w: int, integral: bool) -> tuple:
+    """Division row n from rows 0..n-1: (G_n, T_n) with T_n[k] = C(n,k) G_n / G_k whole.
+
+    By the identity of ``_binomial_row``, T_n[k] = T_{n-1}[k-1] r_n s_n / (r_k s_k)
+    with r_n = G_n / G_{n-1}, and T_n[0] = G_n.  ``integral`` (a built-in kind):
+    r_n = w^(n-1) = c_n, the least, as T_n[n-1] = s_n r_n and S_n is prime to w;
+    so r_n s_n = S_n and T_n[k] = T_{n-1}[k-1] S_n / S_k, a whole number.  Otherwise (a custom list, c_n constant) r_n is the lcm of
+    the denominators of T_{n-1}[k-1] S_n / (r_k S_k) in lowest terms, the least
+    that keeps the row whole.
+    """
+    g, prev = table[-1]
+    n = len(prev)
+    sn = ints[n]
+    if integral:
+        g *= w ** (n - 1)
+        return g, [g] + [prev[k - 1] * sn // ints[k] for k in range(1, n + 1)]
+    r, row = _ratio_form([_lowest(prev[k - 1] * sn, ints[k] * (table[k][0] // table[k - 1][0]))
+                          for k in range(1, n)])
+    return g * r, [g * r] + row + [1]
 
 
 def _parts(ctx: PsiContext) -> tuple:
@@ -328,21 +352,29 @@ class PsiContext(Immutable):
         return self
 
     def _scales(self, m: int) -> list:
-        """G_n for n < m, the least integers that make C(n, k) G_n / G_k integral.
+        """The division rows (G_n, T_n), extended through n = m - 1: the stored list, not to be changed.
 
-        For plain rationals.  G_0 = 1 and G_n is the lcm over k < n of
-        den C(n, k) * G_k, so each G_{n-1} divides G_n; for q = u/v,
-        G_n = v^(n(n-1)/2).  Kept as they are found.
+        For plain rationals.  T_n[k] = C(n, k) G_n / G_k for 0 <= k <= n,
+        integers, with G_0 = 1 and G_n the least multiple of G_{n-1} that
+        keeps row n whole, so T_n[0] = G_n; for q = u/v, G_n = v^(n(n-1)/2)
+        and T_n[k] = N(n, k) v^((n-k)(n-k-1)/2), with N the homogeneous
+        Gaussian binomial of ``_binomial_row``.  Where the binomials are
+        integers (natural, fib, q = u/1) every G_n is 1 and the row is the
+        binomial row itself, shared; otherwise row n comes from row n - 1
+        (``_division_row``).
         """
-        binom, scale = self._binomials(m - 1), self._scale
-        for n in range(len(scale), m):
-            d, v = binom[n]
-            g = scale[-1] if scale else 1
-            if d != 1:
-                for k in range(n):
-                    g = lcm(g, d // gcd(d, v[k]) * scale[k])
-            scale.append(g)
-        return scale[:m]
+        table = self._scale
+        if m > len(table):
+            w, integral = _parts(self)[1], self.kind != "custom"
+            if integral and w == 1:
+                table[len(table):] = self._binomials(m - 1)[len(table):m]
+                return table
+            self._grow(m - 1)
+            if not table:
+                table.append((1, [1]))
+            for _ in range(len(table), m):
+                table.append(_division_row(table, self._ints, w, integral))
+        return table
 
     # -- constructor ---------------------------------------------------------
 

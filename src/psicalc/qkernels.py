@@ -144,10 +144,10 @@ def divide(ctx, a: tuple, b: tuple) -> list:
     """
     m = len(a)
     ab = _integer_forms(a + b)[1]
-    norms, ones = [_norm(v) for v in ab], [1] * m
+    norms = [_norm(v) for v in ab]
     dn, pn = _substitute(_binomials_at(ctx, 0, m), norms[:m],
-                         norms[m : m + 1] + [-x for x in norms[m + 1 :]], ones)
+                         norms[m : m + 1] + [-x for x in norms[m + 1 :]])
     bits = _digit_bits(max(norms + dn + pn))
     packed = [_pack(v, bits) for v in ab]
-    d, power = _substitute(_binomials_at(ctx, bits, m), packed[:m], packed[m:], ones)
+    d, power = _substitute(_binomials_at(ctx, bits, m), packed[:m], packed[m:])
     return [_from_integer(_unpack(x, bits), _unpack(p, bits)) for x, p in zip(d, power[1:])]

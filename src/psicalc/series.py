@@ -30,12 +30,12 @@ variants, fraction-free: denominators are cleared once, the sums are
 integer dot products, every term adds into one numerator per result
 coefficient, and each result coefficient is divided once.  Plain
 rationals read cleared rows, an integer vector over one denominator per
-row, and division scales row n by the least G_n that keeps every step
-integral.  Over symbolic q both loops hand over to the context's
-``qkernels``, where every polynomial is evaluated at q = 2^bits
-(Kronecker substitution), so a result coefficient is one packed big-int
-sum that is unpacked once, and bits comes from running the same loop on
-|.|_1 norms.
+row, and division reads the context's integral rows C(n, k) G_n / G_k,
+with G_n the least integer that keeps them whole.  Over symbolic q both
+loops hand over to the context's ``qkernels``, where every polynomial is
+evaluated at q = 2^bits (Kronecker substitution), so a result coefficient
+is one packed big-int sum that is unpacked once, and bits comes from
+running the same loop on |.|_1 norms.
 
 Binary operations demand the *same context object* on both sides and
 truncate to the smaller order.  The derivative maps a_n to a_{n+1} (one
@@ -153,33 +153,24 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     return WardSeries(ctx, [_int_ratio(x, d * den) for x, d in zip(nums, dens)])
 
 
-def _substitute(binom, a, b, scale) -> tuple[list, list]:
+def _substitute(table, a, b) -> tuple[list, list]:
     """e_n = G_n d_n and b0^n, with d_n = c_n b0^(n+1) for the quotient c = a / b.
 
     d_n = b0^n a_n - sum_{k<n} C(n,k) d_k b0^(n-k-1) b_{n-k}, over any ring.
-    ``binom`` yields the binomial row forms (D_n, v) and ``scale`` the G_n
-    that make C(n,k) G_n / G_k integral, so with r_n = G_n / G_{n-1},
-    e_n = G_n b0^n a_n - (r_n / D_n) sum_{k<n} v[k] l_k b0^(n-k-1) b_{n-k}
-    where l_k = e_k G_{n-1} / G_k, and that is the only, exact, division.
-    The l_k are scaled by r_n as n grows, and the divisor is scaled once to
-    b0^(j-1) b_j, so a term costs what it would with division.
+    ``table`` yields the division rows (G_n, T_n) with T_n[k] = C(n,k) G_n / G_k
+    (``PsiContext._scales``; over symbolic q the packed q-binomial row forms
+    (1, v), for which every G_n is 1), so
+    e_n = G_n b0^n a_n - sum_{k<n} T_n[k] e_k b0^(n-k-1) b_{n-k}
+    is one dot product per row, with no rescaling and no division.  The
+    divisor is scaled once to b0^(j-1) b_j.
     """
     m, b0 = len(a), b[0]
     power = list(accumulate(repeat(b0, m), mul, initial=1))
     # b0^(j-1) b_j from j = m-1 down to 1: row n reads its last n entries
     scaled = [b[j] * power[j - 1] for j in range(m - 1, 0, -1)]
     e: list = []
-    lifted: list = []
-    for n, (den, row), g in zip(range(m), binom, scale):
-        s = sum(map(mul, row, map(mul, lifted, scaled[m - 1 - n :])))
-        step = g // scale[n - 1] if n else 1
-        if step != 1:
-            lifted = [x * step for x in lifted]
-        if step != 1 or den != 1:
-            s = s * step // den
-        x = g * power[n] * a[n] - s
-        e.append(x)
-        lifted.append(x)
+    for n, (g, row) in zip(range(m), table):
+        e.append(g * power[n] * a[n] - sum(map(mul, row, map(mul, e, scaled[m - 1 - n :]))))
     return e, power
 
 
@@ -321,11 +312,12 @@ class WardSeries(Immutable):
         integer A and B once a = A / D and b = B / D are cleared over one
         denominator D, which cancels: c_n is d_n / B0^(n+1), one division per
         coefficient.  Plain rationals run it on e_n = G_n d_n, G_n the least
-        integer that makes every C(n, k) G_n / G_k integral (G_n =
-        v^(n(n-1)/2) for q = u/v), so each step stays in int, with one exact
-        division by its binomial row's denominator.  Over symbolic q the
-        recurrence runs in the context's ``qkernels.divide``, on A and B
-        evaluated at q = 2^bits.
+        integer that makes every T_n[k] = C(n, k) G_n / G_k integral (G_n =
+        v^(n(n-1)/2) for q = u/v), so each step is one integer dot product
+        with the context's row T_n (``PsiContext._scales``), with no
+        rescaling and no division.  Over symbolic q the recurrence runs in
+        the context's ``qkernels.divide``, on A and B evaluated at
+        q = 2^bits.
         """
         o = self._peer(other)
         if not o._c[0]:
@@ -336,9 +328,9 @@ class WardSeries(Immutable):
             return WardSeries(ctx, ctx._qkernels.divide(ctx, self._c[:m], o._c[:m]))
         ab = _integer_vector(self._c[:m] + o._c[:m])[1]
         va, vb = ab[:m], ab[m:]
-        scale = ctx._scales(m)
-        e, power = _substitute(ctx._binomials(m - 1), va, vb, scale)
-        return WardSeries(ctx, [_int_ratio(x, g * p) for x, g, p in zip(e, scale, power[1:])])
+        table = ctx._scales(m)
+        e, power = _substitute(table, va, vb)
+        return WardSeries(ctx, [_int_ratio(x, g * p) for x, (g, _), p in zip(e, table, power[1:])])
 
     # -- substitutions ----------------------------------------------------------------
 

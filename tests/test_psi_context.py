@@ -405,14 +405,18 @@ def test_a_series_grows_the_sequence_alone():
                                     ("fib", 1)])
 def test_division_scales_of_integral_and_q_contexts(spec, v):
     # G_n = v^(n(n-1)/2) for q = u/v; integer binomials need no scale
-    assert get_context(spec)._scales(16) == [v ** (n * (n - 1) // 2) for n in range(16)]
+    assert [g for g, _ in get_context(spec)._scales(16)[:16]] == [v ** (n * (n - 1) // 2)
+                                                                 for n in range(16)]
 
 
-@pytest.mark.parametrize("spec", ["custom:[0,1,1/2,3/2,-2/3,5/4,7/3,-1/5,2,3/7,11/6]",
-                                  "custom:[0,1,2,1,3,1,4,1,5,1,6]", "q=-7/4"])
+DIVISION_LISTS = ["custom:[0,1,1/2,3/2,-2/3,5/4,7/3,-1/5,2,3/7,11/6]",
+                  "custom:[0,1,2,1,3,1,4,1,5,1,6]"]
+
+
+@pytest.mark.parametrize("spec", DIVISION_LISTS + ["q=-7/4"])
 def test_division_scales_are_the_least_that_clear_every_row(spec):
     ctx = get_context(spec)
-    scale = ctx._scales(11)
+    scale = [g for g, _ in ctx._scales(11)]
     for n in range(1, 11):
         row = [Fraction(ctx.psi_binomial(n, k)) for k in range(n)]
         assert all((c * scale[n] / scale[k]).denominator == 1 for k, c in enumerate(row))
@@ -422,6 +426,24 @@ def test_division_scales_are_the_least_that_clear_every_row(spec):
             if scale[n] % p == 0 and scale[n] // p % scale[n - 1] == 0:
                 assert any((c * (scale[n] // p) / scale[k]).denominator != 1
                            for k, c in enumerate(row))
+
+
+@pytest.mark.parametrize("spec", ["natural", "fib", "q=3/2", "q=-2/3", "q=-7/4", "q=5"]
+                         + DIVISION_LISTS)
+def test_division_rows_are_the_integers_t(spec):
+    # T_n[k] = C(n, k) G_n / G_k, an int for 0 <= k <= n, read from a fresh context's table
+    ctx = PsiContext.from_spec(spec)
+    m = 11 if ctx.bound is not None else 24
+    table = ctx._scales(m)
+    assert len(table) == m
+    for n, (g, row) in enumerate(table):
+        assert len(row) == n + 1 and row[0] == g
+        for k, t in enumerate(row):
+            assert type(t) is int
+            assert t == Fraction(ctx.psi_binomial(n, k)) * g / table[k][0]
+        if spec in ("natural", "fib", "q=5"):
+            # integer binomials: G_n = 1 and the row is the binomial row itself, not a copy
+            assert g == 1 and row is ctx._binom[n][1]
 
 
 @pytest.mark.parametrize("spec", ["natural", "q", "q=3/2", "fib", "custom:[0,1,2,1,3,1,4]"])

@@ -148,6 +148,17 @@ def test_a_value_copies_as_itself_and_pickles_to_an_equal_one():
     assert back.ctx is ctx and back * f == f * f
 
 
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_value_pickles_at_every_protocol(protocol):
+    # below protocol 2 pickle reads the fields of a value with slots from ``__getstate__`` alone
+    ctx = get_context("q")
+    f = make_series(ctx, [1, Q, 2])
+    for value in (Q, f, ProductChain(2, True, ((1, 0),)), OperatorSum.single(((2, 1),)), ctx):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value
+    assert pickle.loads(pickle.dumps(f, protocol)).ctx is ctx
+
+
 def test_index_pairs_refuse_bools(fib):
     # bool is an int subclass, so True would otherwise read as the index 1
     f = fib_series([1, 2, 3])
@@ -807,6 +818,28 @@ def test_rational_divide_at_order_forty():
         g = make_series(ctx, [Fraction(3, 2)] + [n % 4 - 1 for n in range(1, order + 1)])
         assert typed(f.divide(g)) == typed(WardSeries(ctx, fraction_substitute(ctx, f.coeffs,
                                                                                 g.coeffs)))
+
+
+@pytest.mark.parametrize("spec", ["q=3/2", "q=-7/4"])
+def test_rational_divide_at_the_workloads_depth(spec):
+    # order 64, the deepest divide of the series-rational workload: G_64 = 2^2016 for q = 3/2
+    ctx = get_context(spec)
+    f = make_series(ctx, [Fraction((-1) ** n * (n + 1), n % 3 + 1) for n in range(65)])
+    g = make_series(ctx, [Fraction(3, 2)] + [Fraction(n % 5 - 2, n % 4 + 1) for n in range(1, 65)])
+    assert typed(f.divide(g)) == typed(WardSeries(ctx, fraction_substitute(ctx, f.coeffs,
+                                                                            g.coeffs)))
+
+
+@pytest.mark.parametrize("spec", ["q=3/2", "q=-7/4", "fib", RATIONAL_SPECS[-1]])
+def test_a_division_is_the_same_after_its_rows_are_dropped(spec):
+    ctx = PsiContext.from_spec(spec)
+    order = 30 if ctx.bound is None else ctx.bound
+    f = make_series(ctx, [n * n - 3 for n in range(order + 1)])
+    g = make_series(ctx, [Fraction(-5, 3)] + [Fraction(1, n) for n in range(1, order + 1)])
+    want = f.divide(g)
+    del ctx._scale[2:]
+    assert typed(f.divide(g)) == typed(want)
+    assert typed(f.truncate(order // 2).divide(g)) == typed(want.truncate(order // 2))
 
 
 def test_divide_requires_invertible_constant_term(fib):
