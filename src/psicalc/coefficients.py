@@ -5,7 +5,9 @@ Two scalar variants are supported, and they are kept deliberately separate:
 * plain rationals, represented by stdlib ``int`` / ``fractions.Fraction``
   (both are ``numbers.Rational``; an int is just a fraction with
   denominator 1, and we normalize whole-valued fractions back to int so
-  the common paths stay in fast integer arithmetic);
+  the common paths stay in fast integer arithmetic); a kernel's x / d is
+  made canonical once, by one gcd (``_int_ratio``), the way FLINT's
+  ``fmpq`` canonicalises a rational;
 * rational functions of a formal symbol q, represented by ``RatFuncQ``,
   a reduced pair of integer vectors in the canonical form of FLINT's
   ``fmpz_poly_q``; its ``num`` and ``den`` are ``PolyQ`` polynomials with
@@ -31,7 +33,7 @@ import numbers
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 from .errors import ParseError, echo
@@ -75,9 +77,31 @@ def _integer_vector(c: tuple) -> tuple:
     return d, [x.numerator * (d // x.denominator) for x in c]
 
 
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """The Fraction n / d of coprime ints with d > 1, its two slots set with no gcd.
+
+    What ``Fraction._from_coprime_ints`` does on Python 3.12+; the slots are
+    the same on 3.10-3.13.
+    """
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
 def _int_ratio(x: int, d: int):
-    """The canonical rational x / d of two ints (int when whole)."""
-    return x if d == 1 else _norm_rat(Fraction(x, d))
+    """The canonical rational x / d of two ints, d != 0 (int when whole), by one gcd.
+
+    The sign moves onto x; ``Fraction(x, d)`` is the reference it equals.
+    """
+    if d == 1:
+        return x
+    if d < 0:
+        x, d = -x, -d
+    g = gcd(x, d)
+    if g == d:
+        return x // d
+    return _coprime_fraction(x, d) if g == 1 else _coprime_fraction(x // g, d // g)
 
 
 def _check_rat(x):

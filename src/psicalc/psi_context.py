@@ -11,7 +11,7 @@ as far as the call reads:
   ``operator_algebra.binomial_weights`` and ``qkernels._binomials_at``
   call;
 * ``_kernel``, kernel row prefixes, by ``_kernel_row``, which
-  ``_chain_rows`` calls;
+  ``_chain_rows`` calls for a prefix it does not find kept;
 * ``_fact``, the factorials, by ``psi_factorial``;
 * ``_scale``, the division rows, by ``_scales``, which
   ``WardSeries.divide`` calls;
@@ -521,9 +521,10 @@ def _q_power(ctx: PsiContext, n: int) -> Scalar:
 def _check_scalars(ctx: PsiContext, values) -> tuple:
     """The values through ``_check_scalar``, as a tuple.
 
-    All ints over plain rationals or all ``RatFuncQ`` over symbolic q, what
-    every kernel returns, pass in one C-level type pass.  Ints and
-    ``Fraction``s over plain rationals take ``_norm_rat`` alone.
+    All ints over plain rationals or all ``RatFuncQ`` over symbolic q pass
+    in one C-level type pass, and ints and ``Fraction``s over plain
+    rationals take ``_norm_rat`` alone; a kernel's result skips this check
+    (``WardSeries._raw``).
     """
     c = tuple(values)
     if (ctx._qkernels._RATFUNC_ONLY if ctx.symbolic else _INT_ONLY).issuperset(map(type, c)):
@@ -540,19 +541,23 @@ def _chain_rows(ctx: PsiContext, pairs, m: int):
     W(n, k) = prod F(n+i, k+j) over the pairs; a star chain reads the same
     rows with the operands swapped (``series._convolve``).  The rows are
     made as they are read, so a product holds one at a time.  Each kernel
-    row is read through ``_kernel_row`` as the prefix the slice ends in, so
-    the context keeps no entry past it; the chain's reach is refused first,
-    by ``_weighting``.
+    row is the prefix the slice ends in: read from ``_kernel`` when it is
+    kept and long enough, else built through ``_kernel_row``, so the
+    context keeps no entry past it; the chain's reach is refused first, by
+    ``_weighting``.
     """
-    kernel_row, binom = ctx._kernel_row, ctx._binomials(m)
+    kept, kernel_row, binom = ctx._kernel, ctx._kernel_row, ctx._binomials(m)
 
     def rows():
         for n in range(m + 1):
             row = binom[n]
             for i, j in pairs:
                 # F(n+i, k+j) for k = 0..n is one slice of a kernel row's prefix
-                d, v = kernel_row(n + i, j + n + 1)
-                row = _form_mul(row, (d, v[j : j + n + 1]))
+                stop = j + n + 1
+                kernel = kept.get(n + i)
+                if kernel is None or len(kernel[1]) < stop:
+                    kernel = kernel_row(n + i, stop)
+                row = _form_mul(row, (kernel[0], kernel[1][j:stop]))
             yield row
 
     return rows()

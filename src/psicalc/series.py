@@ -28,14 +28,17 @@ Every symbolic context is a power kernel, so over symbolic q every
 weighting is a twist.  Both loops run on Python ints for both scalar
 variants, fraction-free: denominators are cleared once, the sums are
 integer dot products, every term adds into one numerator per result
-coefficient, and each result coefficient is divided once.  Plain
-rationals read cleared rows, an integer vector over one denominator per
-row, and division reads the context's integral rows C(n, k) G_n / G_k,
-with G_n the least integer that keeps them whole.  Over symbolic q both
-loops hand over to the context's ``qkernels``, where every polynomial is
-evaluated at q = 2^bits (Kronecker substitution), so a result coefficient
-is one packed big-int sum that is unpacked once, and bits comes from
-running the same loop on |.|_1 norms.
+coefficient, and each result coefficient is divided once, which makes it
+canonical: over plain rationals by one gcd (``coefficients._int_ratio``).
+A kernel's result is stored as it is born, through ``WardSeries._raw``,
+with no second check.  Plain rationals read cleared rows, an integer
+vector over one denominator per row, and division reads the context's
+integral rows C(n, k) G_n / G_k, with G_n the least integer that keeps
+them whole.  Over symbolic q both loops hand over to the context's
+``qkernels``, where every polynomial is evaluated at q = 2^bits
+(Kronecker substitution), so a result coefficient is one packed big-int
+sum that is unpacked once, and bits comes from running the same loop on
+|.|_1 norms.
 
 Binary operations demand the *same context object* on both sides and
 truncate to the smaller order.  The derivative maps a_n to a_{n+1} (one
@@ -104,13 +107,15 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     denominators are cleared once.  Plain rationals sum on ints: a term's
     row sums, over its product rows as they are or over the binomial rows
     the context keeps cleared for a twist (``PsiContext._binomials``,
-    which this read grows through row m - 1), are scaled by c, and the
-    terms meet over the lcm of their row denominators, which the terms of
-    one Leibniz level share.  For q = u/w a twist multiplies the operand
-    slices by u^(P k + J) and w^(P k), and w^(P n + J) joins the row
-    denominator.  Over symbolic q, a power kernel, every term is a twist,
-    and the context's ``qkernels.convolve`` sums the terms on packed big
-    ints.  Row n of a term is one dot product in C,
+    which this read grows through row m - 1), are scaled by c unless c is
+    1, the first term's sums are taken as they are, and the terms meet
+    over the lcm of their row denominators, which the terms of one Leibniz
+    level share; each c_n is then one ``_int_ratio``, canonical as born.
+    For q = u/w a twist multiplies the operand slices by u^(P k + J) and
+    w^(P k), and w^(P n + J) joins the row denominator.  Over symbolic q,
+    a power kernel, every term is a twist, and the context's
+    ``qkernels.convolve`` sums the terms on packed big ints.  Row n of a
+    term is one dot product in C,
     sum_k v[k] (a_k b_{n-k}) with b_n down to b_0 a reversed slice, so a
     big binomial takes one multiplication per term.
     """
@@ -118,7 +123,8 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     i, j = map(max, zip((0, 0), *terms))
     m = min(len(f._c) - i, len(g._c) - j)
     if ctx.symbolic:
-        return WardSeries(ctx, ctx._qkernels.convolve(ctx, f._c[: m + i], g._c[: m + j], terms, m))
+        return WardSeries._raw(ctx, ctx._qkernels.convolve(ctx, f._c[: m + i], g._c[: m + j],
+                                                           terms, m))
     (da, va), (db, vb) = _integer_vector(f._c[: m + i]), _integer_vector(g._c[: m + j])
     # lists: b_n down to b_0 is a reversed slice, and CPython 3.11 files
     # freed 20-tuples in a free list it never draws from
@@ -126,7 +132,7 @@ def _convolve(f, g, terms: list) -> "WardSeries":
     dc, vc = _integer_vector([c for *_, c in terms])
     den, (u, w), binom = da * db * dc, _parts(ctx), ctx._binomials(m - 1)
     nums, dens = [0] * m, [1] * m
-    for (i, j, star, wt, _), c in zip(terms, vc):
+    for t, ((i, j, star, wt, _), c) in enumerate(zip(terms, vc)):
         a, b, rows = va[i : i + m], vb[j : j + m], binom
         if star:
             a, b = b, a
@@ -140,8 +146,12 @@ def _convolve(f, g, terms: list) -> "WardSeries":
         # the terms meet over the lcm of their row denominators
         r = -1
         for r, (d, v) in zip(range(m), rows):
-            x, e = sum(map(mul, v, map(mul, a, b[r::-1]))) * c, dens[r]
-            if d == e:
+            x = sum(map(mul, v, map(mul, a, b[r::-1])))
+            if c != 1:
+                x *= c
+            if not t:
+                nums[r], dens[r] = x, d
+            elif d == (e := dens[r]):
                 nums[r] += x
             elif not nums[r]:
                 nums[r], dens[r] = x, d
@@ -150,7 +160,9 @@ def _convolve(f, g, terms: list) -> "WardSeries":
                 nums[r] = nums[r] * (l // e) + x * (l // d)
         if r < m - 1:
             raise IndexOutOfBound(f"weight rows end at row {r}, the product needs row {m - 1}")
-    return WardSeries(ctx, [_int_ratio(x, d * den) for x, d in zip(nums, dens)])
+    if den != 1:
+        dens = [d * den for d in dens]
+    return WardSeries._raw(ctx, list(map(_int_ratio, nums, dens)))
 
 
 def _substitute(table, a, b) -> tuple[list, list]:
@@ -188,6 +200,20 @@ class WardSeries(Immutable):
         ctx._grow(len(c) - 1)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_c", c)
+
+    @classmethod
+    def _raw(cls, ctx: PsiContext, coeffs: list) -> "WardSeries":
+        """Trusted constructor for a kernel's result: canonical scalars of ctx's variant.
+
+        A kernel's coefficients are born canonical and no longer than its
+        operands, whose construction grew the context, so the tuple is stored
+        with no ``_check_scalars`` and no ``_grow``; ``WardSeries(...)``
+        keeps every check for anything else.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "_c", tuple(coeffs))
+        return self
 
     @property
     def coeffs(self) -> tuple:
@@ -325,12 +351,13 @@ class WardSeries(Immutable):
         ctx = self.ctx
         m = min(len(self._c), len(o._c))
         if ctx.symbolic:
-            return WardSeries(ctx, ctx._qkernels.divide(ctx, self._c[:m], o._c[:m]))
+            return WardSeries._raw(ctx, ctx._qkernels.divide(ctx, self._c[:m], o._c[:m]))
         ab = _integer_vector(self._c[:m] + o._c[:m])[1]
         va, vb = ab[:m], ab[m:]
         table = ctx._scales(m)
         e, power = _substitute(table, va, vb)
-        return WardSeries(ctx, [_int_ratio(x, g * p) for x, (g, _), p in zip(e, table, power[1:])])
+        return WardSeries._raw(ctx, [_int_ratio(x, g * p)
+                                     for x, (g, _), p in zip(e, table, power[1:])])
 
     # -- substitutions ----------------------------------------------------------------
 

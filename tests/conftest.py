@@ -6,7 +6,10 @@ from operator import add
 
 import pytest
 
+from psicalc.coefficients import _coprime_fraction
 from psicalc.psi_context import get_context
+
+_COPRIME_FRACTION = _coprime_fraction.__code__
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -46,14 +49,15 @@ def _fractions_made_under(codes, run) -> list:
     """The functions among ``codes`` under which ``run()`` made a Fraction, one name per Fraction.
 
     A profile hook sees every construction, including the ones Fraction
-    arithmetic makes through ``_from_coprime_ints`` on Python 3.12+.
+    arithmetic makes through ``_from_coprime_ints`` on Python 3.12+ and the
+    ones ``coefficients._coprime_fraction`` makes by setting the slots.
     """
     made = []
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
-                "__new__", "_from_coprime_ints"):
+        if event == "call" and (code is _COPRIME_FRACTION or code.co_filename == fractions.__file__
+                                and code.co_name in ("__new__", "_from_coprime_ints")):
             caller = frame.f_back
             while caller is not None and caller.f_code not in codes:
                 caller = caller.f_back

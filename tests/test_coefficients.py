@@ -1,13 +1,18 @@
+import fractions
+import pickle
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub, truediv
 
 import pytest
 from conftest import scalar_eval
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psicalc import intpoly
-from psicalc.coefficients import _norm_rat, parse_rational, scalar_from_json, scalar_to_json
+from psicalc import coefficients, intpoly
+from psicalc.coefficients import (_int_ratio, _norm_rat, parse_rational, scalar_from_json,
+                                  scalar_to_json)
 from psicalc.intpoly import _digit_bits, _pack, _unpack
 from psicalc.qfield import Q, PolyQ, RatFuncQ, embed_rational
 from psicalc.errors import DivisionByZero, ParseError, VariantMismatch
@@ -40,6 +45,73 @@ def test_parse_rational_rejects_malformed(bad):
 @given(rationals)
 def test_rational_roundtrip(x):
     assert parse_rational(str(x)) == x
+
+
+# -- the canonical ratio of two ints ---------------------------------------------
+
+# operands of 1 to 5,000 bits, either sign
+wide_ints = st.integers(min_value=1, max_value=5000).flatmap(
+    lambda bits: st.integers(min_value=-(2**bits), max_value=2**bits))
+nonzero_ints = st.one_of(st.integers(min_value=-50, max_value=50), wide_ints).filter(bool)
+ratio_pairs = st.one_of(
+    st.tuples(st.integers(min_value=-50, max_value=50), nonzero_ints),
+    st.tuples(wide_ints, nonzero_ints),
+    # whole ratios, and x = 0
+    st.tuples(wide_ints, nonzero_ints).map(lambda xd: (xd[0] * xd[1], xd[1])),
+    st.tuples(st.just(0), nonzero_ints),
+)
+
+
+@given(ratio_pairs)
+@example((0, -7))
+@example((6, -4))
+@example((-12, -4))
+@example((2**4999 + 1, -(3**3000)))
+@settings(max_examples=300, deadline=None)
+def test_int_ratio_is_the_canonical_fraction(pair):
+    # Fraction(x, d), made whole-valued int, is the reference in every observable
+    x, d = pair
+    got, want = _int_ratio(x, d), _norm_rat(Fraction(x, d))
+    assert type(got) is type(want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want) and str(got) == str(want)
+    for protocol in range(6):
+        back = pickle.loads(pickle.dumps(got, protocol))
+        assert type(back) is type(want) and repr(back) == repr(want)
+    other = Fraction(-3, 7)
+    for op in (add, sub, mul, truediv):
+        assert repr(op(got, other)) == repr(op(want, other))
+        if want:
+            assert repr(op(other, got)) == repr(op(other, want))
+
+
+@pytest.mark.parametrize("x, d", [(6, 4), (-6, -4), (6, -4), (0, 5), (0, -5), (12, -4), (7, 1),
+                                  (5, 3), (2**5000 + 3, 3**2000), (3**2000 * 10, -(3**2000) * 4)])
+def test_int_ratio_takes_one_gcd_and_runs_no_fraction_code(monkeypatch, fractions_made_under,
+                                                            x, d):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(coefficients, "gcd", counted)
+    ran = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            ran.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        got = _int_ratio(x, d)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= 1 and ran == []
+    # the Fraction it builds is one the hook of the "makes no Fraction" tests sees
+    made = fractions_made_under({_int_ratio.__code__}, lambda: _int_ratio(x, d))
+    assert made == ([] if type(got) is int else ["_int_ratio"])
 
 
 # -- PolyQ ---------------------------------------------------------------------

@@ -360,6 +360,34 @@ def test_packed_row_store_keeps_the_bits_values_read_last():
     assert len(ctx._packed) == _PACKED_BITS
 
 
+@pytest.mark.parametrize("spec", ["fib", custom_list(FRACTIONAL_LIST)])
+def test_a_chain_builds_only_the_kernel_prefixes_it_lacks(monkeypatch, spec):
+    # a chain calls _kernel_row only for a prefix that is not kept or is too
+    # short, so a warm chain calls it not at all; results read as a fresh context's
+    ctx = PsiContext.from_spec(spec)
+    pairs = ((2, 1), (3, 2), (4, 0))
+    f = make_series(ctx, [Fraction(n + 1, n % 3 + 1) for n in range(21)])
+    g = make_series(ctx, [(-1) ** n * (2 * n + 3) for n in range(21)])
+    built, kernel_row = [], PsiContext._kernel_row
+
+    def counted(self, n, stop):
+        kept = self._kernel.get(n)
+        assert kept is None or len(kept[1]) < stop
+        built.append(n)
+        return kernel_row(self, n, stop)
+
+    monkeypatch.setattr(PsiContext, "_kernel_row", counted)
+    short = f.truncate(12).chain(g.truncate(12), pairs)
+    assert built
+    built.clear()
+    assert f.truncate(12).chain(g.truncate(12), pairs) == short and built == []
+    longer = f.chain(g, pairs)
+    assert built
+    fresh = PsiContext.from_spec(spec)
+    want = make_series(fresh, f.coeffs).chain(make_series(fresh, g.coeffs), pairs)
+    assert longer.coeffs == want.coeffs
+
+
 def reset_tables(ctx) -> None:
     """Every table of ``ctx`` back to its seed row; the sequence integers S_n stay."""
     del ctx._binom[1:], ctx._fact[1:]

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import fraction_sums
@@ -24,7 +25,7 @@ from psicalc.errors import (
     ParseError,
     VariantMismatch,
 )
-from psicalc.calculus import RuleReport
+from psicalc.calculus import RuleReport, general_leibniz
 from psicalc.operator_algebra import OperatorSum, ProductChain, binomial_operator
 from psicalc.psi_context import PsiContext, get_context
 from psicalc.series import (
@@ -41,6 +42,7 @@ from psicalc.series import (
     sin_psi,
     zeros,
 )
+from psicalc.verify import custom_spec
 
 coeff_lists = st.lists(st.integers(min_value=-6, max_value=6), min_size=5, max_size=5)
 
@@ -853,6 +855,58 @@ def test_scalar_division(fib):
     assert (f / 2).coeffs == (1, 2, 3, 0, 0)
     with pytest.raises((DivisionByZero, ZeroDivisionError)):
         f / 0
+
+
+# -- kernel results are born canonical -------------------------------------------
+
+# the benchmark's 69-value custom list and a list with fractional and negative values
+CANONICAL_SPECS = ("natural", "fib", "q=3/2", "q=-7/4", "q=-2/5", "q", custom_spec(68),
+                   "custom:[0,1,3/2,2,-5/3,7,1/4,3,11/5,9,13]")
+
+
+def is_canonical(x) -> bool:
+    if type(x) is Fraction:
+        return x.denominator > 1 and gcd(x.numerator, x.denominator) == 1
+    if type(x) is RatFuncQ:
+        # the public constructor reduces num / den again
+        y = RatFuncQ(x.num, x.den)
+        return (x._n, x._d) == (y._n, y._d)
+    return type(x) is int
+
+
+@pytest.mark.parametrize("spec", CANONICAL_SPECS)
+def test_kernel_results_are_born_canonical(spec):
+    # each kernel's coefficients equal, by repr, the same ones through WardSeries(ctx, ...)
+    ctx, rng = get_context(spec), random.Random(7)
+    order = 6 if ctx.bound is not None and ctx.bound < 20 else 12
+
+    def draw(c0=None):
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(order + 1)]
+        return make_series(ctx, c if c0 is None else [c0] + c[1:])
+
+    f, g = draw(), draw()
+    results = [f * g, f.chain(g, ((2, 1), (3, 2), (4, 0))), f.star(g, 3, 1),
+               general_leibniz(f, g, 3)]
+    results += [f.divide(draw(c0)) for c0 in (1, -3, Fraction(-5, 2), Fraction(2, 3))]
+    for r in results:
+        assert all(map(is_canonical, r.coeffs)), spec
+        again = WardSeries(ctx, list(r.coeffs))
+        assert [repr(x) for x in again.coeffs] == [repr(x) for x in r.coeffs], spec
+        assert repr(again) == repr(r) and again == r
+
+
+@pytest.mark.parametrize("spec", ("q=3/2", "q"))
+def test_kernel_results_skip_the_checks_the_public_constructor_keeps(monkeypatch, spec):
+    ctx = get_context(spec)
+    f, g = make_series(ctx, [1, 2, Fraction(1, 3)]), make_series(ctx, [-2, 1, 5])
+
+    def refuse(*args):
+        raise AssertionError("a kernel result was checked again")
+
+    monkeypatch.setattr("psicalc.series._check_scalars", refuse)
+    f * g, f.star(g, 2, 1), f.divide(g), general_leibniz(f, g, 1)
+    with pytest.raises(AssertionError):
+        WardSeries(ctx, [1, 2])
 
 
 # -- guards and plumbing ---------------------------------------------------------
