@@ -19,9 +19,9 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd
-from operator import add, rshift
+from operator import add
 
 from .coefficients import _integer_vector, _norm_rat
 
@@ -66,39 +66,47 @@ def _pack(v, bits: int) -> int:
     return int.from_bytes(raw, "little") - _half_digits(len(v), width)
 
 
-def _unpack(x: int, bits: int) -> list:
-    """The balanced base-X digits of x, each in [-X/2, X/2), without trailing zeros.
+def _unpack(xs, bits: int) -> list:
+    """The balanced base-X digits of each x in ``xs``, each in [-X/2, X/2), without trailing zeros.
 
     Balanced digits are unique, so these are the coefficients of the
     polynomial packed in x whenever every coefficient is below X/2 =
     2^(bits-1) in absolute value.  n digits hold every |x| < X^n / 4, which
     fixes how many to read.  With H the n digits X/2, x + H has the
     balanced digits plus X/2, so (x + H) ^ H has each balanced digit as a
-    two's-complement field of bits / 8 bytes.  Fields of 1, 2, 4 and 8
-    bytes are read by one signed ``struct.unpack``; fields of 3, 5, 6 and
-    7 bytes are first spread to the top of 4- or 8-byte slots, one strided
-    slice per byte plane, and read the same way, then shifted down; wider
-    fields are read one by one.
+    two's-complement field of bits / 8 bytes.  The n fields of every x lie
+    end to end in one buffer, read in one pass: fields of 1, 2, 4 and 8
+    bytes by one signed ``struct.unpack``; fields of 3, 5, 6 and 7 bytes
+    are first spread to the bottom of 4- or 8-byte slots, one strided
+    slice per byte plane, with each field's sign byte (its top byte
+    translated to 0x00 or 0xff) in the slot's spare bytes, and read the
+    same way; wider fields one ``int.from_bytes`` each.  The buffer is then
+    cut into each x's n digits, whose trailing zeros are dropped, so no
+    entry's digits run into the next.  A kernel reads all its results in
+    one call, and a single int is read as a batch of one.
     """
     width = bits // 8
-    n = (abs(x).bit_length() + 1) // bits + 1
-    half = _half_digits(n, width)
-    raw = ((x + half) ^ half).to_bytes(n * width, "little")
+    counts = [(abs(x).bit_length() + 1) // bits + 1 for x in xs]
+    raw = b"".join([((x + h) ^ h).to_bytes(n * width, "little")
+                    for x, n in zip(xs, counts) for h in [_half_digits(n, width)]])
     if width > 8:
-        out = [int.from_bytes(raw[i : i + width], "little", signed=True)
-               for i in range(0, n * width, width)]
+        words = [int.from_bytes(raw[i : i + width], "little", signed=True)
+                 for i in range(0, len(raw), width)]
     else:
         slot = 1 << (width - 1).bit_length()
-        pad = slot - width
-        if pad:
-            buf = bytearray(n * slot)
-            for t in range(width):
-                buf[pad + t :: slot] = raw[t::width]
+        if slot > width:
+            # each field at the bottom of a slot, and its sign byte repeated above it
+            buf = bytearray(len(raw) // width * slot)
+            sign = raw[width - 1 :: width].translate(bytes(128) + b"\xff" * 128)
+            for t in range(slot):
+                buf[t::slot] = raw[t::width] if t < width else sign
             raw = buf
-        words = struct.unpack(f"<{n}{'bhiq'[slot.bit_length() - 1]}", raw)
-        out = list(map(rshift, words, repeat(8 * pad)) if pad else words)
-    while out and not out[-1]:
-        out.pop()
+        words = list(struct.unpack(f"<{len(raw) // slot}{'bhiq'[slot.bit_length() - 1]}",
+                                   raw))
+    out = [words[e - n : e] for n, e in zip(counts, accumulate(counts))]
+    for v in out:
+        while v and not v[-1]:
+            v.pop()
     return out
 
 
@@ -114,7 +122,7 @@ def _kronecker_mul(a: tuple, b: tuple) -> list:
     if len(va) < len(vb):
         va, vb = vb, va
     bits = _digit_bits(max(map(abs, va)) * _norm(vb))
-    out = _unpack(_pack(va, bits) * _pack(vb, bits), bits)
+    [out] = _unpack([_pack(va, bits) * _pack(vb, bits)], bits)
     den = da * db
     if den != 1:
         out = [_norm_rat(Fraction(x, den)) for x in out]
@@ -156,7 +164,7 @@ def _quotient(u, h) -> list:
     back exactly.
     """
     bits = _digit_bits(_norm(u) << len(u))
-    return _unpack(_pack(u, bits) // _pack(h, bits), bits)
+    return _unpack([_pack(u, bits) // _pack(h, bits)], bits)[0]
 
 
 # The heuristic gcd GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet,
@@ -177,16 +185,16 @@ def _cofactors(u: list, v: list) -> tuple:
     for _ in range(_HEU_TRIES):
         x, y = _pack(u, bits), _pack(v, bits)
         g = gcd(x, y)
-        h = _unpack(g, bits)
+        [h] = _unpack([g], bits)
         if len(h) == 1:
             return [1], u, v
         c = gcd(*h)
         if c != 1:
             g //= c
-            h = _unpack(g, bits)
+            [h] = _unpack([g], bits)
         # h(X) divides x and y; balanced digits are unique, so once
         # |h|_1 |w / h|_max < X / 2 the cofactor read back times h is w itself
-        cs = _unpack(x // g, bits), _unpack(y // g, bits)
+        cs = _unpack([x // g, y // g], bits)
         for f, w in zip(cs, (u, v)):
             if _norm(h) * max(map(abs, f)) >> (bits - 1) and _kronecker_mul(f, h) != list(w):
                 break

@@ -8,8 +8,7 @@ as far as the call reads:
 
 * ``_binom``, the binomial rows, by ``_binomials``, which the series
   kernels, ``_scales``, ``_chain_rows``, ``psi_binomial``,
-  ``operator_algebra.binomial_weights`` and ``qkernels._binomials_at``
-  call;
+  ``operator_algebra.binomial_weights`` and ``qkernels.divide`` call;
 * ``_kernel``, kernel row prefixes, by ``_kernel_row``, which
   ``_chain_rows`` calls for a prefix it does not find kept;
 * ``_fact``, the factorials, by ``psi_factorial``;
@@ -40,8 +39,7 @@ and by ``binomial_weights`` (the binomial rows and the integers S_n).
   the stored rows.  Row n comes from row n-1 by the multiplicative identity
   C(n, k) = C(n-1, k-1) * s_n / s_k, half a row and its mirror
   (``_binomial_row``); over symbolic q, the same identity at q = 1,
-  Pascal's rows, which bound the digits of every q-binomial the kernels
-  use.
+  Pascal's rows, which bound the digits of symbolic division.
 * ``_kernel_row(n, stop)`` gives entries 0..stop-1 of row n of the weight
   kernel F(n, k) = (s_n - s_k) / s_{n-k}, 0 <= k < n, for a kernel that is
   not a power of q.  Whether every entry is a power F(n, k) = q^k (the

@@ -11,7 +11,10 @@ The context reads its scalar type and embedding here too.  The kernels
 clear rational functions over one denominator (``_integer_forms``) and
 make results from integer vectors (``qfield._from_integer``), reading and
 building ``RatFuncQ``'s integer pair directly, so no kernel makes a
-``Fraction``.
+``Fraction``.  Each kernel packs its integer vectors at q = 2^bits, with
+bits from an exact bound on every result coefficient (a closed form for
+``convolve``, a norm recurrence for ``divide``), and reads the digits of
+all its results back in one ``intpoly._unpack`` call.
 
 The scalars live apart, in ``qfield``, so that a process which only reads
 ``PolyQ`` or parses a symbolic value compiles no kernel code, and the
@@ -22,9 +25,9 @@ its token array.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 from math import comb, gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 from .intpoly import _ONE, _cofactors, _digit_bits, _kronecker_mul, _norm, _pack, _quotient, _unpack
 from .qfield import _RATFUNC_ONLY, RatFuncQ, _from_integer, _product, embed_rational
@@ -59,23 +62,16 @@ def _integer_forms(values) -> tuple:
 _PACKED_BITS = 16
 
 
-def _binomials_at(ctx, bits: int, m: int, shift: int = 0):
+def _binomials_at(ctx, bits: int, m: int):
     """The q-binomial row forms 0..m-1 at q = 2^bits, one at a time, for a symbolic context.
 
-    The q-binomials have nonnegative coefficients, so at bits = 0 (q = 1)
-    the rows hold each binomial's |.|_1 norm: Pascal's rows, which the
-    norm pass of every kernel call reads, so they are the context's
-    binomial rows, grown through row m - 1 by the read (``ctx._binomials``).
-    At bits > 0 the rows are kept per bits value, in the context's
-    ``_packed``, and grown append-only as they are read; the closed form
-    F(n, k) = q^k makes the recurrence a shift and an add.  The store holds
-    the rows of the ``_PACKED_BITS`` bits values read last.  A nonzero
-    ``shift`` = bits * P yields C(n, k) q^(P k) instead, each entry shifted
-    left by shift * k.
+    The rows are kept per bits value, in the context's ``_packed``, and
+    grown append-only as they are read; the closed form F(n, k) = q^k makes
+    the recurrence a shift and an add.  The store holds the rows of the
+    ``_PACKED_BITS`` bits values read last.  The stored rows are yielded
+    themselves, not copies, so no reader may change them: a twist's powers
+    of q are applied by the reader (``convolve``).
     """
-    if not bits:
-        yield from islice(ctx._binomials(m - 1), m)
-        return
     store = ctx._packed
     rows = store.pop(bits, None) or [[1]]
     store[bits] = rows
@@ -85,8 +81,7 @@ def _binomials_at(ctx, bits: int, m: int, shift: int = 0):
         if n == len(rows):
             row = rows[-1]
             rows.append([1] + [row[k - 1] + (row[k] << bits * k) for k in range(1, n)] + [1])
-        row = rows[n]
-        yield 1, [x << shift * k for k, x in enumerate(row)] if shift else row
+        yield 1, rows[n]
 
 
 def q_binomial(ctx, n: int, k: int) -> RatFuncQ:
@@ -99,7 +94,7 @@ def q_binomial(ctx, n: int, k: int) -> RatFuncQ:
     # a q-binomial's coefficients are at most its value at q = 1
     bits = _digit_bits(comb(n, n // 2))
     row = next(islice(_binomials_at(ctx, bits, n + 1), n, None))[1]
-    return _from_integer(_unpack(row[k], bits))
+    return _from_integer(_unpack([row[k]], bits)[0])
 
 
 def convolve(ctx, a: tuple, b: tuple, terms: list, m: int) -> list:
@@ -108,46 +103,52 @@ def convolve(ctx, a: tuple, b: tuple, terms: list, m: int) -> list:
     ``a`` and ``b`` are the operand coefficients the terms read.  Every
     symbolic context is a power kernel, so every term (i, j, star, (P, J), c)
     is weighed by a twist, after a ``star`` term swaps its operand slices.
-    The term scalars are cleared over one denominator, and
-    every integer polynomial is evaluated at q = 2^bits (Kronecker
-    substitution), so c_n is one packed big-int sum unpacked once; the bits
-    come from the same sums run on |.|_1 norms, an exact bound on every
-    coefficient.  A twist is a shift of each binomial entry by bits P k and
-    of the term's packed scalar by bits J, as |q^s p|_1 = |p|_1.
+    The term scalars are cleared over one denominator, and every integer
+    polynomial is evaluated at q = 2^bits (Kronecker substitution), so c_n
+    is one packed big-int sum, and the m sums are unpacked in one read.
+    The bits come from a closed-form bound, read off the norms in O(m):
+    |.|_1 bounds every coefficient and is submultiplicative, a twist keeps
+    it (|q^s p|_1 = |p|_1), and the q-binomials of row n have nonnegative
+    coefficients that sum to 2^n, so no coefficient of any c_n exceeds
+    max|a_k|_1 max|b_k|_1 sum|c|_1 2^(m-1).  A twist is a shift of the
+    term's packed scalar by bits J and, in C, of the k-th product of each
+    row's dot product by bits P k.
     """
     (da, va), (db, vb), (dc, vc) = map(_integer_forms, (a, b, [c for *_, c in terms]))
-
-    def sums(bits, pa, pb, pc):
-        # every term's sums at q = 2^bits, added up, from the vectors evaluated there
-        out = [0] * m
-        for (i, j, star, (p, s), _), c in zip(terms, pc):
-            a, b = pa[i : i + m], pb[j : j + m]
-            if star:
-                a, b = b, a
-            out = [x + (sum(map(mul, v, map(mul, a, b[n::-1]))) * c << bits * s)
-                   for x, n, (_, v) in zip(out, range(m), _binomials_at(ctx, bits, m, bits * p))]
-        return out
-
-    # |.|_1 norms at q = 1 bound every coefficient
-    norms = [[_norm(v) for v in x] for x in (va, vb, vc)]
-    bits, den = _digit_bits(max(sum(norms, []) + sums(0, *norms))), _product(_product(da, db), dc)
-    packed = ([_pack(v, bits) for v in x] for x in (va, vb, vc))
-    return [_from_integer(_unpack(x, bits), den) for x in sums(bits, *packed)]
+    # x | 1 >= max(x, 1): with no factor below 1 the bound holds every packed
+    # operand too, and a zero operand has only zero sums
+    bits = _digit_bits((max(map(_norm, va)) | 1) * (max(map(_norm, vb)) | 1)
+                       * (sum(map(_norm, vc)) | 1) << m - 1)
+    pa, pb, pc = ([_pack(v, bits) for v in x] for x in (va, vb, vc))
+    out = [0] * m
+    for (i, j, star, (p, s), _), c in zip(terms, pc):
+        x, y = pa[i : i + m], pb[j : j + m]
+        if star:
+            x, y = y, x
+        out = [t + (sum(map(lshift, map(mul, v, map(mul, x, y[n::-1])), count(0, bits * p))) * c
+                    << bits * s)
+               for t, n, (_, v) in zip(out, range(m), _binomials_at(ctx, bits, m))]
+    den = _product(_product(da, db), dc)
+    return [_from_integer(v, den) for v in _unpack(out, bits)]
 
 
 def divide(ctx, a: tuple, b: tuple) -> list:
     """The coefficients of ``WardSeries.divide`` over symbolic q, for a and b of one length.
 
     The recurrence runs on A and B evaluated at q = 2^bits; the bits come
-    from the recurrence run on |.|_1 norms with the divisor's higher terms
-    negated, which turns every subtraction into an addition of bounds.
+    from the recurrence run on |.|_1 norms over the context's binomial
+    rows, Pascal's rows, which hold the q-binomials' norms, with the
+    divisor's higher terms negated, which turns every subtraction into an
+    addition of bounds.  The quotients and the divisor's powers are read
+    back in one ``_unpack`` call.
     """
     m = len(a)
     ab = _integer_forms(a + b)[1]
     norms = [_norm(v) for v in ab]
-    dn, pn = _substitute(_binomials_at(ctx, 0, m), norms[:m],
+    dn, pn = _substitute(ctx._binomials(m - 1), norms[:m],
                          norms[m : m + 1] + [-x for x in norms[m + 1 :]])
     bits = _digit_bits(max(norms + dn + pn))
     packed = [_pack(v, bits) for v in ab]
     d, power = _substitute(_binomials_at(ctx, bits, m), packed[:m], packed[m:])
-    return [_from_integer(_unpack(x, bits), _unpack(p, bits)) for x, p in zip(d, power[1:])]
+    digits = _unpack(d + power[1:], bits)
+    return list(map(_from_integer, digits[:m], digits[m:]))

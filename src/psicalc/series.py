@@ -37,8 +37,9 @@ integral rows C(n, k) G_n / G_k, with G_n the least integer that keeps
 them whole.  Over symbolic q both loops hand over to the context's
 ``qkernels``, where every polynomial is evaluated at q = 2^bits
 (Kronecker substitution), so a result coefficient is one packed big-int
-sum that is unpacked once, and bits comes from running the same loop on
-|.|_1 norms.
+sum and all the sums of one call are unpacked in one read; bits comes
+from an exact bound on the |.|_1 norms, a closed form for a product and
+the same loop run on norms for a division.
 
 Binary operations demand the *same context object* on both sides and
 truncate to the smaller order.  The derivative maps a_n to a_{n+1} (one

@@ -53,3 +53,26 @@ def test_a_higher_is_better_metric_is_worse_when_it_falls():
     assert table["ok_frac"]["verdict"] == "worse"
     table = bench_record.summarize(runs(TIGHT, TIGHT, ok_parent=0.9), END_TO_END)["w"]
     assert table["ok_frac"]["verdict"] == "better"
+
+
+def test_every_row_reports_the_spread_of_both_sides():
+    table = bench_record.summarize(runs(TIGHT, WIDE), END_TO_END)["w"]
+    for row in table.values():
+        assert list(row)[list(row).index("parent_iqr") + 1] == "change_iqr"
+    assert table["wall_s"]["parent_iqr"] == pytest.approx(0.02)
+    assert table["wall_s"]["change_iqr"] == pytest.approx(1.0)
+    assert table["ok_frac"]["change_iqr"] == 0
+    # one run a side has no spread
+    assert bench_record.summarize(runs([1.0], [2.0]), END_TO_END)["w"]["wall_s"]["change_iqr"] == 0
+
+
+def test_the_change_spread_does_not_move_the_verdict():
+    # every change run beats every parent run, wide as the change's runs spread:
+    # the verdict reads the parent's IQR alone
+    wide_change = [0.5, 0.9] * 5
+    table = bench_record.summarize(runs(TIGHT, wide_change), END_TO_END)["w"]
+    assert table["wall_s"]["change_iqr"] == pytest.approx(0.4)
+    assert table["wall_s"]["verdict"] == "better"
+    # and a change worse by more than the bound is worse whatever its spread
+    table = bench_record.summarize(runs(TIGHT, [1.4, 1.6] * 5), END_TO_END)["w"]
+    assert table["wall_s"]["verdict"] == "worse"

@@ -256,8 +256,8 @@ def test_pack_unpack_at_the_digit_edges(bits):
               [1, -1, 0, 1], [-1] * 5, [top, 0, 0, 0, 1]):
         packed = _pack(v, bits)
         assert packed == sum(x << (bits * i) for i, x in enumerate(v))
-        assert _unpack(packed, bits) == slice_unpack(packed, bits) == v
-    assert _unpack(0, bits) == slice_unpack(0, bits) == []
+        assert _unpack([packed], bits) == [slice_unpack(packed, bits)] == [v]
+    assert _unpack([0], bits) == [slice_unpack(0, bits)] == [[]]
 
 
 @pytest.mark.parametrize("bits", DIGIT_BITS)
@@ -268,11 +268,32 @@ def test_unpack_reads_balanced_digits_of_any_int(bits, x):
     edges = [s * ((half << (bits * n)) + d) for n in range(4) for d in (-2, -1, 0, 1)
              for s in (1, -1)]
     for y in [x, 0, *edges]:
-        digits = _unpack(y, bits)
+        [digits] = _unpack([y], bits)
         assert digits == slice_unpack(y, bits)
         assert sum(d << (bits * i) for i, d in enumerate(digits)) == y
         assert all(-half <= d < half for d in digits)
         assert not digits or digits[-1]
+
+
+# one struct word (1, 2, 4, 8 bytes), a spread to a wider word (3, 5, 6, 7)
+# and fields read on their own (9, 10, 16)
+BATCH_BITS = tuple(8 * w for w in (*range(1, 11), 16))
+
+
+@pytest.mark.parametrize("bits", BATCH_BITS)
+@given(st.lists(st.integers(min_value=-(2**200), max_value=2**200), max_size=6))
+def test_batch_unpack_reads_each_entry_as_the_slice_oracle(bits, xs):
+    half = 1 << (bits - 1)
+    # zero; one digit at either edge; the first values that take a digit more;
+    # low zero digits, which stay; and values whose read ends in a zero digit
+    # (X/2 - 1 is read as two digits), each followed by another entry
+    edges = [0, half - 1, -half, half, -half - 1, -1, 5 << bits * 3, -(1 << bits * 2),
+             half << bits, (half - 1) << bits]
+    for batch in ([*xs, *edges], [*edges[::-1], *xs], xs, xs[:1], [edges[1]]):
+        assert _unpack(batch, bits) == [slice_unpack(x, bits) for x in batch]
+    # an entry's trailing zero digits do not reach the next entry
+    assert _unpack([half - 1, 0, 1, half - 1, -1], bits) == [[half - 1], [], [1], [half - 1], [-1]]
+    assert _unpack([], bits) == []
 
 
 def fraction_divmod(a: PolyQ, b: PolyQ) -> tuple:

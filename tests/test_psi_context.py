@@ -1,7 +1,8 @@
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import count, islice, zip_longest
+from operator import lshift
 
 import pytest
 from conftest import canonical_form, form_add, scalar_eval
@@ -312,9 +313,9 @@ def test_symbolic_tables_read_out_of_order(order):
 
 
 def packed_rows(bits: int, shift: int, m: int) -> list:
-    """Rows 0..m of C_q(n, k) q^(P k) at q = 2^bits, shift = bits * P, from
-    the Gaussian coefficients, C(n, k) = C(n-1, k-1) + q^k C(n-1, k) on
-    coefficient lists."""
+    """Rows 0..m of C_q(n, k) at q = 2^bits from the Gaussian coefficients,
+    C(n, k) = C(n-1, k-1) + q^k C(n-1, k) on coefficient lists, each entry
+    shifted left by shift * k (q^(P k) for shift = bits * P)."""
     def add(a, b):
         return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
@@ -326,6 +327,12 @@ def packed_rows(bits: int, shift: int, m: int) -> list:
                  for k, p in enumerate(row)]) for row in rows]
 
 
+def shifted(forms, shift: int) -> list:
+    """Row forms read from ``_binomials_at`` with entry k shifted left by shift * k, as
+    ``qkernels.convolve`` applies a twist's q^(P k) to the k-th product of a row."""
+    return [(g, list(map(lshift, row, count(0, shift)))) for g, row in forms]
+
+
 def test_packed_rows_read_in_any_order_match_the_recurrence():
     # interleaved bits values, shifts and lengths, some reads growing the
     # kept rows and some reading rows another read grew
@@ -333,13 +340,17 @@ def test_packed_rows_read_in_any_order_match_the_recurrence():
     reads = [(0, 0, 7), (16, 0, 4), (24, 0, 12), (16, 32, 9), (40, 0, 2), (24, 48, 20),
              (16, 0, 25), (40, 120, 18), (24, 0, 3), (8, 8, 30), (16, 16, 30)]
     for bits, shift, m in reads:
-        assert list(_binomials_at(ctx, bits, m + 1, shift)) == packed_rows(bits, shift, m)
+        assert list(_binomials_at(ctx, bits, m + 1)) == packed_rows(bits, 0, m)
+        assert shifted(_binomials_at(ctx, bits, m + 1), shift) == packed_rows(bits, shift, m)
         assert len(ctx._packed) <= _PACKED_BITS
     # two readers of one bits value, each growing the rows the other reads
-    first, second = _binomials_at(ctx, 56, 16), _binomials_at(ctx, 56, 11, 112)
+    first, second = _binomials_at(ctx, 56, 16), _binomials_at(ctx, 56, 11)
     got = [list(islice(first, 6)), list(islice(second, 11)), list(islice(first, 10))]
     assert got[0] + got[2] == packed_rows(56, 0, 15)
-    assert got[1] == packed_rows(56, 112, 10)
+    assert shifted(got[1], 112) == packed_rows(56, 112, 10)
+    # the rows are yielded as stored, not copied, and no reader's shift changes them
+    assert all(row is kept for (_, row), kept in zip(_binomials_at(ctx, 56, 16), ctx._packed[56]))
+    assert list(_binomials_at(ctx, 56, 16)) == packed_rows(56, 0, 15)
 
 
 def test_packed_row_store_keeps_the_bits_values_read_last():
@@ -356,7 +367,7 @@ def test_packed_row_store_keeps_the_bits_values_read_last():
     assert kept in ctx._packed and evicted not in ctx._packed
     assert len(ctx._packed) == _PACKED_BITS
     # evicted rows come back from the recurrence
-    assert list(_binomials_at(ctx, evicted, 9, evicted)) == packed_rows(evicted, evicted, 8)
+    assert shifted(_binomials_at(ctx, evicted, 9), evicted) == packed_rows(evicted, evicted, 8)
     assert len(ctx._packed) == _PACKED_BITS
 
 

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 from conftest import fraction_sums
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psicalc import intpoly, qkernels
@@ -439,6 +439,7 @@ def test_divide_roundtrip(spec, a, b, c0):
 
 
 ONE = embed_rational(1)
+ZERO = embed_rational(0)
 
 
 @given(
@@ -541,6 +542,58 @@ def test_symbolic_operator_sums_match_per_term_oracle(qsym, a, b, terms):
 def test_symbolic_divide_matches_per_term_oracle(qsym, a, b, b0):
     f, g = WardSeries(qsym, a), WardSeries(qsym, [b0] + b[1:])
     assert reprs(f.divide(g).coeffs) == reprs(reference_divide(f, g))
+
+
+# one coefficient of a large |.|_1 norm, the rest small
+heavy_scalars = st.lists(st.integers(min_value=-(2**60), max_value=2**60), min_size=1,
+                         max_size=6).filter(any).map(lambda c: RatFuncQ(PolyQ(c)))
+
+
+@st.composite
+def skewed_lists(draw):
+    """Operands whose norm sits at index 0, at the top or nowhere, or that are zero."""
+    c = draw(q_lists)
+    where = draw(st.sampled_from(("spread", "first", "top", "zero")))
+    if where == "zero":
+        return [ZERO] * len(c)
+    if where != "spread":
+        c[0 if where == "first" else -1] = draw(heavy_scalars)
+    return c
+
+
+@given(a=skewed_lists(), b=skewed_lists(), pairs=chains, star=st.booleans(),
+       ij=st.sampled_from([(1, 0), (3, 1), (4, 3)]),
+       terms=st.lists(st.tuples(q_scalars, st.booleans(), chains), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+# c_1 = a_0 b_1 + a_1 b_0 = 2^63 needs the bound's factor 2^(m-1) = 2
+@example(a=[embed_rational(2**62)] * 2, b=[ONE] * 2, pairs=[], star=False, ij=(1, 0),
+         terms=[(ONE, False, [])])
+def test_symbolic_products_fit_the_closed_form_digit(qsym, a, b, pairs, star, ij, terms):
+    # every digit a kernel reads holds a result coefficient below X/2, and the
+    # results are the sums of psi_binomial times fontane_kernel
+    f, g = WardSeries(qsym, a), WardSeries(qsym, b)
+    n, reads = min(f.order, g.order), []
+
+    def unpack(xs, bits):
+        out = intpoly._unpack(xs, bits)
+        half = 1 << (bits - 1)
+        assert all(-half < d < half for v in out for d in v)
+        reads.append(len(xs))
+        return out
+
+    op = OperatorSum(tuple([ProductChain(c, s, tuple(p)) for c, s, p in terms]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qkernels, "_unpack", unpack)
+        got = [f.chain(g, pairs, star=star), f.star(g, *ij), op.apply(f, g),
+               general_leibniz(f, g, n)]
+    expected = [reference_chain(f, g, pairs, star), reference_chain(f, g, (ij,), True)]
+    summed = [ZERO] * min(len(a), len(b))
+    for t in op.terms:
+        part = reference_chain(f, g, t.pairs, t.star)
+        summed = [x + t.coefficient * y for x, y in zip(summed, part)]
+    expected += [summed, reference_chain(f, g)[n:]]
+    assert [reprs(x.coeffs) for x in got] == [reprs(x) for x in expected]
+    assert reads
 
 
 @pytest.mark.parametrize("bits", (8, 16, 24, 72))

@@ -14,8 +14,8 @@ side that goes first alternating from seed to seed, and the JSON object on
 the last line of its output is kept; then each side runs once traced
 (``--trace 1``) at the workload's first seed.
 The file holds every run's six end-to-end metrics and, per workload and
-metric, the median of each side, their ratio, the parent's interquartile
-range, in how many pairs the change was better and a verdict, followed by
+metric, the median of each side, their ratio, the interquartile range of
+each side, in how many pairs the change was better and a verdict, followed by
 the per-layer metrics of the traced runs.  Progress goes to stderr, and so
 does one verdict line per workload and metric at the end.
 
@@ -81,15 +81,23 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def spread(values: list) -> float:
+    """The interquartile range of the runs of one side; 0 for a single run."""
+    q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+    return q[2] - q[0]
+
+
 def compare(par: list, chg: list, lower: bool, bound: float) -> dict:
-    """One metric's medians, ratio, parent IQR, pairs the change won and verdict.
+    """One metric's medians, ratio, IQR of each side, pairs the change won and verdict.
 
     The statistics are computed once, and the verdict (see the module doc)
-    is read from the same numbers the record reports.
+    is read from the same numbers the record reports.  The change's IQR is
+    reported beside the parent's so that a reader can see when a verdict
+    rests on a side whose own runs spread wide; the verdict reads only the
+    parent's.
     """
     sign = 1 if lower else -1  # sign * value is lower when better
-    q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
-    mp, mc, iqr = statistics.median(par), statistics.median(chg), q[2] - q[0]
+    mp, mc, iqr = statistics.median(par), statistics.median(chg), spread(par)
     gain = sign * (mp - mc)
     won = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
     if -gain > bound * abs(mp):
@@ -102,7 +110,8 @@ def compare(par: list, chg: list, lower: bool, bound: float) -> dict:
         verdict = "within bound"
     return {"parent_median": mp, "change_median": mc,
             "change_over_parent": mc / mp if mp else None, "parent_iqr": iqr,
-            "change_better_pairs": f"{won}/{len(par)}", "verdict": verdict}
+            "change_iqr": spread(chg), "change_better_pairs": f"{won}/{len(par)}",
+            "verdict": verdict}
 
 
 def summarize(runs: list, end_to_end: list) -> dict:
@@ -174,8 +183,9 @@ def main(argv=None) -> int:
     for workload, table in record["summary"].items():
         for name, row in table.items():
             print(f"{workload} {name}: {row['verdict']} (median {row['parent_median']:.4g} -> "
-                  f"{row['change_median']:.4g} {row['unit']}, parent IQR {row['parent_iqr']:.3g}, "
-                  f"change better in {row['change_better_pairs']} pairs)", file=sys.stderr)
+                  f"{row['change_median']:.4g} {row['unit']}, IQR {row['parent_iqr']:.3g} -> "
+                  f"{row['change_iqr']:.3g}, change better in {row['change_better_pairs']} pairs)",
+                  file=sys.stderr)
     return 0
 
 
