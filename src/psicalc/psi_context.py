@@ -9,8 +9,8 @@ as far as the call reads:
 * ``_binom``, the binomial rows, by ``_binomials``, which the series
   kernels, ``_scales``, ``_chain_rows``, ``psi_binomial``,
   ``operator_algebra.binomial_weights`` and ``qkernels.divide`` call;
-* ``_kernel``, kernel row prefixes, by ``_kernel_row``, which
-  ``_chain_rows`` calls for a prefix it does not find kept;
+* ``_kernel``, one window of each kernel row, by ``_kernel_row``, its
+  one reader and writer, which ``_chain_rows`` calls for every slice;
 * ``_fact``, the factorials, by ``psi_factorial``;
 * ``_scale``, the division rows, by ``_scales``, which
   ``WardSeries.divide`` calls;
@@ -40,17 +40,20 @@ and by ``binomial_weights`` (the binomial rows and the integers S_n).
   C(n, k) = C(n-1, k-1) * s_n / s_k, half a row and its mirror
   (``_binomial_row``); over symbolic q, the same identity at q = 1,
   Pascal's rows, which bound the digits of symbolic division.
-* ``_kernel_row(n, stop)`` gives entries 0..stop-1 of row n of the weight
-  kernel F(n, k) = (s_n - s_k) / s_{n-k}, 0 <= k < n, for a kernel that is
-  not a power of q.  Whether every entry is a power F(n, k) = q^k (the
-  q-analogs, and q = 1 over the sequence 0, 1, 2, ...) is one fact of a
-  context, ``power_kernel``, fixed on construction; such a kernel has no
-  row, as its readers take the closed form (``fontane_kernel``) or a twist
-  (``_weighting``).  Otherwise each entry is (S_n - S_k) / S_{n-k} in
-  lowest terms by one small gcd.  A row has one reader, a chain
-  (``_chain_rows``), so ``_kernel`` keeps per index only the prefix a chain
-  read, built again when a longer one is asked for; ``fontane_kernel``
-  reads a single entry as one ratio of the S_n, with no row.
+* ``_kernel_row(n, start, stop)`` gives entries start..stop-1 of row n of
+  the weight kernel F(n, k) = (s_n - s_k) / s_{n-k}, 0 <= k < n, for a
+  kernel that is not a power of q.  Whether every entry is a power
+  F(n, k) = q^k (the q-analogs, and q = 1 over the sequence 0, 1, 2, ...)
+  is one fact of a context, ``power_kernel``, fixed on construction; such
+  a kernel has no row, as its readers take the closed form
+  (``fontane_kernel``) or a twist (``_weighting``).  Otherwise each entry
+  is (S_n - S_k) / S_{n-k} in lowest terms by one small gcd.  A row has
+  one reader, a chain (``_chain_rows``), which reads entries j..j+n of row
+  n + i, so ``_kernel`` keeps per index one window lo..hi-1: the slice
+  read, widened to the row's start or end wherever that at most doubles
+  it, and built again over the union when a read falls outside it;
+  ``fontane_kernel`` reads a single entry as one ratio of the S_n, with
+  no row.
 
 The kernel and binomial rows are row forms (d, v), one denominator and a
 vector with row[k] == v[k] / d.  Over plain rationals d is a positive int,
@@ -223,9 +226,9 @@ class PsiContext(Immutable):
     ``_weighting`` and ``operator_algebra.binomial_terms`` read it to use
     that closed form.  ``_ints`` holds the sequence, as the integers S_n;
     ``_clear`` is the lcm of a custom list's denominators, 1 for every
-    other kind.  ``_kernel`` holds the row prefixes that chains over any
-    other kernel read, keyed by index; ``_binom`` the binomial rows 0..n
-    that some reader needed.
+    other kind.  ``_kernel`` holds one window of each kernel row that chains
+    over any other kernel read, keyed by index, as (lo, d, v); ``_binom``
+    the binomial rows 0..n that some reader needed.
     """
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "_fact", "_binom", "_kernel",
@@ -329,19 +332,25 @@ class PsiContext(Immutable):
                 binom.append(_binomial_row(binom[-1], self._ints, w, integral))
         return binom
 
-    def _kernel_row(self, n: int, stop: int) -> tuple:
-        """F(n, k) for 0 <= k < stop <= n of a kernel that is not a power of q, as a row form.
+    def _kernel_row(self, n: int, start: int, stop: int) -> tuple:
+        """F(n, k) for start <= k < stop <= n of a kernel that is not a power of q, as a row form.
 
-        Each entry is (S_n - S_k) / S_{n-k} in lowest terms; the prefix is
-        kept in ``_kernel``, and built again when a longer one is asked for.
+        Each entry is (S_n - S_k) / S_{n-k} in lowest terms.  ``_kernel``
+        keeps one window lo..hi-1 of row n, over the lcm of its entries'
+        denominators, and this is its only reader: a read outside the window
+        builds it again over the union of the two, the read first widened to
+        the row's start (end) wherever that at most doubles the read.  The
+        slice read shares the window's denominator.
         """
-        row = self._kernel.get(n)
-        if row is None or len(row[1]) < stop:
+        lo, d, v = self._kernel.get(n, (start, 1, ()))
+        if start < lo or stop > lo + len(v):
+            hi = max(lo + len(v), n if n - stop <= stop - start else stop)
+            lo = min(lo, 0 if start <= stop - start else start)
             self._grow(n)
             ints = self._ints
-            row = self._kernel[n] = _ratio_form([_lowest(ints[n] - ints[k], ints[n - k])
-                                                 for k in range(stop)])
-        return row
+            lo, d, v = self._kernel[n] = lo, *_ratio_form(
+                [_lowest(ints[n] - ints[k], ints[n - k]) for k in range(lo, hi)])
+        return d, v[start - lo:stop - lo]
 
     def _serve(self, bound: int | None) -> "PsiContext":
         # build the binomial rows through ``bound`` now; past a custom list's end ``_grow`` refuses
@@ -538,27 +547,16 @@ def _chain_rows(ctx: PsiContext, pairs, m: int):
     Row n is C(n, k) W(n, k), the binomial row times the weight
     W(n, k) = prod F(n+i, k+j) over the pairs; a star chain reads the same
     rows with the operands swapped (``series._convolve``).  The rows are
-    made as they are read, so a product holds one at a time.  Each kernel
-    row is the prefix the slice ends in: read from ``_kernel`` when it is
-    kept and long enough, else built through ``_kernel_row``, so the
-    context keeps no entry past it; the chain's reach is refused first, by
-    ``_weighting``.
+    made as they are read, so a product holds one at a time.  Each slice
+    is read through ``_kernel_row``, which widens it toward the row's start
+    only where that at most doubles it, so a far j builds no prefix before
+    its slice; the chain's reach is refused first, by ``_weighting``.
     """
-    kept, kernel_row, binom = ctx._kernel, ctx._kernel_row, ctx._binomials(m)
-
-    def rows():
-        for n in range(m + 1):
-            row = binom[n]
-            for i, j in pairs:
-                # F(n+i, k+j) for k = 0..n is one slice of a kernel row's prefix
-                stop = j + n + 1
-                kernel = kept.get(n + i)
-                if kernel is None or len(kernel[1]) < stop:
-                    kernel = kernel_row(n + i, stop)
-                row = _form_mul(row, (kernel[0], kernel[1][j:stop]))
-            yield row
-
-    return rows()
+    for n, row in zip(range(m + 1), ctx._binomials(m)):
+        for i, j in pairs:
+            # F(n+i, k+j) for k = 0..n is one slice of kernel row n + i
+            row = _form_mul(row, ctx._kernel_row(n + i, j, j + n + 1))
+        yield row
 
 
 def _weighting(ctx: PsiContext, pairs, m: int):

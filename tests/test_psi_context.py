@@ -190,7 +190,7 @@ def kernel_row(ctx, m: int) -> tuple:
     over the lcm of their denominators.
     """
     if not ctx.power_kernel:
-        return ctx._kernel_row(m, m)
+        return ctx._kernel_row(m, 0, m)
     row = [ctx.fontane_kernel(m, k) for k in range(m)]
     return (1, row) if ctx.symbolic else _integer_vector(row)
 
@@ -224,7 +224,7 @@ def test_a_zero_value_is_refused_at_its_index(spec, index):
     if spec.startswith("q="):
         # the sequence stops at the last good value, and every row before it still reads
         ctx = PsiContext.from_spec(spec)
-        for read in (lambda: ctx._binomials(6), lambda: ctx._kernel_row(6, 6)):
+        for read in (lambda: ctx._binomials(6), lambda: ctx._kernel_row(6, 0, 6)):
             with pytest.raises(BadSpec):
                 read()
         assert len(ctx.psi) == len(ctx._ints) == index
@@ -371,23 +371,30 @@ def test_packed_row_store_keeps_the_bits_values_read_last():
     assert len(ctx._packed) == _PACKED_BITS
 
 
+def counting_builds(monkeypatch) -> list:
+    """The row index of each kernel row ``_kernel_row`` builds from now on, one per build."""
+    built, kernel_row = [], PsiContext._kernel_row
+
+    def counted(self, n, start, stop):
+        kept = self._kernel.get(n)
+        row = kernel_row(self, n, start, stop)
+        if self._kernel[n] is not kept:
+            built.append(n)
+        return row
+
+    monkeypatch.setattr(PsiContext, "_kernel_row", counted)
+    return built
+
+
 @pytest.mark.parametrize("spec", ["fib", custom_list(FRACTIONAL_LIST)])
 def test_a_chain_builds_only_the_kernel_prefixes_it_lacks(monkeypatch, spec):
-    # a chain calls _kernel_row only for a prefix that is not kept or is too
-    # short, so a warm chain calls it not at all; results read as a fresh context's
+    # a chain builds a kernel row only where its slice lies outside the kept
+    # window, so a warm chain builds none; results read as a fresh context's
     ctx = PsiContext.from_spec(spec)
     pairs = ((2, 1), (3, 2), (4, 0))
     f = make_series(ctx, [Fraction(n + 1, n % 3 + 1) for n in range(21)])
     g = make_series(ctx, [(-1) ** n * (2 * n + 3) for n in range(21)])
-    built, kernel_row = [], PsiContext._kernel_row
-
-    def counted(self, n, stop):
-        kept = self._kernel.get(n)
-        assert kept is None or len(kept[1]) < stop
-        built.append(n)
-        return kernel_row(self, n, stop)
-
-    monkeypatch.setattr(PsiContext, "_kernel_row", counted)
+    built = counting_builds(monkeypatch)
     short = f.truncate(12).chain(g.truncate(12), pairs)
     assert built
     built.clear()
@@ -397,6 +404,35 @@ def test_a_chain_builds_only_the_kernel_prefixes_it_lacks(monkeypatch, spec):
     fresh = PsiContext.from_spec(spec)
     want = make_series(fresh, f.coeffs).chain(make_series(fresh, g.coeffs), pairs)
     assert longer.coeffs == want.coeffs
+
+
+# the chain shapes of the series-rational benchmark workload: its single pairs, then its chains
+WORKLOAD_CHAINS = [((1, 0),), ((2, 1),), ((3, 1),), ((4, 2),),
+                   ((1, 0), (2, 1)), ((2, 0), (3, 1), (1, 0)), ((4, 1), (1, 0)),
+                   ((2, 1), (3, 2), (4, 0))]
+
+
+@pytest.mark.parametrize("spec", ["fib", custom_spec(70)])
+def test_cold_chains_build_each_kernel_row_once(monkeypatch, spec):
+    # the workload's shapes at order 32 and then 64, both flavors, read kernel rows 1..68;
+    # each is built once, whole (68 * 69 / 2 entries), and a warm repeat builds none
+    ctx = PsiContext.from_spec(spec)
+    built = counting_builds(monkeypatch)
+
+    def run_shapes():
+        for order in (32, 64):
+            f = make_series(ctx, [n % 7 + 1 for n in range(order + 1)])
+            g = make_series(ctx, [(-1) ** n * (n % 5 + 2) for n in range(order + 1)])
+            for pairs in WORKLOAD_CHAINS:
+                for star in (False, True):
+                    f.chain(g, pairs, star)
+
+    run_shapes()
+    assert sorted(built) == list(range(1, 69))
+    assert sum(len(v) for _, _, v in ctx._kernel.values()) == 68 * 69 // 2 == 2346
+    built.clear()
+    run_shapes()
+    assert built == []
 
 
 def reset_tables(ctx) -> None:

@@ -805,10 +805,10 @@ def test_a_plain_kernel_product_keeps_only_the_rows_it_reads():
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("j", [0, 2])
+@pytest.mark.parametrize("j", [0, 2, 2999])
 def test_a_far_plain_kernel_product_keeps_only_the_prefixes_it_reads(order, j):
     # c_n = sum_k C(n,k) a_k b_{n-k} F(n+3000, k+j), from the sequence values in Fractions;
-    # row n + 3000 is read through entry n + j, so no kept row holds more than j + order + 1
+    # row n + 3000 is read at entries j..j+n, so no kept window is longer than twice that slice
     ctx = PsiContext.from_spec("fib")
     a, b = [1, 2, 3][: order + 1], [3, 4, 5][: order + 1]
     got = make_series(ctx, a).fontane(make_series(ctx, b), 3000, j)
@@ -820,7 +820,8 @@ def test_a_far_plain_kernel_product_keeps_only_the_prefixes_it_reads(order, j):
                 * (s[n + 3000] - s[k + j]) / s[n + 3000 - k - j] for k in range(n + 1))
             for n in range(order + 1)]
     assert list(got.coeffs) == want
-    assert ctx._kernel and all(len(v) <= j + order + 1 for _, v in ctx._kernel.values())
+    assert ctx._kernel and all(len(v) <= 2 * (row - 3000 + 1)
+                               for row, (_, _, v) in ctx._kernel.items())
 
 
 # a kernel that is not a power of q, with index 40 in reach
