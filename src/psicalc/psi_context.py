@@ -9,7 +9,7 @@ as far as the call reads:
 * ``_binom``, the binomial rows, by ``_binomials``, which the series
   kernels, ``_scales``, ``_chain_rows``, ``psi_binomial``,
   ``operator_algebra.binomial_weights`` and ``qkernels.divide`` call;
-* ``_kernel``, one window of each kernel row, by ``_kernel_row``, its
+* ``_kernel``, one prefix of each kernel row, by ``_kernel_row``, its
   one reader and writer, which ``_chain_rows`` calls for every slice;
 * ``_fact``, the factorials, by ``psi_factorial``;
 * ``_scale``, the division rows, by ``_scales``, which
@@ -49,11 +49,14 @@ and by ``binomial_weights`` (the binomial rows and the integers S_n).
   (``fontane_kernel``) or a twist (``_weighting``).  Otherwise each entry
   is (S_n - S_k) / S_{n-k} in lowest terms by one small gcd.  A row has
   one reader, a chain (``_chain_rows``), which reads entries j..j+n of row
-  n + i, so ``_kernel`` keeps per index one window lo..hi-1: the slice
-  read, widened to the row's start or end wherever that at most doubles
-  it, and built again over the union when a read falls outside it;
-  ``fontane_kernel`` reads a single entry as one ratio of the S_n, with
-  no row.
+  n + i.  ``_kernel`` keeps per index one prefix, from entry 0, like every
+  other table: a read that starts within its own length extends it
+  through the read, or through the row's end where the row is at most
+  twice the read; a far read, one the prefix does not cover that starts
+  past its own length, is built for that read alone, and a far slice is
+  kept by none.  So no kept prefix is longer than twice a read of its
+  row.  ``fontane_kernel`` reads a single entry as one ratio of the S_n,
+  with no row.
 
 The kernel and binomial rows are row forms (d, v), one denominator and a
 vector with row[k] == v[k] / d.  Over plain rationals d is a positive int,
@@ -226,9 +229,10 @@ class PsiContext(Immutable):
     ``_weighting`` and ``operator_algebra.binomial_terms`` read it to use
     that closed form.  ``_ints`` holds the sequence, as the integers S_n;
     ``_clear`` is the lcm of a custom list's denominators, 1 for every
-    other kind.  ``_kernel`` holds one window of each kernel row that chains
-    over any other kernel read, keyed by index, as (lo, d, v); ``_binom``
-    the binomial rows 0..n that some reader needed.
+    other kind.  ``_kernel`` holds one prefix of each kernel row that chains
+    over any other kernel read, keyed by index, as (d, v) from entry 0 (a
+    far slice is kept by none); ``_binom`` the binomial rows 0..n that some
+    reader needed.
     """
 
     __slots__ = ("kind", "bound", "symbolic", "q_scalar", "_fact", "_binom", "_kernel",
@@ -336,21 +340,27 @@ class PsiContext(Immutable):
         """F(n, k) for start <= k < stop <= n of a kernel that is not a power of q, as a row form.
 
         Each entry is (S_n - S_k) / S_{n-k} in lowest terms.  ``_kernel``
-        keeps one window lo..hi-1 of row n, over the lcm of its entries'
-        denominators, and this is its only reader: a read outside the window
-        builds it again over the union of the two, the read first widened to
-        the row's start (end) wherever that at most doubles the read.  The
-        slice read shares the window's denominator.
+        keeps one prefix 0..hi-1 of row n, over the lcm of its entries'
+        denominators, and this is its only reader and writer.  A read the
+        prefix does not cover that starts within its own length,
+        start <= stop - start, builds the prefix again through ``stop``, or
+        through the row's end where the whole row is at most twice the read,
+        so a prefix is never longer than twice the read that built it.  An
+        uncovered read that starts past its own length is a far read: it is
+        built for that read alone, and a far slice is kept by none.  The
+        slice read shares the denominator it was built over.
         """
-        lo, d, v = self._kernel.get(n, (start, 1, ()))
-        if start < lo or stop > lo + len(v):
-            hi = max(lo + len(v), n if n - stop <= stop - start else stop)
-            lo = min(lo, 0 if start <= stop - start else start)
+        d, v = self._kernel.get(n, (1, ()))
+        if stop > len(v):
             self._grow(n)
             ints = self._ints
-            lo, d, v = self._kernel[n] = lo, *_ratio_form(
-                [_lowest(ints[n] - ints[k], ints[n - k]) for k in range(lo, hi)])
-        return d, v[start - lo:stop - lo]
+            far = 2 * start > stop
+            d, v = _ratio_form([_lowest(ints[n] - ints[k], ints[n - k]) for k in range(
+                start if far else 0, n if n <= 2 * (stop - start) else stop)])
+            if far:
+                return d, v
+            self._kernel[n] = d, v
+        return d, v[start:stop]
 
     def _serve(self, bound: int | None) -> "PsiContext":
         # build the binomial rows through ``bound`` now; past a custom list's end ``_grow`` refuses
@@ -548,9 +558,11 @@ def _chain_rows(ctx: PsiContext, pairs, m: int):
     W(n, k) = prod F(n+i, k+j) over the pairs; a star chain reads the same
     rows with the operands swapped (``series._convolve``).  The rows are
     made as they are read, so a product holds one at a time.  Each slice
-    is read through ``_kernel_row``, which widens it toward the row's start
-    only where that at most doubles it, so a far j builds no prefix before
-    its slice; the chain's reach is refused first, by ``_weighting``.
+    is read through ``_kernel_row``, which keeps it in the row's prefix
+    only where that at most doubles it; a far j builds its slice alone and
+    keeps it in no table, so two pairs that read both ends of one row
+    never build the entries between them.  The chain's reach is refused
+    first, by ``_weighting``.
     """
     for n, row in zip(range(m + 1), ctx._binomials(m)):
         for i, j in pairs:

@@ -68,7 +68,7 @@ def test_every_row_reports_the_spread_of_both_sides():
 
 def test_the_change_spread_does_not_move_the_verdict():
     # every change run beats every parent run, wide as the change's runs spread:
-    # the verdict reads the parent's IQR alone
+    # that outranks the spread of either side
     wide_change = [0.5, 0.9] * 5
     table = bench_record.summarize(runs(TIGHT, wide_change), END_TO_END)["w"]
     assert table["wall_s"]["change_iqr"] == pytest.approx(0.4)
@@ -76,3 +76,38 @@ def test_the_change_spread_does_not_move_the_verdict():
     # and a change worse by more than the bound is worse whatever its spread
     table = bench_record.summarize(runs(TIGHT, [1.4, 1.6] * 5), END_TO_END)["w"]
     assert table["wall_s"]["verdict"] == "worse"
+
+
+def test_a_wide_change_spread_reads_unresolved():
+    # the parent's runs are tight and the change's median is within the bound, but the
+    # change's own IQR (0.3 over a parent median of 1.0) is wider than the bound allows
+    table = bench_record.summarize(runs(TIGHT, [1.0, 1.3] * 5), END_TO_END)["w"]
+    assert table["wall_s"]["change_iqr"] == pytest.approx(0.3)
+    assert table["wall_s"]["verdict"] == "unresolved"
+
+
+def slow_first_bench(slow: float):
+    """A stand-in for one benchmark run: the first call of the session reads ``slow``."""
+    calls = []
+
+    def bench(side, workload, seed, trace):
+        calls.append((side, seed, trace))
+        value = slow if len(calls) == 1 else 1.0 + seed / 100
+        return {"metrics": {"wall_s": {"value": value}, "ok_frac": {"value": 1.0}}}
+
+    return bench
+
+
+def test_a_slow_first_pair_is_a_warm_up_that_no_verdict_reads():
+    kept = bench_record.collect([("w", [1, 2, 3])], slow_first_bench(3.0))
+    # the warm-up pair comes first, at the first seed, and holds the slow run
+    assert [(r["seed"], r["side"], r["metrics"]["wall_s"]["value"]) for r in kept["warmup"]] == [
+        (1, "parent", 3.0), (1, "change", 1.01)]
+    assert [(r["seed"], r["side"]) for r in kept["runs"]] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"), (3, "parent"), (3, "change")]
+    assert [(r["seed"], r["side"]) for r in kept["traced"]] == [(1, "parent"), (1, "change")]
+    table = bench_record.summarize(kept["runs"], END_TO_END)["w"]
+    assert table["wall_s"]["verdict"] == "within bound"
+    # compared as the first seed's pair, the same slow run would leave the verdict unresolved
+    table = bench_record.summarize(kept["warmup"] + kept["runs"][2:], END_TO_END)["w"]
+    assert table["wall_s"]["verdict"] == "unresolved"

@@ -176,7 +176,7 @@ def test_the_ci_output_pins_hold(capsys):
     # each pin of the workflow's smoke step, run through main: stdout hashes as pinned
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
     pins = [m.groups() for m in map(CI_PIN.search, workflow.read_text().splitlines()) if m]
-    assert len(pins) >= 29
+    assert len(pins) >= 30
     for args, digest in pins:
         _, out, _ = run_cli(capsys, *shlex.split(args))
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -808,7 +808,7 @@ def test_a_plain_kernel_product_keeps_only_the_rows_it_reads():
 @pytest.mark.parametrize("j", [0, 2, 2999])
 def test_a_far_plain_kernel_product_keeps_only_the_prefixes_it_reads(order, j):
     # c_n = sum_k C(n,k) a_k b_{n-k} F(n+3000, k+j), from the sequence values in Fractions;
-    # row n + 3000 is read at entries j..j+n, so no kept window is longer than twice that slice
+    # row n + 3000 is read at entries j..j+n, so no kept prefix is longer than twice that slice
     ctx = PsiContext.from_spec("fib")
     a, b = [1, 2, 3][: order + 1], [3, 4, 5][: order + 1]
     got = make_series(ctx, a).fontane(make_series(ctx, b), 3000, j)
@@ -820,8 +820,11 @@ def test_a_far_plain_kernel_product_keeps_only_the_prefixes_it_reads(order, j):
                 * (s[n + 3000] - s[k + j]) / s[n + 3000 - k - j] for k in range(n + 1))
             for n in range(order + 1)]
     assert list(got.coeffs) == want
-    assert ctx._kernel and all(len(v) <= 2 * (row - 3000 + 1)
-                               for row, (_, _, v) in ctx._kernel.items())
+    if j == 2999:  # every slice starts past its own length: built for its read, kept by none
+        assert ctx._kernel == {}
+    else:
+        assert ctx._kernel and all(len(v) <= 2 * (row - 3000 + 1)
+                                   for row, (_, v) in ctx._kernel.items())
 
 
 # a kernel that is not a power of q, with index 40 in reach
@@ -841,6 +844,56 @@ def test_kernel_entries_read_alone_keep_no_row(spec):
     f.diag_m(30, 2)
     f.diag_l(30, 2)
     assert ctx._kernel == {}
+
+
+def longest_slices(calls) -> dict:
+    """Per kernel row, the longest slice that chains of (pairs, order) read: n + 1 entries of row n + i."""
+    longest: dict = {}
+    for pairs, order in calls:
+        for i, _ in pairs:
+            for n in range(order + 1):
+                longest[n + i] = max(longest.get(n + i, 0), n + 1)
+    return longest
+
+
+def assert_prefixes_within_twice_their_slices(ctx, calls) -> None:
+    longest = longest_slices(calls)
+    assert all(len(v) <= 2 * longest[row] for row, (_, v) in ctx._kernel.items())
+
+
+@pytest.mark.parametrize("star", [False, True])
+@pytest.mark.parametrize("spec, reach", [("fib", 40), ("fib", 1000), (CUSTOM_40, 20)])
+def test_a_chain_reading_both_ends_of_a_row_keeps_no_far_slice(spec, reach, star):
+    # (N, N-1) reads row r at entries N-1..r, and (N+1, 0) reads the same row at 0..r-N: the far
+    # end is built for its read alone, so no kept prefix is longer than twice a slice read
+    ctx = PsiContext.from_spec(spec)
+    pairs = ((reach, reach - 1), (reach + 1, 0))
+    calls = []
+    for order in (1, 2, 3):
+        f = make_series(ctx, [Fraction(3 * n + 1, n + 2) for n in range(order + 1)])
+        g = make_series(ctx, [(-1) ** n * (n + 5) for n in range(order + 1)])
+        assert list(f.chain(g, pairs, star).coeffs) == reference_chain(f, g, pairs, star)
+        calls.append((pairs, order))
+        assert_prefixes_within_twice_their_slices(ctx, calls)
+
+
+@given(calls=st.lists(st.tuples(
+    st.lists(st.integers(min_value=1, max_value=60).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(min_value=0, max_value=i - 1))),
+        min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=6), st.booleans()), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_kept_kernel_prefixes_stay_within_twice_the_slices_read(calls):
+    # whatever slices chains read, and in whatever order, each kept prefix is at most
+    # twice the longest slice read from its row, checked after every call
+    ctx = PsiContext.from_spec("fib")
+    read = []
+    for pairs, order, star in calls:
+        f = make_series(ctx, [n % 4 + 1 for n in range(order + 1)])
+        g = make_series(ctx, [(-1) ** n * (n + 2) for n in range(order + 1)])
+        assert list(f.chain(g, pairs, star).coeffs) == reference_chain(f, g, pairs, star)
+        read.append((pairs, order))
+        assert_prefixes_within_twice_their_slices(ctx, read)
 
 
 def test_convolve_refuses_weight_rows_that_end_before_the_product():

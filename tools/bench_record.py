@@ -12,7 +12,10 @@ each workload and seed, the unchanged ``bench/run.py`` of each side runs
 once (``--trace 0``) for the ``run_seconds`` of ``BENCHMARK.json``, the
 side that goes first alternating from seed to seed, and the JSON object on
 the last line of its output is kept; then each side runs once traced
-(``--trace 1``) at the workload's first seed.
+(``--trace 1``) at the workload's first seed.  Before its seeds, each
+workload runs one warm-up pair at its first seed: the first run of a
+workload can read slow on either side, so that pair is kept under
+``warmup`` and read by no median or verdict.
 The file holds every run's six end-to-end metrics and, per workload and
 metric, the median of each side, their ratio, the interquartile range of
 each side, in how many pairs the change was better and a verdict, followed by
@@ -24,9 +27,10 @@ the parent's median, and is the first of these that holds:
 
 * ``worse``: the change's median is worse than the parent's by more than
   the bound;
-* ``unresolved``: the parent's interquartile range exceeds the bound times
-  its median, so the runs cannot tell a change within the bound, unless
-  every run of the change is better than every run of the parent;
+* ``unresolved``: the interquartile range of either side exceeds the bound
+  times the parent's median, so the runs cannot tell a change within the
+  bound, unless every run of the change is better than every run of the
+  parent;
 * ``better``: the change is better in at least nine tenths of the pairs,
   ties counting for neither, and its median is better than the parent's
   by more than the parent's interquartile range;
@@ -91,18 +95,18 @@ def compare(par: list, chg: list, lower: bool, bound: float) -> dict:
     """One metric's medians, ratio, IQR of each side, pairs the change won and verdict.
 
     The statistics are computed once, and the verdict (see the module doc)
-    is read from the same numbers the record reports.  The change's IQR is
-    reported beside the parent's so that a reader can see when a verdict
-    rests on a side whose own runs spread wide; the verdict reads only the
-    parent's.
+    is read from the same numbers the record reports: a side whose own runs
+    spread wider than the bound leaves it unresolved, whichever side it is.
     """
     sign = 1 if lower else -1  # sign * value is lower when better
-    mp, mc, iqr = statistics.median(par), statistics.median(chg), spread(par)
+    mp, mc, iqr, iqr_change = (statistics.median(par), statistics.median(chg), spread(par),
+                               spread(chg))
     gain = sign * (mp - mc)
     won = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
     if -gain > bound * abs(mp):
         verdict = "worse"
-    elif iqr > bound * abs(mp) and max([sign * c for c in chg]) >= min([sign * p for p in par]):
+    elif (max(iqr, iqr_change) > bound * abs(mp)
+          and max([sign * c for c in chg]) >= min([sign * p for p in par])):
         verdict = "unresolved"
     elif 10 * won >= 9 * len(par) and gain > iqr:
         verdict = "better"
@@ -110,7 +114,7 @@ def compare(par: list, chg: list, lower: bool, bound: float) -> dict:
         verdict = "within bound"
     return {"parent_median": mp, "change_median": mc,
             "change_over_parent": mc / mp if mp else None, "parent_iqr": iqr,
-            "change_iqr": spread(chg), "change_better_pairs": f"{won}/{len(par)}",
+            "change_iqr": iqr_change, "change_better_pairs": f"{won}/{len(par)}",
             "verdict": verdict}
 
 
@@ -134,6 +138,29 @@ def summarize(runs: list, end_to_end: list) -> dict:
     return out
 
 
+def collect(plan: list, bench) -> dict:
+    """The runs of ``plan``, a list of (workload, seeds), as alternating parent/change pairs.
+
+    ``bench(side, workload, seed, trace)`` runs one side once and returns its
+    JSON object.  Per workload: one warm-up pair at the first seed, one pair
+    per seed, then one traced pair at the first seed; the side that goes
+    first alternates with the seed.  The pairs go under ``warmup``, ``runs``
+    and ``traced``, and only ``runs`` feeds ``summarize``.
+    """
+    kept: dict = {"warmup": [], "runs": [], "traced": []}
+    for workload, seeds in plan:
+        steps = [("warmup", 0, seeds[0])] + [("runs", 0, s) for s in seeds] + [
+            ("traced", 1, seeds[0])]
+        for key, trace, seed in steps:
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for side in order:
+                print(f"{workload} seed {seed} {key}: {side}", file=sys.stderr, flush=True)
+                kept[key].append({"workload": workload, "seed": seed, "side": side,
+                                  "first": side == order[0],
+                                  **bench(side, workload, seed, trace)})
+    return kept
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
@@ -146,20 +173,11 @@ def main(argv=None) -> int:
     seconds = contract["run_seconds"]
 
     parent_dir = tempfile.mkdtemp(prefix="bench-parent-")
-    runs, traced = [], []
     try:
         extract(args.parent, parent_dir)
         trees = {"parent": parent_dir, "change": ROOT}
-        for workload, seeds in args.runs:
-            for trace, seed in [(0, seed) for seed in seeds] + [(1, seeds[0])]:
-                order = ("parent", "change") if seed % 2 else ("change", "parent")
-                for side in order:
-                    print(f"{workload} seed {seed} trace {trace}: {side}", file=sys.stderr,
-                          flush=True)
-                    result = run_bench(trees[side], workload, seed, seconds, trace)
-                    (traced if trace else runs).append(
-                        {"workload": workload, "seed": seed, "side": side,
-                         "first": side == order[0], **result})
+        kept = collect(args.runs, lambda side, workload, seed, trace: run_bench(
+            trees[side], workload, seed, seconds, trace))
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
 
@@ -173,9 +191,8 @@ def main(argv=None) -> int:
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
         "seconds": seconds,
-        "summary": summarize(runs, contract["end_to_end"]),
-        "runs": runs,
-        "traced": traced,
+        "summary": summarize(kept["runs"], contract["end_to_end"]),
+        **kept,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
