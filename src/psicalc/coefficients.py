@@ -63,6 +63,14 @@ def _norm_rat(x):
     return x
 
 
+def _rational(x):
+    """x, a plain rational, canonical: an int when whole, else a Fraction.
+
+    A bool becomes its int, which JSON writes as a number, not as true.
+    """
+    return x if type(x) is int else _norm_rat(x if type(x) is Fraction else Fraction(x))
+
+
 _INT_ONLY = frozenset((int,))
 
 

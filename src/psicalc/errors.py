@@ -55,7 +55,8 @@ class VariantMismatch(PsiCalcError, TypeError):
 
     Series arithmetic (``WardSeries(...)``, ``scale``, ``dilate``, ``/``) is
     strict; constructors, JSON readers and operator coefficients embed a plain
-    rational (qfield.embed_rational).  A rational function of q is never
+    rational, through the lifting door (``psi_context._admit``) or, for JSON,
+    ``coefficients.scalar_from_json``.  A rational function of q is never
     reduced to a plain rational, so a symbolic q cannot collapse to a number.
     """
 

@@ -56,9 +56,9 @@ from math import gcd, prod
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .coefficients import Scalar, _norm_rat
+from .coefficients import Scalar, _norm_rat, _rational
 from .errors import FlavorMismatch, Immutable, KOutOfRange, VariantMismatch, echo
-from .psi_context import PsiContext, _lift, _weighting
+from .psi_context import PsiContext, _admit, _weighting
 from .series import Pair, WardSeries, _convolve, check_pair
 
 
@@ -76,7 +76,7 @@ def _meet(a: Scalar, b: Scalar) -> tuple:
 def _check_coefficient(c) -> Scalar:
     """c as a chain coefficient: a rational (an int when whole) or a rational function of q."""
     if isinstance(c, numbers.Rational):
-        return int(c) if type(c) is bool else _norm_rat(c)
+        return _rational(c)
     # loaded only here, so that chains over plain rationals never compile the q-field
     from .qfield import RatFuncQ
 
@@ -214,13 +214,13 @@ class OperatorSum(Frozen):
         ``fontane_kernel``.  The reach of the longest pair is refused first, as
         ``_weighting`` refuses it (``PsiContext._reach``).
         """
-        terms = [(_lift(ctx, t.coefficient), t.pairs, t.star) for t in self.terms]
+        terms = list(zip(_admit(ctx, [t.coefficient for t in self.terms], lift=True), self.terms))
         ctx._reach(m + max([i for t in self.terms for i, _ in t.pairs], default=0))
         F = ctx.fontane_kernel
 
         def entry(n: int, k: int) -> Scalar:
-            return _norm_rat(sum([prod([F(n + i, (n - k if star else k) + j) for i, j in pairs],
-                                       start=c) for c, pairs, star in terms], ctx.zero))
+            return _norm_rat(sum([prod([F(n + i, (n - k if t.star else k) + j) for i, j in t.pairs],
+                                       start=c) for c, t in terms], ctx.zero))
 
         return [[entry(n, k) for k in range(n + 1)] for n in range(m + 1)]
 
@@ -231,8 +231,9 @@ class OperatorSum(Frozen):
         chain, and is weighed as ``_weighting`` decides, its coefficient c
         in the context's variant.
         """
-        return [(i, j, t.star, _weighting(ctx, t.pairs, m), _lift(ctx, t.coefficient))
-                for t in self.terms]
+        coefficients = _admit(ctx, [t.coefficient for t in self.terms], lift=True)
+        return [(i, j, t.star, _weighting(ctx, t.pairs, m), c)
+                for t, c in zip(self.terms, coefficients)]
 
     def apply(self, f: WardSeries, g: WardSeries) -> WardSeries:
         """One kernel call with one term per chain."""

@@ -113,12 +113,22 @@ All scalars in one context share a single variant; see coefficients.  A
 symbolic context holds the ``qkernels`` module as ``_qkernels``: the q-field
 kernels it dispatches to, one attribute read away; it is None otherwise.
 The rule for where the variants meet (errors.VariantMismatch states it) is
-applied here for scalars read against a context: ``_check_scalar`` is the
-strict door, ``_lift`` the one that embeds a plain rational, and ``_power``
+applied against a context by one door, ``_admit``, which takes a batch of
+values: all ints over plain rationals, or all ``RatFuncQ`` over symbolic
+q, pass in one C-level type pass, and any other batch is read value by
+value, a plain rational made canonical and, where the caller lifts,
+embedded.  Each value from outside goes through it once, where it
+enters: strictly in ``WardSeries(...)``, ``scale``, ``/`` by a scalar and
+``dilate``; lifting in ``make_series``, ``constant``, ``from_rational``
+(after its ``Fraction`` parse) and an ``OperatorSum``'s coefficients.  A
+value already inside a series (a kernel's result, or a series re-cut or
+negated) is stored through ``WardSeries._raw``, with no door.  ``_power``
 takes powers in either variant (``_q_power`` the powers of q, a monomial
-over symbolic q).  Two places apply it with no context at hand: chain
-coefficients meet in ``operator_algebra._meet`` and ``_check_coefficient``,
-and JSON scalars are embedded by ``coefficients.scalar_from_json``.
+over symbolic q).  Two places apply the rule with no context at hand:
+chain coefficients meet in ``operator_algebra._meet`` and are read by
+``_check_coefficient`` with the door's plain-rational rule
+(``coefficients._rational``), and JSON scalars are embedded by
+``coefficients.scalar_from_json``.
 """
 
 from __future__ import annotations
@@ -129,7 +139,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from weakref import WeakValueDictionary
-from .coefficients import _INT_ONLY, Scalar, _int_ratio, _norm_rat, parse_rational
+from .coefficients import (_INT_ONLY, Scalar, _int_ratio, _norm_rat, _rational,
+                           parse_rational)
 from .errors import (BadSpec, BoundExceeded, Immutable, IndexOutOfBound, KernelUndefined,
                      KOutOfRange, VariantMismatch, echo)
 
@@ -492,34 +503,36 @@ class PsiContext(Immutable):
     # -- scalar helpers --------------------------------------------------------
 
     def from_rational(self, value) -> Scalar:
-        # an int is already canonical; a bool, float or string goes through Fraction
-        if type(value) is not int:
-            value = _norm_rat(Fraction(value))
-        return self._qkernels.embed_rational(value) if self.symbolic else value
+        # parsed by Fraction, which reads a float or a string and refuses a RatFuncQ,
+        # then through the lifting door
+        return _admit(self, (Fraction(value),), lift=True)[0]
 
 
-_RATIONAL_ONLY = frozenset((int, Fraction))
+def _admit(ctx: PsiContext, values, lift: bool = False) -> tuple:
+    """The values as canonical scalars of the context's variant, as a tuple: the one scalar door.
 
-
-def _check_scalar(ctx: PsiContext, s) -> Scalar:
-    """s as a canonical scalar of the context's variant; VariantMismatch when it is not one."""
-    if ctx.symbolic:
-        if not isinstance(s, ctx._qkernels.RatFuncQ):
-            raise VariantMismatch(
-                f"context {echo(ctx.spec_string())} needs rational-function scalars, got {echo(s)}"
-            )
-        return s
-    if not isinstance(s, numbers.Rational):
-        raise VariantMismatch(
-            f"context {echo(ctx.spec_string())} needs plain rational scalars, got {echo(s)}"
-        )
-    # a bool is an int subclass, which JSON would write as "True"
-    return int(s) if type(s) is bool else _norm_rat(s)
-
-
-def _lift(ctx: PsiContext, x) -> Scalar:
-    """x as a scalar of the context's variant, a plain rational embedded; else ``_check_scalar``."""
-    return ctx.from_rational(x) if isinstance(x, numbers.Rational) else _check_scalar(ctx, x)
+    All ints over plain rationals, or all ``RatFuncQ`` over symbolic q,
+    pass in one C-level type pass.  Any other batch takes one rule, value
+    by value: a plain rational is made canonical (``coefficients._rational``,
+    so a bool becomes its int), and over symbolic q it is embedded where
+    ``lift`` asks for that and refused otherwise; a ``RatFuncQ`` is a
+    scalar of symbolic q alone; anything else is a VariantMismatch that
+    quotes the value as given.
+    """
+    c = tuple(values)
+    qk = ctx._qkernels
+    if (qk._RATFUNC_ONLY if qk else _INT_ONLY).issuperset(map(type, c)):
+        return c
+    out = []
+    for x in c:
+        if isinstance(x, numbers.Rational) and (lift or not qk):
+            x = qk.RatFuncQ.from_rational(_rational(x)) if qk else _rational(x)
+        elif not (qk and isinstance(x, qk.RatFuncQ)):
+            raise VariantMismatch(f"context {echo(ctx.spec_string())} needs "
+                                  f"{'rational-function' if qk else 'plain rational'} scalars, "
+                                  f"got {echo(x)}")
+        out.append(x)
+    return tuple(out)
 
 
 def _power(ctx: PsiContext, x: Scalar, n: int) -> Scalar:
@@ -533,22 +546,6 @@ def _q_power(ctx: PsiContext, n: int) -> Scalar:
         mono = (0,) * abs(n) + (1,)
         return ctx._qkernels.RatFuncQ._raw(*((mono, (1,)) if n >= 0 else ((1,), mono)))
     return _power(ctx, 1 if ctx.q_scalar is None else ctx.q_scalar, n)
-
-
-def _check_scalars(ctx: PsiContext, values) -> tuple:
-    """The values through ``_check_scalar``, as a tuple.
-
-    All ints over plain rationals or all ``RatFuncQ`` over symbolic q pass
-    in one C-level type pass, and ints and ``Fraction``s over plain
-    rationals take ``_norm_rat`` alone; a kernel's result skips this check
-    (``WardSeries._raw``).
-    """
-    c = tuple(values)
-    if (ctx._qkernels._RATFUNC_ONLY if ctx.symbolic else _INT_ONLY).issuperset(map(type, c)):
-        return c
-    if not ctx.symbolic and _RATIONAL_ONLY.issuperset(map(type, c)):
-        return tuple([_norm_rat(x) for x in c])
-    return tuple([_check_scalar(ctx, x) for x in c])
 
 
 def _chain_rows(ctx: PsiContext, pairs, m: int):

@@ -31,10 +31,11 @@ integer dot products, every term adds into one numerator per result
 coefficient, and each result coefficient is divided once, which makes it
 canonical: over plain rationals by one gcd (``coefficients._int_ratio``).
 A kernel's result is stored as it is born, through ``WardSeries._raw``,
-with no second check.  Plain rationals read cleared rows, an integer
-vector over one denominator per row, and division reads the context's
-integral rows C(n, k) G_n / G_k, with G_n the least integer that keeps
-them whole.  Over symbolic q both loops hand over to the context's
+with no pass through the scalar door (``psi_context._admit``) that every
+value from outside takes once.  Plain rationals read cleared rows, an
+integer vector over one denominator per row, and division reads the
+context's integral rows C(n, k) G_n / G_k, with G_n the least integer
+that keeps them whole.  Over symbolic q both loops hand over to the context's
 ``qkernels``, where every polynomial is evaluated at q = 2^bits
 (Kronecker substitution), so a result coefficient is one packed big-int
 sum and all the sums of one call are unpacked in one read; bits comes
@@ -72,8 +73,7 @@ from .errors import (
     PsiCalcError,
     echo,
 )
-from .psi_context import (PsiContext, _check_scalar, _check_scalars, _lift, _parts, _power,
-                          _q_power, _weighting, get_context)
+from .psi_context import PsiContext, _admit, _parts, _power, _q_power, _weighting, get_context
 
 Pair = tuple[int, int]
 
@@ -193,23 +193,33 @@ class WardSeries(Immutable):
     __slots__ = ("ctx", "_c")
 
     def __init__(self, ctx: PsiContext, coeffs: Iterable[Scalar]):
+        """The series of ``coeffs`` over ctx, each through the strict scalar door.
+
+        ``psi_context._admit`` takes canonical scalars of ctx's variant and
+        refuses a plain rational over symbolic q (``make_series`` embeds it
+        instead); a value already inside a series is stored through ``_raw``.
+        """
         # callers pass lists: a tuple grown from a generator is resized, and
         # CPython files the freed tuples in its per-size free lists until a full gc
-        c = _check_scalars(ctx, coeffs)
+        self._store(ctx, _admit(ctx, coeffs))
+
+    def _store(self, ctx: PsiContext, c: tuple) -> "WardSeries":
+        # admitted scalars: a series needs one, and its order grows the sequence
         if not c:
             raise BadIndices("a series needs at least the constant coefficient")
         ctx._grow(len(c) - 1)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_c", c)
+        return self
 
     @classmethod
     def _raw(cls, ctx: PsiContext, coeffs: list) -> "WardSeries":
-        """Trusted constructor for a kernel's result: canonical scalars of ctx's variant.
+        """Trusted constructor for values already inside: canonical scalars of ctx's variant.
 
-        A kernel's coefficients are born canonical and no longer than its
-        operands, whose construction grew the context, so the tuple is stored
-        with no ``_check_scalars`` and no ``_grow``; ``WardSeries(...)``
-        keeps every check for anything else.
+        A kernel's result is born canonical, and ``derivative``, ``truncate``
+        and ``-`` re-cut or negate stored scalars; none is longer than a
+        series whose construction grew the context, so the tuple is stored
+        with no pass through the door and no ``_grow``.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "ctx", ctx)
@@ -256,10 +266,10 @@ class WardSeries(Immutable):
         return WardSeries(self.ctx, list(map(sub, self._c, self._peer(other)._c)))
 
     def __neg__(self) -> "WardSeries":
-        return WardSeries(self.ctx, [-x for x in self._c])
+        return WardSeries._raw(self.ctx, [-x for x in self._c])
 
     def scale(self, alpha: Scalar) -> "WardSeries":
-        alpha = _check_scalar(self.ctx, alpha)
+        (alpha,) = _admit(self.ctx, (alpha,))
         return WardSeries(self.ctx, [alpha * x for x in self._c])
 
     def __mul__(self, other):
@@ -267,21 +277,21 @@ class WardSeries(Immutable):
             return self.chain(other, ())
         return self.scale(other)
 
-    def __rmul__(self, alpha):
-        return self.scale(alpha)
+    __rmul__ = scale
 
     def __truediv__(self, other):
         if isinstance(other, WardSeries):
             return self.divide(other)
-        alpha = _check_scalar(self.ctx, other)
+        (alpha,) = _admit(self.ctx, (other,))
         if not alpha:
             raise DivisionByZero("series divided by the zero scalar")
-        return self.scale(_power(self.ctx, alpha, -1))
+        inverse = _power(self.ctx, alpha, -1)
+        return WardSeries(self.ctx, [inverse * x for x in self._c])
 
     def truncate(self, order: int) -> "WardSeries":
         if order < 0 or order > self.order:
             raise IndexOutOfBound(f"cannot truncate order {self.order} to {order}")
-        return self if order == self.order else WardSeries(self.ctx, self._c[: order + 1])
+        return self if order == self.order else WardSeries._raw(self.ctx, self._c[: order + 1])
 
     # -- products -------------------------------------------------------------
 
@@ -329,7 +339,7 @@ class WardSeries(Immutable):
             raise BadIndices("derivative count must be nonnegative")
         if times > self.order:
             raise OrderZero("derivative of an order-0 series")
-        return WardSeries(self.ctx, self._c[times:]) if times else self
+        return WardSeries._raw(self.ctx, self._c[times:]) if times else self
 
     def divide(self, other) -> "WardSeries":
         """Fraction-free forward substitution against the product convolution.
@@ -364,7 +374,7 @@ class WardSeries(Immutable):
 
     def dilate(self, factor: Scalar) -> "WardSeries":
         """Coefficientwise x -> factor * x, i.e. a_n -> factor^n a_n."""
-        powers = accumulate(repeat(_check_scalar(self.ctx, factor), self.order), mul,
+        powers = accumulate(repeat(_admit(self.ctx, (factor,))[0], self.order), mul,
                             initial=self.ctx.one)
         return WardSeries(self.ctx, list(map(mul, self._c, powers)))
 
@@ -424,8 +434,8 @@ def series_header(data) -> tuple[str, int, list]:
 
 
 def make_series(ctx: PsiContext, values: Iterable) -> WardSeries:
-    """Build a series, lifting plain rationals into the context's variant."""
-    return WardSeries(ctx, [_lift(ctx, v) for v in values])
+    """Build a series, lifting plain rationals into the context's variant, in one pass."""
+    return object.__new__(WardSeries)._store(ctx, _admit(ctx, values, lift=True))
 
 
 def zeros(ctx: PsiContext, order: int) -> WardSeries:
@@ -452,14 +462,12 @@ def e_psi(ctx: PsiContext, order: int) -> WardSeries:
 
 def sin_psi(ctx: PsiContext, order: int) -> WardSeries:
     """a_{2m+1} = (-1)^m, even coefficients zero."""
-    return WardSeries(ctx, [ctx.from_rational(-1 if n // 2 % 2 else 1) if n % 2 else ctx.zero
-                            for n in range(order + 1)])
+    return make_series(ctx, [(-1 if n // 2 % 2 else 1) if n % 2 else 0 for n in range(order + 1)])
 
 
 def cos_psi(ctx: PsiContext, order: int) -> WardSeries:
     """a_{2m} = (-1)^m, odd coefficients zero."""
-    return WardSeries(ctx, [ctx.zero if n % 2 else ctx.from_rational(-1 if n // 2 % 2 else 1)
-                            for n in range(order + 1)])
+    return make_series(ctx, [0 if n % 2 else -1 if n // 2 % 2 else 1 for n in range(order + 1)])
 
 
 def first_difference(f: WardSeries, g: WardSeries) -> int | None:

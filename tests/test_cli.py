@@ -197,6 +197,14 @@ def test_op_order_zero_inline_operands(capsys, spec):
     assert WardSeries.from_json_dict(data, ctx=ctx) == make_series(ctx, [15])
 
 
+def test_op_symbolic_coefficient_over_a_plain_spec_is_usage_error(capsys):
+    # the JSON reader refuses a rational function of q over a plain spec before any series is built
+    code, out, err = run_cli(capsys, "op", "mul", '[{"num":["1"],"den":["1"]}]', "[1]",
+                             "--psi", "natural")
+    assert (code, out) == (2, "")
+    assert err == "error: symbolic coefficient given for a plain rational sequence\n"
+
+
 @pytest.mark.parametrize("drop", ("order", "coeffs", "psi"))
 def test_op_series_file_missing_key_is_usage_error(capsys, tmp_path, drop):
     data = make_series(get_context("fib", 4), [1, 2, 3]).to_json_dict()

@@ -24,6 +24,7 @@ from psicalc.errors import (
     OrderZero,
     ParseError,
     VariantMismatch,
+    echo,
 )
 from psicalc.calculus import RuleReport, general_leibniz
 from psicalc.operator_algebra import OperatorSum, ProductChain, binomial_operator
@@ -72,39 +73,69 @@ def test_make_series_lifts_rationals(qsym):
         make_series(get_context("natural", 4), [Q])
 
 
-# each door of a scalar into a series, applied to x: the series it builds
+# every entry that admits a scalar, applied to x: the one scalar it stores or gives
 DOORS = {
-    "make_series": lambda ctx, x: make_series(ctx, [x]),
-    "constant": lambda ctx, x: constant(ctx, x, 0),
-    "WardSeries": lambda ctx, x: WardSeries(ctx, [x]),
-    "scale": lambda ctx, x: e_psi(ctx, 0).scale(x),
+    "make_series": lambda ctx, x: make_series(ctx, [x]).coeffs[0],
+    "constant": lambda ctx, x: constant(ctx, x, 0).coeffs[0],
+    "WardSeries": lambda ctx, x: WardSeries(ctx, [x]).coeffs[0],
+    "scale": lambda ctx, x: e_psi(ctx, 0).scale(x).coeffs[0],
     "operator": lambda ctx, x: OperatorSum.single(coefficient=x).apply(e_psi(ctx, 0),
-                                                                       e_psi(ctx, 0)),
+                                                                       e_psi(ctx, 0)).coeffs[0],
+    "divide": lambda ctx, x: (e_psi(ctx, 0) / x).coeffs[0],
+    "dilate": lambda ctx, x: e_psi(ctx, 1).dilate(x).coeffs[1],
+    "from_rational": lambda ctx, x: ctx.from_rational(x),
+    "from_json_dict": lambda ctx, x: WardSeries.from_json_dict(
+        {"psi": ctx.spec_string(), "order": 0, "coeffs": [x]}).coeffs[0],
 }
-# the doors that embed a plain rational into the q-field
-LENIENT = ("make_series", "constant", "operator")
+DOOR_INPUTS = {"3": 3, "True": True, "4/2": Fraction(4, 2), "1/3": Fraction(1, 3),
+               "embed(2)": embed_rational(2), "Q": Q, "1.5": 1.5, "str": "1", "None": None}
+
+
+def _q(text):
+    return f"RatFuncQ({text})", RatFuncQ
+
+
+VM, N1, N2, N3 = VariantMismatch, ("1", int), ("2", int), ("3", int)
+F13 = "Fraction(1, 3)", Fraction
+PLAIN = (N3, N1, N2, F13, VM, VM, VM, VM, VM)
+LIFT_Q = (_q(3), _q(1), _q(2), _q("(1/3)"), _q(2), _q("q"), VM, VM, VM)
+STRICT_Q = (VM, VM, VM, VM, _q(2), _q("q"), VM, VM, VM)
+# per door, what each of DOOR_INPUTS gives over natural and over q: the
+# exception class, or the (repr, type) of the scalar
+DOOR_OUTCOMES = {
+    "make_series": (PLAIN, LIFT_Q),
+    "constant": (PLAIN, LIFT_Q),
+    "operator": (PLAIN, LIFT_Q),
+    "WardSeries": (PLAIN, STRICT_Q),
+    "scale": (PLAIN, STRICT_Q),
+    "dilate": (PLAIN, STRICT_Q),
+    "divide": ((F13, N1, ("Fraction(1, 2)", Fraction), N3, VM, VM, VM, VM, VM),
+               (VM, VM, VM, VM, _q("(1/2)"), _q("1/(q)"), VM, VM, VM)),
+    "from_rational": ((N3, N1, N2, F13, TypeError, TypeError, ("Fraction(3, 2)", Fraction), N1,
+                       TypeError),
+                      (_q(3), _q(1), _q(2), _q("(1/3)"), TypeError, TypeError, _q("(3/2)"), _q(1),
+                       TypeError)),
+    "from_json_dict": ((N3, ParseError, N2, F13, ParseError, ParseError, ParseError, N1,
+                        ParseError),
+                       (_q(3), ParseError, _q(2), _q("(1/3)"), ParseError, ParseError, ParseError,
+                        _q(1), ParseError)),
+}
 
 
 @pytest.mark.parametrize("door", DOORS)
-@pytest.mark.parametrize("x, natural, lenient_q, strict_q", [
-    (3, ("3", int), ("3", RatFuncQ), VariantMismatch),
-    (True, ("1", int), ("1", RatFuncQ), VariantMismatch),
-    (Fraction(4, 2), ("2", int), ("2", RatFuncQ), VariantMismatch),
-    (Fraction(1, 3), ("1/3", Fraction), ("(1/3)", RatFuncQ), VariantMismatch),
-    (embed_rational(2), VariantMismatch, ("2", RatFuncQ), ("2", RatFuncQ)),
-    (Q, VariantMismatch, ("q", RatFuncQ), ("q", RatFuncQ)),
-    (1.5, VariantMismatch, VariantMismatch, VariantMismatch),
-    ("1", VariantMismatch, VariantMismatch, VariantMismatch),
-], ids=["3", "True", "4/2", "1/3", "embed(2)", "Q", "1.5", "str"])
-def test_every_door_takes_a_scalar_by_one_rule(nat, qsym, door, x, natural, lenient_q,
-                                               strict_q):
-    for ctx, want in ((nat, natural), (qsym, lenient_q if door in LENIENT else strict_q)):
-        if want is VariantMismatch:
-            with pytest.raises(VariantMismatch):
-                DOORS[door](ctx, x)
+@pytest.mark.parametrize("x", DOOR_INPUTS)
+def test_every_door_takes_a_scalar_by_one_rule(nat, qsym, door, x):
+    value = DOOR_INPUTS[x]
+    for ctx, outcomes in zip((nat, qsym), DOOR_OUTCOMES[door]):
+        want = outcomes[list(DOOR_INPUTS).index(x)]
+        if isinstance(want, type):
+            with pytest.raises(want) as refused:
+                DOORS[door](ctx, value)
+            # the library's own refusals quote the value as given, not as made canonical
+            assert type(refused.value) is TypeError or str(refused.value).endswith(echo(value))
         else:
-            (c,) = DOORS[door](ctx, x).coeffs
-            assert (str(c), type(c)) == want
+            c = DOORS[door](ctx, value)
+            assert (repr(c), type(c)) == want
 
 
 def test_series_requires_some_coefficient(fib):
@@ -1010,7 +1041,7 @@ def test_kernel_results_skip_the_checks_the_public_constructor_keeps(monkeypatch
     def refuse(*args):
         raise AssertionError("a kernel result was checked again")
 
-    monkeypatch.setattr("psicalc.series._check_scalars", refuse)
+    monkeypatch.setattr("psicalc.series._admit", refuse)
     f * g, f.star(g, 2, 1), f.divide(g), general_leibniz(f, g, 1)
     with pytest.raises(AssertionError):
         WardSeries(ctx, [1, 2])
